@@ -159,6 +159,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int = 3,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 1 <= batches <= trials:
+        raise ValueError(f"cannot split {trials} trials into {batches} batches")
     unknown = set(modalities) - set(MODALITIES)
     if unknown:
         raise ValueError(f"unknown modalities: {sorted(unknown)}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Pose3, RngStream, WorkspaceConfig
 from .force import (ForceBuffer, ForceDecision, buffer_capacity, init_baseline,
-                    safety_stop, update_and_check, vial_placed)
+                    safety_stop, update_and_check)
 from .geometry import pixel_to_world
 from .perception import (CnnWeights, NoValidSlotError,
                          accepted_rack_candidates, cht_params_for,
@@ -188,7 +188,7 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
 
 def _guarded_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                    weights: CnnWeights, trial_index: int, rig,
-                   prepare, attempt_descent, trace=None) -> TrialRecord:
+                   prepare, attempt_descent) -> TrialRecord:
     """Shared force/tactile skeleton: image once, then search until placed.
 
     ``prepare(scene, sel_gen)`` runs modality setup after the overview image
@@ -316,7 +316,7 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
         return _descend_to_floor(scene, position, config.descent_floor_z(), check)
 
     return _guarded_trial("force", config, stream, weights, trial_index, rig,
-                          prepare, attempt_descent, trace)
+                          prepare, attempt_descent)
 
 
 def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,

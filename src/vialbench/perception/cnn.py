@@ -303,7 +303,9 @@ def load_weights(path) -> CnnWeights:
                 raise ValueError(f"{path}: truncated header")
             if line == b"data\n":
                 break
-            parts = line.decode("ascii").split()
+            parts = line.decode("ascii", errors="replace").split()
+            if not parts or not all(d.isdigit() for d in parts[1:]):
+                raise ValueError(f"{path}: bad header line {line!r}")
             shapes[parts[0]] = tuple(int(d) for d in parts[1:])
             order.append(parts[0])
         if tuple(order) != _TENSOR_NAMES:

@@ -55,14 +55,29 @@ def cht_params_for(config: WorkspaceConfig, cam_z: float) -> ChtParams:
     )
 
 
+# The 8 neighbours of a cell in the local-maximum test.
+_NEIGHBOURS = [(dv, du) for dv in (-1, 0, 1) for du in (-1, 0, 1) if dv or du]
+
+
 def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     """Detect circles by voting along gradient directions.
 
     Sobel gradients above ``edge_thresh`` vote for centers at +-r along the
     local gradient for every radius in the sweep; each radius slice is
-    box-accumulated, thresholded at ``vote_frac * 2*pi*r``, peak-picked, and
-    the surviving peaks are merged across radii by greedy non-maximum
-    suppression. Candidates come back sorted by vote count, strongest first.
+    box-accumulated over 3x3, thresholded at ``vote_frac * 2*pi*r``,
+    peak-picked against its 8 neighbours, and the surviving peaks are merged
+    across radii by greedy non-maximum suppression. Candidates come back
+    sorted by vote count, strongest first.
+
+    The vote scores are floats: ``ndimage.uniform_filter(acc, size=(1, 3, 3),
+    mode="constant") * 9.0`` of the integer vote counts ``acc``. scipy's
+    filter is a running sum, so most of these floats drift from the exact
+    integer box sums by up to ~1e-14, and the drift reaches ``votes``, tie
+    order and ``_refine``. The dense work is therefore done on exact
+    integers only: the vote counts and their 3x3 box sums, which find every
+    cell that can pass the threshold. The floats are made, bit for bit as
+    the filter makes them, only on the (radius, row) lines around those
+    cells; see ``_box_lines``.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
@@ -70,51 +85,108 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     h, w = img.shape
     gx = ndimage.sobel(img, axis=1, mode="nearest")
     gy = ndimage.sobel(img, axis=0, mode="nearest")
+    # hypot only where the squared magnitude can reach the threshold
+    ey, ex = np.nonzero(gx * gx + gy * gy >= (params.edge_thresh * (1.0 - 1e-9)) ** 2)
+    gx, gy = gx[ey, ex], gy[ey, ex]
     mag = np.hypot(gx, gy)
     edge = mag >= params.edge_thresh
     if not edge.any():
         return []
-    ey, ex = np.nonzero(edge)
-    ux = gx[ey, ex] / mag[ey, ex]
-    uy = gy[ey, ex] / mag[ey, ex]
+    ey, ex, mag = ey[edge], ex[edge], mag[edge]
+    ux = gx[edge] / mag
+    uy = gy[edge] / mag
 
     radii = np.arange(params.r_min, params.r_max + 1)
-    peaks: list[tuple[float, float, float, float]] = []  # votes, u, v, r
-    slices = np.zeros((len(radii), h, w))
-    for i, r in enumerate(radii):
-        acc = np.zeros((h, w))
-        for sign in (1.0, -1.0):
-            cu = np.rint(ex + sign * r * ux).astype(int)
-            cv = np.rint(ey + sign * r * uy).astype(int)
-            ok = (cu >= 0) & (cu < w) & (cv >= 0) & (cv < h)
-            np.add.at(acc, (cv[ok], cu[ok]), 1.0)
-        # 3x3 box sum concentrates votes smeared by pixel quantization.
-        slices[i] = ndimage.uniform_filter(acc, size=3, mode="constant") * 9.0
+    n = len(radii)
+    # Vote row k is radius k % n, along +gradient for k < n, else along -.
+    step = np.concatenate([1.0 * radii, -1.0 * radii])[:, None]
+    vote_u = step * ux
+    vote_u += ex
+    np.rint(vote_u, out=vote_u)
+    vote_v = step * uy
+    vote_v += ey
+    np.rint(vote_v, out=vote_v)
+    # Votes outside the image land on a one-cell border that is then zeroed.
+    np.clip(vote_u, -1, w, out=vote_u)
+    np.clip(vote_v, -1, h, out=vote_v)
+    cell = vote_v + (np.tile(np.arange(n), 2) * (h + 2) + 1)[:, None]
+    cell *= w + 2
+    cell += vote_u + 1
+    # A 3x3 box in one slice holds at most two votes per edge pixel.
+    dtype = np.uint16 if 2 * ex.size <= np.iinfo(np.uint16).max else np.uint32
+    acc = np.bincount(cell.astype(np.intp).ravel(), minlength=n * (h + 2) * (w + 2))
+    acc = acc.astype(dtype).reshape(n, h + 2, w + 2)
+    acc[:, [0, -1]] = 0
+    acc[:, :, [0, -1]] = 0
+    col = _column_sums(acc)
+    box = col[:, :, :-2] + col[:, :, 1:-1]
+    box += col[:, :, 2:]
 
-    for i, r in enumerate(radii):
-        votes = slices[i]
-        thresh = params.vote_frac * 2.0 * np.pi * r
-        local_max = votes == ndimage.maximum_filter(votes, size=3, mode="constant")
-        vy, vx = np.nonzero(local_max & (votes >= thresh))
-        for v, u in zip(vy, vx):
-            peaks.append((float(votes[v, u]), float(u), float(v), float(r)))
-
-    if not peaks:
+    thresh = params.vote_frac * 2.0 * np.pi * radii
+    # The float scores differ from ``box`` only by rounding drift, far below
+    # 0.5, so this keeps every cell whose score can reach ``thresh``.
+    mask = box >= np.ceil(thresh - 0.5).astype(dtype)[:, None, None]
+    ci, cv, cu = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    if ci.size == 0:
         return []
-    # Strongest-first greedy merge across radii.
-    peaks.sort(key=lambda p: (-p[0], p[1], p[2], p[3]))
-    nms = params.nms_radius if params.nms_radius is not None else float(params.r_min)
-    kept: list[tuple[float, float, float, float]] = []
-    for votes, u, v, r in peaks:
-        if any((u - ku) ** 2 + (v - kv) ** 2 < nms ** 2 for _, ku, kv, _ in kept):
-            continue
-        kept.append((votes, u, v, r))
+    # Float lines: the candidates' rows +-1 (local maxima) at radius +-1 (_refine).
+    lines = np.nonzero(ndimage.binary_dilation(mask.any(axis=2),
+                                               np.ones((3, 3), dtype=bool)))
+    slices = np.zeros((n, h, w))
+    slices[lines] = _box_lines(col, lines)
 
+    votes = slices[ci, cv, cu]
+    peak = votes >= thresh[ci]
+    # A clipped index still names a cell of the 3x3 window, and a score that
+    # passes the threshold is above the 0.0 outside the image.
+    for dv, du in _NEIGHBOURS:
+        peak &= votes >= slices[ci, np.clip(cv + dv, 0, h - 1), np.clip(cu + du, 0, w - 1)]
+    votes = votes[peak]
+    u = cu[peak].astype(float)
+    v = cv[peak].astype(float)
+    r = radii[ci[peak]].astype(float)
+    if votes.size == 0:
+        return []
+    order = np.lexsort((r, v, u, -votes))
+    votes, u, v, r = votes[order], u[order], v[order], r[order]
+
+    # Strongest-first greedy merge across radii.
+    nms = params.nms_radius if params.nms_radius is not None else float(params.r_min)
+    alive = np.ones(votes.size, dtype=bool)
     out = []
-    for votes, u, v, r in kept:
-        ru, rv, rr = _refine(slices, radii, u, v, r)
-        out.append(Candidate(u=ru, v=rv, r=rr, votes=votes))
-    return out
+    k = 0
+    while True:
+        ru, rv, rr = _refine(slices, radii, float(u[k]), float(v[k]), float(r[k]))
+        out.append(Candidate(u=ru, v=rv, r=rr, votes=float(votes[k])))
+        alive &= (u - u[k]) ** 2 + (v - v[k]) ** 2 >= nms ** 2
+        rest = np.flatnonzero(alive[k + 1:])
+        if rest.size == 0:
+            return out
+        k += 1 + int(rest[0])
+
+
+def _column_sums(acc: np.ndarray) -> np.ndarray:
+    """Exact vertical 3-sums of integer counts with a zero border of one cell.
+
+    ``acc`` has shape (n, h + 2, w + 2); the result has shape (n, h, w + 2),
+    and column ``u + 1`` holds the sum for image column ``u``.
+    """
+    col = acc[:, :-2] + acc[:, 1:-1]
+    col += acc[:, 2:]
+    return col
+
+
+def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Float 3x3 box sums (times 9) on the (radius, row) ``lines``.
+
+    Bit for bit the rows of ``ndimage.uniform_filter(acc, size=(1, 3, 3),
+    mode="constant") * 9.0``. That filter runs axis 1 first: its running sum
+    over integers is exact, so the first pass is ``col / 3.0``. The axis-2
+    pass then drifts along each row, so it is run here on whole rows.
+    """
+    ri, vi = lines
+    first = col[ri, vi, 1:-1] / 3.0
+    return ndimage.uniform_filter1d(first, 3, axis=1, mode="constant") * 9.0
 
 
 def _refine(slices: np.ndarray, radii: np.ndarray, u: float, v: float, r: float):
@@ -128,8 +200,6 @@ def _refine(slices: np.ndarray, radii: np.ndarray, u: float, v: float, r: float)
     total = block.sum()
     if total <= 0:
         return u, v, r
-    ri, yi, xi = np.meshgrid(radii[i0:i1], np.arange(v0, v1), np.arange(u0, u1),
-                             indexing="ij")
-    return (float((xi * block).sum() / total),
-            float((yi * block).sum() / total),
-            float((ri * block).sum() / total))
+    return (float((np.arange(u0, u1) * block).sum() / total),
+            float((np.arange(v0, v1)[:, None] * block).sum() / total),
+            float((radii[i0:i1, None, None] * block).sum() / total))

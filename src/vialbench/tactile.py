@@ -210,16 +210,6 @@ def apply_calibration(cal: TactileCalibration, centroid_px: tuple[float, float],
     return cal.gain @ n + cal.bias
 
 
-def estimate_offset(frame: np.ndarray, references: list[np.ndarray],
-                    cal: TactileCalibration, config: TactileConfig
-                    ) -> np.ndarray | None:
-    """In-gripper offset from one frame, or None when nothing is touching."""
-    region = find_contact(frame, references, config)
-    if region is None:
-        return None
-    return apply_calibration(cal, region.centroid, config.width, config.height)
-
-
 def save_calibration(path, cals: dict[str, TactileCalibration]) -> None:
     lines = [_CAL_MAGIC]
     for finger in FINGERS:
@@ -245,19 +235,33 @@ def load_calibration(path) -> dict[str, TactileCalibration]:
         head = lines[i].split()
         if len(head) != 2 or head[0] != "finger" or head[1] not in FINGERS:
             raise ValueError(f"{path}: bad finger header {lines[i]!r}")
-        gain = [float(v) for v in lines[i + 1].split()[1:]]
-        bias = [float(v) for v in lines[i + 2].split()[1:]]
-        rms = float(lines[i + 3].split()[1])
+        gain = _cal_numbers(path, lines, i + 1, "gain", 4)
+        bias = _cal_numbers(path, lines, i + 2, "bias", 2)
+        rms = _cal_numbers(path, lines, i + 3, "rms", 1)
         cals[head[1]] = TactileCalibration(
             gain=np.array(gain).reshape(2, 2),
             bias=np.array(bias),
-            residual_rms=rms,
+            residual_rms=rms[0],
         )
         i += 4
     missing = set(FINGERS) - set(cals)
     if missing:
         raise ValueError(f"{path}: missing calibration for {sorted(missing)}")
     return cals
+
+
+def _cal_numbers(path, lines: list[str], i: int, key: str,
+                 count: int) -> list[float]:
+    """The ``count`` numbers of calibration line ``i``, which must read
+    ``key n1 .. ncount``."""
+    parts = lines[i].split() if i < len(lines) else []
+    if parts[:1] != [key] or len(parts) != count + 1:
+        got = repr(lines[i]) if i < len(lines) else "end of file"
+        raise ValueError(f"{path}: expected {key!r} with {count} numbers, got {got}")
+    try:
+        return [float(v) for v in parts[1:]]
+    except ValueError:
+        raise ValueError(f"{path}: bad number in {lines[i]!r}") from None
 
 
 def track_deviation(frames: dict[str, np.ndarray],

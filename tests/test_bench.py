@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from vialbench import bench
 from vialbench.bench import (
     Stat,
     _stat,
@@ -16,6 +17,7 @@ from vialbench.bench import (
     write_report,
 )
 from vialbench.control import AttemptOutcome, TrialRecord
+from vialbench.core import load_config
 
 
 def rec(attempts, success, runtime=10.0, modality="force", idx=0):
@@ -195,3 +197,14 @@ def test_load_records_rejects_empty_file(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError):
         load_records(empty)
+
+
+@pytest.mark.parametrize("trials,batches", [(2, 3), (5, 0)])
+def test_run_experiment_checks_batches_before_training(monkeypatch, trials,
+                                                       batches):
+    def no_training(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(bench, "train_discriminator", no_training)
+    with pytest.raises(ValueError, match="batches"):
+        bench.run_experiment(load_config(), trials, batches)

@@ -53,6 +53,21 @@ def test_runtime_errors_exit_two(tmp_path, weights_file, capsys):
     assert "vialbench:" in err
 
 
+def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
+                                                      capsys):
+    cal = tmp_path / "short.cal"
+    cal.write_text("VIALTAC1\nfinger left\ngain 1 2 3 4\n")
+    assert run_cli("run", "--trials", "1", "--modality", "tactile",
+                   "--weights", weights_file, "--calibration", cal) == 2
+    magic, rest = weights_file.read_bytes().split(b"\n", 1)
+    bad = tmp_path / "gap.weights"
+    bad.write_bytes(magic + b"\n\n" + rest)
+    assert run_cli("run", "--trials", "1", "--weights", bad) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert "short.cal" in lines[0] and "gap.weights" in lines[1]
+
+
 # ---------------------------------------------------------------- detect
 
 

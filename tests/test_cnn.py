@@ -154,6 +154,17 @@ def test_weights_file_truncation_detected(tmp_path):
         load_weights(tmp_path / "long.weights")
 
 
+@pytest.mark.parametrize("line", [b"\n", b"conv1_w 8 x 3 3\n"])
+def test_weights_file_bad_header_line_names_file(tmp_path, line):
+    w = init_weights(np.random.default_rng(23), CFG)
+    path = tmp_path / "net.weights"
+    save_weights(path, w)
+    magic, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(magic + b"\n" + line + rest)
+    with pytest.raises(ValueError, match="net.weights"):
+        load_weights(path)
+
+
 def test_init_scales_with_fanin():
     w = init_weights(np.random.default_rng(30), CFG)
     # convolution kernels should be small numbers, not unit-scale noise

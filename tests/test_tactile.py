@@ -264,6 +264,18 @@ def test_calibration_file_bad_magic(tmp_path):
         load_calibration(path)
 
 
+@pytest.mark.parametrize("body", [
+    "finger left\ngain 1 2 3 4\n",                                  # truncated
+    "finger left\ngain 1 2 3\nbias 0 0\nrms 0\n",                   # short gain
+    "finger left\ngain 1 2 3 4\nbias 0 x\nrms 0\n",                 # bad number
+])
+def test_calibration_file_malformed_names_file(tmp_path, body):
+    path = tmp_path / "bad.cal"
+    path.write_text("VIALTAC1\n" + body)
+    with pytest.raises(ValueError, match="bad.cal"):
+        load_calibration(path)
+
+
 # --- full-frame pipeline and slip tracking --------------------------------
 
 CFG = TactileConfig()
