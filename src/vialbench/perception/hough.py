@@ -118,7 +118,9 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     acc = acc.astype(dtype).reshape(n, h + 2, w + 2)
     acc[:, [0, -1]] = 0
     acc[:, :, [0, -1]] = 0
-    col = _column_sums(acc)
+    # Exact vertical 3-sums; column u + 1 of ``col`` is image column u.
+    col = acc[:, :-2] + acc[:, 1:-1]
+    col += acc[:, 2:]
     box = col[:, :, :-2] + col[:, :, 1:-1]
     box += col[:, :, 2:]
 
@@ -165,24 +167,15 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
         k += 1 + int(rest[0])
 
 
-def _column_sums(acc: np.ndarray) -> np.ndarray:
-    """Exact vertical 3-sums of integer counts with a zero border of one cell.
-
-    ``acc`` has shape (n, h + 2, w + 2); the result has shape (n, h, w + 2),
-    and column ``u + 1`` holds the sum for image column ``u``.
-    """
-    col = acc[:, :-2] + acc[:, 1:-1]
-    col += acc[:, 2:]
-    return col
-
-
 def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Float 3x3 box sums (times 9) on the (radius, row) ``lines``.
 
-    Bit for bit the rows of ``ndimage.uniform_filter(acc, size=(1, 3, 3),
-    mode="constant") * 9.0``. That filter runs axis 1 first: its running sum
-    over integers is exact, so the first pass is ``col / 3.0``. The axis-2
-    pass then drifts along each row, so it is run here on whole rows.
+    ``col[i, v, u + 1]`` is the exact integer sum of ``acc[i, v-1:v+2, u]``,
+    zero outside the image. The result is bit for bit the rows of
+    ``ndimage.uniform_filter(acc, size=(1, 3, 3), mode="constant") * 9.0``.
+    That filter runs axis 1 first: its running sum over integers is exact,
+    so the first pass is ``col / 3.0``. The axis-2 pass then drifts along
+    each row, so it is run here on whole rows.
     """
     ri, vi = lines
     first = col[ri, vi, 1:-1] / 3.0

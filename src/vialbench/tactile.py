@@ -225,7 +225,7 @@ def save_calibration(path, cals: dict[str, TactileCalibration]) -> None:
 
 
 def load_calibration(path) -> dict[str, TactileCalibration]:
-    with open(path, encoding="ascii") as f:
+    with open(path, encoding="ascii", errors="replace") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or lines[0] != _CAL_MAGIC:
         raise ValueError(f"{path}: not a calibration file")

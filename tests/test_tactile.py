@@ -268,10 +268,11 @@ def test_calibration_file_bad_magic(tmp_path):
     "finger left\ngain 1 2 3 4\n",                                  # truncated
     "finger left\ngain 1 2 3\nbias 0 0\nrms 0\n",                   # short gain
     "finger left\ngain 1 2 3 4\nbias 0 x\nrms 0\n",                 # bad number
+    "finger l\xe9ft\n",                                             # not ASCII
 ])
 def test_calibration_file_malformed_names_file(tmp_path, body):
     path = tmp_path / "bad.cal"
-    path.write_text("VIALTAC1\n" + body)
+    path.write_bytes(("VIALTAC1\n" + body).encode("latin-1"))
     with pytest.raises(ValueError, match="bad.cal"):
         load_calibration(path)
 
