@@ -2,10 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` to get one PASSED/FAILED
 line per criterion (add ``-s`` for the measured numbers behind each one).
-The campaign criteria (7/8) share one 200-trial-per-modality experiment.
+The campaign criteria (7/8) share one 200-trial-per-modality experiment,
+and the golden test pins that campaign's first trials of each modality.
 """
 
+import json
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,32 @@ from vialbench.search import make_search, next_trial_positions
 from vialbench.simworld import render_topdown, reset_trial, slot_centers
 from vialbench.tactile import (binarize, calibrate_mapping, difference_image,
                                normalize, polygon_area)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "campaign_seed42_first10.json"
+GOLDEN_TRIALS = 10
+
+
+def golden_rows(records) -> list[dict]:
+    """The pinned view of each trial: every field that the RNG drives,
+    positions rounded to 1e-6 m and times/offsets to 1e-9 (non-finite
+    positions become None)."""
+
+    def pos(x):
+        return round(x, 6) if math.isfinite(x) else None
+
+    return [{
+        "modality": r.modality,
+        "trial_index": r.trial_index,
+        "attempts": r.attempts,
+        "success": r.success,
+        "placement": r.placement,
+        "results": [o.result for o in r.outcomes],
+        "positions": [[pos(p) for p in o.position] for o in r.outcomes],
+        "runtime_s": round(r.runtime_s, 9),
+        "final_offset": (None if r.final_offset is None
+                         else [round(v, 9) for v in r.final_offset]),
+    } for r in records]
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +369,19 @@ def test_criterion_9_byte_identical_reports(tmp_path, trained):
         assert first == second, name
     print("\ncriterion 9: repeated run produced byte-identical "
           "summary/histogram/cumulative CSVs")
+
+
+def test_golden_campaign_trials(campaign):
+    """Trial-level drift guard between commits (criterion 9 only compares
+    two runs of the same commit). Trial i of a campaign depends only on the
+    seed and i, so the fixture also equals a ``GOLDEN_TRIALS``-trial run.
+    Rewrite ``GOLDEN`` from ``golden_rows`` only for an intended behaviour
+    change, and say so in the change log."""
+    result, _ = campaign
+    got = [row for m in MODALITIES
+           for row in golden_rows(result.records[m][:GOLDEN_TRIALS])]
+    want = json.loads(GOLDEN.read_text())
+    assert len(want) == GOLDEN_TRIALS * len(MODALITIES)
+    for g, w in zip(got, want):
+        assert g == w, (w["modality"], w["trial_index"])
+    assert len(got) == len(want)
