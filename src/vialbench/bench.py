@@ -332,14 +332,21 @@ def emit_report(result: ExperimentResult, out_dir) -> dict[str, Path]:
 
 
 def load_records(path) -> dict[str, list[TrialRecord]]:
-    """Read a records.jsonl back into per-modality record lists."""
+    """Read a records.jsonl back into per-modality record lists.
+
+    A line that does not hold a record raises ValueError naming the file
+    and the line.
+    """
     records: dict[str, list[TrialRecord]] = {}
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
                 continue
-            rec = record_from_dict(json.loads(line))
+            try:
+                rec = record_from_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise ValueError(f"{path}: line {line_no}: not a trial record "
+                                 f"({type(exc).__name__}: {exc})") from None
             records.setdefault(rec.modality, []).append(rec)
     if not records:
         raise ValueError(f"{path}: no records found")

@@ -126,8 +126,6 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config_from(args)
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     modalities = (control.MODALITIES if args.modality == "all"
                   else (args.modality,))
     weights = None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Pose3, RngStream, WorkspaceConfig
+from .core import Pose3, RngStream, TactileConfig, WorkspaceConfig
 from .force import (ForceBuffer, ForceDecision, buffer_capacity, init_baseline,
                     safety_stop, update_and_check)
 from .geometry import pixel_to_world
@@ -31,11 +31,12 @@ from .perception import (CnnWeights, NoValidSlotError,
                          detect_circles, refined_camera_z, score_candidates,
                          select_target)
 from .search import compute_search_bounds, make_search, next_trial_positions
-from .simworld import (FINGERS, MoveCommand, SceneState, SimError,
-                       advance_clock, impose_grasp, jump_setpoint,
-                       reference_frames, release_and_evaluate, render_topdown,
-                       reset_trial, sample_tactile, tick)
-from .tactile import (TactileCalibration, TactileDecision, calibrate_mapping,
+from .simworld import (MoveCommand, SceneState, SimError, advance_clock,
+                       impose_grasp, jump_setpoint, reference_frames,
+                       release_and_evaluate, render_topdown, reset_trial,
+                       sample_tactile, tick)
+from .tactile import (FINGERS, ContactRegion, TactileCalibration,
+                      TactileDecision, apply_calibration, calibrate_mapping,
                       find_contact, track_deviation)
 
 MODALITIES = ("visual", "force", "tactile")
@@ -285,8 +286,8 @@ def _guarded_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
 
 
 def run_force_trial(config: WorkspaceConfig, stream: RngStream,
-                    weights: CnnWeights, trial_index: int = 0, rig=None,
-                    trace: list | None = None) -> TrialRecord:
+                    weights: CnnWeights, trial_index: int = 0,
+                    rig=None) -> TrialRecord:
     """Force-guarded insertion with lattice-search recovery."""
 
     def prepare(scene, sel_gen):
@@ -302,11 +303,8 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
         buffer = ForceBuffer(buffer_capacity(config.force))
 
         def check(sample):
-            decision, dev = update_and_check(buffer, sample.vector, baseline,
-                                             config.force)
-            if trace is not None:
-                trace.append((scene.sim_clock, sample.vector, dev,
-                              decision.value))
+            decision, _ = update_and_check(buffer, sample.vector, baseline,
+                                           config.force)
             if decision is ForceDecision.STOP:
                 return "stopped"
             if scene.held_offset is None:
@@ -317,6 +315,14 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
 
     return _guarded_trial("force", config, stream, weights, trial_index, rig,
                           prepare, attempt_descent)
+
+
+def _finger_contacts(scene: SceneState, refs: dict[str, list[np.ndarray]],
+                     tac: TactileConfig) -> dict[str, ContactRegion | None]:
+    """One frame per finger, in ``FINGERS`` order (so the scene RNG is drawn
+    left then right), reduced to its dominant contact patch or None."""
+    return {f: find_contact(sample_tactile(scene, f), refs[f], tac)
+            for f in FINGERS}
 
 
 def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
@@ -336,20 +342,13 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
     def measure(scene, refs):
         """Settle, read both fingers, return (offset estimate, centroids)."""
         advance_clock(scene, config.timing.tactile_settle_s)
-        estimates = []
-        centroids: dict[str, tuple[float, float]] = {}
-        for finger in FINGERS:
-            frame = sample_tactile(scene, finger)
-            region = find_contact(frame, refs[finger], tac)
-            if region is None:
-                continue
-            centroids[finger] = region.centroid
-            cal = calibration[finger]
-            n = np.array([region.centroid[0] / (tac.width - 1.0),
-                          region.centroid[1] / (tac.height - 1.0)])
-            estimates.append(cal.gain @ n + cal.bias)
-        if not estimates:
+        centroids = {f: region.centroid for f, region
+                     in _finger_contacts(scene, refs, tac).items()
+                     if region is not None}
+        if not centroids:
             return None, centroids
+        estimates = [apply_calibration(calibration[f], c, tac.width, tac.height)
+                     for f, c in centroids.items()]
         return np.mean(estimates, axis=0), centroids
 
     def attempt_descent(scene, refs, position):
@@ -375,9 +374,8 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
             if scene.sim_clock + 1e-12 < next_sample:
                 return None
             next_sample += period
-            frames = {f: sample_tactile(scene, f) for f in FINGERS}
-            reading = track_deviation(frames, refs, centroids, tac,
-                                      calibration)
+            reading = track_deviation(_finger_contacts(scene, refs, tac),
+                                      centroids, tac)
             if reading.decision is TactileDecision.LOST_CONTACT:
                 return "lost"
             if reading.decision is TactileDecision.STOP:
@@ -404,13 +402,11 @@ def calibrate_rig(config: WorkspaceConfig, rig,
     for ox in (-reach, 0.0, reach):
         for oy in (-reach, 0.0, reach):
             impose_grasp(scene, [ox, oy])
-            for finger in FINGERS:
-                frame = sample_tactile(scene, finger)
-                region = find_contact(frame, refs[finger], config.tactile)
-                if region is None:
-                    continue
-                cents[finger].append(region.centroid)
-                offs[finger].append((ox, oy))
+            contacts = _finger_contacts(scene, refs, config.tactile)
+            for finger, region in contacts.items():
+                if region is not None:
+                    cents[finger].append(region.centroid)
+                    offs[finger].append((ox, oy))
     return {f: calibrate_mapping(np.asarray(cents[f]), np.asarray(offs[f]),
                                  config.tactile.width, config.tactile.height)
             for f in FINGERS}

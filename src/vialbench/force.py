@@ -3,13 +3,12 @@
 The sensor is read at a fixed rate into a sliding one-second window; the
 stop rule compares the window mean against a baseline captured while the arm
 was stationary, relative to the baseline's own magnitude so the rule is
-insensitive to the rig's static load. Placement and safety classifications
-look only at the gripper height when a stop fires.
+insensitive to the rig's static load. The safety classification looks only
+at the gripper height when a stop fires.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 
 import numpy as np
@@ -112,28 +111,7 @@ def update_and_check(buffer: ForceBuffer, sample, baseline: np.ndarray,
     return ForceDecision.CONTINUE, dev
 
 
-def vial_placed(grip_z: float, config: WorkspaceConfig) -> bool:
-    """After a stop: is the vial sitting on the rack's top surface?
-
-    The gripper holds the vial ``grip_height`` above its bottom, so a bottom
-    resting on the rack puts the gripper at exactly rack height plus grip
-    height; anything at or above that is a surface impact rather than an
-    in-slot jam.
-    """
-    return grip_z >= config.rack.height + config.vial.grip_height
-
-
 def safety_stop(grip_z: float, config: WorkspaceConfig) -> bool:
     """After a stop: is the gripper impossibly deep (below half rack height)?"""
     return grip_z < 0.5 * config.rack.height
 
-
-def write_force_trace(path, rows) -> None:
-    """Dump a monitored descent as CSV: t, fx, fy, fz, mean_dev, decision."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "fx", "fy", "fz", "mean_dev", "decision"])
-        for t, sample, dev, decision in rows:
-            v = np.asarray(sample, dtype=float)
-            writer.writerow([f"{t:.6f}", f"{v[0]:.6f}", f"{v[1]:.6f}",
-                             f"{v[2]:.6f}", f"{dev:.6f}", decision])

@@ -1,6 +1,5 @@
 """Slot perception: circle detection, crop classification, target selection."""
 
-from ..geometry import pixel_to_world, world_to_pixel
 from .cnn import (CnnWeights, TrainingDiverged, forward, init_weights,
                   load_weights, loss_and_grads, predict, save_weights,
                   train_cnn)
@@ -29,7 +28,6 @@ __all__ = [
     "label_candidate",
     "load_weights",
     "loss_and_grads",
-    "pixel_to_world",
     "predict",
     "refined_camera_z",
     "save_weights",
@@ -37,5 +35,4 @@ __all__ = [
     "select_target",
     "train_cnn",
     "train_discriminator",
-    "world_to_pixel",
 ]

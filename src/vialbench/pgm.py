@@ -19,21 +19,25 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM written by write_pgm (comments tolerated)."""
+    """Read a binary PGM written by write_pgm (comments tolerated).
+
+    Malformed input raises ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
-        raise ValueError("not a binary PGM (missing P5 magic)")
+        raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
     fields: list[int] = []
     pos = 2
     while len(fields) < 3:
         if pos >= len(data):
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header")
         ch = data[pos:pos + 1]
         if ch.isspace():
             pos += 1
         elif ch == b"#":
-            pos = data.index(b"\n", pos) + 1
+            # an unterminated comment runs to the end: truncated header
+            pos = data.find(b"\n", pos) + 1 or len(data)
         elif ch.isdigit():
             end = pos
             while data[end:end + 1].isdigit():
@@ -41,12 +45,12 @@ def read_pgm(path) -> np.ndarray:
             fields.append(int(data[pos:end]))
             pos = end
         else:
-            raise ValueError(f"bad PGM header byte {ch!r}")
+            raise ValueError(f"{path}: bad PGM header byte {ch!r}")
     w, h, maxval = fields
     if maxval != 255:
-        raise ValueError(f"unsupported PGM maxval {maxval}")
+        raise ValueError(f"{path}: unsupported PGM maxval {maxval}")
     pos += 1  # single whitespace after maxval
     raster = data[pos:pos + w * h]
     if len(raster) != w * h:
-        raise ValueError("truncated PGM raster")
+        raise ValueError(f"{path}: truncated PGM raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()

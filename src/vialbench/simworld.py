@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import KEY_RIG, Pose3, RngStream, WorkspaceConfig
 from .geometry import plane_grid, world_to_pixel
+from .tactile import FINGERS
 
 
 class SimError(RuntimeError):
@@ -74,9 +75,6 @@ class FingertipRig:
     has_tactile: bool
     map_gain: dict[str, np.ndarray] = field(default_factory=dict)
     map_offset: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-FINGERS = ("left", "right")
 
 
 def make_rig(config: WorkspaceConfig, material: str) -> FingertipRig:
@@ -454,21 +452,19 @@ _CAP_DOT = 110.0
 _RIM_HALF = 0.0008  # rim line half-thickness, meters
 
 
-def render_topdown(scene: SceneState, cam_pose: Pose3, width: int | None = None,
-                   height: int | None = None) -> np.ndarray:
+def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     """Render the overhead camera view from the *requested* pose.
 
     The image is actually formed from the requested pose shifted by the trial's
     calibration bias (angular error scales with height) plus fresh per-shot
     jitter; controllers inverting pixels through the requested pose therefore
-    inherit exactly that bias. Returns a (height, width) uint8 image.
+    inherit exactly that bias. Returns a uint8 image of the camera's size.
     """
     cfg = scene.config
     cam = cfg.camera
     if cam_pose.z <= cfg.rack.height:
         raise SimError("camera must be above the rack plane")
-    W = cam.width if width is None else width
-    H = cam.height if height is None else height
+    W, H = cam.width, cam.height
     intr = cam.intrinsics()
 
     depth = cam_pose.z - cfg.rack.height
@@ -556,15 +552,15 @@ def _blob_pixel(rig: FingertipRig, finger: str, offset: np.ndarray,
     return n * np.array([width - 1.0, height - 1.0])
 
 
-def sample_tactile(scene: SceneState, finger: str, with_blob: bool | None = None
-                   ) -> np.ndarray:
+def sample_tactile(scene: SceneState, finger: str,
+                   open_gripper: bool = False) -> np.ndarray:
     """One tactile frame for ``finger`` ("left" or "right").
 
     A held vial appears as a bright filled disk positioned by the finger's
     true (perturbed) mount map applied to the in-gripper offset; an empty
-    gripper yields only the resting gel pattern plus noise. ``with_blob=False``
-    forces a no-contact frame, which is how the pre-campaign reference set is
-    captured with the gripper open.
+    gripper yields only the resting gel pattern plus noise.
+    ``open_gripper=True`` renders a no-contact frame even with a vial held,
+    which is how the pre-campaign reference set is captured.
     """
     cfg = scene.config
     if not scene.rig.has_tactile:
@@ -573,11 +569,7 @@ def sample_tactile(scene: SceneState, finger: str, with_blob: bool | None = None
         raise ValueError(f"finger must be one of {FINGERS}, got {finger!r}")
     W, H = cfg.tactile.width, cfg.tactile.height
     img = _gel_pattern(W, H).copy()
-    if with_blob is None:
-        with_blob = scene.held_offset is not None
-    if with_blob:
-        if scene.held_offset is None:
-            raise SimError("cannot render a contact blob with no vial held")
+    if scene.held_offset is not None and not open_gripper:
         center = _blob_pixel(scene.rig, finger, scene.held_offset, W, H)
         px_per_m = (W - 1.0) / cfg.tactile.span
         r_px = cfg.tactile.blob_diameter / 2.0 * px_per_m
@@ -590,8 +582,7 @@ def sample_tactile(scene: SceneState, finger: str, with_blob: bool | None = None
     return np.clip(img, 0.0, 255.0).astype(np.uint8)
 
 
-def reference_frames(scene: SceneState, finger: str, count: int | None = None
-                     ) -> list[np.ndarray]:
+def reference_frames(scene: SceneState, finger: str) -> list[np.ndarray]:
     """Reference set for the difference pipeline: open-gripper frames."""
-    n = scene.config.tactile.n_reference if count is None else count
-    return [sample_tactile(scene, finger, with_blob=False) for _ in range(n)]
+    return [sample_tactile(scene, finger, open_gripper=True)
+            for _ in range(scene.config.tactile.n_reference)]

@@ -63,8 +63,6 @@ class TactileCalibration:
 class TrackReading:
     decision: TactileDecision
     displacement_px: float | None
-    per_finger: dict[str, float | None]
-    displacement_m: float | None = None
 
 
 def difference_image(frame: np.ndarray, references: list[np.ndarray]) -> np.ndarray:
@@ -264,47 +262,31 @@ def _cal_numbers(path, lines: list[str], i: int, key: str,
         raise ValueError(f"{path}: bad number in {lines[i]!r}") from None
 
 
-def track_deviation(frames: dict[str, np.ndarray],
-                    references: dict[str, list[np.ndarray]],
+def track_deviation(regions: dict[str, ContactRegion | None],
                     grasp_centroids: dict[str, tuple[float, float]],
-                    config: TactileConfig,
-                    calibration: dict[str, TactileCalibration] | None = None
-                    ) -> TrackReading:
+                    config: TactileConfig) -> TrackReading:
     """Slip check for one sampling instant during a monitored descent.
 
-    Each finger's dominant contact centroid is compared with the centroid
-    captured right after the grasp; per-finger pixel travel is fused by the
-    configured rule. No usable contact on any finger means the vial is gone.
-    The stop fires only when the fused travel strictly exceeds ``stop_px``.
-    With a calibration the same fused travel is also reported in meters, for
-    callers that want to correct the target rather than just bail out.
+    ``regions`` holds each finger's dominant contact (``find_contact``), or
+    None. A finger's centroid is compared with the one captured right after
+    the grasp; a finger with no grasp centroid has no baseline and is
+    skipped. Per-finger pixel travel is fused by the configured rule, and no
+    usable finger means the vial is gone. The stop fires only when the fused
+    travel strictly exceeds ``stop_px``.
     """
-    per_finger: dict[str, float | None] = {}
-    metric: list[float] = []
-    for finger, frame in frames.items():
-        region = find_contact(frame, references[finger], config)
-        if region is None:
-            per_finger[finger] = None
+    travel = []
+    for finger, region in regions.items():
+        if region is None or finger not in grasp_centroids:
             continue
         gx, gy = grasp_centroids[finger]
-        per_finger[finger] = float(np.hypot(region.centroid[0] - gx,
-                                            region.centroid[1] - gy))
-        if calibration is not None:
-            cal = calibration[finger]
-            now = apply_calibration(cal, region.centroid,
-                                    config.width, config.height)
-            then = apply_calibration(cal, (gx, gy),
-                                     config.width, config.height)
-            metric.append(float(np.linalg.norm(now - then)))
-    usable = [d for d in per_finger.values() if d is not None]
-    if not usable:
-        return TrackReading(TactileDecision.LOST_CONTACT, None, per_finger)
+        travel.append(float(np.hypot(region.centroid[0] - gx,
+                                     region.centroid[1] - gy)))
+    if not travel:
+        return TrackReading(TactileDecision.LOST_CONTACT, None)
     if config.fuse == "max":
-        fused = max(usable)
-        fused_m = max(metric) if metric else None
+        fused = max(travel)
     else:
-        fused = sum(usable) / len(usable)
-        fused_m = sum(metric) / len(metric) if metric else None
+        fused = sum(travel) / len(travel)
     decision = (TactileDecision.STOP if fused > config.stop_px
                 else TactileDecision.CONTINUE)
-    return TrackReading(decision, fused, per_finger, fused_m)
+    return TrackReading(decision, fused)

@@ -68,6 +68,43 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
     assert "short.cal" in lines[0] and "gap.weights" in lines[1]
 
 
+@pytest.mark.parametrize("line, fragment", [
+    ('{"modality": "force"}', "KeyError"),
+    ("not json", "Expecting value"),
+])
+def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
+                                                  fragment):
+    good = tmp_path / "good"
+    records = tmp_path / "records.jsonl"
+    first = ('{"attempts": 1, "final_offset": null, "modality": "force", '
+             '"outcomes": [{"position": [0.1, 0.2], "result": "inserted"}], '
+             '"placement": "inserted", "runtime_s": 9.5, "success": true, '
+             '"trial_index": 0}')
+    records.write_text(first + "\n")
+    assert run_cli("report", "--records", records, "--batches", 1,
+                   "--out", good) == 0
+    records.write_text(first + "\n\n" + line + "\n")
+    assert run_cli("report", "--records", records, "--out", tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "records.jsonl: line 3:" in lines[0] and fragment in lines[0]
+
+
+@pytest.mark.parametrize("data, fragment", [
+    (b"P5\n4 4\n255\n", "truncated PGM raster"),
+    (b"P5\n# no end", "truncated PGM header"),
+    (b"P2\n4 4\n255\n", "missing P5 magic"),
+])
+def test_malformed_pgm_exits_two_naming_the_file(tmp_path, weights_file,
+                                                 capsys, data, fragment):
+    image = tmp_path / "bad.pgm"
+    image.write_bytes(data)
+    assert run_cli("detect", "--image", image, "--weights", weights_file) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "bad.pgm" in lines[0] and fragment in lines[0]
+
+
 # ---------------------------------------------------------------- detect
 
 

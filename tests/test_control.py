@@ -109,18 +109,6 @@ def test_force_trial_invariants(config, weights):
         assert rec.runtime_s > 0
 
 
-def test_force_trace_capture(clean_config, weights):
-    trace = []
-    run_force_trial(clean_config, RngStream(0), weights, trace=trace)
-    assert trace
-    times = [row[0] for row in trace]
-    assert all(b >= a for a, b in zip(times, times[1:]))
-    for _, vec, dev, decision in trace[:50]:
-        assert np.shape(vec) == (3,)
-        assert decision in ("continue", "stop")
-        assert dev is None or dev >= 0.0
-
-
 def test_exhausted_search_releases_in_place(biased_config, weights):
     # a lattice step far coarser than the search bounds exhausts the
     # search right after the first (rim-blocked) touchdown

@@ -1,15 +1,12 @@
 """Force monitor: FIFO baseline, strict deviation rule, height tests."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from vialbench.core import ForceConfig, load_config
 from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
                              deviation, init_baseline, safety_stop,
-                             stop_threshold, update_and_check, vial_placed,
-                             write_force_trace)
+                             stop_threshold, update_and_check)
 
 CFG = ForceConfig()
 
@@ -149,30 +146,9 @@ def test_step_change_stops_within_one_buffer():
     assert i < buffer_capacity(CFG)
 
 
-def test_placement_height_rule():
-    cfg = load_config("rack.height = 0.05\nvial.grip_height = 0.04\n")
-    assert not vial_placed(0.08, cfg)        # 0.08 < 0.09: went in below the top
-    assert vial_placed(0.09, cfg)            # boundary is inclusive
-    assert vial_placed(0.12, cfg)
-
-
 def test_safety_stop_rule():
     cfg = load_config("rack.height = 0.05\nvial.grip_height = 0.04\n")
     assert safety_stop(0.02, cfg)            # 0.02 < 0.025
     assert not safety_stop(0.025, cfg)       # strict comparison
     assert not safety_stop(0.10, cfg)
 
-
-def test_force_trace_format(tmp_path):
-    rows = [
-        (0.0, np.array([0.1, 0.2, -9.5]), 0.05, "continue"),
-        (0.008, np.array([0.1, 0.2, -12.5]), 2.5, "stop"),
-    ]
-    path = tmp_path / "trace.csv"
-    write_force_trace(path, rows)
-    with open(path, newline="") as f:
-        parsed = list(csv.reader(f))
-    assert parsed[0] == ["t", "fx", "fy", "fz", "mean_dev", "decision"]
-    assert parsed[1] == ["0.000000", "0.100000", "0.200000", "-9.500000",
-                        "0.050000", "continue"]
-    assert parsed[2][5] == "stop"

@@ -366,8 +366,7 @@ def test_tactile_requires_sensor_and_vial(config):
     with pytest.raises(ValueError):
         sample_tactile(scene, "thumb")
     scene.held_offset = None
-    with pytest.raises(SimError):
-        sample_tactile(scene, "left", with_blob=True)
+    assert sample_tactile(scene, "left").max() < 100  # empty: no contact blob
 
 
 def test_reference_frames_are_contact_free(config):
@@ -375,6 +374,5 @@ def test_reference_frames_are_contact_free(config):
     scene = reset_trial(config, RngStream(23), rig=rig)
     frames = reference_frames(scene, "left")
     assert len(frames) == config.tactile.n_reference
-    assert len(reference_frames(scene, "left", count=3)) == 3
     for f in frames:
         assert f.max() < 100  # resting gel pattern only, no bright blob

@@ -308,59 +308,62 @@ def test_find_contact_rejects_noise_only_frames():
     assert find_contact(cur, refs, CFG) is None
 
 
+def _contacts(frames, refs, cfg=CFG):
+    return {f: find_contact(frames[f], refs[f], cfg) for f in frames}
+
+
 def test_track_neutral_continue():
     refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
-    frames = {f: _blob_frame(80.0, 80.0) for f in ("left", "right")}
-    neutral = {f: find_contact(frames[f], refs[f], CFG).centroid
-               for f in frames}
-    reading = track_deviation(frames, refs, neutral, CFG)
+    regions = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
+    neutral = {f: r.centroid for f, r in regions.items()}
+    reading = track_deviation(regions, neutral, CFG)
     assert reading.decision is TactileDecision.CONTINUE
     assert reading.displacement_px == pytest.approx(0.0, abs=1e-9)
 
 
 def test_track_shift_past_threshold_stops():
     refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
-    start = {f: _blob_frame(80.0, 80.0) for f in ("left", "right")}
-    neutral = {f: find_contact(start[f], refs[f], CFG).centroid for f in start}
+    start = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
+    neutral = {f: r.centroid for f, r in start.items()}
     shift = CFG.stop_px + 1.0
-    moved = {f: _blob_frame(80.0 + shift, 80.0) for f in start}
-    reading = track_deviation(moved, refs, neutral, CFG)
+    moved = _contacts({f: _blob_frame(80.0 + shift, 80.0) for f in refs}, refs)
+    reading = track_deviation(moved, neutral, CFG)
     assert reading.decision is TactileDecision.STOP
     assert reading.displacement_px > CFG.stop_px
 
 
 def test_track_lost_contact():
     refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
-    gone = {f: np.full((160, 160), 90.0) for f in ("left", "right")}
-    reading = track_deviation(gone, refs, {"left": (0, 0), "right": (0, 0)},
-                              CFG)
+    gone = _contacts({f: np.full((160, 160), 90.0) for f in refs}, refs)
+    assert gone == {"left": None, "right": None}
+    reading = track_deviation(gone, {"left": (0, 0), "right": (0, 0)}, CFG)
     assert reading.decision is TactileDecision.LOST_CONTACT
     assert reading.displacement_px is None
 
 
-def test_track_reports_metric_displacement():
-    pts = _normalized_grid()
-    cal = calibrate_mapping(pts * 159.0, pts * CFG.span, 160, 160)
-    cals = {"left": cal, "right": cal}
+def test_track_skips_finger_without_grasp_centroid():
+    # the right finger saw no contact at grasp time, so it has no baseline:
+    # only the left finger's travel counts, under either fusion rule
     refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
-    start = {f: _blob_frame(80.0, 80.0) for f in ("left", "right")}
-    neutral = {f: find_contact(start[f], refs[f], CFG).centroid for f in start}
-    px_shift = 10.0
-    moved = {f: _blob_frame(80.0 + px_shift, 80.0) for f in start}
-    reading = track_deviation(moved, refs, neutral, CFG, cals)
-    assert reading.displacement_m is not None
-    expected = px_shift / 159.0 * CFG.span
-    assert reading.displacement_m == pytest.approx(expected, rel=0.15)
-    # without a calibration the metric channel stays empty
-    assert track_deviation(moved, refs, neutral, CFG).displacement_m is None
+    neutral = {"left": find_contact(_blob_frame(80.0, 80.0), refs["left"],
+                                    CFG).centroid}
+    shift = CFG.stop_px - 2.0
+    moved = _contacts({"left": _blob_frame(80.0 + shift, 80.0),
+                       "right": _blob_frame(40.0, 40.0)}, refs)
+    assert moved["right"] is not None
+    for fuse in ("max", "average"):
+        reading = track_deviation(moved, neutral, TactileConfig(fuse=fuse))
+        assert reading.decision is TactileDecision.CONTINUE
+        assert reading.displacement_px == pytest.approx(shift, abs=1.0)
 
 
 def test_track_sub_threshold_shift_continues():
     refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
-    start = {f: _blob_frame(80.0, 80.0) for f in ("left", "right")}
-    neutral = {f: find_contact(start[f], refs[f], CFG).centroid for f in start}
-    moved = {f: _blob_frame(80.0 + CFG.stop_px - 2.0, 80.0) for f in start}
-    assert track_deviation(moved, refs, neutral,
+    start = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
+    neutral = {f: r.centroid for f, r in start.items()}
+    moved = _contacts({f: _blob_frame(80.0 + CFG.stop_px - 2.0, 80.0)
+                       for f in refs}, refs)
+    assert track_deviation(moved, neutral,
                            CFG).decision is TactileDecision.CONTINUE
 
 
@@ -375,10 +378,11 @@ def test_default_noise_never_false_stops():
             for f in ("left", "right")}
     start = {f: _blob_frame(80.0, 80.0) + gen.normal(
         0, cfg.noise.sigma_pixel, base.shape) for f in ("left", "right")}
-    neutral = {f: find_contact(start[f], refs[f], cfg.tactile).centroid
-               for f in start}
+    neutral = {f: r.centroid
+               for f, r in _contacts(start, refs, cfg.tactile).items()}
     for _ in range(25):
         frames = {f: _blob_frame(80.0, 80.0) + gen.normal(
             0, cfg.noise.sigma_pixel, base.shape) for f in ("left", "right")}
-        reading = track_deviation(frames, refs, neutral, cfg.tactile)
+        reading = track_deviation(_contacts(frames, refs, cfg.tactile),
+                                  neutral, cfg.tactile)
         assert reading.decision is TactileDecision.CONTINUE
