@@ -338,7 +338,7 @@ def load_records(path) -> dict[str, list[TrialRecord]]:
     and the line.
     """
     records: dict[str, list[TrialRecord]] = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="replace") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -69,8 +69,9 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
 
 
 @pytest.mark.parametrize("line, fragment", [
-    ('{"modality": "force"}', "KeyError"),
-    ("not json", "Expecting value"),
+    (b'{"modality": "force"}', "KeyError"),
+    (b"not json", "Expecting value"),
+    (b"\xff\xfe", "Expecting value"),
 ])
 def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
                                                   fragment):
@@ -83,7 +84,7 @@ def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
     records.write_text(first + "\n")
     assert run_cli("report", "--records", records, "--batches", 1,
                    "--out", good) == 0
-    records.write_text(first + "\n\n" + line + "\n")
+    records.write_bytes((first + "\n\n").encode() + line + b"\n")
     assert run_cli("report", "--records", records, "--out", tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
