@@ -121,19 +121,22 @@ def _descend_to_floor(scene: SceneState, xy, floor_z: float, check) -> str:
     raise SimError("descent failed to terminate within its time budget")
 
 
-def _release_here(scene: SceneState, position) -> tuple[AttemptOutcome, str, bool]:
-    cfg = scene.config
-    advance_clock(scene, cfg.timing.release_s)
-    placement = release_and_evaluate(scene)
-    result = "inserted" if placement.success else "released_failed"
-    pos = (float(position[0]), float(position[1]))
-    return AttemptOutcome(pos, result), placement.kind, placement.success
-
-
 def _grab_offset(scene: SceneState) -> tuple[float, float] | None:
     if scene.held_offset is None:
         return None
     return (float(scene.held_offset[0]), float(scene.held_offset[1]))
+
+
+def _release_here(scene: SceneState, position):
+    """Release and judge; returns (outcome, placement, success, offset at
+    release)."""
+    cfg = scene.config
+    offset = _grab_offset(scene)
+    advance_clock(scene, cfg.timing.release_s)
+    placement = release_and_evaluate(scene)
+    result = "inserted" if placement.success else "released_failed"
+    pos = (float(position[0]), float(position[1]))
+    return AttemptOutcome(pos, result), placement.kind, placement.success, offset
 
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
@@ -179,8 +182,7 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
     _descend_to_floor(scene, target, depth_z, lambda sample: None)
     if scene.held_offset is None:
         return fail("lost_contact", target, placement="dropped_on_table")
-    final_offset = _grab_offset(scene)
-    outcome, placement, success = _release_here(scene, target)
+    outcome, placement, success, final_offset = _release_here(scene, target)
     return TrialRecord(
         modality="visual", trial_index=trial_index, attempts=1,
         success=success, runtime_s=float(scene.sim_clock),
@@ -203,13 +205,15 @@ def _guarded_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     attempts = 0
     success = False
     placement: str | None = None
+    released_offset = None
 
     def record() -> TrialRecord:
         return TrialRecord(
             modality=modality, trial_index=trial_index,
             attempts=max(attempts, 1), success=success,
             runtime_s=float(scene.sim_clock), outcomes=tuple(outcomes),
-            final_offset=_grab_offset(scene), placement=placement)
+            final_offset=released_offset or _grab_offset(scene),
+            placement=placement)
 
     try:
         scored, first, pose1 = _image_and_select(scene, config.camera.pose(),
@@ -244,7 +248,8 @@ def _guarded_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                 # Search envelope exhausted: give the vial up where we are.
                 if config.control.exhausted_release and scene.held_offset is not None:
                     final = scene.setpoint[:2]
-                    outcome, placement, success = _release_here(scene, final)
+                    outcome, placement, success, released_offset = \
+                        _release_here(scene, final)
                     outcomes.append(outcome)
                 else:
                     placement = "still_held"
@@ -265,7 +270,8 @@ def _guarded_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                 outcomes.append(AttemptOutcome(pos, "lost_contact"))
                 placement = "dropped_on_table"
                 return record()
-            outcome, placement, success = _release_here(scene, position)
+            outcome, placement, success, released_offset = \
+                _release_here(scene, position)
             outcomes.append(outcome)
             return record()
         if verdict == "lost":
