@@ -75,13 +75,20 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_from(args) -> WorkspaceConfig:
-    text = ""
+    text, source = "", None
     if args.config is not None:
-        text = args.config.read_text()
+        source = str(args.config)
+        data = args.config.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{source}: line {line}: not UTF-8 text "
+                              f"(byte {data[exc.start]:#04x})") from None
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"seed = {args.seed}")
-    return load_config(text, overrides)
+    return load_config(text, overrides, source)
 
 
 def _cmd_train(args) -> int:

@@ -1,15 +1,24 @@
-"""Trial controllers: one full pick-and-insert attempt sequence per modality.
+"""Trial controllers: one trial loop, three ways to close the descent.
 
-All three controllers share the same skeleton — overhead image, slot pick,
-travel, descend, release — and differ in how the descent is closed:
+Every trial runs through ``_run_trial``: overhead image, slot pick, grasp,
+a modality ``prepare`` step, travel to hover, then descents until one ends
+the trial. The modalities differ only in ``prepare`` and in the check that
+closes each descent:
 
-* ``visual``: a second close-up image refines the slot estimate, then the
-  descent is open-loop. One attempt, no recovery.
-* ``force``: the descent is stopped when the wrist load deviates from a
-  stationary baseline; surface impacts trigger a bounded lattice search.
-* ``tactile``: each attempt first measures the in-gripper offset on the
-  fingertip sensors and compensates for it; the descent is stopped when the
-  contact patch travels, and the same lattice search recovers misses.
+* ``visual``: ``prepare`` takes a second, close-up image to refine the slot
+  estimate; the descent is open-loop and never stops, so visual is the
+  loop's one-attempt case.
+* ``force``: ``prepare`` records a stationary wrist-load baseline; a descent
+  stops when the load deviates from it.
+* ``tactile``: ``prepare`` captures the fingertip reference frames; each
+  attempt first measures the in-gripper offset and compensates for it, and
+  a descent stops when the contact patch travels.
+
+A stop above the safety height is a surface impact: the gripper backs off
+and tries the next cell of a bounded lattice search, whose envelope is
+built at the first stop. A completed descent releases the vial; a lost one
+ends the trial. One release step sets ``final_offset``, the in-gripper
+offset at release (or at the end of a trial that releases nothing).
 
 Travel legs that cannot touch anything are charged for their duration and
 jumped; descents are integrated at the force sensor rate so contact, slip,
@@ -63,15 +72,6 @@ class TrialRecord:
     placement: str | None
 
 
-class _TrialAbort(Exception):
-    """Internal: unwinds a trial that cannot continue (no vial, no target)."""
-
-    def __init__(self, outcome: AttemptOutcome, placement: str | None = None):
-        super().__init__(outcome.result)
-        self.outcome = outcome
-        self.placement = placement
-
-
 def _charged_move(scene: SceneState, target, speed: float) -> None:
     target = np.asarray(target, dtype=float)
     dist = float(np.linalg.norm(target - scene.setpoint))
@@ -90,7 +90,7 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       ref_uv: tuple[float, float] | None = None):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
-    Returns (scored candidates, selected candidate, pose used). Raises
+    Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
     """
     cfg = scene.config
@@ -100,7 +100,7 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     scored = score_candidates(image, candidates, weights, cfg.cnn.crop_size)
     chosen = select_target(scored, mode, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)
-    return scored, chosen, pose
+    return scored, chosen
 
 
 def _descend_to_floor(scene: SceneState, xy, floor_z: float, check) -> str:
@@ -127,168 +127,120 @@ def _grab_offset(scene: SceneState) -> tuple[float, float] | None:
     return (float(scene.held_offset[0]), float(scene.held_offset[1]))
 
 
-def _release_here(scene: SceneState, position):
-    """Release and judge; returns (outcome, placement, success, offset at
-    release)."""
-    cfg = scene.config
-    offset = _grab_offset(scene)
-    advance_clock(scene, cfg.timing.release_s)
-    placement = release_and_evaluate(scene)
-    result = "inserted" if placement.success else "released_failed"
-    pos = (float(position[0]), float(position[1]))
-    return AttemptOutcome(pos, result), placement.kind, placement.success, offset
+def _xy(position) -> tuple[float, float]:
+    return (float(position[0]), float(position[1]))
+
+
+def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
+               weights: CnnWeights, trial_index: int, rig,
+               prepare, attempt_descent) -> TrialRecord:
+    """The one trial loop: pick and grasp, prepare, then descend until the
+    vial is released, lost or given up.
+
+    ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
+    grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
+    ``attempt_descent(scene, ctx, position)`` runs one descent aimed at
+    ``position`` and returns "completed", "stopped" or "lost".
+    """
+    scene = reset_trial(config, stream.child(0), rig)
+    sel_gen = stream.child(1).generator()
+    hover = config.hover_z()
+    outcomes: list[AttemptOutcome] = []
+    attempts = 0
+
+    def finish(placement: str | None, release_at=None) -> TrialRecord:
+        """Release at ``release_at`` if given, then build the record."""
+        final_offset = _grab_offset(scene)
+        if release_at is not None:
+            advance_clock(scene, config.timing.release_s)
+            placed = release_and_evaluate(scene)
+            outcomes.append(AttemptOutcome(
+                _xy(release_at),
+                "inserted" if placed.success else "released_failed"))
+            placement = placed.kind
+        return TrialRecord(
+            modality=modality, trial_index=trial_index,
+            attempts=max(attempts, 1),
+            success=outcomes[-1].result == "inserted",
+            runtime_s=float(scene.sim_clock), outcomes=tuple(outcomes),
+            final_offset=final_offset, placement=placement)
+
+    overview = config.camera.pose()
+    try:
+        scored, first = _image_and_select(scene, overview, weights,
+                                          "best_vacant", sel_gen)
+        advance_clock(scene, config.timing.grasp_s)
+        target = _project(config, overview, first.candidate.u, first.candidate.v)
+        ctx, target = prepare(scene, sel_gen, target)
+    except NoValidSlotError:
+        outcomes.append(AttemptOutcome((np.nan, np.nan), "no_target"))
+        return finish(None)
+
+    _charged_move(scene, [target[0], target[1], hover], config.motion.speed)
+    queue: list[np.ndarray] = [target.copy()]
+    search = None
+    while True:
+        if not queue:
+            queue = next_trial_positions(search)
+        if not queue:
+            # Search envelope exhausted: give the vial up where we are.
+            if config.control.exhausted_release and scene.held_offset is not None:
+                return finish(None, release_at=scene.setpoint[:2])
+            return finish("still_held")
+        position = queue.pop(0)
+        attempts += 1
+        _charged_move(scene, [position[0], position[1], hover],
+                      config.motion.speed)
+        verdict = attempt_descent(scene, ctx, position)
+        if verdict == "completed" and scene.held_offset is not None:
+            return finish(None, release_at=position)
+        if verdict != "stopped":
+            # Lost, or completed without the vial: report where it is.
+            outcomes.append(AttemptOutcome(_xy(position), "lost_contact"))
+            return finish("dropped_on_table" if scene.held_offset is None
+                          else "still_held")
+        # Stopped: classify by how deep the gripper got before the stop.
+        if safety_stop(scene.grip_z, config):
+            outcomes.append(AttemptOutcome(_xy(position), "safety_stop"))
+            return finish("still_held")
+        # Surface impact (or a spurious stop in free air): back off and try
+        # the next lattice cell of an envelope set by the overview detections.
+        outcomes.append(AttemptOutcome(_xy(position), "rack_top"))
+        if search is None:
+            neighbors = np.array([
+                _project(config, overview, s.candidate.u, s.candidate.v)
+                for s in accepted_rack_candidates(scored, config.cnn.theta_rack)
+            ]).reshape(-1, 2)
+            width, height = compute_search_bounds(neighbors, target,
+                                                  config.rack.pitch)
+            search = make_search(target, width, height, config.search.spacing)
+        _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover],
+                      config.motion.speed)
 
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
                      weights: CnnWeights, trial_index: int = 0,
                      rig=None) -> TrialRecord:
     """Vision-only: overhead pick, close-up refinement, open-loop insert."""
-    scene = reset_trial(config, stream.child(0), rig)
-    sel_gen = stream.child(1).generator()
     cam = config.camera
-
-    def fail(result: str, position=(np.nan, np.nan), placement=None):
-        return TrialRecord(
-            modality="visual", trial_index=trial_index, attempts=1,
-            success=False, runtime_s=float(scene.sim_clock),
-            outcomes=(AttemptOutcome((float(position[0]), float(position[1])),
-                                     result),),
-            final_offset=_grab_offset(scene), placement=placement)
-
-    try:
-        _, first, pose1 = _image_and_select(scene, cam.pose(), weights,
-                                            "best_vacant", sel_gen)
-    except NoValidSlotError:
-        return fail("no_target")
-    advance_clock(scene, config.timing.grasp_s)
-    coarse = _project(config, pose1, first.candidate.u, first.candidate.v)
-
-    # Drop the camera over the estimate and look again from half the height:
-    # angular calibration error shrinks with the viewing distance.
-    close_z = refined_camera_z(config)
-    advance_clock(scene, (cam.z - close_z) / config.motion.speed)
-    pose2 = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z, yaw=0.0)
-    try:
-        _, refined, _ = _image_and_select(scene, pose2, weights,
-                                          "nearest_center", sel_gen,
-                                          ref_uv=(cam.cx, cam.cy))
-    except NoValidSlotError:
-        return fail("no_target")
-    target = _project(config, pose2, refined.candidate.u, refined.candidate.v)
-
-    _charged_move(scene, [target[0], target[1], config.hover_z()],
-                  config.motion.speed)
     depth_z = config.rack.height - config.motion.visual_floor + config.vial.grip_height
-    _descend_to_floor(scene, target, depth_z, lambda sample: None)
-    if scene.held_offset is None:
-        return fail("lost_contact", target, placement="dropped_on_table")
-    outcome, placement, success, final_offset = _release_here(scene, target)
-    return TrialRecord(
-        modality="visual", trial_index=trial_index, attempts=1,
-        success=success, runtime_s=float(scene.sim_clock),
-        outcomes=(outcome,), final_offset=final_offset, placement=placement)
 
+    def prepare(scene, sel_gen, coarse):
+        # Drop the camera over the estimate and look again from half the
+        # height: angular calibration error shrinks with the viewing distance.
+        close_z = refined_camera_z(config)
+        advance_clock(scene, (cam.z - close_z) / config.motion.speed)
+        pose = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z, yaw=0.0)
+        _, refined = _image_and_select(scene, pose, weights, "nearest_center",
+                                       sel_gen, ref_uv=(cam.cx, cam.cy))
+        return None, _project(config, pose, refined.candidate.u,
+                              refined.candidate.v)
 
-def _guarded_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
-                   weights: CnnWeights, trial_index: int, rig,
-                   prepare, attempt_descent) -> TrialRecord:
-    """Shared force/tactile skeleton: image once, then search until placed.
+    def attempt_descent(scene, ctx, position):
+        return _descend_to_floor(scene, position, depth_z, lambda sample: None)
 
-    ``prepare(scene, sel_gen)`` runs modality setup after the overview image
-    and returns a context object; ``attempt_descent(scene, ctx, position)``
-    runs one guarded descent aimed at ``position`` and returns one of
-    "completed", "stopped", or "lost".
-    """
-    scene = reset_trial(config, stream.child(0), rig)
-    sel_gen = stream.child(1).generator()
-    outcomes: list[AttemptOutcome] = []
-    attempts = 0
-    success = False
-    placement: str | None = None
-    released_offset = None
-
-    def record() -> TrialRecord:
-        return TrialRecord(
-            modality=modality, trial_index=trial_index,
-            attempts=max(attempts, 1), success=success,
-            runtime_s=float(scene.sim_clock), outcomes=tuple(outcomes),
-            final_offset=released_offset or _grab_offset(scene),
-            placement=placement)
-
-    try:
-        scored, first, pose1 = _image_and_select(scene, config.camera.pose(),
-                                                 weights, "best_vacant", sel_gen)
-    except NoValidSlotError:
-        outcomes.append(AttemptOutcome((np.nan, np.nan), "no_target"))
-        return record()
-    advance_clock(scene, config.timing.grasp_s)
-    target = _project(config, pose1, first.candidate.u, first.candidate.v)
-    accepted = accepted_rack_candidates(scored, config.cnn.theta_rack)
-    neighbors = np.array([_project(config, pose1, s.candidate.u, s.candidate.v)
-                          for s in accepted]).reshape(-1, 2)
-    width, height = compute_search_bounds(neighbors, target, config.rack.pitch)
-
-    try:
-        ctx = prepare(scene, sel_gen)
-    except _TrialAbort as abort:
-        outcomes.append(abort.outcome)
-        placement = abort.placement
-        return record()
-
-    _charged_move(scene, [target[0], target[1], config.hover_z()],
-                  config.motion.speed)
-    state = make_search(target, width, height, config.search.spacing)
-    queue: list[np.ndarray] = [target.copy()]
-    hover = config.hover_z()
-
-    while True:
-        if not queue:
-            queue = next_trial_positions(state)
-            if not queue:
-                # Search envelope exhausted: give the vial up where we are.
-                if config.control.exhausted_release and scene.held_offset is not None:
-                    final = scene.setpoint[:2]
-                    outcome, placement, success, released_offset = \
-                        _release_here(scene, final)
-                    outcomes.append(outcome)
-                else:
-                    placement = "still_held"
-                return record()
-        position = queue.pop(0)
-        attempts += 1
-        _charged_move(scene, [position[0], position[1], hover],
-                      config.motion.speed)
-        try:
-            verdict = attempt_descent(scene, ctx, position)
-        except _TrialAbort as abort:
-            outcomes.append(abort.outcome)
-            placement = abort.placement
-            return record()
-        pos = (float(position[0]), float(position[1]))
-        if verdict == "completed":
-            if scene.held_offset is None:
-                outcomes.append(AttemptOutcome(pos, "lost_contact"))
-                placement = "dropped_on_table"
-                return record()
-            outcome, placement, success, released_offset = \
-                _release_here(scene, position)
-            outcomes.append(outcome)
-            return record()
-        if verdict == "lost":
-            outcomes.append(AttemptOutcome(pos, "lost_contact"))
-            placement = "dropped_on_table"
-            return record()
-        # stopped: classify by how deep the gripper got before the stop
-        grip_z = scene.grip_z
-        if safety_stop(grip_z, config):
-            outcomes.append(AttemptOutcome(pos, "safety_stop"))
-            placement = "still_held"
-            return record()
-        # Surface impact (or a spurious stop in free air): back off and
-        # try the next lattice cell.
-        outcomes.append(AttemptOutcome(pos, "rack_top"))
-        _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover],
-                      config.motion.speed)
+    return _run_trial("visual", config, stream, weights, trial_index, rig,
+                      prepare, attempt_descent)
 
 
 def run_force_trial(config: WorkspaceConfig, stream: RngStream,
@@ -296,14 +248,14 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
                     rig=None) -> TrialRecord:
     """Force-guarded insertion with lattice-search recovery."""
 
-    def prepare(scene, sel_gen):
+    def prepare(scene, sel_gen, target):
         # Stationary baseline with the vial already in hand.
         dt = 1.0 / config.force.rate
         hold = MoveCommand(target=scene.setpoint.copy(),
                            speed=config.motion.speed, accel=config.motion.accel)
         samples = [tick(scene, hold, dt).vector
                    for _ in range(buffer_capacity(config.force))]
-        return init_baseline(samples, config.force)
+        return init_baseline(samples, config.force), target
 
     def attempt_descent(scene, baseline, position):
         buffer = ForceBuffer(buffer_capacity(config.force))
@@ -319,8 +271,8 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
 
         return _descend_to_floor(scene, position, config.descent_floor_z(), check)
 
-    return _guarded_trial("force", config, stream, weights, trial_index, rig,
-                          prepare, attempt_descent)
+    return _run_trial("force", config, stream, weights, trial_index, rig,
+                      prepare, attempt_descent)
 
 
 def _finger_contacts(scene: SceneState, refs: dict[str, list[np.ndarray]],
@@ -340,10 +292,9 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
         raise ValueError("tactile trials need a tactile-equipped rig")
     tac = config.tactile
 
-    def prepare(scene, sel_gen):
+    def prepare(scene, sel_gen, target):
         advance_clock(scene, config.timing.reference_s)
-        refs = {f: reference_frames(scene, f) for f in FINGERS}
-        return refs
+        return {f: reference_frames(scene, f) for f in FINGERS}, target
 
     def measure(scene, refs):
         """Settle, read both fingers, return (offset estimate, centroids)."""
@@ -360,10 +311,7 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
     def attempt_descent(scene, refs, position):
         offset_est, centroids = measure(scene, refs)
         if offset_est is None:
-            raise _TrialAbort(
-                AttemptOutcome((float(position[0]), float(position[1])),
-                               "lost_contact"),
-                placement="dropped_on_table")
+            return "lost"  # no contact on either finger before the descent
         corrected = np.asarray(position, dtype=float) - offset_est
         # Apply the compensation while still at hover height so the descent
         # itself is vertical; folding it into the descent would leave most of
@@ -391,8 +339,8 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
         return _descend_to_floor(scene, corrected, config.descent_floor_z(),
                                  check)
 
-    return _guarded_trial("tactile", config, stream, weights, trial_index, rig,
-                          prepare, attempt_descent)
+    return _run_trial("tactile", config, stream, weights, trial_index, rig,
+                      prepare, attempt_descent)
 
 
 def calibrate_rig(config: WorkspaceConfig, rig,

@@ -277,23 +277,10 @@ class WorkspaceConfig:
         return self.vial.grip_height + self.motion.floor_margin
 
 
+# Section name -> its dataclass, in WorkspaceConfig field order.
 _SECTIONS: dict[str, type] = {
-    "camera": CameraConfig,
-    "rack": RackSpec,
-    "vial": VialSpec,
-    "workspace": WorkspaceBounds,
-    "noise": NoiseConfig,
-    "contact": ContactConfig,
-    "search": SearchConfig,
-    "force": ForceConfig,
-    "tactile": TactileConfig,
-    "motion": MotionConfig,
-    "timing": TimingConfig,
-    "cht": ChtConfig,
-    "cnn": CnnConfig,
-    "render": RenderConfig,
-    "control": ControlConfig,
-}
+    f.name: f.default_factory for f in dataclasses.fields(WorkspaceConfig)
+    if f.name != "seed"}
 
 
 def _field_types(cls: type) -> dict[str, type]:
@@ -301,7 +288,7 @@ def _field_types(cls: type) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _parse_value(raw: str, target: type, key: str, line_no: int):
+def _parse_value(raw: str, target: type, key: str, where: str):
     raw = raw.strip()
     try:
         if target is bool:
@@ -321,43 +308,47 @@ def _parse_value(raw: str, target: type, key: str, line_no: int):
             return raw
     except ValueError:
         raise ConfigError(
-            f"line {line_no}: bad {target.__name__} value {raw!r} for key {key!r}"
+            f"{where}: bad {target.__name__} value {raw!r} for key {key!r}"
         ) from None
-    raise ConfigError(f"line {line_no}: unsupported type for key {key!r}")
+    raise ConfigError(f"{where}: unsupported type for key {key!r}")
 
 
-def load_config(text: str = "", overrides: list[str] | None = None) -> WorkspaceConfig:
+def load_config(text: str = "", overrides: list[str] | None = None,
+                source: str | None = None) -> WorkspaceConfig:
     """Parse flat ``section.key = value`` text into a validated config.
 
-    Unknown keys and malformed lines raise ConfigError with the line number.
-    Later assignments win, so `overrides` can simply be appended lines.
+    Unknown keys and malformed lines raise ConfigError naming where the line
+    came from: ``<source>: line N`` for the text (``line N`` without a
+    source), ``override '<line>'`` for an override. Later assignments win,
+    so ``overrides`` apply after the text.
     """
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     seed = WorkspaceConfig.seed
-    lines = text.splitlines()
-    if overrides:
-        lines += list(overrides)
-    for line_no, line in enumerate(lines, start=1):
+    prefix = "" if source is None else f"{source}: "
+    lines = [(f"{prefix}line {n}", line)
+             for n, line in enumerate(text.splitlines(), start=1)]
+    lines += [(f"override {line!r}", line) for line in overrides or ()]
+    for where, line in lines:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line.strip()!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line.strip()!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
         if key == "seed":
-            seed = _parse_value(raw, int, key, line_no)
+            seed = _parse_value(raw, int, key, where)
             continue
         if "." not in key:
-            raise ConfigError(f"line {line_no}: key {key!r} is missing a section prefix")
+            raise ConfigError(f"{where}: key {key!r} is missing a section prefix")
         section, name = key.split(".", 1)
         cls = _SECTIONS.get(section)
         if cls is None:
-            raise ConfigError(f"line {line_no}: unknown section {section!r}")
+            raise ConfigError(f"{where}: unknown section {section!r}")
         types = _field_types(cls)
         if name not in types:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        values[section][name] = _parse_value(raw, types[name], key, line_no)
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        values[section][name] = _parse_value(raw, types[name], key, where)
 
     parts = {sec: cls(**values[sec]) for sec, cls in _SECTIONS.items()}
     config = WorkspaceConfig(seed=seed, **parts)

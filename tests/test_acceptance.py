@@ -383,5 +383,6 @@ def test_golden_campaign_trials(campaign):
     want = json.loads(GOLDEN.read_text())
     assert len(want) == GOLDEN_TRIALS * len(MODALITIES)
     for g, w in zip(got, want):
-        assert g == w, (w["modality"], w["trial_index"])
+        differ = sorted(k for k in g.keys() | w.keys() if g.get(k) != w.get(k))
+        assert g == w, (w["modality"], w["trial_index"], differ)
     assert len(got) == len(want)

@@ -91,6 +91,25 @@ def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
     assert "records.jsonl: line 3:" in lines[0] and fragment in lines[0]
 
 
+@pytest.mark.parametrize("data, extra, fragment", [
+    (b"seed = 42\n# two lines\n", ["--set", "rack.rows=x"],
+     "override 'rack.rows=x': bad int value 'x' for key 'rack.rows'"),
+    (b"seed = 42\nrack.rows = x\n", [],
+     "ok.cfg: line 2: bad int value 'x' for key 'rack.rows'"),
+    (b"seed = 42\nnosuch.key = 1\n", ["--set", "rack.rows=8"],
+     "ok.cfg: line 2: unknown section 'nosuch'"),
+    (b"seed = 42\n\xff\n", [], "ok.cfg: line 2: not UTF-8 text"),
+])
+def test_config_errors_name_their_source(tmp_path, capsys, data, extra,
+                                         fragment):
+    config = tmp_path / "ok.cfg"
+    config.write_bytes(data)
+    assert run_cli("run", "--config", config, *extra) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert fragment in lines[0]
+
+
 @pytest.mark.parametrize("data, fragment", [
     (b"P5\n4 4\n255\n", "truncated PGM raster"),
     (b"P5\n# no end", "truncated PGM header"),

@@ -97,18 +97,6 @@ def test_force_trial_deterministic(config, weights):
     assert a == b
 
 
-def test_force_trial_invariants(config, weights):
-    for seed in range(8):
-        rec = run_force_trial(config, RngStream(seed), weights)
-        assert rec.attempts >= 1
-        assert rec.outcomes
-        results = [o.result for o in rec.outcomes]
-        assert set(results) <= RESULTS
-        assert results.count("inserted") <= 1
-        assert rec.success == (results[-1] == "inserted")
-        assert rec.runtime_s > 0
-
-
 def test_exhausted_search_releases_in_place(biased_config, weights):
     # a lattice step far coarser than the search bounds exhausts the
     # search right after the first (rim-blocked) touchdown
@@ -134,6 +122,13 @@ def test_exhausted_search_can_keep_the_vial(weights):
 
 
 # ---------------------------------------------------------------- tactile
+
+
+@pytest.fixture(scope="module")
+def default_tactile(config):
+    """A tactile rig calibrated under the default config."""
+    rig = make_rig(config, "tactile")
+    return rig, calibrate_rig(config, rig, RngStream(config.seed).child(77))
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +166,49 @@ def test_calibration_fits_both_fingers(config):
         assert c.gain.shape == (2, 2)
         assert np.isfinite(c.gain).all() and np.isfinite(c.bias).all()
         assert c.residual_rms < 1e-3  # sub-millimeter fit on a 3 mm grid
+
+
+def test_sensor_loss_with_vial_in_hand_is_still_held(config, weights,
+                                                     default_tactile):
+    # A contact floor above any pixel value blinds both fingertips, so the
+    # pre-descent read finds no contact while the vial is still gripped.
+    rig, cal = default_tactile
+    blind = load_config("tactile.contact_floor = 256\n")
+    for seed in range(3):
+        rec = run_tactile_trial(blind, RngStream(seed), weights, rig, cal)
+        assert [o.result for o in rec.outcomes] == ["lost_contact"]
+        assert rec.placement == "still_held"
+        assert rec.final_offset is not None
+
+
+# ---------------------------------------------------------------- all three
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_trial_invariants(config, weights, default_tactile, modality):
+    """Record rules that every modality shares through the one trial loop."""
+    rig, cal = default_tactile
+    for seed in range(8):
+        stream = RngStream(seed)
+        if modality == "visual":
+            rec = run_visual_trial(config, stream, weights)
+        elif modality == "force":
+            rec = run_force_trial(config, stream, weights)
+        else:
+            rec = run_tactile_trial(config, stream, weights, rig, cal)
+        assert rec.modality == modality
+        assert rec.attempts >= 1
+        assert rec.outcomes
+        results = [o.result for o in rec.outcomes]
+        assert set(results) <= RESULTS
+        assert results.count("inserted") <= 1
+        assert rec.success == (results[-1] == "inserted")
+        assert rec.runtime_s > 0
+        if "no_target" in results:
+            assert rec.placement is None
+        if "safety_stop" in results:
+            assert rec.placement == "still_held"
+        if "released_failed" in results:
+            assert rec.placement in ("resting_on_rack", "dropped_on_table")
+        if results[-1] in ("inserted", "released_failed"):
+            assert rec.final_offset is not None
