@@ -14,10 +14,10 @@ closes each descent:
   attempt first measures the in-gripper offset and compensates for it, and
   a descent stops when the contact patch travels.
 
-A stop above the safety height is a surface impact: the gripper backs off
-and tries the next cell of a bounded lattice search, whose envelope is
-built at the first stop. A completed descent releases the vial; a lost one
-ends the trial. One release step sets ``final_offset``, the in-gripper
+A stop deeper than half the rack height is a safety stop. A shallower one
+is a surface impact: the gripper backs off and tries the next cell of a
+bounded lattice search, whose envelope is built at the first stop. A
+completed descent releases the vial; a lost one ends the trial. One release step sets ``final_offset``, the in-gripper
 offset at release (or at the end of a trial that releases nothing).
 
 Travel legs that cannot touch anything are charged for their duration and

@@ -170,8 +170,9 @@ def test_calibration_fits_both_fingers(config):
 
 def test_sensor_loss_with_vial_in_hand_is_still_held(config, weights,
                                                      default_tactile):
-    # A contact floor above any pixel value blinds both fingertips, so the
-    # pre-descent read finds no contact while the vial is still gripped.
+    # A contact floor above any 8-bit frame difference blinds both
+    # fingertips, so the pre-descent read finds no contact while the vial
+    # is still gripped.
     rig, cal = default_tactile
     blind = load_config("tactile.contact_floor = 256\n")
     for seed in range(3):
