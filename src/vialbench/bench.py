@@ -24,7 +24,7 @@ import numpy as np
 from .control import (MODALITIES, AttemptOutcome, TrialRecord, calibrate_rig,
                       run_force_trial, run_tactile_trial, run_visual_trial)
 from .core import (KEY_CALIB, PACKAGE_VERSION, RngStream, WorkspaceConfig,
-                   split_rng)
+                   read_utf8, split_rng)
 from .perception import CnnWeights, train_discriminator
 from .simworld import make_rig
 
@@ -244,6 +244,8 @@ def record_from_dict(data: dict) -> TrialRecord:
                                       for p in o["position"]),
                        result=o["result"])
         for o in data["outcomes"])
+    if data["modality"] not in MODALITIES:
+        raise ValueError(f"unknown modality {data['modality']!r}")
     final = data.get("final_offset")
     return TrialRecord(
         modality=data["modality"],
@@ -334,20 +336,19 @@ def emit_report(result: ExperimentResult, out_dir) -> dict[str, Path]:
 def load_records(path) -> dict[str, list[TrialRecord]]:
     """Read a records.jsonl back into per-modality record lists.
 
-    A line that does not hold a record raises ValueError naming the file
-    and the line.
+    A byte that is not UTF-8, or a line that does not hold a record of a
+    known modality, raises ValueError naming the file and the line.
     """
     records: dict[str, list[TrialRecord]] = {}
-    with open(path, encoding="utf-8", errors="replace") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = record_from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
-                raise ValueError(f"{path}: line {line_no}: not a trial record "
-                                 f"({type(exc).__name__}: {exc})") from None
-            records.setdefault(rec.modality, []).append(rec)
+    for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = record_from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"{path}: line {line_no}: not a trial record "
+                             f"({type(exc).__name__}: {exc})") from None
+        records.setdefault(rec.modality, []).append(rec)
     if not records:
         raise ValueError(f"{path}: no records found")
     return records

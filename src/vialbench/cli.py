@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 from . import bench, control, pgm
-from .core import ConfigError, PACKAGE_VERSION, RngStream, KEY_CALIB, WorkspaceConfig, load_config
+from .core import (ConfigError, PACKAGE_VERSION, RngStream, KEY_CALIB,
+                   WorkspaceConfig, load_config, read_utf8)
 from .perception import (cht_params_for, detect_circles, load_weights,
                          save_weights, score_candidates, train_discriminator)
 from .simworld import make_rig
@@ -78,13 +79,7 @@ def _load_config_from(args) -> WorkspaceConfig:
     text, source = "", None
     if args.config is not None:
         source = str(args.config)
-        data = args.config.read_bytes()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"{source}: line {line}: not UTF-8 text "
-                              f"(byte {data[exc.start]:#04x})") from None
+        text = read_utf8(args.config)
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"seed = {args.seed}")

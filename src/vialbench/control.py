@@ -17,8 +17,9 @@ closes each descent:
 A stop deeper than half the rack height is a safety stop. A shallower one
 is a surface impact: the gripper backs off and tries the next cell of a
 bounded lattice search, whose envelope is built at the first stop. A
-completed descent releases the vial; a lost one ends the trial. One release step sets ``final_offset``, the in-gripper
-offset at release (or at the end of a trial that releases nothing).
+completed descent releases the vial; a lost one ends the trial. One release
+step sets ``final_offset``, the in-gripper offset at release (or at the end
+of a trial that releases nothing).
 
 Travel legs that cannot touch anything are charged for their duration and
 jumped; descents are integrated at the force sensor rate so contact, slip,
@@ -184,9 +185,9 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             queue = next_trial_positions(search)
         if not queue:
             # Search envelope exhausted: give the vial up where we are.
-            if config.control.exhausted_release and scene.held_offset is not None:
+            if scene.held_offset is not None:
                 return finish(None, release_at=scene.setpoint[:2])
-            return finish("still_held")
+            return finish("dropped_on_table")
         position = queue.pop(0)
         attempts += 1
         _charged_move(scene, [position[0], position[1], hover],

@@ -86,7 +86,6 @@ class CameraConfig:
     x: float = 0.40
     y: float = 0.0
     z: float = 0.50
-    tilt: float = 0.0
     refine_factor: float = 0.5
 
     def intrinsics(self) -> CameraIntrinsics:
@@ -171,7 +170,6 @@ class ForceConfig:
     rate: int = 125
     buffer_seconds: float = 1.0
     floor: float = 0.5
-    axis: str = "vector"
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,6 @@ class TactileConfig:
     blob_diameter: float = 0.004
     contact_floor: float = 25.0
     n_reference: int = 6
-    fuse: str = "average"
     sigma_grasp: float = 0.8e-3
     tilt_gain: float = 1.30
 
@@ -239,11 +236,6 @@ class RenderConfig:
 
 
 @dataclass(frozen=True)
-class ControlConfig:
-    exhausted_release: bool = True
-
-
-@dataclass(frozen=True)
 class WorkspaceConfig:
     """Full benchmark configuration; every field has a working default."""
 
@@ -261,7 +253,6 @@ class WorkspaceConfig:
     cht: ChtConfig = field(default_factory=ChtConfig)
     cnn: CnnConfig = field(default_factory=CnnConfig)
     render: RenderConfig = field(default_factory=RenderConfig)
-    control: ControlConfig = field(default_factory=ControlConfig)
     seed: int = 42
 
     @property
@@ -291,26 +282,30 @@ def _field_types(cls: type) -> dict[str, type]:
 def _parse_value(raw: str, target: type, key: str, where: str):
     raw = raw.strip()
     try:
-        if target is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         if target is int:
             if "." in raw or "e" in raw.lower():
                 raise ValueError(raw)
             return int(raw)
         if target is float:
             return float(raw)
-        if target is str:
-            return raw
     except ValueError:
         raise ConfigError(
             f"{where}: bad {target.__name__} value {raw!r} for key {key!r}"
         ) from None
     raise ConfigError(f"{where}: unsupported type for key {key!r}")
+
+
+def read_utf8(path) -> str:
+    """Whole file as text; a byte that is not UTF-8 raises ValueError naming
+    the file, the line and the byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text "
+                         f"(byte {data[exc.start]:#04x})") from None
 
 
 def load_config(text: str = "", overrides: list[str] | None = None,
@@ -356,21 +351,13 @@ def load_config(text: str = "", overrides: list[str] | None = None,
     return config
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def dump_config(config: WorkspaceConfig) -> str:
     """Serialize to the same flat text format; reparsing yields an equal config."""
     out = [f"seed = {config.seed}"]
     for section in sorted(_SECTIONS):
         part = getattr(config, section)
         for f in dataclasses.fields(part):
-            out.append(f"{section}.{f.name} = {_format_value(getattr(part, f.name))}")
+            out.append(f"{section}.{f.name} = {getattr(part, f.name)!r}")
     return "\n".join(out) + "\n"
 
 
@@ -417,7 +404,6 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(frc.rate > 0, "force.rate", "must be positive")
     _require(frc.buffer_seconds > 0, "force.buffer_seconds", "must be positive")
     _require(frc.floor > 0, "force.floor", "must be positive")
-    _require(frc.axis in ("vector", "z"), "force.axis", "must be 'vector' or 'z'")
     tac = config.tactile
     _require(tac.rate > 0, "tactile.rate", "must be positive")
     _require(0.0 <= tac.threshold <= 1.0, "tactile.threshold", "must be in [0, 1]")
@@ -427,7 +413,6 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(tac.span > 0, "tactile.span", "must be positive")
     _require(tac.blob_diameter > 0, "tactile.blob_diameter", "must be positive")
     _require(tac.n_reference >= 1, "tactile.n_reference", "need at least one reference frame")
-    _require(tac.fuse in ("average", "max"), "tactile.fuse", "must be 'average' or 'max'")
     _require(tac.sigma_grasp >= 0, "tactile.sigma_grasp", "sigma must be >= 0")
     _require(tac.tilt_gain > 0, "tactile.tilt_gain", "must be positive")
     mot = config.motion

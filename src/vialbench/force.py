@@ -83,21 +83,13 @@ def init_baseline(samples, config: ForceConfig) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def deviation(buffer: ForceBuffer, baseline: np.ndarray, axis: str) -> float:
-    """Current window-mean deviation from baseline on the configured axis."""
-    mean = buffer.mean()
-    if axis == "vector":
-        return float(np.linalg.norm(mean - baseline))
-    if axis == "z":
-        return float(abs(mean[2] - baseline[2]))
-    raise ValueError(f"axis must be 'vector' or 'z', got {axis!r}")
+def deviation(buffer: ForceBuffer, baseline: np.ndarray) -> float:
+    """Norm of the current window mean's deviation from the baseline."""
+    return float(np.linalg.norm(buffer.mean() - baseline))
 
 
 def stop_threshold(baseline: np.ndarray, config: ForceConfig) -> float:
-    if config.axis == "z":
-        magnitude = abs(float(baseline[2]))
-    else:
-        magnitude = float(np.linalg.norm(baseline))
+    magnitude = float(np.linalg.norm(baseline))
     return config.threshold * max(magnitude, config.floor)
 
 
@@ -105,7 +97,7 @@ def update_and_check(buffer: ForceBuffer, sample, baseline: np.ndarray,
                      config: ForceConfig) -> tuple[ForceDecision, float]:
     """Push one sample and evaluate the stop rule (strict inequality)."""
     buffer.push(sample)
-    dev = deviation(buffer, baseline, config.axis)
+    dev = deviation(buffer, baseline)
     if dev > stop_threshold(baseline, config):
         return ForceDecision.STOP, dev
     return ForceDecision.CONTINUE, dev

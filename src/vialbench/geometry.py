@@ -27,21 +27,11 @@ def pixel_to_world(u, v, intrinsics: CameraIntrinsics, cam: Pose3, plane_z: floa
     return x, y, np.full_like(x, float(plane_z))
 
 
-def world_to_pixel(x, y, z, intrinsics: CameraIntrinsics, cam: Pose3, tilt: float = 0.0):
-    """Project world points into the image; exact inverse of pixel_to_world at tilt 0.
-
-    ``tilt`` pitches the optical axis about the camera x axis (radians); the
-    simulator renders with it, while pixel_to_world deliberately keeps the
-    plain nadir model, so a nonzero tilt introduces a small oblique error.
-    """
+def world_to_pixel(x, y, z, intrinsics: CameraIntrinsics, cam: Pose3):
+    """Project world points into the nadir image; exact inverse of pixel_to_world."""
     dx = np.asarray(x, dtype=float) - cam.x
     dy = np.asarray(y, dtype=float) - cam.y
-    dz = np.asarray(z, dtype=float) - cam.z
-    if tilt == 0.0:
-        depth = -dz
-    else:
-        c, s = np.cos(tilt), np.sin(tilt)
-        dy, depth = c * dy + s * dz, s * dy - c * dz
+    depth = cam.z - np.asarray(z, dtype=float)
     if np.any(depth <= 0):
         raise ValueError("point at or behind the camera plane")
     u = intrinsics.cx + intrinsics.fx * dx / depth
@@ -52,29 +42,19 @@ def world_to_pixel(x, y, z, intrinsics: CameraIntrinsics, cam: Pose3, tilt: floa
 
 
 def plane_grid(intrinsics: CameraIntrinsics, cam: Pose3, plane_z: float,
-               width: int, height: int, tilt: float = 0.0):
+               width: int, height: int):
     """World (x, y) for every pixel center, on the plane at ``plane_z``.
 
-    Returns two (height, width) float arrays. Inverts the same camera model
-    world_to_pixel uses, including the optional tilt.
+    Returns two (height, width) float arrays, the nadir model of
+    pixel_to_world evaluated on the whole pixel grid.
     """
     u = np.arange(width, dtype=float)[None, :]
     v = np.arange(height, dtype=float)[:, None]
     a = (u - intrinsics.cx) / intrinsics.fx
     b = (v - intrinsics.cy) / intrinsics.fy
-    dz = plane_z - cam.z
-    if dz >= 0:
+    depth = cam.z - plane_z
+    if depth <= 0:
         raise ValueError("camera must be above the plane")
-    if tilt == 0.0:
-        depth = -dz
-        x = cam.x + a * depth
-        y = np.broadcast_to(cam.y + b * depth, (height, width))
-    else:
-        c, s = np.cos(tilt), np.sin(tilt)
-        # Solve c*dy + s*dz = b * (s*dy - c*dz) for dy at fixed dz.
-        dy = -dz * (b * c + s) / (c - b * s)
-        depth = s * dy - c * dz
-        x = cam.x + a * depth
-        y = np.broadcast_to(cam.y + dy, (height, width))
-    x = np.broadcast_to(x, (height, width))
+    x = np.broadcast_to(cam.x + a * depth, (height, width))
+    y = np.broadcast_to(cam.y + b * depth, (height, width))
     return np.ascontiguousarray(x), np.ascontiguousarray(y)

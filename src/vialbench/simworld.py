@@ -476,7 +476,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     img = np.empty((H, W), dtype=float)
 
     # Table plane: gradient, two straight seams, ring-shaped clutter.
-    tx, ty = plane_grid(intr, eff, 0.0, W, H, cam.tilt)
+    tx, ty = plane_grid(intr, eff, 0.0, W, H)
     ws = cfg.workspace
     cx0 = (ws.x_min + ws.x_max) / 2.0
     cy0 = (ws.y_min + ws.y_max) / 2.0
@@ -488,7 +488,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
         img[np.abs(dd - dr) < _RIM_HALF] = shade
 
     # Rack plane: body mask plus per-slot detail.
-    rx, ry = plane_grid(intr, eff, cfg.rack.height, W, H, cam.tilt)
+    rx, ry = plane_grid(intr, eff, cfg.rack.height, W, H)
     c, s = np.cos(scene.rack_yaw), np.sin(scene.rack_yaw)
     dxr = rx - scene.rack_xy[0]
     dyr = ry - scene.rack_xy[1]
@@ -505,7 +505,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     for idx in range(centers.shape[0]):
         sx, sy = centers[idx]
         try:
-            u, v = world_to_pixel(sx, sy, cfg.rack.height, intr, eff, cam.tilt)
+            u, v = world_to_pixel(sx, sy, cfg.rack.height, intr, eff)
         except ValueError:
             continue
         half = int(np.ceil(box_m * intr.fx / depth)) + 2

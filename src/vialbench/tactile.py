@@ -8,8 +8,8 @@ per-finger affine calibration fit by least squares on frames with known
 offsets.
 
 During a descent the tracker compares each finger's current centroid with
-the one captured right after the grasp; the fused centroid travel in pixels
-is the slip signal that stops the motion.
+the one captured right after the grasp; the centroid travel in pixels,
+averaged over the fingers, is the slip signal that stops the motion.
 """
 
 from __future__ import annotations
@@ -270,9 +270,9 @@ def track_deviation(regions: dict[str, ContactRegion | None],
     ``regions`` holds each finger's dominant contact (``find_contact``), or
     None. A finger's centroid is compared with the one captured right after
     the grasp; a finger with no grasp centroid has no baseline and is
-    skipped. Per-finger pixel travel is fused by the configured rule, and no
-    usable finger means the vial is gone. The stop fires only when the fused
-    travel strictly exceeds ``stop_px``.
+    skipped. The usable fingers' pixel travel is averaged, and no usable
+    finger means the vial is gone. The stop fires only when the mean travel
+    strictly exceeds ``stop_px``.
     """
     travel = []
     for finger, region in regions.items():
@@ -283,10 +283,7 @@ def track_deviation(regions: dict[str, ContactRegion | None],
                                      region.centroid[1] - gy)))
     if not travel:
         return TrackReading(TactileDecision.LOST_CONTACT, None)
-    if config.fuse == "max":
-        fused = max(travel)
-    else:
-        fused = sum(travel) / len(travel)
-    decision = (TactileDecision.STOP if fused > config.stop_px
+    mean_travel = sum(travel) / len(travel)
+    decision = (TactileDecision.STOP if mean_travel > config.stop_px
                 else TactileDecision.CONTINUE)
-    return TrackReading(decision, fused)
+    return TrackReading(decision, mean_travel)

@@ -68,24 +68,33 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
     assert "short.cal" in lines[0] and "gap.weights" in lines[1]
 
 
+_GOOD_RECORD = (b'{"attempts": 1, "final_offset": null, "modality": "force", '
+                b'"outcomes": [{"position": [0.1, 0.2], "result": "inserted"}], '
+                b'"placement": "inserted", "runtime_s": 9.5, "success": true, '
+                b'"trial_index": 0}')
+
+
 @pytest.mark.parametrize("line, fragment", [
     (b'{"modality": "force"}', "KeyError"),
     (b"not json", "Expecting value"),
-    (b"\xff\xfe", "Expecting value"),
+    (b"\xff\xfe", "not UTF-8 text (byte 0xff)"),
+    pytest.param(_GOOD_RECORD.replace(b'"force"', b'"vis\xffal"'),
+                 "not UTF-8 text (byte 0xff)", id="modality-not-utf8"),
+    pytest.param(_GOOD_RECORD.replace(b'"force"', b'"bogus"'),
+                 "unknown modality 'bogus'", id="modality-unknown"),
 ])
 def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
                                                   fragment):
     good = tmp_path / "good"
     records = tmp_path / "records.jsonl"
-    first = ('{"attempts": 1, "final_offset": null, "modality": "force", '
-             '"outcomes": [{"position": [0.1, 0.2], "result": "inserted"}], '
-             '"placement": "inserted", "runtime_s": 9.5, "success": true, '
-             '"trial_index": 0}')
+    first = _GOOD_RECORD.decode()
     records.write_text(first + "\n")
     assert run_cli("report", "--records", records, "--batches", 1,
                    "--out", good) == 0
     records.write_bytes((first + "\n\n").encode() + line + b"\n")
-    assert run_cli("report", "--records", records, "--out", tmp_path) == 2
+    # one batch, so only the bad line can make the report fail
+    assert run_cli("report", "--records", records, "--batches", 1,
+                   "--out", tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert "records.jsonl: line 3:" in lines[0] and fragment in lines[0]

@@ -6,6 +6,7 @@ import pytest
 from vialbench.core import RngStream, load_config
 from vialbench.control import (
     MODALITIES,
+    _run_trial,
     calibrate_rig,
     run_force_trial,
     run_tactile_trial,
@@ -110,15 +111,23 @@ def test_exhausted_search_releases_in_place(biased_config, weights):
     assert rec.placement == "resting_on_rack"
 
 
-def test_exhausted_search_can_keep_the_vial(weights):
-    cfg = load_config(NO_CAMERA_BIAS.replace(
-        "noise.bias_angle_x = 0.0", "noise.bias_angle_x = 6.4e-3")
-        + "noise.sigma_grasp = 0.0\nsearch.spacing = 0.5\n"
-        + "control.exhausted_release = false\n")
-    rec = run_force_trial(cfg, RngStream(0), weights)
-    assert not rec.success
+def test_exhausted_search_with_empty_gripper_is_dropped_on_table(weights):
+    # The first descent stops on the rack top and the vial slips out of the
+    # gripper; spacing 0.5 then exhausts the search with nothing to release.
+    cfg = load_config("search.spacing = 0.5\n")
+
+    def prepare(scene, sel_gen, target):
+        return None, target
+
+    def slip_and_stop(scene, ctx, position):
+        scene.held_offset = None
+        return "stopped"
+
+    rec = _run_trial("force", cfg, RngStream(0), weights, 0, None,
+                     prepare, slip_and_stop)
     assert [o.result for o in rec.outcomes] == ["rack_top"]
-    assert rec.placement == "still_held"
+    assert rec.placement == "dropped_on_table"
+    assert rec.final_offset is None
 
 
 # ---------------------------------------------------------------- tactile

@@ -48,6 +48,7 @@ def test_comments_and_blank_lines():
     ("spacing = 0.002", "section prefix"),
     ("nosuch.key = 1", "unknown section"),
     ("search.bogus = 1", "unknown key"),
+    ("force.axis = z", "unknown key"),
     ("search.spacing = banana", "bad float"),
     ("force.rate = 1.5", "bad int"),
 ])
@@ -83,11 +84,9 @@ def test_validation_rejects_out_of_range():
 
 def test_round_trip():
     cfg = load_config("search.spacing = 0.0031\nseed = 11\n"
-                      "control.exhausted_release = false\n"
                       "noise.sigma_pixel = 1.25\n")
     again = load_config(dump_config(cfg))
     assert again == cfg
-    assert again.control.exhausted_release is False
 
 
 def test_round_trip_defaults():

@@ -5,7 +5,7 @@ import pytest
 
 from vialbench.core import ForceConfig, load_config
 from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
-                             deviation, init_baseline, safety_stop,
+                             init_baseline, safety_stop,
                              stop_threshold, update_and_check)
 
 CFG = ForceConfig()
@@ -74,21 +74,6 @@ def test_threshold_floor_guards_tiny_baselines():
     buf = filled_buffer([0.0, 0.0, 0.09])
     decision, _ = update_and_check(buf, [0.0, 0.0, 0.09], baseline, CFG)
     assert decision is ForceDecision.CONTINUE
-
-
-def test_z_axis_mode_ignores_lateral():
-    cfg = ForceConfig(axis="z")
-    baseline = np.array([0.0, 0.0, -10.0])
-    buf = filled_buffer([5.0, 0.0, -10.0])
-    decision, dev = update_and_check(buf, [5.0, 0.0, -10.0], baseline, cfg)
-    assert dev == 0.0
-    assert decision is ForceDecision.CONTINUE
-
-
-def test_unknown_axis_rejected():
-    buf = filled_buffer([0.0, 0.0, -1.0])
-    with pytest.raises(ValueError):
-        deviation(buf, np.zeros(3), "magnitude")
 
 
 def test_buffer_evicts_oldest():

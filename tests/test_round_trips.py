@@ -31,15 +31,11 @@ def scratch(tmp_path_factory):
 # drawn value gives a valid config.
 _CONFIG_FIELDS = {
     "camera.x": finite,
-    "camera.tilt": finite,
     "noise.bias_angle_y": finite,
     "noise.sigma_pixel": non_negative,
     "contact.slip_rate": non_negative,
     "timing.release_s": non_negative,
-    "force.axis": st.sampled_from(["vector", "z"]),
-    "tactile.fuse": st.sampled_from(["average", "max"]),
     "render.distractors": st.integers(min_value=0, max_value=2 ** 40),
-    "control.exhausted_release": st.booleans(),
 }
 
 

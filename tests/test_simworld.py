@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vialbench.core import RngStream
+from vialbench.core import RackSpec, RngStream
 from vialbench.geometry import world_to_pixel
 from vialbench.simworld import (
     Contact,
@@ -293,6 +295,40 @@ def test_release_over_table(config):
     assert not result.success
     with pytest.raises(SimError):
         release_and_evaluate(scene)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 50), slot=st.integers(0, RackSpec().n_slots - 1),
+       occupied=st.booleans(),
+       miss=st.one_of(st.floats(0.0, 0.003), st.floats(0.0, 0.06)),
+       heading=st.floats(0.0, 2 * np.pi),
+       depth=st.floats(1e-4, RackSpec().height))
+def test_release_inserts_only_within_clearance_of_a_vacant_slot(
+        config, seed, slot, occupied, miss, heading, depth):
+    # Every other slot is occupied, so the drawn slot is the only way in. The
+    # vial bottom is aimed ``depth`` below the rack top, ``miss`` from the
+    # slot centre; a centred grasp on the rubber rig puts it exactly there.
+    rack, vial = config.rack, config.vial
+    assume(abs(miss - config.clearance) > 1e-9)
+    scene = reset_trial(config, RngStream(seed))
+    scene.occupancy[:] = True
+    scene.occupancy.flat[slot] = occupied
+    impose_grasp(scene, (0.0, 0.0))
+    bottom = slot_centers(scene)[slot] + miss * np.array(
+        [np.cos(heading), np.sin(heading)])
+    rack_top_grip = rack.height + vial.grip_height
+    jump_setpoint(scene, (bottom[0], bottom[1], rack_top_grip - depth))
+    on_rack = in_rack_footprint(scene, bottom)
+    grip_z = scene.grip_z
+    result = release_and_evaluate(scene)
+    if not occupied and miss <= config.clearance:
+        assert result.kind == "inserted"
+        assert (result.row * rack.cols + result.col) == slot
+    elif on_rack:
+        assert result.kind == "resting_on_rack"
+        assert grip_z >= rack_top_grip  # pinned at the rack top or higher
+    else:
+        assert result.kind == "dropped_on_table"
 
 
 # ---------------------------------------------------------------- cameras

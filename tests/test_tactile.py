@@ -343,7 +343,7 @@ def test_track_lost_contact():
 
 def test_track_skips_finger_without_grasp_centroid():
     # the right finger saw no contact at grasp time, so it has no baseline:
-    # only the left finger's travel counts, under either fusion rule
+    # only the left finger's travel counts
     refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
     neutral = {"left": find_contact(_blob_frame(80.0, 80.0), refs["left"],
                                     CFG).centroid}
@@ -351,10 +351,9 @@ def test_track_skips_finger_without_grasp_centroid():
     moved = _contacts({"left": _blob_frame(80.0 + shift, 80.0),
                        "right": _blob_frame(40.0, 40.0)}, refs)
     assert moved["right"] is not None
-    for fuse in ("max", "average"):
-        reading = track_deviation(moved, neutral, TactileConfig(fuse=fuse))
-        assert reading.decision is TactileDecision.CONTINUE
-        assert reading.displacement_px == pytest.approx(shift, abs=1.0)
+    reading = track_deviation(moved, neutral, CFG)
+    assert reading.decision is TactileDecision.CONTINUE
+    assert reading.displacement_px == pytest.approx(shift, abs=1.0)
 
 
 def test_track_sub_threshold_shift_continues():
