@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import (MODALITIES, AttemptOutcome, TrialRecord, calibrate_rig,
-                      run_force_trial, run_tactile_trial, run_visual_trial)
+                      check_record, run_force_trial, run_tactile_trial,
+                      run_visual_trial)
 from .core import (KEY_CALIB, PACKAGE_VERSION, RngStream, WorkspaceConfig,
                    read_utf8, split_rng)
 from .perception import CnnWeights, train_discriminator
@@ -239,15 +240,15 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
+    """The record ``record_to_dict`` wrote; ValueError if it breaks a rule
+    of ``control.check_record``."""
     outcomes = tuple(
         AttemptOutcome(position=tuple(np.nan if p is None else float(p)
                                       for p in o["position"]),
                        result=o["result"])
         for o in data["outcomes"])
-    if data["modality"] not in MODALITIES:
-        raise ValueError(f"unknown modality {data['modality']!r}")
     final = data.get("final_offset")
-    return TrialRecord(
+    record = TrialRecord(
         modality=data["modality"],
         trial_index=int(data["trial_index"]),
         attempts=int(data["attempts"]),
@@ -257,6 +258,8 @@ def record_from_dict(data: dict) -> TrialRecord:
         final_offset=None if final is None else (float(final[0]), float(final[1])),
         placement=data.get("placement"),
     )
+    check_record(record)
+    return record
 
 
 def write_report(records: dict[str, list[TrialRecord]], batches: int,
@@ -336,8 +339,9 @@ def emit_report(result: ExperimentResult, out_dir) -> dict[str, Path]:
 def load_records(path) -> dict[str, list[TrialRecord]]:
     """Read a records.jsonl back into per-modality record lists.
 
-    A byte that is not UTF-8, or a line that does not hold a record of a
-    known modality, raises ValueError naming the file and the line.
+    A byte that is not UTF-8, or a line that does not hold a trial record
+    that keeps ``control.check_record``'s rules, raises ValueError naming
+    the file and the line.
     """
     records: dict[str, list[TrialRecord]] = {}
     for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):

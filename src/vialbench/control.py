@@ -50,15 +50,18 @@ from .tactile import (FINGERS, ContactRegion, TactileCalibration,
                       find_contact, track_deviation)
 
 MODALITIES = ("visual", "force", "tactile")
+RESULTS = ("inserted", "rack_top", "safety_stop", "released_failed",
+           "lost_contact", "no_target")
+PLACEMENTS = ("inserted", "resting_on_rack", "dropped_on_table", "still_held")
 
 
 @dataclass(frozen=True)
 class AttemptOutcome:
-    """Where one descent aimed (world xy) and how it ended."""
+    """Where one descent aimed (world xy) and how it ended (one of
+    ``RESULTS``)."""
 
     position: tuple[float, float]
-    result: str  # inserted | rack_top | safety_stop | released_failed
-    #             | lost_contact | no_target
+    result: str
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,38 @@ class TrialRecord:
     runtime_s: float
     outcomes: tuple[AttemptOutcome, ...]
     final_offset: tuple[float, float] | None
-    placement: str | None
+    placement: str | None  # one of PLACEMENTS, or None
+
+
+def check_record(record: TrialRecord) -> None:
+    """Raise ValueError unless ``record`` keeps the rules of the trial loop.
+
+    Its modality, results and placement come from ``MODALITIES``,
+    ``RESULTS`` and ``PLACEMENTS`` (placement may be None); it spent at
+    least one attempt and has at least one outcome; it succeeded exactly
+    when its last result is ``inserted``; a ``no_target`` trial has no
+    placement, and a ``safety_stop`` leaves the vial ``still_held``.
+    """
+    if record.modality not in MODALITIES:
+        raise ValueError(f"unknown modality {record.modality!r}")
+    if record.attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {record.attempts}")
+    if not record.outcomes:
+        raise ValueError("no outcomes")
+    results = [o.result for o in record.outcomes]
+    for result in results:
+        if result not in RESULTS:
+            raise ValueError(f"unknown result {result!r}")
+    if record.placement is not None and record.placement not in PLACEMENTS:
+        raise ValueError(f"unknown placement {record.placement!r}")
+    if record.success != (results[-1] == "inserted"):
+        raise ValueError(f"success is {record.success} but the last result "
+                         f"is {results[-1]!r}")
+    if "no_target" in results and record.placement is not None:
+        raise ValueError(f"no_target trial has placement {record.placement!r}")
+    if "safety_stop" in results and record.placement != "still_held":
+        raise ValueError(f"safety_stop trial has placement "
+                         f"{record.placement!r}, not 'still_held'")
 
 
 def _charged_move(scene: SceneState, target, speed: float) -> None:
@@ -276,7 +310,7 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
                       prepare, attempt_descent)
 
 
-def _finger_contacts(scene: SceneState, refs: dict[str, list[np.ndarray]],
+def _finger_contacts(scene: SceneState, refs: dict[str, np.ndarray],
                      tac: TactileConfig) -> dict[str, ContactRegion | None]:
     """One frame per finger, in ``FINGERS`` order (so the scene RNG is drawn
     left then right), reduced to its dominant contact patch or None."""

@@ -61,9 +61,6 @@ class Pose3:
     z: float = 0.0
     yaw: float = 0.0
 
-    def xyz(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:

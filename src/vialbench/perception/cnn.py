@@ -220,19 +220,6 @@ def loss_and_grads(weights: CnnWeights, x: np.ndarray, targets: np.ndarray,
     return loss, grads
 
 
-def numeric_gradient(weights: CnnWeights, x, targets, mask,
-                     name: str, index: tuple, eps: float = 1e-3) -> float:
-    """Central-difference derivative of the loss w.r.t. one parameter."""
-    arr = getattr(weights, name)
-    orig = arr[index]
-    arr[index] = orig + eps
-    lo_hi, _ = loss_and_grads(weights, x, targets, mask)
-    arr[index] = orig - eps
-    lo_lo, _ = loss_and_grads(weights, x, targets, mask)
-    arr[index] = orig
-    return (lo_hi - lo_lo) / (2.0 * eps)
-
-
 def targets_for_labels(labels: np.ndarray):
     """Two-head targets and mask from integer class labels.
 

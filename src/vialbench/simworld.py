@@ -10,6 +10,7 @@ commands, mirroring how the physical workcell is driven.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -538,12 +539,16 @@ _GEL_RING = 14.0
 _BLOB_BRIGHT = 205.0
 
 
+@functools.lru_cache(maxsize=8)
 def _gel_pattern(width: int, height: int) -> np.ndarray:
-    """Fixed resting texture of the gel surface (a soft vignette)."""
+    """Fixed resting texture of the gel surface (a soft vignette), shared
+    per frame size and read-only: copy it before drawing on it."""
     u = (np.arange(width) - (width - 1) / 2.0) / width
     v = (np.arange(height) - (height - 1) / 2.0) / height
     r2 = u[None, :] ** 2 + v[:, None] ** 2
-    return _GEL_BASE + _GEL_RING * np.exp(-r2 / 0.18)
+    pattern = _GEL_BASE + _GEL_RING * np.exp(-r2 / 0.18)
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _blob_pixel(rig: FingertipRig, finger: str, offset: np.ndarray,
@@ -573,16 +578,33 @@ def sample_tactile(scene: SceneState, finger: str,
         center = _blob_pixel(scene.rig, finger, scene.held_offset, W, H)
         px_per_m = (W - 1.0) / cfg.tactile.span
         r_px = cfg.tactile.blob_diameter / 2.0 * px_per_m
-        uu = np.arange(W)[None, :] - center[0]
-        vv = np.arange(H)[:, None] - center[1]
-        d = np.hypot(uu, vv)
-        cover = np.clip((r_px - d + 1.0) / 2.0, 0.0, 1.0)
-        img = img + (_BLOB_BRIGHT - img) * cover
+        # cover is exactly 0 from r_px + 1 out, so only the blob's bounding
+        # box (inclusive, clipped to the frame) can change.
+        reach = r_px + 1.0
+        u0 = max(int(np.floor(center[0] - reach)), 0)
+        u1 = min(int(np.ceil(center[0] + reach)) + 1, W)
+        v0 = max(int(np.floor(center[1] - reach)), 0)
+        v1 = min(int(np.ceil(center[1] + reach)) + 1, H)
+        if u0 < u1 and v0 < v1:
+            uu = np.arange(u0, u1)[None, :] - center[0]
+            vv = np.arange(v0, v1)[:, None] - center[1]
+            d = np.hypot(uu, vv)
+            cover = np.clip((r_px - d + 1.0) / 2.0, 0.0, 1.0)
+            box = img[v0:v1, u0:u1]
+            box += (_BLOB_BRIGHT - box) * cover
     img += scene.rng.normal(0.0, cfg.noise.sigma_pixel, (H, W))
-    return np.clip(img, 0.0, 255.0).astype(np.uint8)
+    np.clip(img, 0.0, 255.0, out=img)
+    return img.astype(np.uint8)
 
 
-def reference_frames(scene: SceneState, finger: str) -> list[np.ndarray]:
-    """Reference set for the difference pipeline: open-gripper frames."""
-    return [sample_tactile(scene, finger, open_gripper=True)
-            for _ in range(scene.config.tactile.n_reference)]
+def reference_frames(scene: SceneState, finger: str) -> np.ndarray:
+    """Reference stack for the difference pipeline: ``n_reference``
+    open-gripper frames as one ``(n_reference, H, W)`` int16 array.
+
+    The frames are uint8; holding them as int16 once per capture lets
+    ``tactile.find_contact`` subtract every live frame from the whole stack
+    in one exact integer step instead of casting each reference per call.
+    """
+    return np.array([sample_tactile(scene, finger, open_gripper=True)
+                     for _ in range(scene.config.tactile.n_reference)],
+                    dtype=np.int16)

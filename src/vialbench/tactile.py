@@ -7,6 +7,17 @@ traced region's centroid is mapped to a physical in-gripper offset through a
 per-finger affine calibration fit by least squares on frames with known
 offsets.
 
+The reference set arrives as one ``(n, H, W)`` int16 stack
+(``simworld.reference_frames``), so a uint8 frame is differenced against
+all of it in one exact integer step. ``find_contact`` thresholds the integer
+sum of those differences, not the float mean: normalize-then-binarize is
+monotone in the sum, so the pixels that pass are those at or above the
+smallest sum that passes, and that sum is found by running ``normalize``
+and ``binarize`` themselves on the ladder of sums from the frame's min to
+its max. The ladder has the same min and max as the frame, so each sum
+meets the same rounded floats as on the full image and the mask is the same
+bit for bit. (Float frames take their distinct sums as the ladder.)
+
 During a descent the tracker compares each finger's current centroid with
 the one captured right after the grasp; the centroid travel in pixels,
 averaged over the fingers, is the slip signal that stops the motion.
@@ -65,15 +76,28 @@ class TrackReading:
     displacement_px: float | None
 
 
-def difference_image(frame: np.ndarray, references: list[np.ndarray]) -> np.ndarray:
-    """Mean absolute difference of ``frame`` against the reference set."""
-    if not references:
+def _difference_sum(frame: np.ndarray, references) -> np.ndarray:
+    """Per-pixel sum of ``|frame - reference|`` over the reference stack.
+
+    Integer inputs are subtracted in at least int16 and summed in at least
+    int32, so uint8 frames give exact integer sums; other inputs are
+    subtracted and summed in float64.
+    """
+    if len(references) == 0:
         raise ValueError("need at least one reference frame")
-    f = np.asarray(frame, dtype=float)
-    acc = np.zeros_like(f)
-    for ref in references:
-        acc += np.abs(f - np.asarray(ref, dtype=float))
-    return acc / len(references)
+    refs = np.asarray(references)
+    dtype = np.result_type(frame, refs, np.int16)
+    if dtype.kind not in "iu":
+        dtype = np.dtype(float)
+    diff = np.subtract(frame, refs, dtype=dtype)
+    np.abs(diff, out=diff)
+    return diff.sum(axis=0, dtype=np.promote_types(diff.dtype, np.int32))
+
+
+def difference_image(frame: np.ndarray, references) -> np.ndarray:
+    """Mean absolute difference of ``frame`` against the reference stack
+    (an ``(n, H, W)`` array or a list of ``n`` frames)."""
+    return _difference_sum(frame, references) / len(references)
 
 
 def normalize(delta: np.ndarray) -> np.ndarray:
@@ -88,37 +112,42 @@ def binarize(norm: np.ndarray, threshold: float) -> np.ndarray:
     return norm >= threshold
 
 
+# After entering a cell by Moore step j, the backtrack (the last empty cell
+# looked at) sits at step _MOORE[j - 1] - _MOORE[j] from it.
+_BACK = tuple(_MOORE.index((_MOORE[j - 1][0] - _MOORE[j][0],
+                            _MOORE[j - 1][1] - _MOORE[j][1]))
+              for j in range(8))
+
+
 def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
     """Clockwise outer-border trace from ``start`` (the first filled pixel in
-    row-major order, so its west neighbor is guaranteed empty)."""
-    h, w = mask.shape
+    row-major order, so its west neighbor is guaranteed empty).
 
-    def filled(p):
-        return 0 <= p[0] < h and 0 <= p[1] < w and mask[p[0], p[1]]
-
-    border = [start]
-    cur = start
-    backtrack = (start[0], start[1] - 1)
-    limit = 4 * int(mask.sum()) + 8
-    for _ in range(limit):
-        rel = (backtrack[0] - cur[0], backtrack[1] - cur[1])
-        i0 = _MOORE.index(rel)
-        nxt = None
+    The walk runs on flat indices into the mask padded by one empty cell, so
+    no step needs a bounds check.
+    """
+    stride = mask.shape[1] + 2
+    cells = np.pad(mask, 1).tobytes()  # one byte per cell: mask is bool
+    steps = [dr * stride + dc for dr, dc in _MOORE]
+    first = (start[0] + 1) * stride + start[1] + 1
+    trail = [first]
+    cur = first
+    back = 0  # the backtrack starts west of ``start``
+    for _ in range(4 * int(mask.sum()) + 8):
         for k in range(1, 9):
-            j = (i0 + k) % 8
-            cand = (cur[0] + _MOORE[j][0], cur[1] + _MOORE[j][1])
-            if filled(cand):
-                nxt = cand
-                backtrack = (cur[0] + _MOORE[(i0 + k - 1) % 8][0],
-                             cur[1] + _MOORE[(i0 + k - 1) % 8][1])
+            j = (back + k) % 8
+            if cells[cur + steps[j]]:
                 break
-        if nxt is None:
-            return border  # isolated pixel
-        if nxt == start:
-            return border
-        border.append(nxt)
-        cur = nxt
-    raise RuntimeError("border trace failed to close")
+        else:
+            break  # isolated pixel
+        cur += steps[j]
+        if cur == first:
+            break
+        trail.append(cur)
+        back = _BACK[j]
+    else:
+        raise RuntimeError("border trace failed to close")
+    return [(p // stride - 1, p % stride - 1) for p in trail]
 
 
 def polygon_area(border: list[tuple[int, int]]) -> float:
@@ -156,19 +185,27 @@ def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]
     return regions
 
 
-def find_contact(frame: np.ndarray, references: list[np.ndarray],
+def find_contact(frame: np.ndarray, references,
                  config: TactileConfig) -> ContactRegion | None:
     """Full pipeline for one frame; the dominant contact patch or None.
 
     The normalization step stretches pure sensor noise across the full range,
     so frames whose raw difference never exceeds ``contact_floor`` are
     rejected before thresholding instead of being amplified into phantom
-    contacts.
+    contacts. The threshold is applied to the difference sum, as the module
+    docstring explains.
     """
-    delta = difference_image(frame, references)
-    if float(delta.max()) < config.contact_floor:
+    total = _difference_sum(frame, references)
+    n = len(references)
+    k_min, k_max = total.min(), total.max()
+    if k_max / n < config.contact_floor:
         return None
-    regions = extract_contacts(binarize(normalize(delta), config.threshold),
+    ladder = (np.arange(k_min, k_max + 1) if total.dtype.kind in "iu"
+              else np.unique(total))
+    passing = binarize(normalize(ladder / n), config.threshold)
+    if not passing.any():
+        return None
+    regions = extract_contacts(total >= ladder[np.argmax(passing)],
                                config.min_area)
     return regions[0] if regions else None
 

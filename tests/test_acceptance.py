@@ -14,17 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import numeric_gradient
 from vialbench.bench import run_experiment
 from vialbench.cli import main as cli_main
-from vialbench.control import MODALITIES
+from vialbench.control import MODALITIES, check_record
 from vialbench.core import CameraIntrinsics, CnnConfig, Pose3, RngStream
 from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
                              init_baseline, update_and_check)
 from vialbench.geometry import pixel_to_world, world_to_pixel
 from vialbench.perception import (cht_params_for, detect_circles,
                                   generate_labeled_dataset, save_weights)
-from vialbench.perception.cnn import (forward, init_weights, loss_and_grads,
-                                      numeric_gradient)
+from vialbench.perception.cnn import forward, init_weights, loss_and_grads
 from vialbench.perception.hough import ChtParams
 from vialbench.search import make_search, next_trial_positions
 from vialbench.simworld import render_topdown, reset_trial, slot_centers
@@ -376,8 +376,12 @@ def test_golden_campaign_trials(campaign):
     two runs of the same commit). Trial i of a campaign depends only on the
     seed and i, so the fixture also equals a ``GOLDEN_TRIALS``-trial run.
     Rewrite ``GOLDEN`` from ``golden_rows`` only for an intended behaviour
-    change, and say so in the change log."""
+    change, and say so in the change log. Every record of the campaign must
+    also keep the rules of ``check_record``."""
     result, _ = campaign
+    for m in MODALITIES:
+        for record in result.records[m]:
+            check_record(record)
     got = [row for m in MODALITIES
            for row in golden_rows(result.records[m][:GOLDEN_TRIALS])]
     want = json.loads(GOLDEN.read_text())

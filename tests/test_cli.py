@@ -82,6 +82,35 @@ _GOOD_RECORD = (b'{"attempts": 1, "final_offset": null, "modality": "force", '
                  "not UTF-8 text (byte 0xff)", id="modality-not-utf8"),
     pytest.param(_GOOD_RECORD.replace(b'"force"', b'"bogus"'),
                  "unknown modality 'bogus'", id="modality-unknown"),
+    pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
+                                      b'"result": "bogus"')
+                 .replace(b'"placement": "inserted"', b'"placement": "nowhere"'),
+                 "unknown result 'bogus'", id="result-and-placement-unknown"),
+    pytest.param(_GOOD_RECORD.replace(b'"placement": "inserted"',
+                                      b'"placement": "nowhere"'),
+                 "unknown placement 'nowhere'", id="placement-unknown"),
+    pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
+                                      b'"result": "released_failed"'),
+                 "success is True but the last result is 'released_failed'",
+                 id="success-contradicts-result"),
+    pytest.param(_GOOD_RECORD.replace(b'"success": true', b'"success": false'),
+                 "success is False but the last result is 'inserted'",
+                 id="failure-contradicts-result"),
+    pytest.param(_GOOD_RECORD.replace(b'"attempts": 1', b'"attempts": 0'),
+                 "attempts must be at least 1", id="no-attempts"),
+    pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
+                                      b'"result": "no_target"')
+                 .replace(b'"success": true', b'"success": false'),
+                 "no_target trial has placement 'inserted'",
+                 id="no-target-placed"),
+    pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
+                                      b'"result": "safety_stop"')
+                 .replace(b'"success": true', b'"success": false'),
+                 "safety_stop trial has placement 'inserted'",
+                 id="safety-stop-not-held"),
+    pytest.param(_GOOD_RECORD.replace(
+        b'[{"position": [0.1, 0.2], "result": "inserted"}]', b'[]'),
+        "no outcomes", id="no-outcomes"),
 ])
 def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
                                                   fragment):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from gradcheck import numeric_gradient
 from vialbench.core import CnnConfig
 from vialbench.perception.cnn import (CnnWeights, TrainingDiverged, forward,
                                       init_weights, load_weights,
-                                      loss_and_grads, numeric_gradient,
-                                      predict, save_weights,
+                                      loss_and_grads, predict, save_weights,
                                       targets_for_labels, train_cnn)
 from vialbench.perception.pipeline import Label
 

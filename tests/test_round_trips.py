@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from vialbench.bench import record_from_dict, record_to_dict
-from vialbench.control import MODALITIES, AttemptOutcome, TrialRecord
+from vialbench.control import (MODALITIES, PLACEMENTS, RESULTS,
+                               AttemptOutcome, TrialRecord)
 from vialbench.core import WorkspaceConfig, dump_config, load_config
 from vialbench.pgm import read_pgm, write_pgm
 from vialbench.tactile import (FINGERS, TactileCalibration, load_calibration,
@@ -89,23 +90,36 @@ _position = st.floats(allow_infinity=False)  # NaN marks "no target"
 _outcome = st.builds(
     AttemptOutcome,
     position=st.tuples(_position, _position),
-    result=st.sampled_from(["inserted", "rack_top", "safety_stop",
-                            "released_failed", "lost_contact", "no_target"]))
-_record = st.builds(
-    TrialRecord,
-    modality=st.sampled_from(MODALITIES),
-    trial_index=st.integers(min_value=0, max_value=10 ** 6),
-    attempts=st.integers(min_value=1, max_value=50),
-    success=st.booleans(),
-    runtime_s=non_negative,
-    outcomes=st.lists(_outcome, min_size=1, max_size=6).map(tuple),
-    final_offset=st.none() | st.tuples(finite, finite),
-    placement=st.none() | st.sampled_from(["inserted", "resting_on_rack",
-                                           "dropped_on_table", "still_held"]))
+    result=st.sampled_from(RESULTS))
+
+
+@st.composite
+def _record(draw):
+    """A record that keeps ``check_record``'s rules; every other field is
+    drawn freely. No trial both finds no target and safety-stops."""
+    outcomes = draw(st.lists(_outcome, min_size=1, max_size=6).map(tuple)
+                    .filter(lambda os: not {"no_target", "safety_stop"}
+                            <= {o.result for o in os}))
+    results = [o.result for o in outcomes]
+    if "no_target" in results:
+        placement = None
+    elif "safety_stop" in results:
+        placement = "still_held"
+    else:
+        placement = draw(st.none() | st.sampled_from(PLACEMENTS))
+    return TrialRecord(
+        modality=draw(st.sampled_from(MODALITIES)),
+        trial_index=draw(st.integers(min_value=0, max_value=10 ** 6)),
+        attempts=draw(st.integers(min_value=1, max_value=50)),
+        success=results[-1] == "inserted",
+        runtime_s=draw(non_negative),
+        outcomes=outcomes,
+        final_offset=draw(st.none() | st.tuples(finite, finite)),
+        placement=placement)
 
 
 @FEW
-@given(record=_record)
+@given(record=_record())
 def test_record_dict_round_trip(record):
     line = json.dumps(record_to_dict(record), sort_keys=True)
     back = record_from_dict(json.loads(line))
@@ -116,3 +130,31 @@ def test_record_dict_round_trip(record):
     # assert_array_equal treats NaN as equal to NaN
     np.testing.assert_array_equal([o.position for o in back.outcomes],
                                   [o.position for o in record.outcomes])
+
+
+_NOWHERE = AttemptOutcome((float("nan"), float("nan")), "no_target")
+_STOP = AttemptOutcome((0.4, 0.0), "safety_stop")
+
+# Each breaks exactly one rule of a valid record.
+_BREAKS = {
+    "modality": lambda r: dataclasses.replace(r, modality="bogus"),
+    "attempts": lambda r: dataclasses.replace(r, attempts=0),
+    "no outcomes": lambda r: dataclasses.replace(r, outcomes=()),
+    "result": lambda r: dataclasses.replace(
+        r, outcomes=r.outcomes[:-1] + (AttemptOutcome(
+            r.outcomes[-1].position, "bogus"),), success=False),
+    "placement": lambda r: dataclasses.replace(r, placement="nowhere"),
+    "success": lambda r: dataclasses.replace(r, success=not r.success),
+    "no_target placed": lambda r: dataclasses.replace(
+        r, outcomes=(_NOWHERE,), success=False, placement="dropped_on_table"),
+    "safety_stop not held": lambda r: dataclasses.replace(
+        r, outcomes=(_STOP,), success=False, placement=None),
+}
+
+
+@FEW
+@given(record=_record(), rule=st.sampled_from(sorted(_BREAKS)))
+def test_record_breaking_one_rule_is_rejected(record, rule):
+    line = json.dumps(record_to_dict(_BREAKS[rule](record)), sort_keys=True)
+    with pytest.raises(ValueError):
+        record_from_dict(json.loads(line))
