@@ -239,23 +239,56 @@ def record_to_dict(record: TrialRecord) -> dict:
     }
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(value, what: str) -> int:
+    """A JSON integer, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _pair(value, what: str, nulls: bool) -> tuple[float, float]:
+    """A JSON list of two numbers; with ``nulls``, null reads as NaN."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{what} must be a list of two numbers, got {value!r}")
+    return tuple(np.nan if nulls and p is None else _number(p, what)
+                 for p in value)
+
+
 def record_from_dict(data: dict) -> TrialRecord:
-    """The record ``record_to_dict`` wrote; ValueError if it breaks a rule
-    of ``control.check_record``."""
+    """The record ``record_to_dict`` wrote; ValueError if a field has the
+    wrong JSON type or the record breaks a rule of ``control.check_record``.
+
+    ``success`` is a JSON bool, ``trial_index`` and ``attempts`` integers,
+    ``runtime_s`` a finite number >= 0; positions hold numbers or null (no
+    target), and ``final_offset`` is null or two numbers.
+    """
+    success = data["success"]
+    if not isinstance(success, bool):
+        raise ValueError(f"success must be true or false, got {success!r}")
+    runtime_s = _number(data["runtime_s"], "runtime_s")
+    if not (np.isfinite(runtime_s) and runtime_s >= 0.0):
+        raise ValueError(f"runtime_s must be finite and >= 0, got {runtime_s!r}")
     outcomes = tuple(
-        AttemptOutcome(position=tuple(np.nan if p is None else float(p)
-                                      for p in o["position"]),
+        AttemptOutcome(position=_pair(o["position"], "position", nulls=True),
                        result=o["result"])
         for o in data["outcomes"])
     final = data.get("final_offset")
     record = TrialRecord(
         modality=data["modality"],
-        trial_index=int(data["trial_index"]),
-        attempts=int(data["attempts"]),
-        success=bool(data["success"]),
-        runtime_s=float(data["runtime_s"]),
+        trial_index=_count(data["trial_index"], "trial_index"),
+        attempts=_count(data["attempts"], "attempts"),
+        success=success,
+        runtime_s=runtime_s,
         outcomes=outcomes,
-        final_offset=None if final is None else (float(final[0]), float(final[1])),
+        final_offset=(None if final is None
+                      else _pair(final, "final_offset", nulls=False)),
         placement=data.get("placement"),
     )
     check_record(record)

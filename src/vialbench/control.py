@@ -82,8 +82,10 @@ def check_record(record: TrialRecord) -> None:
     Its modality, results and placement come from ``MODALITIES``,
     ``RESULTS`` and ``PLACEMENTS`` (placement may be None); it spent at
     least one attempt and has at least one outcome; it succeeded exactly
-    when its last result is ``inserted``; a ``no_target`` trial has no
-    placement, and a ``safety_stop`` leaves the vial ``still_held``.
+    when its last result is ``inserted``; a trial that released the vial
+    (last result ``inserted`` or ``released_failed``) has a
+    ``final_offset``; a ``no_target`` trial has no placement, and a
+    ``safety_stop`` leaves the vial ``still_held``.
     """
     if record.modality not in MODALITIES:
         raise ValueError(f"unknown modality {record.modality!r}")
@@ -100,6 +102,9 @@ def check_record(record: TrialRecord) -> None:
     if record.success != (results[-1] == "inserted"):
         raise ValueError(f"success is {record.success} but the last result "
                          f"is {results[-1]!r}")
+    released = results[-1] in ("inserted", "released_failed")
+    if released and record.final_offset is None:
+        raise ValueError(f"{results[-1]} trial has no final_offset")
     if "no_target" in results and record.placement is not None:
         raise ValueError(f"no_target trial has placement {record.placement!r}")
     if "safety_stop" in results and record.placement != "still_held":

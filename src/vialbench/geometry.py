@@ -46,7 +46,9 @@ def plane_grid(intrinsics: CameraIntrinsics, cam: Pose3, plane_z: float,
     """World (x, y) for every pixel center, on the plane at ``plane_z``.
 
     Returns two (height, width) float arrays, the nadir model of
-    pixel_to_world evaluated on the whole pixel grid.
+    pixel_to_world evaluated on the whole pixel grid. They are read-only
+    broadcast views: x varies only along a row and y only down a column,
+    so ``x[0]`` and ``y[:, 0]`` hold every value.
     """
     u = np.arange(width, dtype=float)[None, :]
     v = np.arange(height, dtype=float)[:, None]
@@ -55,6 +57,5 @@ def plane_grid(intrinsics: CameraIntrinsics, cam: Pose3, plane_z: float,
     depth = cam.z - plane_z
     if depth <= 0:
         raise ValueError("camera must be above the plane")
-    x = np.broadcast_to(cam.x + a * depth, (height, width))
-    y = np.broadcast_to(cam.y + b * depth, (height, width))
-    return np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return (np.broadcast_to(cam.x + a * depth, (height, width)),
+            np.broadcast_to(cam.y + b * depth, (height, width)))

@@ -5,7 +5,7 @@ from .cnn import (CnnWeights, TrainingDiverged, forward, init_weights,
                   train_cnn)
 from .hough import Candidate, ChtParams, cht_params_for, detect_circles
 from .pipeline import (Label, NoValidSlotError, ScoredCandidate,
-                       accepted_rack_candidates, extract_crop,
+                       accepted_rack_candidates, extract_crops,
                        generate_labeled_dataset, label_candidate,
                        refined_camera_z, score_candidates, select_target,
                        train_discriminator)
@@ -21,7 +21,7 @@ __all__ = [
     "accepted_rack_candidates",
     "cht_params_for",
     "detect_circles",
-    "extract_crop",
+    "extract_crops",
     "forward",
     "generate_labeled_dataset",
     "init_weights",

@@ -40,32 +40,49 @@ class ScoredCandidate:
     p_occupied: float
 
 
-def extract_crop(image: np.ndarray, u: float, v: float, r: float,
-                 crop_size: int = 32, margin: float = 1.1) -> np.ndarray:
-    """Bilinear crop of side 2*margin*r, resampled to crop_size and scaled to [0, 1].
+def extract_crops(image: np.ndarray, u, v, r, crop_size: int = 32,
+                  margin: float = 1.1) -> np.ndarray:
+    """Bilinear crops of side 2*margin*r around each (u, v), resampled to
+    crop_size and scaled to [0, 1]: shape (n, crop_size, crop_size) float32.
 
-    Samples outside the image replicate the border pixel.
+    ``u``, ``v`` and ``r`` are sequences of equal length n. Samples outside
+    the image replicate the border pixel. A crop's sample columns depend
+    only on its column and its sample rows only on its row, so they are
+    floored and clipped once per crop side; each bilinear corner is then
+    read for all crops at once.
     """
     img = np.asarray(image, dtype=np.float32)
     if img.ndim != 2:
         raise ValueError(f"expected 2-D image, got shape {img.shape}")
+    u, v, r = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (u, v, r))
+    if not u.shape == v.shape == r.shape:
+        raise ValueError(f"u, v and r differ in length: "
+                         f"{u.shape[0]}, {v.shape[0]}, {r.shape[0]}")
     h, w = img.shape
     half = margin * r
     t = (np.arange(crop_size) + 0.5) / crop_size * 2.0 - 1.0
-    uu, vv = np.meshgrid(u + t * half, v + t * half)
+    uu = u + t * half  # (n, crop_size): sample columns of each crop
+    vv = v + t * half  # (n, crop_size): sample rows of each crop
     u0 = np.floor(uu).astype(int)
     v0 = np.floor(vv).astype(int)
-    du = (uu - u0).astype(np.float32)
-    dv = (vv - v0).astype(np.float32)
-    u0c = np.clip(u0, 0, w - 1)
-    u1c = np.clip(u0 + 1, 0, w - 1)
-    v0c = np.clip(v0, 0, h - 1)
-    v1c = np.clip(v0 + 1, 0, h - 1)
+    du = (uu - u0).astype(np.float32)[:, None, :]
+    dv = (vv - v0).astype(np.float32)[:, :, None]
+    u0c = np.clip(u0, 0, w - 1)[:, None, :]
+    u1c = np.clip(u0 + 1, 0, w - 1)[:, None, :]
+    v0c = np.clip(v0, 0, h - 1)[:, :, None]
+    v1c = np.clip(v0 + 1, 0, h - 1)[:, :, None]
     out = (img[v0c, u0c] * (1 - du) * (1 - dv)
            + img[v0c, u1c] * du * (1 - dv)
            + img[v1c, u0c] * (1 - du) * dv
            + img[v1c, u1c] * du * dv)
     return out / np.float32(255.0)
+
+
+def _crops_of(image: np.ndarray, candidates: list[Candidate],
+              crop_size: int) -> np.ndarray:
+    return extract_crops(image, [c.u for c in candidates],
+                         [c.v for c in candidates], [c.r for c in candidates],
+                         crop_size)
 
 
 def refined_camera_z(config: WorkspaceConfig) -> float:
@@ -123,13 +140,12 @@ def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream,
                                 config.rack.height, intr, eff)
         pitch_px = config.rack.pitch * config.camera.fx / (eff.z - config.rack.height)
         occ = scene.occupancy.ravel()
-        for cand in cands:
-            label = label_candidate(cand.u, cand.v, su, sv, occ, pitch_px)
-            crops.append(extract_crop(image, cand.u, cand.v, cand.r, cs))
-            labels.append(int(label))
+        labels += [int(label_candidate(c.u, c.v, su, sv, occ, pitch_px))
+                   for c in cands]
+        crops.append(_crops_of(image, cands, cs))
     if not crops:
         raise RuntimeError("dataset generation produced no candidates")
-    return np.stack(crops)[:, None, :, :], np.asarray(labels, dtype=np.int64)
+    return np.concatenate(crops)[:, None, :, :], np.asarray(labels, dtype=np.int64)
 
 
 def dump_dataset(out_dir, crops: np.ndarray, labels: np.ndarray):
@@ -174,8 +190,7 @@ def score_candidates(image: np.ndarray, candidates: list[Candidate],
                      weights: CnnWeights, crop_size: int = 32) -> list[ScoredCandidate]:
     if not candidates:
         return []
-    batch = np.stack([extract_crop(image, c.u, c.v, c.r, crop_size)
-                      for c in candidates])[:, None, :, :]
+    batch = _crops_of(image, candidates, crop_size)[:, None, :, :]
     probs, _ = forward(batch, weights)
     return [ScoredCandidate(candidate=c, p_rack=float(p[0]), p_occupied=float(p[1]))
             for c, p in zip(candidates, probs)]

@@ -451,6 +451,15 @@ _GAP_DARK = 55.0
 _CAP_GRAY = 140.0
 _CAP_DOT = 110.0
 _RIM_HALF = 0.0008  # rim line half-thickness, meters
+_SLACK = 1e-6  # meters added to each drawing box against rounding
+
+
+def _span(coord: np.ndarray, centre: float, reach: float) -> slice | None:
+    """Pixel indices whose plane coordinate ``coord`` lies within ``reach``
+    of ``centre``. ``coord`` is monotonic, so they are one slice; None when
+    there are none."""
+    hit = np.flatnonzero(np.abs(coord - centre) <= reach)
+    return slice(hit[0], hit[-1] + 1) if hit.size else None
 
 
 def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
@@ -460,6 +469,10 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     calibration bias (angular error scales with height) plus fresh per-shot
     jitter; controllers inverting pixels through the requested pose therefore
     inherit exactly that bias. Returns a uint8 image of the camera's size.
+
+    On the nadir camera a plane's x depends only on the pixel column and y
+    only on the row, so every shape is drawn from one row and one column of
+    plane coordinates, inside the box that can hold it.
     """
     cfg = scene.config
     cam = cfg.camera
@@ -474,49 +487,54 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z, 0.0)
     scene.last_render_cam = eff
 
-    img = np.empty((H, W), dtype=float)
-
     # Table plane: gradient, two straight seams, ring-shaped clutter.
-    tx, ty = plane_grid(intr, eff, 0.0, W, H)
+    gx, gy = plane_grid(intr, eff, 0.0, W, H)
+    tx, ty = gx[0], gy[:, 0]
     ws = cfg.workspace
     cx0 = (ws.x_min + ws.x_max) / 2.0
     cy0 = (ws.y_min + ws.y_max) / 2.0
-    img[:] = _TABLE_BASE + 50.0 * (tx - cx0) + 35.0 * (ty - cy0)
+    img = ((_TABLE_BASE + 50.0 * (tx - cx0))[None, :]
+           + (35.0 * (ty - cy0))[:, None])
     img[np.abs(ty - (cy0 - 0.11)) < 0.0012] = 130.0
-    img[np.abs(tx - (cx0 + 0.13)) < 0.0012] = 135.0
+    img[:, np.abs(tx - (cx0 + 0.13)) < 0.0012] = 135.0
     for dx, dy, dr, shade in scene.distractors:
-        dd = np.hypot(tx - dx, ty - dy)
-        img[np.abs(dd - dr) < _RIM_HALF] = shade
+        reach = dr + _RIM_HALF + _SLACK
+        rows, cols = _span(ty, dy, reach), _span(tx, dx, reach)
+        if rows is None or cols is None:
+            continue
+        dd = np.hypot(tx[None, cols] - dx, ty[rows, None] - dy)
+        img[rows, cols][np.abs(dd - dr) < _RIM_HALF] = shade
 
     # Rack plane: body mask plus per-slot detail.
-    rx, ry = plane_grid(intr, eff, cfg.rack.height, W, H)
-    c, s = np.cos(scene.rack_yaw), np.sin(scene.rack_yaw)
-    dxr = rx - scene.rack_xy[0]
-    dyr = ry - scene.rack_xy[1]
-    lx = c * dxr + s * dyr
-    ly = -s * dxr + c * dyr
-    rack_mask = (np.abs(lx) <= cfg.rack.footprint_w / 2) & \
-                (np.abs(ly) <= cfg.rack.footprint_h / 2)
-    img[rack_mask] = _RACK_BODY
+    gx, gy = plane_grid(intr, eff, cfg.rack.height, W, H)
+    rx, ry = gx[0], gy[:, 0]
+    rack = cfg.rack
+    reach = float(np.hypot(rack.footprint_w, rack.footprint_h)) / 2.0 + _SLACK
+    rows = _span(ry, scene.rack_xy[1], reach)
+    cols = _span(rx, scene.rack_xy[0], reach)
+    if rows is not None and cols is not None:
+        c, s = np.cos(scene.rack_yaw), np.sin(scene.rack_yaw)
+        dxr = rx[None, cols] - scene.rack_xy[0]
+        dyr = ry[rows, None] - scene.rack_xy[1]
+        lx = c * dxr + s * dyr
+        ly = -s * dxr + c * dyr
+        inside = (np.abs(lx) <= rack.footprint_w / 2) & \
+                 (np.abs(ly) <= rack.footprint_h / 2)
+        img[rows, cols][inside] = _RACK_BODY
 
     centers = slot_centers(scene)
     occ = scene.occupancy.ravel()
-    slot_r = cfg.rack.slot_radius
-    box_m = slot_r + 0.003
+    slot_r = rack.slot_radius
+    half = int(np.ceil((slot_r + 0.003) * intr.fx / depth)) + 2
+    us, vs = world_to_pixel(centers[:, 0], centers[:, 1], rack.height, intr, eff)
     for idx in range(centers.shape[0]):
         sx, sy = centers[idx]
-        try:
-            u, v = world_to_pixel(sx, sy, cfg.rack.height, intr, eff)
-        except ValueError:
-            continue
-        half = int(np.ceil(box_m * intr.fx / depth)) + 2
-        u0, u1 = int(u) - half, int(u) + half + 1
-        v0, v1 = int(v) - half, int(v) + half + 1
-        u0, u1 = max(u0, 0), min(u1, W)
-        v0, v1 = max(v0, 0), min(v1, H)
+        u, v = int(us[idx]), int(vs[idx])
+        u0, u1 = max(u - half, 0), min(u + half + 1, W)
+        v0, v1 = max(v - half, 0), min(v + half + 1, H)
         if u0 >= u1 or v0 >= v1:
             continue
-        d = np.hypot(rx[v0:v1, u0:u1] - sx, ry[v0:v1, u0:u1] - sy)
+        d = np.hypot(rx[None, u0:u1] - sx, ry[v0:v1, None] - sy)
         patch = img[v0:v1, u0:u1]
         interior = d <= slot_r - _RIM_HALF
         if occ[idx]:
@@ -528,7 +546,8 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
         patch[np.abs(d - slot_r) <= _RIM_HALF] = _RIM_DARK
 
     img += scene.rng.normal(0.0, cfg.noise.sigma_pixel, (H, W))
-    return np.clip(img, 0.0, 255.0).astype(np.uint8)
+    np.clip(img, 0.0, 255.0, out=img)
+    return img.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

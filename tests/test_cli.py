@@ -68,7 +68,8 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
     assert "short.cal" in lines[0] and "gap.weights" in lines[1]
 
 
-_GOOD_RECORD = (b'{"attempts": 1, "final_offset": null, "modality": "force", '
+_GOOD_RECORD = (b'{"attempts": 1, "final_offset": [0.0004, -0.0002], '
+                b'"modality": "force", '
                 b'"outcomes": [{"position": [0.1, 0.2], "result": "inserted"}], '
                 b'"placement": "inserted", "runtime_s": 9.5, "success": true, '
                 b'"trial_index": 0}')
@@ -111,6 +112,43 @@ _GOOD_RECORD = (b'{"attempts": 1, "final_offset": null, "modality": "force", '
     pytest.param(_GOOD_RECORD.replace(
         b'[{"position": [0.1, 0.2], "result": "inserted"}]', b'[]'),
         "no outcomes", id="no-outcomes"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'null'),
+                 "inserted trial has no final_offset", id="inserted-no-offset"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'null')
+                 .replace(b'"result": "inserted"', b'"result": "released_failed"')
+                 .replace(b'"success": true', b'"success": false'),
+                 "released_failed trial has no final_offset",
+                 id="released-no-offset"),
+    pytest.param(_GOOD_RECORD.replace(b'"success": true', b'"success": "no"'),
+                 "success must be true or false, got 'no'", id="success-string"),
+    pytest.param(_GOOD_RECORD.replace(b'"success": true', b'"success": 1'),
+                 "success must be true or false, got 1", id="success-int"),
+    pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5', b'"runtime_s": "nan"'),
+                 "runtime_s must be a number, got 'nan'", id="runtime-string"),
+    pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5', b'"runtime_s": NaN'),
+                 "runtime_s must be finite and >= 0, got nan", id="runtime-nan"),
+    pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5', b'"runtime_s": -1'),
+                 "runtime_s must be finite and >= 0, got -1.0",
+                 id="runtime-negative"),
+    pytest.param(_GOOD_RECORD.replace(b'"attempts": 1', b'"attempts": "1"'),
+                 "attempts must be an integer, got '1'", id="attempts-string"),
+    pytest.param(_GOOD_RECORD.replace(b'"attempts": 1', b'"attempts": true'),
+                 "attempts must be an integer, got True", id="attempts-bool"),
+    pytest.param(_GOOD_RECORD.replace(b'"attempts": 1', b'"attempts": 1.5'),
+                 "attempts must be an integer, got 1.5", id="attempts-float"),
+    pytest.param(_GOOD_RECORD.replace(b'"trial_index": 0', b'"trial_index": "0"'),
+                 "trial_index must be an integer, got '0'",
+                 id="trial-index-string"),
+    pytest.param(_GOOD_RECORD.replace(b'"trial_index": 0', b'"trial_index": false'),
+                 "trial_index must be an integer, got False",
+                 id="trial-index-bool"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.1, 0.2]', b'["0.1", 0.2]'),
+                 "position must be a number, got '0.1'", id="position-string"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.1, 0.2]', b'[0.1]'),
+                 "position must be a list of two numbers", id="position-short"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'[0.0004, null]'),
+                 "final_offset must be a number, got None",
+                 id="final-offset-null-entry"),
 ])
 def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
                                                   fragment):

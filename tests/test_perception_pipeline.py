@@ -11,7 +11,7 @@ from vialbench.perception.pipeline import (
     ScoredCandidate,
     accepted_rack_candidates,
     dump_dataset,
-    extract_crop,
+    extract_crops,
     generate_labeled_dataset,
     label_candidate,
     refined_camera_z,
@@ -26,33 +26,41 @@ from vialbench.pgm import read_pgm
 
 def test_crop_uniform_image():
     img = np.full((64, 64), 100.0)
-    crop = extract_crop(img, 32.0, 32.0, 8.0)
-    assert crop.shape == (32, 32)
-    assert crop.dtype == np.float32
-    np.testing.assert_allclose(crop, 100.0 / 255.0, rtol=1e-6)
+    crops = extract_crops(img, [32.0, 10.0], [32.0, 50.0], [8.0, 5.0])
+    assert crops.shape == (2, 32, 32)
+    assert crops.dtype == np.float32
+    np.testing.assert_allclose(crops, 100.0 / 255.0, rtol=1e-6)
 
 def test_crop_interior_bilinear_exact_on_ramp():
-    # bilinear interpolation reproduces an affine image exactly, so the
-    # resampled crop must equal the ramp evaluated at the sample points
+    # bilinear interpolation reproduces an affine image exactly, so each
+    # resampled crop must equal the ramp evaluated at its sample points
     h = w = 96
     yy, xx = np.mgrid[0:h, 0:w].astype(float)
     img = 2.0 * xx + 3.0 * yy
-    u, v, r, cs, margin = 48.0, 40.0, 10.0, 32, 1.1
-    crop = extract_crop(img, u, v, r, cs, margin)
+    cs, margin = 32, 1.1
+    u, v, r = [48.0, 30.5], [40.0, 61.25], [10.0, 7.5]
+    crops = extract_crops(img, u, v, r, cs, margin)
     t = (np.arange(cs) + 0.5) / cs * 2.0 - 1.0
-    uu, vv = np.meshgrid(u + t * margin * r, v + t * margin * r)
-    expected = (2.0 * uu + 3.0 * vv) / 255.0
-    np.testing.assert_allclose(crop, expected, atol=1e-4)
+    for crop, cu, cv, cr in zip(crops, u, v, r):
+        uu, vv = np.meshgrid(cu + t * margin * cr, cv + t * margin * cr)
+        expected = (2.0 * uu + 3.0 * vv) / 255.0
+        np.testing.assert_allclose(crop, expected, atol=1e-4)
 
 def test_crop_replicates_border():
     img = np.full((32, 32), 50.0)
     img[0, 0] = 7.0
-    crop = extract_crop(img, -40.0, -40.0, 3.0)
-    np.testing.assert_allclose(crop, 7.0 / 255.0, rtol=1e-6)
+    img[31, 31] = 9.0
+    crops = extract_crops(img, [-40.0, 80.0], [-40.0, 90.0], [3.0, 3.0])
+    np.testing.assert_allclose(crops[0], 7.0 / 255.0, rtol=1e-6)
+    np.testing.assert_allclose(crops[1], 9.0 / 255.0, rtol=1e-6)
 
 def test_crop_rejects_color_image():
     with pytest.raises(ValueError):
-        extract_crop(np.zeros((16, 16, 3)), 8.0, 8.0, 4.0)
+        extract_crops(np.zeros((16, 16, 3)), [8.0], [8.0], [4.0])
+
+def test_crop_rejects_ragged_candidates():
+    with pytest.raises(ValueError):
+        extract_crops(np.zeros((16, 16)), [8.0, 9.0], [8.0], [4.0, 4.0])
 
 
 # ---------------------------------------------------------------- labels

@@ -96,7 +96,8 @@ _outcome = st.builds(
 @st.composite
 def _record(draw):
     """A record that keeps ``check_record``'s rules; every other field is
-    drawn freely. No trial both finds no target and safety-stops."""
+    drawn freely. No trial both finds no target and safety-stops, and one
+    that ends in a release has a final offset."""
     outcomes = draw(st.lists(_outcome, min_size=1, max_size=6).map(tuple)
                     .filter(lambda os: not {"no_target", "safety_stop"}
                             <= {o.result for o in os}))
@@ -107,6 +108,9 @@ def _record(draw):
         placement = "still_held"
     else:
         placement = draw(st.none() | st.sampled_from(PLACEMENTS))
+    offset = st.tuples(finite, finite)
+    if results[-1] not in ("inserted", "released_failed"):
+        offset = st.none() | offset
     return TrialRecord(
         modality=draw(st.sampled_from(MODALITIES)),
         trial_index=draw(st.integers(min_value=0, max_value=10 ** 6)),
@@ -114,7 +118,7 @@ def _record(draw):
         success=results[-1] == "inserted",
         runtime_s=draw(non_negative),
         outcomes=outcomes,
-        final_offset=draw(st.none() | st.tuples(finite, finite)),
+        final_offset=draw(offset),
         placement=placement)
 
 
@@ -149,6 +153,10 @@ _BREAKS = {
         r, outcomes=(_NOWHERE,), success=False, placement="dropped_on_table"),
     "safety_stop not held": lambda r: dataclasses.replace(
         r, outcomes=(_STOP,), success=False, placement=None),
+    "release without final_offset": lambda r: dataclasses.replace(
+        r, outcomes=r.outcomes[:-1] + (AttemptOutcome(
+            r.outcomes[-1].position, "released_failed"),), success=False,
+        final_offset=None),
 }
 
 
