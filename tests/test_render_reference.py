@@ -111,6 +111,21 @@ def test_rack_on_the_frame_edge_matches_reference(config, dx, dy):
     _render_both(config, 977, 5, pose_of)
 
 
+@pytest.mark.parametrize("turn", ["diagonal", "quarter", "negative"])
+def test_turned_rack_matches_reference(config, turn):
+    # with the footprint's diagonal along x, the rack spans its whole
+    # half-diagonal box, which is what its drawing box must allow for
+    rack = config.rack
+    yaw = {"diagonal": np.arctan2(rack.footprint_h, rack.footprint_w),
+           "quarter": np.pi / 2,
+           "negative": -np.arctan2(rack.footprint_w, rack.footprint_h)}[turn]
+
+    def edit(scene):
+        scene.rack_yaw = float(yaw)
+        scene._slots = None
+    _render_both(config, 42, 1, lambda s: config.camera.pose(), edit)
+
+
 def _assert_crops_match(image, u, v, r, crop_size=32):
     got = extract_crops(image, u, v, r, crop_size)
     assert got.shape == (len(u), crop_size, crop_size)
