@@ -88,23 +88,32 @@ def init_weights(gen: np.random.Generator, config: CnnConfig,
 
 
 def _conv_forward(x, w, b, stride=2, pad=2):
-    n, c, _, _ = x.shape
+    n, c, h, ww = x.shape
     ko, _, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + ww] = x
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     oh, ow = win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh, ow, c * k * k)
-    y = cols @ w.reshape(ko, -1).T + b
+    y = cols @ w.reshape(ko, -1).T
+    y += b
     return y.transpose(0, 3, 1, 2), cols
 
 
-def _conv_backward(dy, cols, w, x_shape, stride=2, pad=2):
+def _conv_param_grads(dy, cols, w):
+    """Weight and bias gradients of a convolution from its output gradient."""
+    dyt = dy.transpose(0, 2, 3, 1)
+    dw = np.tensordot(dyt, cols, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
+    return dw, dyt.sum(axis=(0, 1, 2))
+
+
+def _conv_input_grad(dy, w, x_shape, stride=2, pad=2):
+    """Input gradient of a convolution: col2im of ``dy @ w``, one kernel tap
+    at a time."""
     n, c, h, ww = x_shape
     ko, _, k, _ = w.shape
     dyt = dy.transpose(0, 2, 3, 1)
     oh, ow = dyt.shape[1], dyt.shape[2]
-    dw = np.tensordot(dyt, cols, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
-    db = dyt.sum(axis=(0, 1, 2))
     dcols = (dyt @ w.reshape(ko, -1)).reshape(n, oh, ow, c, k, k)
     dxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=dy.dtype)
     rows = stride * np.arange(oh)
@@ -113,26 +122,46 @@ def _conv_backward(dy, cols, w, x_shape, stride=2, pad=2):
         for kj in range(k):
             dxp[:, :, ki + rows[:, None], kj + col_idx[None, :]] += \
                 dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-    return dxp[:, :, pad:pad + h, pad:pad + ww], dw, db
+    return dxp[:, :, pad:pad + h, pad:pad + ww]
+
+
+# The four cells of a 2x2 pooling window, in row-major order.
+_POOL_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _pool_forward(x):
-    n, c, h, w = x.shape
-    xr = (x.reshape(n, c, h // 2, 2, w // 2, 2)
-           .transpose(0, 1, 2, 4, 3, 5)
-           .reshape(n, c, h // 2, w // 2, 4))
-    idx = xr.argmax(axis=-1)
-    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+    """2x2 max-pooling: the elementwise maximum of the four strided views.
+
+    ``np.maximum`` keeps its second argument on a tie, so of a -0.0 and a
+    0.0 it may return either. Both pools read ReLU outputs, which hold no
+    -0.0, so the result is the value ``argmax`` would pick, bit for bit.
+    """
+    v = [x[:, :, a::2, b::2] for a, b in _POOL_CELLS]
+    out = np.maximum(v[0], v[1])
+    np.maximum(out, v[2], out=out)
+    np.maximum(out, v[3], out=out)
+    return out
 
 
-def _pool_backward(dy, idx, x_shape):
-    n, c, h, w = x_shape
-    flat = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
-    np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
-    return (flat.reshape(n, c, h // 2, w // 2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w))
+def _relu_pool_backward(dy, a, out):
+    """Gradient at the input of ReLU-then-pool, from the pooled gradient.
+
+    ``a`` is the ReLU output and ``out`` its pooled maximum. Each window's
+    gradient goes to the first cell, in row-major order, that holds the
+    maximum: the cell ``argmax`` picks, ties included. It is gated there by
+    ``out > 0``, which at that cell is the ReLU's own ``z > 0``, so the
+    product is ``dy * (z > 0)`` bit for bit, signed zeros included.
+    """
+    dz = np.empty(a.shape, dtype=dy.dtype)
+    gated = dy * (out > 0)
+    free = np.ones(out.shape, dtype=bool)
+    for i, j in _POOL_CELLS[:-1]:
+        hit = a[:, :, i::2, j::2] == out
+        hit &= free
+        dz[:, :, i::2, j::2] = np.where(hit, gated, 0)
+        free ^= hit
+    dz[:, :, 1::2, 1::2] = np.where(free, gated, 0)
+    return dz
 
 
 def _sigmoid(z):
@@ -155,18 +184,17 @@ def forward(x: np.ndarray, weights: CnnWeights):
         x = x[:, None, :, :]
     z1, cols1 = _conv_forward(x, weights.conv1_w, weights.conv1_b)
     a1 = np.maximum(z1, 0)
-    p1, idx1 = _pool_forward(a1)
+    p1 = _pool_forward(a1)
     z2, cols2 = _conv_forward(p1, weights.conv2_w, weights.conv2_b)
     a2 = np.maximum(z2, 0)
-    p2, idx2 = _pool_forward(a2)
+    p2 = _pool_forward(a2)
     flat = p2.reshape(x.shape[0], -1)
     h1 = flat @ weights.fc1_w + weights.fc1_b
     a3 = np.maximum(h1, 0)
     h2 = a3 @ weights.fc2_w + weights.fc2_b
     a4 = np.maximum(h2, 0)
     logits = a4 @ weights.fc3_w + weights.fc3_b
-    cache = (x, z1, cols1, a1, p1, idx1, z2, cols2, a2, p2, idx2,
-             flat, h1, a3, h2, a4, logits)
+    cache = (x, cols1, a1, p1, cols2, a2, p2, flat, h1, a3, h2, a4, logits)
     return _sigmoid(logits), cache
 
 
@@ -183,8 +211,7 @@ def loss_and_grads(weights: CnnWeights, x: np.ndarray, targets: np.ndarray,
     contribution for that sample entirely.
     """
     probs, cache = forward(x, weights)
-    (xin, z1, cols1, a1, p1, idx1, z2, cols2, a2, p2, idx2,
-     flat, h1, a3, h2, a4, logits) = cache
+    xin, cols1, a1, p1, cols2, a2, p2, flat, h1, a3, h2, a4, logits = cache
     n = xin.shape[0]
     t = np.asarray(targets, dtype=logits.dtype)
     m = np.asarray(mask, dtype=logits.dtype)
@@ -203,12 +230,12 @@ def loss_and_grads(weights: CnnWeights, x: np.ndarray, targets: np.ndarray,
     dfc1_b = dh1.sum(axis=0)
     dflat = dh1 @ weights.fc1_w.T
     dp2 = dflat.reshape(p2.shape)
-    da2 = _pool_backward(dp2, idx2, a2.shape)
-    dz2 = da2 * (z2 > 0)
-    dp1, dconv2_w, dconv2_b = _conv_backward(dz2, cols2, weights.conv2_w, p1.shape)
-    da1 = _pool_backward(dp1, idx1, a1.shape)
-    dz1 = da1 * (z1 > 0)
-    _, dconv1_w, dconv1_b = _conv_backward(dz1, cols1, weights.conv1_w, xin.shape)
+    dz2 = _relu_pool_backward(dp2, a2, p2)
+    dconv2_w, dconv2_b = _conv_param_grads(dz2, cols2, weights.conv2_w)
+    dp1 = _conv_input_grad(dz2, weights.conv2_w, p1.shape)
+    dz1 = _relu_pool_backward(dp1, a1, p1)
+    # The input gradient stops at conv2: nothing below conv1 is trained.
+    dconv1_w, dconv1_b = _conv_param_grads(dz1, cols1, weights.conv1_w)
 
     grads = {
         "conv1_w": dconv1_w, "conv1_b": dconv1_b,

@@ -79,15 +79,15 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     the filter makes them, only on the (radius, row) lines around those
     cells; see ``_box_lines``.
     """
-    img = np.asarray(image, dtype=float)
+    img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError(f"expected 2-D grayscale image, got shape {img.shape}")
     h, w = img.shape
-    gx = ndimage.sobel(img, axis=1, mode="nearest")
-    gy = ndimage.sobel(img, axis=0, mode="nearest")
+    gx, gy = _sobel(img)
     # hypot only where the squared magnitude can reach the threshold
     ey, ex = np.nonzero(gx * gx + gy * gy >= (params.edge_thresh * (1.0 - 1e-9)) ** 2)
-    gx, gy = gx[ey, ex], gy[ey, ex]
+    gx = gx[ey, ex].astype(float, copy=False)
+    gy = gy[ey, ex].astype(float, copy=False)
     mag = np.hypot(gx, gy)
     edge = mag >= params.edge_thresh
     if not edge.any():
@@ -131,18 +131,24 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     ci, cv, cu = np.unravel_index(np.flatnonzero(mask), mask.shape)
     if ci.size == 0:
         return []
-    # Float lines: the candidates' rows +-1 (local maxima) at radius +-1 (_refine).
-    lines = np.nonzero(ndimage.binary_dilation(mask.any(axis=2),
-                                               np.ones((3, 3), dtype=bool)))
-    slices = np.zeros((n, h, w))
-    slices[lines] = _box_lines(col, lines)
+    # Float lines: the candidates' rows +-1 (local maxima) at radius +-1
+    # (_refine). ``line[i, v]`` is the row of ``scores`` that holds line
+    # (i, v), -1 for a line not built; every line read below is built.
+    li, lv = np.nonzero(ndimage.binary_dilation(mask.any(axis=2),
+                                                np.ones((3, 3), dtype=bool)))
+    scores = _box_lines(col, (li, lv))
+    line = np.full((n, h), -1, dtype=np.intp)
+    line[li, lv] = np.arange(li.size)
 
-    votes = slices[ci, cv, cu]
-    peak = votes >= thresh[ci]
     # A clipped index still names a cell of the 3x3 window, and a score that
     # passes the threshold is above the 0.0 outside the image.
+    at_row = {dv: line[ci, np.clip(cv + dv, 0, h - 1)] for dv in (-1, 0, 1)}
+    at_col = {du: np.clip(cu + du, 0, w - 1) for du in (-1, 1)}
+    at_col[0] = cu
+    votes = scores[at_row[0], cu]
+    peak = votes >= thresh[ci]
     for dv, du in _NEIGHBOURS:
-        peak &= votes >= slices[ci, np.clip(cv + dv, 0, h - 1), np.clip(cu + du, 0, w - 1)]
+        peak &= votes >= scores[at_row[dv], at_col[du]]
     votes = votes[peak]
     u = cu[peak].astype(float)
     v = cv[peak].astype(float)
@@ -158,13 +164,36 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     out = []
     k = 0
     while True:
-        ru, rv, rr = _refine(slices, radii, float(u[k]), float(v[k]), float(r[k]))
+        ru, rv, rr = _refine(scores, line, radii, float(u[k]), float(v[k]), float(r[k]))
         out.append(Candidate(u=ru, v=rv, r=rr, votes=float(votes[k])))
         alive &= (u - u[k]) ** 2 + (v - v[k]) ** 2 >= nms ** 2
         rest = np.flatnonzero(alive[k + 1:])
         if rest.size == 0:
             return out
         k += 1 + int(rest[0])
+
+
+def _sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ndimage.sobel`` along axis 1 and along axis 0, ``mode="nearest"``.
+
+    scipy runs each as two ``correlate1d`` passes over the edge-padded
+    image: the antisymmetric [-1, 0, 1] along the axis, ``x[i+1] - x[i-1]``,
+    then the symmetric [1, 2, 1] across it, ``d[i] * 2 + (d[i-1] + d[i+1])``.
+    The same formulas on slices give the same floats bit for bit on finite
+    images; scipy's extra ``0 * x[i]`` term can only turn a +0.0 into -0.0
+    at a negative pixel, and the sign of a zero gradient reaches no
+    candidate. Byte images are differenced exactly in int32, everything
+    else in float64.
+    """
+    dtype = np.int32 if img.dtype.kind in "iu" and img.dtype.itemsize == 1 else float
+    p = np.pad(img.astype(dtype, copy=False), 1, mode="edge")
+    d = p[:, 2:] - p[:, :-2]
+    gx = d[1:-1] * 2
+    gx += d[:-2] + d[2:]
+    d = p[2:] - p[:-2]
+    gy = d[:, 1:-1] * 2
+    gy += d[:, :-2] + d[:, 2:]
+    return gx, gy
 
 
 def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -182,14 +211,20 @@ def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray]) -> np.ndar
     return ndimage.uniform_filter1d(first, 3, axis=1, mode="constant") * 9.0
 
 
-def _refine(slices: np.ndarray, radii: np.ndarray, u: float, v: float, r: float):
-    """Sub-pixel center and radius by center-of-mass over the peak's 3x3x3."""
+def _refine(scores: np.ndarray, line: np.ndarray, radii: np.ndarray,
+            u: float, v: float, r: float):
+    """Sub-pixel center and radius by center-of-mass over the peak's 3x3x3.
+
+    The block's lines are gathered into a (radii, rows, w) buffer and then
+    sliced on columns: the stride layout of the dense (radii, h, w) stack
+    the seed detector summed, so numpy adds the cells in the same order.
+    """
     i = int(np.searchsorted(radii, r))
     ui, vi = int(u), int(v)
     i0, i1 = max(i - 1, 0), min(i + 2, len(radii))
-    u0, u1 = max(ui - 1, 0), min(ui + 2, slices.shape[2])
-    v0, v1 = max(vi - 1, 0), min(vi + 2, slices.shape[1])
-    block = slices[i0:i1, v0:v1, u0:u1]
+    u0, u1 = max(ui - 1, 0), min(ui + 2, scores.shape[1])
+    v0, v1 = max(vi - 1, 0), min(vi + 2, line.shape[1])
+    block = scores[line[i0:i1, v0:v1]][:, :, u0:u1]
     total = block.sum()
     if total <= 0:
         return u, v, r

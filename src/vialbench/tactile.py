@@ -150,8 +150,9 @@ def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> list[tuple[int, in
     return [(p // stride - 1, p % stride - 1) for p in trail]
 
 
-def polygon_area(border: list[tuple[int, int]]) -> float:
-    """Shoelace area of a traced border (vertices at pixel centers)."""
+def polygon_area(border) -> float:
+    """Shoelace area of a traced border (vertices at pixel centers): a list
+    of ``(row, col)`` pairs or an ``(n, 2)`` array."""
     if len(border) < 3:
         return 0.0
     pts = np.asarray(border, dtype=float)
@@ -172,10 +173,10 @@ def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]
         mask = labeled == lbl
         flat = int(np.argmax(mask))
         border = _moore_trace(mask, (flat // w, flat % w))
-        area = polygon_area(border)
+        pts = np.asarray(border, dtype=float)
+        area = polygon_area(pts)
         if area < min_area:
             continue
-        pts = np.asarray(border, dtype=float)
         regions.append(ContactRegion(
             centroid=(float(pts[:, 1].mean()), float(pts[:, 0].mean())),
             area=area,

@@ -1,7 +1,12 @@
 """From-scratch network: forward pass, gradients, training, weight files."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import numeric_gradient
 from vialbench.core import CnnConfig
@@ -124,14 +129,23 @@ def test_occupancy_head_masked_for_clutter():
     assert targets[2, 1] == 1.0
 
 
-def test_weights_file_round_trip(tmp_path):
-    w = init_weights(np.random.default_rng(21), CFG)
-    path = tmp_path / "net.weights"
-    save_weights(path, w)
-    back = load_weights(path)
-    for f in names(w):
-        assert np.array_equal(getattr(w, f), getattr(back, f))
-    assert back.conv1_w.dtype == np.float32
+@settings(max_examples=30, deadline=None)
+@given(k1=st.integers(1, 12), k2=st.integers(1, 24),
+       crop_size=st.sampled_from([16, 32, 48, 64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_weights_file_round_trip(k1, k2, crop_size, seed):
+    cfg = CnnConfig(k1=k1, k2=k2, crop_size=crop_size)
+    w = init_weights(np.random.default_rng(seed), cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.weights"
+        save_weights(path, w)
+        back = load_weights(path)
+        again = Path(tmp) / "again.weights"
+        save_weights(again, back)
+        assert again.read_bytes() == path.read_bytes()
+    for (name, arr), (_, got) in zip(w.tensors(), back.tensors()):
+        assert got.dtype == np.float32, name
+        assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
 
 
 def test_weights_file_magic_checked(tmp_path):

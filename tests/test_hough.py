@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
+import hough_reference
 from vialbench.core import load_config
 from vialbench.geometry import world_to_pixel
 from vialbench.perception.hough import (
     Candidate,
     ChtParams,
     cht_params_for,
+    _refine,
+    _sobel,
     detect_circles,
 )
 from vialbench.simworld import reset_trial, slot_centers
@@ -135,3 +142,51 @@ def test_rendered_rack_every_slot_recovered(config):
 def test_candidate_is_plain_record():
     c = Candidate(u=1.0, v=2.0, r=3.0, votes=4.0)
     assert (c.u, c.v, c.r, c.votes) == (1.0, 2.0, 3.0, 4.0)
+
+
+_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    hnp.arrays(np.uint8, _SHAPES),
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats(0.0, 255.0)),
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats(-1e6, 1e6))))
+def test_sobel_matches_scipy(image):
+    gx, gy = _sobel(image)
+    img = image.astype(float)
+    want_x = ndimage.sobel(img, axis=1, mode="nearest")
+    want_y = ndimage.sobel(img, axis=0, mode="nearest")
+    if image.dtype == np.uint8 or not (image < 0).any():
+        # bit for bit, the sign of zero included
+        assert gx.astype(float).tobytes() == want_x.tobytes()
+        assert gy.astype(float).tobytes() == want_y.tobytes()
+    else:
+        # scipy may give -0.0 where these give 0.0, nothing else
+        assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y)
+
+
+def test_refine_sums_like_the_dense_stack():
+    """``_refine`` on gathered lines equals the seed's on the dense stack."""
+    gen = np.random.default_rng(3)
+    n, h, w = 4, 9, 11
+    dense = gen.random((n, h, w)) * 10.0 ** gen.integers(0, 9, (n, h, w))
+    order = gen.permutation(n * h)
+    scores = dense.reshape(n * h, w)[order]
+    line = np.empty(n * h, dtype=np.intp)
+    line[order] = np.arange(n * h)
+    line = line.reshape(n, h)
+    radii = np.arange(5, 5 + n)
+    drift = 0
+    for i in range(n):
+        for v in range(h):
+            for u in range(w):
+                want = hough_reference._refine(dense, radii, float(u), float(v),
+                                               float(radii[i]))
+                assert _refine(scores, line, radii, float(u), float(v),
+                               float(radii[i])) == want
+                block = dense[max(i - 1, 0):i + 2, max(v - 1, 0):v + 2,
+                              max(u - 1, 0):u + 2]
+                drift += block.sum(axis=2).sum(axis=1).sum() != block.sum()
+    # summing in another order changes the floats, so this check has teeth
+    assert drift > 0
