@@ -189,16 +189,21 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int = 3,
 
     t0 = time.perf_counter()
     records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}
+    # Trial i of every modality sees the same scene, so its overview image
+    # repeats; each distinct overview is perceived once (see _run_trial).
+    seen: dict = {}
     for modality in modalities:
         for i in range(trials):
             stream = split_rng(master, i)
             if modality == "visual":
-                rec = run_visual_trial(config, stream, weights, trial_index=i)
+                rec = run_visual_trial(config, stream, weights, trial_index=i,
+                                       seen=seen)
             elif modality == "force":
-                rec = run_force_trial(config, stream, weights, trial_index=i)
+                rec = run_force_trial(config, stream, weights, trial_index=i,
+                                      seen=seen)
             else:
                 rec = run_tactile_trial(config, stream, weights, tactile_rig,
-                                        calibration, trial_index=i)
+                                        calibration, trial_index=i, seen=seen)
             records[modality].append(rec)
             if (i + 1) % 25 == 0:
                 note(f"{modality}: {i + 1}/{trials} trials")

@@ -28,6 +28,7 @@ and stop latency play out sample by sample.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,15 @@ def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.nda
 
 def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       mode: str, gen: np.random.Generator,
-                      ref_uv: tuple[float, float] | None = None):
+                      ref_uv: tuple[float, float] | None = None,
+                      seen: dict | None = None):
     """Take a picture, run the full perception stack, pick a vacant slot.
+
+    ``seen`` maps (image digest, shape, dtype, camera z) to the scored
+    candidates of an image already perceived with the same config and
+    weights; a hit skips circle detection and scoring. The picture is
+    always rendered and the pick always made, so every RNG draws as without
+    ``seen``.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
@@ -136,8 +144,18 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     cfg = scene.config
     advance_clock(scene, cfg.timing.image_s)
     image = render_topdown(scene, pose)
-    candidates = detect_circles(image, cht_params_for(cfg, pose.z))
-    scored = score_candidates(image, candidates, weights, cfg.cnn.crop_size)
+    scored = None
+    if seen is not None:
+        key = (hashlib.blake2b(image.tobytes()).digest(), image.shape,
+               image.dtype.str, pose.z)
+        scored = seen.get(key)
+    if scored is None:
+        candidates = detect_circles(image, cht_params_for(cfg, pose.z))
+        # A tuple, so that a result shared through ``seen`` cannot change.
+        scored = tuple(score_candidates(image, candidates, weights,
+                                        cfg.cnn.crop_size))
+        if seen is not None:
+            seen[key] = scored
     chosen = select_target(scored, mode, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)
     return scored, chosen
@@ -173,9 +191,14 @@ def _xy(position) -> tuple[float, float]:
 
 def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                weights: CnnWeights, trial_index: int, rig,
-               prepare, attempt_descent) -> TrialRecord:
+               prepare, attempt_descent,
+               seen: dict | None = None) -> TrialRecord:
     """The one trial loop: pick and grasp, prepare, then descend until the
     vial is released, lost or given up.
+
+    ``seen`` is the overview cache of ``_image_and_select``, shared by the
+    trials of one campaign (trial ``i`` of every modality sees the same
+    scene); None perceives every overview afresh.
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
@@ -208,7 +231,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     overview = config.camera.pose()
     try:
         scored, first = _image_and_select(scene, overview, weights,
-                                          "best_vacant", sel_gen)
+                                          "best_vacant", sel_gen, seen=seen)
         advance_clock(scene, config.timing.grasp_s)
         target = _project(config, overview, first.candidate.u, first.candidate.v)
         ctx, target = prepare(scene, sel_gen, target)
@@ -260,7 +283,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
                      weights: CnnWeights, trial_index: int = 0,
-                     rig=None) -> TrialRecord:
+                     rig=None, seen: dict | None = None) -> TrialRecord:
     """Vision-only: overhead pick, close-up refinement, open-loop insert."""
     cam = config.camera
     depth_z = config.rack.height - config.motion.visual_floor + config.vial.grip_height
@@ -280,12 +303,12 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
         return _descend_to_floor(scene, position, depth_z, lambda sample: None)
 
     return _run_trial("visual", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent)
+                      prepare, attempt_descent, seen)
 
 
 def run_force_trial(config: WorkspaceConfig, stream: RngStream,
                     weights: CnnWeights, trial_index: int = 0,
-                    rig=None) -> TrialRecord:
+                    rig=None, seen: dict | None = None) -> TrialRecord:
     """Force-guarded insertion with lattice-search recovery."""
 
     def prepare(scene, sel_gen, target):
@@ -312,7 +335,7 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
         return _descend_to_floor(scene, position, config.descent_floor_z(), check)
 
     return _run_trial("force", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent)
+                      prepare, attempt_descent, seen)
 
 
 def _finger_contacts(scene: SceneState, refs: dict[str, np.ndarray],
@@ -326,7 +349,8 @@ def _finger_contacts(scene: SceneState, refs: dict[str, np.ndarray],
 def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
                       weights: CnnWeights, rig,
                       calibration: dict[str, TactileCalibration],
-                      trial_index: int = 0) -> TrialRecord:
+                      trial_index: int = 0,
+                      seen: dict | None = None) -> TrialRecord:
     """Tactile-guided insertion: offset compensation plus slip-stop descents."""
     if rig is None or not rig.has_tactile:
         raise ValueError("tactile trials need a tactile-equipped rig")
@@ -380,7 +404,7 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
                                  check)
 
     return _run_trial("tactile", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent)
+                      prepare, attempt_descent, seen)
 
 
 def calibrate_rig(config: WorkspaceConfig, rig,

@@ -98,36 +98,46 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
 
     radii = np.arange(params.r_min, params.r_max + 1)
     n = len(radii)
-    # Vote row k is radius k % n, along +gradient for k < n, else along -.
-    step = np.concatenate([1.0 * radii, -1.0 * radii])[:, None]
-    vote_u = step * ux
-    vote_u += ex
-    np.rint(vote_u, out=vote_u)
-    vote_v = step * uy
-    vote_v += ey
-    np.rint(vote_v, out=vote_v)
-    # Votes outside the image land on a one-cell border that is then zeroed.
-    np.clip(vote_u, -1, w, out=vote_u)
-    np.clip(vote_v, -1, h, out=vote_v)
-    cell = vote_v + (np.tile(np.arange(n), 2) * (h + 2) + 1)[:, None]
-    cell *= w + 2
-    cell += vote_u + 1
+    thresh = params.vote_frac * 2.0 * np.pi * radii
     # A 3x3 box in one slice holds at most two votes per edge pixel.
     dtype = np.uint16 if 2 * ex.size <= np.iinfo(np.uint16).max else np.uint32
-    acc = np.bincount(cell.astype(np.intp).ravel(), minlength=n * (h + 2) * (w + 2))
-    acc = acc.astype(dtype).reshape(n, h + 2, w + 2)
-    acc[:, [0, -1]] = 0
-    acc[:, :, [0, -1]] = 0
-    # Exact vertical 3-sums; column u + 1 of ``col`` is image column u.
-    col = acc[:, :-2] + acc[:, 1:-1]
-    col += acc[:, 2:]
-    box = col[:, :, :-2] + col[:, :, 1:-1]
-    box += col[:, :, 2:]
-
-    thresh = params.vote_frac * 2.0 * np.pi * radii
-    # The float scores differ from ``box`` only by rounding drift, far below
-    # 0.5, so this keeps every cell whose score can reach ``thresh``.
-    mask = box >= np.ceil(thresh - 0.5).astype(dtype)[:, None, None]
+    # The float scores differ from the integer box sums only by rounding
+    # drift, far below 0.5, so ``mask`` keeps every cell whose score can
+    # reach ``thresh``.
+    floor = np.ceil(thresh - 0.5).astype(dtype)
+    # One radius slice at a time: the vote counts of a slice (with a
+    # one-cell border that catches votes outside the image and is then
+    # zeroed) and their 3x3 box sums are scratch; only the exact vertical
+    # 3-sums ``col`` and the threshold ``mask`` are kept for every radius.
+    # Column u + 1 of ``col`` is image column u.
+    acc = np.empty((h + 2, w + 2), dtype)
+    box = np.empty((h, w), dtype)
+    col = np.empty((n, h, w + 2), dtype)
+    mask = np.empty((n, h, w), dtype=bool)
+    for i, r in enumerate(radii):
+        # Row 0 votes along +gradient, row 1 along -.
+        step = np.array([[1.0 * r], [-1.0 * r]])
+        vote_u = step * ux
+        vote_u += ex
+        np.rint(vote_u, out=vote_u)
+        np.clip(vote_u, -1, w, out=vote_u)
+        vote_v = step * uy
+        vote_v += ey
+        np.rint(vote_v, out=vote_v)
+        np.clip(vote_v, -1, h, out=vote_v)
+        cell = vote_v + 1
+        cell *= w + 2
+        cell += vote_u + 1
+        counts = np.bincount(cell.astype(np.intp).ravel(),
+                             minlength=(h + 2) * (w + 2))
+        np.copyto(acc, counts.reshape(h + 2, w + 2), casting="unsafe")
+        acc[[0, -1]] = 0
+        acc[:, [0, -1]] = 0
+        np.add(acc[:-2], acc[1:-1], out=col[i])
+        col[i] += acc[2:]
+        np.add(col[i, :, :-2], col[i, :, 1:-1], out=box)
+        box += col[i, :, 2:]
+        np.greater_equal(box, floor[i], out=mask[i])
     ci, cv, cu = np.unravel_index(np.flatnonzero(mask), mask.shape)
     if ci.size == 0:
         return []

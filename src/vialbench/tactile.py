@@ -119,12 +119,13 @@ _BACK = tuple(_MOORE.index((_MOORE[j - 1][0] - _MOORE[j][0],
               for j in range(8))
 
 
-def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
+def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     """Clockwise outer-border trace from ``start`` (the first filled pixel in
     row-major order, so its west neighbor is guaranteed empty).
 
     The walk runs on flat indices into the mask padded by one empty cell, so
-    no step needs a bounds check.
+    no step needs a bounds check. Returns the border as an ``(n, 2)`` int
+    array of ``(row, col)`` vertices in trace order.
     """
     stride = mask.shape[1] + 2
     cells = np.pad(mask, 1).tobytes()  # one byte per cell: mask is bool
@@ -147,7 +148,7 @@ def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> list[tuple[int, in
         back = _BACK[j]
     else:
         raise RuntimeError("border trace failed to close")
-    return [(p // stride - 1, p % stride - 1) for p in trail]
+    return np.column_stack(np.divmod(np.array(trail), stride)) - 1
 
 
 def polygon_area(border) -> float:
@@ -173,14 +174,14 @@ def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]
         mask = labeled == lbl
         flat = int(np.argmax(mask))
         border = _moore_trace(mask, (flat // w, flat % w))
-        pts = np.asarray(border, dtype=float)
-        area = polygon_area(pts)
+        area = polygon_area(border)
         if area < min_area:
             continue
+        # Integer coordinates sum exactly, so these means equal the float ones.
         regions.append(ContactRegion(
-            centroid=(float(pts[:, 1].mean()), float(pts[:, 0].mean())),
+            centroid=(float(border[:, 1].mean()), float(border[:, 0].mean())),
             area=area,
-            border=tuple(border),
+            border=tuple(map(tuple, border.tolist())),
         ))
     regions.sort(key=lambda reg: (-reg.area, reg.centroid))
     return regions

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vialbench.core import ForceConfig, load_config
 from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
@@ -93,21 +95,22 @@ def test_buffer_rejects_bad_shapes():
         ForceBuffer(2).mean()
 
 
-def test_running_mean_matches_exact_mean():
-    """The incremental sum must not drift from the true window mean."""
-    gen = np.random.default_rng(12)
-    buf = ForceBuffer(125)
-    window = []
-    for i in range(50_000):
-        s = gen.normal(0, 1, 3) * 1e3
+@settings(max_examples=40, deadline=None)
+@given(capacity=st.integers(1, 200), pushes=st.integers(1, 10_000),
+       scale=st.floats(1e-3, 1e6), seed=st.integers(0, 2**32 - 1))
+@example(capacity=125, pushes=50_000, scale=1e3, seed=12)
+def test_running_mean_matches_exact_mean(capacity, pushes, scale, seed):
+    """The incremental sum must not drift from the true window mean, over
+    any window size and across the periodic exact refresh."""
+    samples = np.random.default_rng(seed).normal(0.0, scale, (pushes, 3))
+    buf = ForceBuffer(capacity)
+    for i, s in enumerate(samples):
         buf.push(s)
-        window.append(s)
-        window = window[-125:]
-        if i % 7_919 == 0 and len(window) == 125:
-            exact = np.mean(window, axis=0)
-            assert np.allclose(buf.mean(), exact, rtol=1e-12, atol=1e-9)
-    assert np.allclose(buf.mean(), np.mean(window, axis=0), rtol=1e-12,
-                       atol=1e-9)
+        if i % 997 == 0 or i == pushes - 1:
+            exact = samples[max(0, i + 1 - capacity):i + 1].mean(axis=0)
+            assert len(buf) == min(i + 1, capacity)
+            assert np.allclose(buf.mean(), exact, rtol=1e-12,
+                               atol=1e-11 * scale)
 
 
 def test_zero_noise_never_stops():

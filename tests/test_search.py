@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vialbench.search import compute_search_bounds, make_search, next_trial_positions
 
@@ -109,26 +111,44 @@ def brute_force_cells(width, height, spacing, max_e):
     return by_ring
 
 
+def assert_matches_oracle(center, width, height, spacing):
+    """Drained to the end, the search emits every in-envelope lattice cell
+    but the origin exactly once, at ``center + spacing * (ex, ey)``, one
+    whole Chebyshev ring per batch, rings in increasing order."""
+    search = make_search(center, width, height, spacing)
+    max_e = int(max(width, height) / 2 / spacing) + 2
+    oracle = brute_force_cells(width, height, spacing, max_e)
+    rings = []
+    for _ in range(max_e + 2):
+        batch = next_trial_positions(search)
+        if not batch:
+            break
+        offsets = np.rint((np.array(batch) - center) / spacing).astype(int)
+        assert np.array_equal(np.array(batch), center + spacing * offsets)
+        cells = {(round(spacing * ex, 12), round(spacing * ey, 12))
+                 for ex, ey in offsets}
+        assert len(cells) == len(batch)
+        ring = {max(abs(ex), abs(ey)) for ex, ey in offsets}
+        assert len(ring) == 1
+        rings.append(ring.pop())
+        assert cells == oracle[rings[-1]]
+    assert next_trial_positions(search) == []
+    assert search.exhausted
+    assert rings == sorted(oracle)
+
+
 @pytest.mark.parametrize("rw", [0.001, 0.004, 0.0075, 0.013, 0.02])
 @pytest.mark.parametrize("rh", [0.001, 0.004, 0.0075, 0.013, 0.02])
 def test_matches_brute_force_oracle(rw, rh):
-    st = make_search((0.0, 0.0), rw, rh, S)
-    oracle = brute_force_cells(rw, rh, S, 4)
-    got = {}
-    ring = 0
-    while True:
-        batch = next_trial_positions(st)
-        if not batch or st.expansion - 1 > 4:
-            break
-        ring = st.expansion - 1
-        got[ring] = {(round(x, 12), round(y, 12)) for x, y in map(tuple, batch)}
-    # the walk may have consumed several rings per batch only when earlier
-    # rings were fully clipped; compare as the union per ring index
-    flat_got = set().union(*got.values()) if got else set()
-    flat_oracle = set().union(*oracle.values()) if oracle else set()
-    assert flat_got == flat_oracle
-    for ring_idx, cells in got.items():
-        assert cells <= oracle.get(ring_idx, set())
+    assert_matches_oracle(np.zeros(2), rw, rh, S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       width=st.floats(0.0, 0.03), height=st.floats(0.0, 0.03),
+       spacing=st.floats(1e-3, 5e-3))
+def test_matches_brute_force_oracle_anywhere(center, width, height, spacing):
+    assert_matches_oracle(np.array(center), width, height, spacing)
 
 
 def test_search_terminates_everywhere():
