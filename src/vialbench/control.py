@@ -128,15 +128,15 @@ def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.nda
 
 def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       mode: str, gen: np.random.Generator,
-                      ref_uv: tuple[float, float] | None = None,
-                      seen: dict | None = None):
+                      ref_uv: tuple[float, float] | None = None, *,
+                      seen: dict):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
     ``seen`` maps (image digest, shape, dtype, camera z) to the scored
     candidates of an image already perceived with the same config and
-    weights; a hit skips circle detection and scoring. The picture is
-    always rendered and the pick always made, so every RNG draws as without
-    ``seen``.
+    weights; a hit skips circle detection and scoring, a miss adds its
+    result. The picture is always rendered and the pick always made, so
+    every RNG draws alike on a hit and on a miss.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
@@ -144,18 +144,14 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     cfg = scene.config
     advance_clock(scene, cfg.timing.image_s)
     image = render_topdown(scene, pose)
-    scored = None
-    if seen is not None:
-        key = (hashlib.blake2b(image.tobytes()).digest(), image.shape,
-               image.dtype.str, pose.z)
-        scored = seen.get(key)
+    key = (hashlib.blake2b(image.tobytes()).digest(), image.shape,
+           image.dtype.str, pose.z)
+    scored = seen.get(key)
     if scored is None:
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
         # A tuple, so that a result shared through ``seen`` cannot change.
-        scored = tuple(score_candidates(image, candidates, weights,
-                                        cfg.cnn.crop_size))
-        if seen is not None:
-            seen[key] = scored
+        scored = seen[key] = tuple(score_candidates(image, candidates, weights,
+                                                    cfg.cnn.crop_size))
     chosen = select_target(scored, mode, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)
     return scored, chosen
@@ -191,14 +187,13 @@ def _xy(position) -> tuple[float, float]:
 
 def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                weights: CnnWeights, trial_index: int, rig,
-               prepare, attempt_descent,
-               seen: dict | None = None) -> TrialRecord:
+               prepare, attempt_descent, seen: dict) -> TrialRecord:
     """The one trial loop: pick and grasp, prepare, then descend until the
     vial is released, lost or given up.
 
     ``seen`` is the overview cache of ``_image_and_select``, shared by the
     trials of one campaign (trial ``i`` of every modality sees the same
-    scene); None perceives every overview afresh.
+    scene); an empty dict perceives the overview afresh.
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
@@ -294,8 +289,10 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
         close_z = refined_camera_z(config)
         advance_clock(scene, (cam.z - close_z) / config.motion.speed)
         pose = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z, yaw=0.0)
+        # A close-up never repeats, so it gets a cache of its own.
         _, refined = _image_and_select(scene, pose, weights, "nearest_center",
-                                       sel_gen, ref_uv=(cam.cx, cam.cy))
+                                       sel_gen, ref_uv=(cam.cx, cam.cy),
+                                       seen={})
         return None, _project(config, pose, refined.candidate.u,
                               refined.candidate.v)
 
@@ -303,7 +300,7 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
         return _descend_to_floor(scene, position, depth_z, lambda sample: None)
 
     return _run_trial("visual", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent, seen)
+                      prepare, attempt_descent, {} if seen is None else seen)
 
 
 def run_force_trial(config: WorkspaceConfig, stream: RngStream,
@@ -335,7 +332,7 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
         return _descend_to_floor(scene, position, config.descent_floor_z(), check)
 
     return _run_trial("force", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent, seen)
+                      prepare, attempt_descent, {} if seen is None else seen)
 
 
 def _finger_contacts(scene: SceneState, refs: dict[str, np.ndarray],
@@ -404,7 +401,7 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
                                  check)
 
     return _run_trial("tactile", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent, seen)
+                      prepare, attempt_descent, {} if seen is None else seen)
 
 
 def calibrate_rig(config: WorkspaceConfig, rig,

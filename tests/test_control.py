@@ -121,7 +121,7 @@ def test_exhausted_search_with_empty_gripper_is_dropped_on_table(weights):
         return "stopped"
 
     rec = _run_trial("force", cfg, RngStream(0), weights, 0, None,
-                     prepare, slip_and_stop)
+                     prepare, slip_and_stop, {})
     assert [o.result for o in rec.outcomes] == ["rack_top"]
     assert rec.placement == "dropped_on_table"
     assert rec.final_offset is None

@@ -110,7 +110,7 @@ def test_running_mean_matches_exact_mean(capacity, pushes, scale, seed):
             exact = samples[max(0, i + 1 - capacity):i + 1].mean(axis=0)
             assert len(buf) == min(i + 1, capacity)
             assert np.allclose(buf.mean(), exact, rtol=1e-12,
-                               atol=1e-11 * scale)
+                               atol=1e-12 * scale)
 
 
 def test_zero_noise_never_stops():

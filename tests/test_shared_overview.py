@@ -43,9 +43,9 @@ def test_shared_run_records_equal_fresh_trials(config, weights, paired):
     for i in range(TRIALS):
         stream = split_rng(master, i)
         assert paired.records["visual"][i] == control.run_visual_trial(
-            config, stream, weights, trial_index=i, seen=None)
+            config, stream, weights, trial_index=i, seen={})
         assert paired.records["force"][i] == control.run_force_trial(
-            config, stream, weights, trial_index=i, seen=None)
+            config, stream, weights, trial_index=i, seen={})
 
 
 def test_force_overview_reuses_visual_detection(config, weights, monkeypatch):
@@ -91,7 +91,7 @@ def test_repeated_overview_hits(config, weights, fixed_image, monkeypatch):
     assert len(detect) == 1
     assert len(seen) == 1
     assert first is not None
-    assert again == first == perceive(config, weights, pose, None)
+    assert again == first == perceive(config, weights, pose, {})
 
 
 def test_one_pixel_changed_misses(config, weights, fixed_image, monkeypatch):
@@ -114,12 +114,3 @@ def test_other_camera_height_misses(config, weights, fixed_image, monkeypatch):
     perceive(config, weights, low, seen)
     assert len(detect) == 2
     assert len(seen) == 2
-
-
-def test_no_cache_perceives_every_time(config, weights, fixed_image,
-                                       monkeypatch):
-    detect = counting(monkeypatch, "detect_circles")
-    pose = config.camera.pose()
-    perceive(config, weights, pose, None)
-    perceive(config, weights, pose, None)
-    assert len(detect) == 2
