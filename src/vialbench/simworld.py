@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,18 +178,19 @@ def slot_centers(scene: SceneState) -> np.ndarray:
     return scene._slots
 
 
-def _to_rack_frame(scene: SceneState, xy: np.ndarray) -> np.ndarray:
-    c, s = np.cos(scene.rack_yaw), np.sin(scene.rack_yaw)
-    d = np.asarray(xy, dtype=float) - scene.rack_xy
-    return np.stack([c * d[..., 0] + s * d[..., 1],
-                     -s * d[..., 0] + c * d[..., 1]], axis=-1)
-
-
 def in_rack_footprint(scene: SceneState, xy) -> bool:
+    """Whether world point ``xy`` lies on the rack's footprint.
+
+    Scalar floats: ``math.cos`` and ``math.sin`` return what ``np.cos`` and
+    ``np.sin`` do, and each product and sum rounds as numpy's element-wise
+    ones do, so the rack-frame coordinates are those of the array form.
+    """
     rack = scene.config.rack
-    local = _to_rack_frame(scene, np.asarray(xy, dtype=float))
-    return bool(abs(local[0]) <= rack.footprint_w / 2
-                and abs(local[1]) <= rack.footprint_h / 2)
+    c, s = math.cos(scene.rack_yaw), math.sin(scene.rack_yaw)
+    rx, ry = scene.rack_xy.tolist()
+    dx, dy = float(xy[0]) - rx, float(xy[1]) - ry
+    return (abs(c * dx + s * dy) <= rack.footprint_w / 2
+            and abs(-s * dx + c * dy) <= rack.footprint_h / 2)
 
 
 def reset_trial(config: WorkspaceConfig, rng: RngStream,
@@ -269,8 +271,9 @@ def _seed_distractors(scene: SceneState, gen: np.random.Generator) -> None:
 # contact model
 
 
-def _support(scene: SceneState, bottom_xy: np.ndarray):
-    """Support height under the vial bottom and its contact classification.
+def _support(scene: SceneState, bx: float, by: float):
+    """Support height under the vial bottom at (bx, by) and its contact
+    classification.
 
     Returns (support_z, contact_kind, slot_rc, rim_slot_center). The rim
     center is set when the bottom overlaps a vacant slot's opening without
@@ -279,25 +282,31 @@ def _support(scene: SceneState, bottom_xy: np.ndarray):
     """
     cfg = scene.config
     rack, vial = cfg.rack, cfg.vial
-    local = _to_rack_frame(scene, bottom_xy)
-    if abs(local[0]) > rack.footprint_w / 2 or abs(local[1]) > rack.footprint_h / 2:
+    if not in_rack_footprint(scene, (bx, by)):
         return 0.0, Contact.TABLE, None, None
 
+    # The nearest slot, and the nearest occupied one closer than two vial
+    # radii; the first in row-major order on ties, as ``np.argmin`` picks.
     centers = slot_centers(scene)
-    d = np.linalg.norm(centers - bottom_xy[None, :], axis=1)
-    occ = scene.occupancy.ravel()
+    occ = scene.occupancy.ravel().tolist()
+    reach = 2 * vial.radius
+    nearest = hit = None
+    d_near = d_hit = math.inf
+    for idx, (cx, cy) in enumerate(centers.tolist()):
+        dx, dy = cx - bx, cy - by
+        d = math.sqrt(dx * dx + dy * dy)  # norm(axis=1), term for term
+        if d < d_near:
+            nearest, d_near = idx, d
+        if occ[idx] and d < reach and d < d_hit:
+            hit, d_hit = idx, d
 
-    occupied_hit = np.where(occ & (d < 2 * vial.radius))[0]
-    if occupied_hit.size:
-        idx = int(occupied_hit[np.argmin(d[occupied_hit])])
-        return vial.height, Contact.RACK_TOP, divmod(idx, rack.cols), None
-
-    nearest = int(np.argmin(d))
-    if not occ[nearest] and d[nearest] <= cfg.clearance:
+    if hit is not None:
+        return vial.height, Contact.RACK_TOP, divmod(hit, rack.cols), None
+    if not occ[nearest] and d_near <= cfg.clearance:
         return 0.0, Contact.INSERTED, divmod(nearest, rack.cols), None
 
     rim_center = None
-    if not occ[nearest] and cfg.clearance < d[nearest] < rack.slot_radius + vial.radius:
+    if not occ[nearest] and cfg.clearance < d_near < rack.slot_radius + vial.radius:
         rim_center = centers[nearest]
     return rack.height, Contact.RACK_TOP, None, rim_center
 
@@ -308,27 +317,30 @@ def _resolve_contact(scene: SceneState, dt: float) -> float:
     With ``dt`` zero this is a pure state refresh (no slip accumulates).
     """
     cfg = scene.config
+    sx, sy, sz = scene.setpoint.tolist()
     if scene.held_offset is not None:
-        bottom = scene.vial_bottom_xy()
-        support, kind, slot_rc, rim_center = _support(scene, bottom)
+        hx, hy = scene.held_offset.tolist()
+        tilt = scene.rig.tilt_gain
+        bx, by = sx + tilt * hx, sy + tilt * hy  # vial_bottom_xy, per axis
+        support, kind, slot_rc, rim_center = _support(scene, bx, by)
         pin = support + cfg.vial.grip_height
         scene.pin_z = pin
-        grip_z = max(scene.setpoint[2], pin)
+        grip_z = max(sz, pin)
         if kind is Contact.INSERTED and grip_z < cfg.rack.height + cfg.vial.grip_height:
             scene.contact = Contact.INSERTED
             scene.contact_slot = slot_rc
-        elif scene.setpoint[2] < pin:
+        elif sz < pin:
             scene.contact = kind
             scene.contact_slot = slot_rc
         else:
             scene.contact = Contact.NONE
             scene.contact_slot = None
-        penetration = max(0.0, pin - scene.setpoint[2])
+        penetration = max(0.0, pin - sz)
         force_contact = cfg.contact.stiffness * penetration
 
         # Rim reaction drags the vial within the gripper, away from the slot.
         if rim_center is not None and penetration > 0 and dt > 0:
-            away = bottom - rim_center
+            away = np.array([bx, by]) - rim_center
             norm = float(np.linalg.norm(away))
             if norm > 1e-9:
                 drift = (cfg.contact.slip_rate / scene.rig.mu) * force_contact * dt
@@ -342,7 +354,7 @@ def _resolve_contact(scene: SceneState, dt: float) -> float:
                     force_contact = 0.0
     else:
         scene.pin_z = 0.0
-        penetration = max(0.0, -scene.setpoint[2])
+        penetration = max(0.0, -sz)
         force_contact = cfg.contact.stiffness * penetration
         scene.contact = Contact.TABLE if penetration > 0 else Contact.NONE
         scene.contact_slot = None
@@ -357,7 +369,7 @@ def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
 
     # Setpoint tracking with an acceleration-limited speed ramp.
     delta = np.asarray(command.target, dtype=float) - scene.setpoint
-    dist = float(np.linalg.norm(delta))
+    dist = math.sqrt(np.dot(delta, delta))  # np.linalg.norm of a vector
     if dist > 1e-12:
         scene.speed = min(command.speed, scene.speed + command.accel * dt)
         step = min(scene.speed * dt, dist)
@@ -370,14 +382,12 @@ def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
     force_contact = _resolve_contact(scene, dt)
 
     scene.sim_clock += dt
-    pos = scene.grip
-    bias = _static_bias(pos, scene.held_offset is not None)
-    noise = scene.rng.normal(0.0, cfg.noise.sigma_force, 3)
-    return ForceSample(
-        fx=float(bias[0] + noise[0]),
-        fy=float(bias[1] + noise[1]),
-        fz=float(bias[2] + force_contact + noise[2]),
-    )
+    x, y, z = scene.setpoint.tolist()
+    if scene.pin_z is not None:
+        z = max(z, scene.pin_z)  # the z of ``scene.grip``
+    bx, by, bz = _static_bias(x, y, z, scene.held_offset is not None)
+    nx, ny, nz = scene.rng.normal(0.0, cfg.noise.sigma_force, 3).tolist()
+    return ForceSample(fx=bx + nx, fy=by + ny, fz=bz + force_contact + nz)
 
 
 def jump_setpoint(scene: SceneState, target) -> None:
@@ -404,15 +414,14 @@ def impose_grasp(scene: SceneState, offset) -> None:
     _resolve_contact(scene, 0.0)
 
 
-def _static_bias(pos: np.ndarray, holding: bool) -> np.ndarray:
-    """Smooth pose-dependent wrist bias plus payload; never exactly zero."""
-    x, y, z = float(pos[0]), float(pos[1]), float(pos[2])
+def _static_bias(x: float, y: float, z: float,
+                 holding: bool) -> tuple[float, float, float]:
+    """Smooth pose-dependent wrist bias plus payload at grip (x, y, z);
+    never exactly zero."""
     payload = -0.25 if holding else 0.0
-    return np.array([
-        0.40 * np.sin(3.0 * x + 1.0) + 0.15 * y,
-        0.40 * np.cos(2.0 * y + 0.5) + 0.10 * x,
-        -4.0 + 0.30 * x + 0.20 * y + 0.05 * z + payload,
-    ])
+    return (0.40 * math.sin(3.0 * x + 1.0) + 0.15 * y,
+            0.40 * math.cos(2.0 * y + 0.5) + 0.10 * x,
+            -4.0 + 0.30 * x + 0.20 * y + 0.05 * z + payload)
 
 
 def release_and_evaluate(scene: SceneState) -> PlacementResult:
@@ -545,9 +554,24 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
             patch[interior] = _VACANT_BRIGHT
         patch[np.abs(d - slot_r) <= _RIM_HALF] = _RIM_DARK
 
-    img += scene.rng.normal(0.0, cfg.noise.sigma_pixel, (H, W))
-    np.clip(img, 0.0, 255.0, out=img)
-    return img.astype(np.uint8)
+    return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel)
+
+
+def _noisy_bytes(img: np.ndarray, rng: np.random.Generator,
+                 sigma: float) -> np.ndarray:
+    """``img`` plus Gaussian pixel noise, clipped and cast to uint8; ``img``
+    itself is left as it is.
+
+    ``rng.normal(0, sigma)`` is ``0 + sigma * z`` over the same standard
+    normal draws, so scaling ``standard_normal`` gives the same bits and
+    leaves the generator in the same state, without the loc and scale
+    broadcast.
+    """
+    noisy = rng.standard_normal(img.shape)
+    noisy *= sigma
+    noisy += img  # the same sum as ``img + noise``
+    np.clip(noisy, 0.0, 255.0, out=noisy)
+    return noisy.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +616,7 @@ def sample_tactile(scene: SceneState, finger: str,
     if finger not in FINGERS:
         raise ValueError(f"finger must be one of {FINGERS}, got {finger!r}")
     W, H = cfg.tactile.width, cfg.tactile.height
-    img = _gel_pattern(W, H).copy()
+    img = _gel_pattern(W, H)
     if scene.held_offset is not None and not open_gripper:
         center = _blob_pixel(scene.rig, finger, scene.held_offset, W, H)
         px_per_m = (W - 1.0) / cfg.tactile.span
@@ -609,11 +633,10 @@ def sample_tactile(scene: SceneState, finger: str,
             vv = np.arange(v0, v1)[:, None] - center[1]
             d = np.hypot(uu, vv)
             cover = np.clip((r_px - d + 1.0) / 2.0, 0.0, 1.0)
+            img = img.copy()
             box = img[v0:v1, u0:u1]
             box += (_BLOB_BRIGHT - box) * cover
-    img += scene.rng.normal(0.0, cfg.noise.sigma_pixel, (H, W))
-    np.clip(img, 0.0, 255.0, out=img)
-    return img.astype(np.uint8)
+    return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel)
 
 
 def reference_frames(scene: SceneState, finger: str) -> np.ndarray:

@@ -26,6 +26,7 @@ averaged over the fingers, is the slip signal that stops the motion.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,13 @@ class TrackReading:
 def _difference_sum(frame: np.ndarray, references) -> np.ndarray:
     """Per-pixel sum of ``|frame - reference|`` over the reference stack.
 
-    Integer inputs are subtracted in at least int16 and summed in at least
-    int32, so uint8 frames give exact integer sums; other inputs are
-    subtracted and summed in float64.
+    Integer inputs are subtracted in at least int16 and summed exactly;
+    other inputs are subtracted and summed in float64. One reference at a
+    time is subtracted into a reused buffer and added to the total in stack
+    order, the order ``sum(axis=0)`` adds them in. Sixteen-bit integer
+    inputs must hold byte values, as sensor frames and ``reference_frames``
+    stacks do: each difference is then at most 255, so the total stays in
+    int16 while ``n * 255`` fits and goes to int32 past that.
     """
     if len(references) == 0:
         raise ValueError("need at least one reference frame")
@@ -89,9 +94,16 @@ def _difference_sum(frame: np.ndarray, references) -> np.ndarray:
     dtype = np.result_type(frame, refs, np.int16)
     if dtype.kind not in "iu":
         dtype = np.dtype(float)
-    diff = np.subtract(frame, refs, dtype=dtype)
-    np.abs(diff, out=diff)
-    return diff.sum(axis=0, dtype=np.promote_types(diff.dtype, np.int32))
+    total_dtype = dtype
+    if dtype == np.int16 and len(refs) * 255 > np.iinfo(np.int16).max:
+        total_dtype = np.dtype(np.int32)
+    diff = np.empty(np.shape(frame), dtype)
+    total = np.zeros(diff.shape, total_dtype)
+    for ref in refs:
+        np.subtract(frame, ref, out=diff, dtype=dtype)
+        np.abs(diff, out=diff)
+        total += diff
+    return total
 
 
 def difference_image(frame: np.ndarray, references) -> np.ndarray:
@@ -118,34 +130,50 @@ _BACK = tuple(_MOORE.index((_MOORE[j - 1][0] - _MOORE[j][0],
                             _MOORE[j - 1][1] - _MOORE[j][1]))
               for j in range(8))
 
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+
+
+@functools.cache
+def _moore_scan(stride: int) -> tuple:
+    """For each backtrack b, the eight cells a Moore step looks at, in
+    order: ``(flat offset, backtrack after stepping there)`` for steps
+    ``b + 1, ..., b + 8`` (mod 8) in a grid of row length ``stride``."""
+    return tuple(
+        tuple(((_MOORE[j][0] * stride + _MOORE[j][1]), _BACK[j])
+              for j in ((b + k) % 8 for k in range(1, 9)))
+        for b in range(8))
+
 
 def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     """Clockwise outer-border trace from ``start`` (the first filled pixel in
     row-major order, so its west neighbor is guaranteed empty).
 
     The walk runs on flat indices into the mask padded by one empty cell, so
-    no step needs a bounds check. Returns the border as an ``(n, 2)`` int
-    array of ``(row, col)`` vertices in trace order.
+    no step needs a bounds check, and looks at the neighbors in the order
+    ``_moore_scan`` lists for the current backtrack. Returns the border as
+    an ``(n, 2)`` int array of ``(row, col)`` vertices in trace order.
     """
-    stride = mask.shape[1] + 2
-    cells = np.pad(mask, 1).tobytes()  # one byte per cell: mask is bool
-    steps = [dr * stride + dc for dr, dc in _MOORE]
+    h, w = mask.shape
+    stride = w + 2
+    padded = np.zeros((h + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    cells = padded.tobytes()  # one byte per cell
+    scan = _moore_scan(stride)
     first = (start[0] + 1) * stride + start[1] + 1
     trail = [first]
     cur = first
     back = 0  # the backtrack starts west of ``start``
-    for _ in range(4 * int(mask.sum()) + 8):
-        for k in range(1, 9):
-            j = (back + k) % 8
-            if cells[cur + steps[j]]:
+    for _ in range(4 * np.count_nonzero(mask) + 8):
+        for step, after in scan[back]:
+            if cells[cur + step]:
                 break
         else:
             break  # isolated pixel
-        cur += steps[j]
+        cur += step
         if cur == first:
             break
         trail.append(cur)
-        back = _BACK[j]
+        back = after
     else:
         raise RuntimeError("border trace failed to close")
     return np.column_stack(np.divmod(np.array(trail), stride)) - 1
@@ -153,27 +181,45 @@ def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
 
 def polygon_area(border) -> float:
     """Shoelace area of a traced border (vertices at pixel centers): a list
-    of ``(row, col)`` pairs or an ``(n, 2)`` array."""
+    of integer ``(row, col)`` pairs or an ``(n, 2)`` int array.
+
+    Integer coordinates make every product and sum exact, so the area is
+    the same whatever order they are added in.
+    """
     if len(border) < 3:
         return 0.0
-    pts = np.asarray(border, dtype=float)
+    pts = np.asarray(border)
     y = pts[:, 0]
     x = pts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    twice = (np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:])
+             + x[-1] * y[0] - y[-1] * x[0])
+    return 0.5 * abs(float(twice))
 
 
 def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]:
     """Trace every 8-connected region and keep the ones of usable size.
 
+    Only the bounding box of the filled pixels is labelled and traced. The
+    box keeps their raster order, so labels, start pixels and borders are
+    those of the whole frame, moved by the box origin.
+
     Returns regions sorted largest first.
     """
-    labeled, count = ndimage.label(binary, structure=np.ones((3, 3), dtype=int))
+    rows = np.flatnonzero(binary.any(axis=1))
+    if rows.size == 0:
+        return []
+    band = binary[rows[0]:rows[-1] + 1]
+    cols = np.flatnonzero(band.any(axis=0))
+    r0, c0 = int(rows[0]), int(cols[0])
+    box = band[:, c0:cols[-1] + 1]
+    labeled, count = ndimage.label(box, structure=_EIGHT_CONNECTED)
     regions = []
-    w = binary.shape[1]
+    w = box.shape[1]
     for lbl in range(1, count + 1):
         mask = labeled == lbl
         flat = int(np.argmax(mask))
         border = _moore_trace(mask, (flat // w, flat % w))
+        border += (r0, c0)
         area = polygon_area(border)
         if area < min_area:
             continue

@@ -4,8 +4,9 @@
 exactly what these versions return, and ``vialbench.simworld.sample_tactile``
 must render the same bytes from the same RNG state. These copies cast every
 reference frame to float on every call, threshold the full normalized
-image, trace the border with a bounds-checked tuple walk and compute the
-contact blob over the whole frame.
+image, label and trace the whole frame with a bounds-checked tuple walk,
+take the shoelace area with ``np.roll`` and compute the contact blob over
+the whole frame.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from scipy import ndimage
 
 from vialbench.core import TactileConfig
 from vialbench.simworld import SceneState, SimError, _blob_pixel
-from vialbench.tactile import FINGERS, ContactRegion, polygon_area
+from vialbench.tactile import FINGERS, ContactRegion
 
 # Moore neighborhood, clockwise from west, as (row, col) steps.
 _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1),
@@ -88,6 +89,16 @@ def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> list[tuple[int, in
         border.append(nxt)
         cur = nxt
     raise RuntimeError("border trace failed to close")
+
+
+def polygon_area(border) -> float:
+    """Shoelace area of a traced border (vertices at pixel centers)."""
+    if len(border) < 3:
+        return 0.0
+    pts = np.asarray(border, dtype=float)
+    y = pts[:, 0]
+    x = pts[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]:

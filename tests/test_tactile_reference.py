@@ -1,21 +1,24 @@
 """The tactile frame path against the seed pipeline, bit for bit.
 
-``find_contact`` thresholds the integer difference sum and traces borders on
-flat indices; ``sample_tactile`` draws the contact blob only inside its
-bounding box. Each must give exactly what ``tactile_reference`` gives.
+``find_contact`` thresholds the integer difference sum; ``extract_contacts``
+labels and traces only the bounding box of the mask, on flat indices;
+``sample_tactile`` draws the contact blob only inside its bounding box. Each
+must give exactly what ``tactile_reference`` gives.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 import tactile_reference
 from vialbench.core import RngStream, TactileConfig, load_config
 from vialbench.simworld import (make_rig, reference_frames, reset_trial,
                                 sample_tactile)
-from vialbench.tactile import difference_image, find_contact
+from vialbench.tactile import (_difference_sum, _moore_trace, difference_image,
+                               extract_contacts, find_contact)
 
 SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 40))
 
@@ -108,6 +111,119 @@ def test_difference_image_int_and_float_match_reference(data):
     frame, refs = data
     _same_bits(difference_image(frame, list(refs)),
                tactile_reference.difference_image(frame, list(refs)))
+
+
+@pytest.mark.parametrize("n", [1, 128, 129, 300])
+def test_difference_sum_of_many_byte_references_is_exact(n):
+    """Past 128 references of 0 and 255 a uint8 frame's total no longer fits
+    in int16; it must still equal the exact sum."""
+    frame = np.array([[255, 0, 128], [7, 255, 0]], dtype=np.uint8)
+    refs = np.zeros((n, 2, 3), dtype=np.int16)
+    refs[1::2] = 255
+    want = np.abs(frame.astype(np.int64) - refs.astype(np.int64)).sum(axis=0)
+    for stack in (refs, refs.astype(np.uint8), list(refs.astype(np.uint8))):
+        got = _difference_sum(frame, stack)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == want.tolist()
+    _same_bits(difference_image(frame, refs),
+               tactile_reference.difference_image(frame, list(refs)))
+
+
+# --- masks and border traces -------------------------------------------------
+
+
+def _stamp(mask, shape, r, c, size):
+    """Draw one shape with its top-left cell at (r, c), clipped to the mask:
+    a pixel, a two-pixel pair (across, down or diagonal), a block, or a ring
+    around a hole."""
+    h, w = mask.shape
+    cells = {
+        "pixel": [(0, 0)],
+        "pair_across": [(0, 0), (0, 1)],
+        "pair_down": [(0, 0), (1, 0)],
+        "pair_diagonal": [(0, 0), (1, 1)],
+        "pair_antidiagonal": [(0, 1), (1, 0)],
+    }.get(shape)
+    if cells is None:
+        side = size + 2 if shape == "ring" else size
+        cells = [(i, j) for i in range(side) for j in range(side)
+                 if shape == "block" or i in (0, side - 1) or j in (0, side - 1)]
+    for i, j in cells:
+        if 0 <= r + i < h and 0 <= c + j < w:
+            mask[r + i, c + j] = True
+
+
+# Rows or columns where a shape starts: the first cell, the last cell, one
+# in from each, or anywhere.
+def _place(draw, n):
+    return draw(st.one_of(st.sampled_from([-1, 0, 1, n - 2, n - 1]),
+                          st.integers(-2, n)))
+
+
+@st.composite
+def masks(draw):
+    """A bare binary mask: empty, arbitrary bits, sparse speckle, or a few
+    pixels, pairs, blocks and rings placed against the edges and corners
+    or anywhere; as bool or as 0/1 ints."""
+    h, w = draw(SHAPES)
+    kind = draw(st.sampled_from(["empty", "drawn", "speckle", "shapes"]))
+    if kind == "drawn":
+        mask = draw(hnp.arrays(bool, (h, w)))
+    elif kind == "speckle":
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mask = gen.random((h, w)) < draw(st.floats(0.02, 0.5))
+    else:
+        mask = np.zeros((h, w), dtype=bool)
+    if kind == "shapes":
+        shapes = st.sampled_from(["pixel", "pair_across", "pair_down",
+                                  "pair_diagonal", "pair_antidiagonal",
+                                  "block", "ring"])
+        for _ in range(draw(st.integers(1, 6))):
+            _stamp(mask, draw(shapes), _place(draw, h), _place(draw, w),
+                   draw(st.integers(1, 8)))
+    return mask.astype(int) if draw(st.booleans()) else mask
+
+
+def _nested():
+    """A ring around a hole holding one pixel, a pixel in the top-right
+    corner and a pair on the bottom edge: four components, the last three
+    tied at area 0."""
+    mask = np.zeros((9, 10), dtype=bool)
+    _stamp(mask, "ring", 2, 2, 3)
+    _stamp(mask, "pixel", 4, 4, 1)
+    _stamp(mask, "pixel", 0, 9, 1)
+    _stamp(mask, "pair_across", 8, 0, 1)
+    return mask
+
+
+@settings(max_examples=600, deadline=None)
+@example(_nested(), 0.0)
+@example(_nested(), 1.0)
+@given(masks(), st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 9.0, 25.0]),
+                          st.floats(0.0, 60.0)))
+def test_extract_contacts_matches_reference(mask, min_area):
+    assert (extract_contacts(mask, min_area)
+            == tactile_reference.extract_contacts(mask, min_area))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks())
+def test_moore_trace_matches_reference(mask):
+    """Every component's trace from its first pixel in raster order, on the
+    component alone and on the whole mask (a trace never leaves its
+    8-connected component)."""
+    mask = mask.astype(bool)
+    labeled, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    w = mask.shape[1]
+    for lbl in range(1, count + 1):
+        component = labeled == lbl
+        flat = int(np.argmax(component))
+        start = (flat // w, flat % w)
+        want = tactile_reference._moore_trace(component, start)
+        for on in (component, mask):
+            got = _moore_trace(on, start)
+            assert got.dtype.kind == "i"
+            assert list(map(tuple, got.tolist())) == want
 
 
 # --- rendering -------------------------------------------------------------

@@ -1,0 +1,116 @@
+"""``simworld.tick`` against the seed step in ``tick_reference``, bit for bit.
+
+Each case places the gripper over a vacant slot, an occupied slot or the
+table, with or without a vial, and drives both copies of one scene through
+the same legs of motion commands. After every tick the force samples and
+the whole scene state must be identical: setpoint, speed, held offset,
+contact, contact slot, pin, clock and RNG.
+"""
+
+import copy
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import tick_reference
+from vialbench.core import RngStream, load_config
+from vialbench.simworld import (MoveCommand, impose_grasp, jump_setpoint,
+                                make_rig, reset_trial, slot_centers, tick)
+
+CONFIG = load_config()
+DT = 1.0 / 125.0
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+def _state(scene):
+    held = scene.held_offset
+    return (scene.setpoint.tobytes(), _bits(scene.speed),
+            None if held is None else held.tobytes(), scene.contact,
+            scene.contact_slot, _bits(scene.pin_z), _bits(scene.sim_clock),
+            scene.rng.bit_generator.state)
+
+
+def _sample(sample):
+    assert all(type(v) is float for v in (sample.fx, sample.fy, sample.fz))
+    return tuple(v.hex() for v in (sample.fx, sample.fy, sample.fz))
+
+
+def _anchor(scene, where):
+    """World xy of a vacant slot, an occupied slot or a table spot."""
+    occ = scene.occupancy.ravel()
+    centers = slot_centers(scene)
+    if where == "vacant":
+        return centers[np.flatnonzero(~occ)[0]]
+    if where == "occupied":
+        return centers[np.flatnonzero(occ)[0]]
+    return scene.rack_xy + np.array([0.09, 0.0])
+
+
+LEGS = st.lists(st.tuples(
+    st.one_of(st.none(),  # hold still: the zero-distance branch
+              st.tuples(st.floats(-0.01, 0.01), st.floats(-0.01, 0.01),
+                        st.floats(-0.01, 0.1))),
+    st.floats(0.001, 0.1),        # speed
+    st.floats(0.01, 2.0),         # accel
+    st.sampled_from([DT, 1.0 / 60.0, 0.002, 0.05]),
+    st.integers(1, 60),           # ticks
+), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), material=st.sampled_from(["rubber", "tactile"]),
+       where=st.sampled_from(["vacant", "occupied", "table"]),
+       held=st.one_of(st.none(), st.tuples(st.floats(-4e-3, 4e-3),
+                                           st.floats(-4e-3, 4e-3))),
+       start=st.tuples(st.floats(-6e-3, 6e-3), st.floats(-6e-3, 6e-3),
+                       st.floats(-0.005, 0.12)),
+       legs=LEGS)
+# A vial held 3 mm off a vacant slot's axis, pressed onto its rim: it slips
+# outward every tick and then falls out of the gripper.
+@example(seed=13, material="rubber", where="vacant", held=(0.003, 0.0),
+         start=(0.0, 0.0, 0.055), legs=[(None, 0.03, 0.5, DT, 120)])
+@example(seed=13, material="tactile", where="vacant", held=(0.003, 0.0),
+         start=(0.0, 0.0, 0.08), legs=[((0.0, 0.0, 0.05), 0.04, 0.5, DT, 120)])
+def test_tick_matches_reference(seed, material, where, held, start, legs):
+    scene = reset_trial(CONFIG, RngStream(seed), rig=make_rig(CONFIG, material))
+    if held is None:
+        scene.held_offset = None
+    else:
+        impose_grasp(scene, held)
+    anchor = _anchor(scene, where)
+    jump_setpoint(scene, (anchor[0] + start[0], anchor[1] + start[1], start[2]))
+    ref = copy.deepcopy(scene)
+    assert _state(scene) == _state(ref)
+    for target, speed, accel, dt, ticks in legs:
+        if target is None:
+            aim = scene.setpoint.copy()
+        else:
+            aim = np.array([anchor[0] + target[0], anchor[1] + target[1],
+                            target[2]])
+        cmd = MoveCommand(target=aim, speed=speed, accel=accel)
+        for _ in range(ticks):
+            got = tick(scene, cmd, dt)
+            want = tick_reference.tick(ref, cmd, dt)
+            assert _sample(got) == _sample(want)
+            assert _state(scene) == _state(ref)
+
+
+def test_rim_example_slips_and_loses_the_vial():
+    """The first explicit example above reaches the rim-slip branch and
+    then the loss branch, so both are checked against the reference."""
+    scene = reset_trial(CONFIG, RngStream(13), rig=make_rig(CONFIG, "rubber"))
+    impose_grasp(scene, (0.003, 0.0))
+    anchor = _anchor(scene, "vacant")
+    jump_setpoint(scene, (anchor[0], anchor[1], 0.055))
+    cmd = MoveCommand(target=scene.setpoint.copy(), speed=0.03, accel=0.5)
+    offsets = []
+    for _ in range(120):
+        tick_reference.tick(scene, cmd, DT)
+        offsets.append(None if scene.held_offset is None
+                       else float(scene.held_offset[0]))
+    assert offsets[0] > 0.003  # slipped outward on the first tick
+    assert offsets[-1] is None  # and was lost within the leg
