@@ -27,14 +27,14 @@ class ChtParams:
     ``vote_frac`` is a fraction of the theoretical full-circle vote count
     (2*pi*r); it is kept deliberately low so partial or slightly elliptical
     rims still fire, at the cost of clutter candidates that the downstream
-    classifier must reject.
+    classifier must reject. Non-maximum suppression drops a peak within
+    ``r_min`` pixels of a stronger one.
     """
 
     r_min: int
     r_max: int
     vote_frac: float = 0.35
     edge_thresh: float = 60.0
-    nms_radius: float | None = None
 
     def __post_init__(self):
         if not (1 <= self.r_min <= self.r_max):
@@ -78,6 +78,17 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     cell that can pass the threshold. The floats are made, bit for bit as
     the filter makes them, only on the (radius, row) lines around those
     cells; see ``_box_lines``.
+
+    The radii stream through a two-slice window. Each slice's votes are
+    counted in place (``np.add.at``) into one reused integer array, and
+    only the slice's vertical 3-sums and the rows of its above-threshold
+    cells outlive it. The lines of slice i are the 3x3 dilation of those
+    rows over (radius, row), so they are known, and made from the kept
+    vertical sums, as soon as slice i + 1 is thresholded. The integer
+    scratch is a few slices of the image's size whatever the sweep's
+    length. The float lines are written in (radius, row) order into one
+    buffer with room for every line, of which only the built rows are
+    touched.
     """
     img = np.asarray(image)
     if img.ndim != 2:
@@ -102,53 +113,67 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     # A 3x3 box in one slice holds at most two votes per edge pixel.
     dtype = np.uint16 if 2 * ex.size <= np.iinfo(np.uint16).max else np.uint32
     # The float scores differ from the integer box sums only by rounding
-    # drift, far below 0.5, so ``mask`` keeps every cell whose score can
+    # drift, far below 0.5, so ``hit`` keeps every cell whose score can
     # reach ``thresh``.
     floor = np.ceil(thresh - 0.5).astype(dtype)
-    # One radius slice at a time: the vote counts of a slice (with a
-    # one-cell border that catches votes outside the image and is then
-    # zeroed) and their 3x3 box sums are scratch; only the exact vertical
-    # 3-sums ``col`` and the threshold ``mask`` are kept for every radius.
-    # Column u + 1 of ``col`` is image column u.
+    # Scratch for one radius slice: the vote counts, with a one-cell border
+    # that catches votes outside the image and is then zeroed, their 3x3
+    # box sums and the threshold mask. A slice's vertical 3-sums (column
+    # u + 1 is image column u) wait in ``ring`` for one more slice.
+    # ``hit_rows[i + 1, v + 1]`` marks a row v of slice i with a cell in
+    # ``hit``; the zero border stands for the rows and radii outside.
     acc = np.empty((h + 2, w + 2), dtype)
     box = np.empty((h, w), dtype)
-    col = np.empty((n, h, w + 2), dtype)
-    mask = np.empty((n, h, w), dtype=bool)
-    for i, r in enumerate(radii):
-        # Row 0 votes along +gradient, row 1 along -.
-        step = np.array([[1.0 * r], [-1.0 * r]])
-        vote_u = step * ux
-        vote_u += ex
-        np.rint(vote_u, out=vote_u)
-        np.clip(vote_u, -1, w, out=vote_u)
-        vote_v = step * uy
-        vote_v += ey
-        np.rint(vote_v, out=vote_v)
-        np.clip(vote_v, -1, h, out=vote_v)
-        cell = vote_v + 1
-        cell *= w + 2
-        cell += vote_u + 1
-        counts = np.bincount(cell.astype(np.intp).ravel(),
-                             minlength=(h + 2) * (w + 2))
-        np.copyto(acc, counts.reshape(h + 2, w + 2), casting="unsafe")
-        acc[[0, -1]] = 0
-        acc[:, [0, -1]] = 0
-        np.add(acc[:-2], acc[1:-1], out=col[i])
-        col[i] += acc[2:]
-        np.add(col[i, :, :-2], col[i, :, 1:-1], out=box)
-        box += col[i, :, 2:]
-        np.greater_equal(box, floor[i], out=mask[i])
-    ci, cv, cu = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    if ci.size == 0:
-        return []
+    hit = np.empty((h, w), dtype=bool)
+    ring = np.empty((2, h, w + 2), dtype)
+    hit_rows = np.zeros((n + 2, h + 2), dtype=bool)
+    found = []
     # Float lines: the candidates' rows +-1 (local maxima) at radius +-1
     # (_refine). ``line[i, v]`` is the row of ``scores`` that holds line
     # (i, v), -1 for a line not built; every line read below is built.
-    li, lv = np.nonzero(ndimage.binary_dilation(mask.any(axis=2),
-                                                np.ones((3, 3), dtype=bool)))
-    scores = _box_lines(col, (li, lv))
     line = np.full((n, h), -1, dtype=np.intp)
-    line[li, lv] = np.arange(li.size)
+    scores = np.empty((n * h, w))
+    built = 0
+    # Pass i counts slice i and then builds the lines of slice i - 1.
+    for i in range(n + 1):
+        if i < n:
+            # Row 0 votes along +gradient, row 1 along -.
+            step = np.array([[1.0 * radii[i]], [-1.0 * radii[i]]])
+            vote_u = step * ux
+            vote_u += ex
+            np.rint(vote_u, out=vote_u)
+            np.clip(vote_u, -1, w, out=vote_u)
+            vote_v = step * uy
+            vote_v += ey
+            np.rint(vote_v, out=vote_v)
+            np.clip(vote_v, -1, h, out=vote_v)
+            cell = vote_v + 1
+            cell *= w + 2
+            cell += vote_u + 1
+            acc.fill(0)
+            np.add.at(acc.reshape(-1), cell.astype(np.intp).ravel(), dtype(1))
+            acc[[0, -1]] = 0
+            acc[:, [0, -1]] = 0
+            col = ring[i % 2]
+            np.add(acc[:-2], acc[1:-1], out=col)
+            col += acc[2:]
+            np.add(col[:, :-2], col[:, 1:-1], out=box)
+            box += col[:, 2:]
+            np.greater_equal(box, floor[i], out=hit)
+            found.append(np.flatnonzero(hit))
+            hit_rows[i + 1, found[-1] // w + 1] = True
+        if i > 0:
+            j = i - 1
+            band = hit_rows[j:j + 3].any(axis=0)
+            lv = np.flatnonzero(band[:-2] | band[1:-1] | band[2:])
+            _box_lines(ring, (np.full(lv.size, j % 2), lv),
+                       out=scores[built:built + lv.size])
+            line[j, lv] = np.arange(built, built + lv.size)
+            built += lv.size
+    ci = np.repeat(np.arange(n), [f.size for f in found])
+    if ci.size == 0:
+        return []
+    cv, cu = np.divmod(np.concatenate(found), w)
 
     # A clipped index still names a cell of the 3x3 window, and a score that
     # passes the threshold is above the 0.0 outside the image.
@@ -169,14 +194,13 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     votes, u, v, r = votes[order], u[order], v[order], r[order]
 
     # Strongest-first greedy merge across radii.
-    nms = params.nms_radius if params.nms_radius is not None else float(params.r_min)
     alive = np.ones(votes.size, dtype=bool)
     out = []
     k = 0
     while True:
         ru, rv, rr = _refine(scores, line, radii, float(u[k]), float(v[k]), float(r[k]))
         out.append(Candidate(u=ru, v=rv, r=rr, votes=float(votes[k])))
-        alive &= (u - u[k]) ** 2 + (v - v[k]) ** 2 >= nms ** 2
+        alive &= (u - u[k]) ** 2 + (v - v[k]) ** 2 >= params.r_min ** 2
         rest = np.flatnonzero(alive[k + 1:])
         if rest.size == 0:
             return out
@@ -191,9 +215,9 @@ def _sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     then the symmetric [1, 2, 1] across it, ``d[i] * 2 + (d[i-1] + d[i+1])``.
     The same formulas on slices give the same floats bit for bit on finite
     images; scipy's extra ``0 * x[i]`` term can only turn a +0.0 into -0.0
-    at a negative pixel, and the sign of a zero gradient reaches no
-    candidate. Byte images are differenced exactly in int32, everything
-    else in float64.
+    at a pixel whose sign bit is set (a negative one or -0.0), and the sign
+    of a zero gradient reaches no candidate. Byte images are differenced
+    exactly in int32, everything else in float64.
     """
     dtype = np.int32 if img.dtype.kind in "iu" and img.dtype.itemsize == 1 else float
     p = np.pad(img.astype(dtype, copy=False), 1, mode="edge")
@@ -206,7 +230,8 @@ def _sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray],
+               out: np.ndarray | None = None) -> np.ndarray:
     """Float 3x3 box sums (times 9) on the (radius, row) ``lines``.
 
     ``col[i, v, u + 1]`` is the exact integer sum of ``acc[i, v-1:v+2, u]``,
@@ -214,11 +239,14 @@ def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray]) -> np.ndar
     ``ndimage.uniform_filter(acc, size=(1, 3, 3), mode="constant") * 9.0``.
     That filter runs axis 1 first: its running sum over integers is exact,
     so the first pass is ``col / 3.0``. The axis-2 pass then drifts along
-    each row, so it is run here on whole rows.
+    each row, so it is run here on whole rows. Both passes and the scaling
+    run in place in ``out`` (a new array when None), one row per line.
     """
     ri, vi = lines
-    first = col[ri, vi, 1:-1] / 3.0
-    return ndimage.uniform_filter1d(first, 3, axis=1, mode="constant") * 9.0
+    out = np.divide(col[ri, vi, 1:-1], 3.0, out=out)
+    ndimage.uniform_filter1d(out, 3, axis=1, output=out, mode="constant")
+    out *= 9.0
+    return out
 
 
 def _refine(scores: np.ndarray, line: np.ndarray, radii: np.ndarray,

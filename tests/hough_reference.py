@@ -62,7 +62,7 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
         return []
     # Strongest-first greedy merge across radii.
     peaks.sort(key=lambda p: (-p[0], p[1], p[2], p[3]))
-    nms = params.nms_radius if params.nms_radius is not None else float(params.r_min)
+    nms = float(params.r_min)
     kept: list[tuple[float, float, float, float]] = []
     for votes, u, v, r in peaks:
         if any((u - ku) ** 2 + (v - kv) ** 2 < nms ** 2 for _, ku, kv, _ in kept):

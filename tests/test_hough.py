@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -14,6 +14,7 @@ from vialbench.perception.hough import (
     Candidate,
     ChtParams,
     cht_params_for,
+    _box_lines,
     _refine,
     _sobel,
     detect_circles,
@@ -152,18 +153,48 @@ _SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)
     hnp.arrays(np.uint8, _SHAPES),
     hnp.arrays(np.float64, _SHAPES, elements=st.floats(0.0, 255.0)),
     hnp.arrays(np.float64, _SHAPES, elements=st.floats(-1e6, 1e6))))
+@example(np.array([[-0.0]]))
 def test_sobel_matches_scipy(image):
     gx, gy = _sobel(image)
     img = image.astype(float)
     want_x = ndimage.sobel(img, axis=1, mode="nearest")
     want_y = ndimage.sobel(img, axis=0, mode="nearest")
-    if image.dtype == np.uint8 or not (image < 0).any():
+    if not np.signbit(image).any():
         # bit for bit, the sign of zero included
         assert gx.astype(float).tobytes() == want_x.tobytes()
         assert gy.astype(float).tobytes() == want_y.tobytes()
     else:
-        # scipy may give -0.0 where these give 0.0, nothing else
+        # at a pixel with the sign bit set (-0.0 included) scipy may give
+        # -0.0 where these give 0.0, nothing else
         assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r_min=st.integers(3, 12), extra=st.integers(0, 2), last=st.booleans(),
+       off=st.floats(-1.5, 1.5), ring=st.booleans(),
+       vote_frac=st.sampled_from([0.3, 1.2]), cu=st.floats(24.0, 40.0),
+       cv=st.floats(24.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(r_min=7, extra=1, last=True, off=1.2, ring=False, vote_frac=1.2,
+         cu=31.3, cv=32.6, seed=1)
+def test_radius_window_edges_match_reference(r_min, extra, last, off, ring,
+                                             vote_frac, cu, cv, seed):
+    """One and two radii, and a circle near either end of the sweep.
+
+    The radius slices stream through a window, so the first and the last
+    slice, and a sweep of one, miss a neighbour on one side or both. A
+    circle just past an end, at ``vote_frac`` 1.2, passes the threshold in
+    the end slice only, whose neighbour's lines are then built for
+    ``_refine`` alone.
+    """
+    params = ChtParams(r_min=r_min, r_max=r_min + extra, vote_frac=vote_frac)
+    r = (params.r_max if last else params.r_min) + off
+    img = draw_disk(64, 64, cu, cv, r)
+    if ring:
+        # a bright band about r: edges at r - 1 and r + 1 vote across slices
+        img = (20.0 + draw_disk(64, 64, cu, cv, r + 1.0)
+               - draw_disk(64, 64, cu, cv, r - 1.0))
+    img += np.random.default_rng(seed).normal(0.0, 4.0, img.shape)
+    assert detect_circles(img, params) == hough_reference.detect_circles(img, params)
 
 
 def test_refine_sums_like_the_dense_stack():
@@ -190,3 +221,19 @@ def test_refine_sums_like_the_dense_stack():
                 drift += block.sum(axis=2).sum(axis=1).sum() != block.sum()
     # summing in another order changes the floats, so this check has teeth
     assert drift > 0
+
+
+def test_box_lines_into_out_equal_uniform_filter():
+    """The detector's path: lines written into rows of a larger buffer."""
+    gen = np.random.default_rng(12)
+    acc = gen.poisson(3.0, size=(2, 23, 31)).astype(np.uint16)
+    dense = ndimage.uniform_filter(acc.astype(float), size=(1, 3, 3),
+                                   mode="constant") * 9.0
+    padded = np.pad(acc, ((0, 0), (1, 1), (1, 1)))
+    col = padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]
+    vi = np.flatnonzero(gen.random(23) < 0.5)
+    buf = np.full((vi.size + 4, 31), 7.0)
+    got = _box_lines(col, (np.ones(vi.size, dtype=np.intp), vi), out=buf[2:-2])
+    assert np.shares_memory(got, buf)
+    assert buf[2:-2].tobytes() == dense[1, vi].tobytes()
+    assert (buf[:2] == 7.0).all() and (buf[-2:] == 7.0).all()
