@@ -135,6 +135,11 @@ class SceneState:
     sim_clock: float = 0.0
     last_render_cam: Pose3 | None = None
     _slots: np.ndarray | None = None
+    # The last ``_support`` answer and its key, (bx, by, occupancy bytes).
+    _support_memo: tuple | None = None
+    # Per finger, the last held-vial gel image before noise and its key,
+    # the ``held_offset`` bytes; the image is read-only.
+    _held_images: dict = field(default_factory=dict)
 
     @property
     def grip(self) -> np.ndarray:
@@ -279,7 +284,21 @@ def _support(scene: SceneState, bx: float, by: float):
     center is set when the bottom overlaps a vacant slot's opening without
     fitting it, which is the configuration that generates lateral rim
     reaction and therefore in-gripper slip.
+
+    Between slips a descent keeps (bx, by) fixed, so the last answer is
+    kept on the scene and reused while (bx, by) and the occupancy are
+    unchanged; the rack pose never changes within a scene.
     """
+    key = (bx, by, scene.occupancy.tobytes())
+    memo = scene._support_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    found = _find_support(scene, bx, by)
+    scene._support_memo = (key, found)
+    return found
+
+
+def _find_support(scene: SceneState, bx: float, by: float):
     cfg = scene.config
     rack, vial = cfg.rack, cfg.vial
     if not in_rack_footprint(scene, (bx, by)):
@@ -616,27 +635,45 @@ def sample_tactile(scene: SceneState, finger: str,
     if finger not in FINGERS:
         raise ValueError(f"finger must be one of {FINGERS}, got {finger!r}")
     W, H = cfg.tactile.width, cfg.tactile.height
-    img = _gel_pattern(W, H)
-    if scene.held_offset is not None and not open_gripper:
-        center = _blob_pixel(scene.rig, finger, scene.held_offset, W, H)
-        px_per_m = (W - 1.0) / cfg.tactile.span
-        r_px = cfg.tactile.blob_diameter / 2.0 * px_per_m
-        # cover is exactly 0 from r_px + 1 out, so only the blob's bounding
-        # box (inclusive, clipped to the frame) can change.
-        reach = r_px + 1.0
-        u0 = max(int(np.floor(center[0] - reach)), 0)
-        u1 = min(int(np.ceil(center[0] + reach)) + 1, W)
-        v0 = max(int(np.floor(center[1] - reach)), 0)
-        v1 = min(int(np.ceil(center[1] + reach)) + 1, H)
-        if u0 < u1 and v0 < v1:
-            uu = np.arange(u0, u1)[None, :] - center[0]
-            vv = np.arange(v0, v1)[:, None] - center[1]
-            d = np.hypot(uu, vv)
-            cover = np.clip((r_px - d + 1.0) / 2.0, 0.0, 1.0)
-            img = img.copy()
-            box = img[v0:v1, u0:u1]
-            box += (_BLOB_BRIGHT - box) * cover
+    if scene.held_offset is None or open_gripper:
+        img = _gel_pattern(W, H)
+    else:
+        # Before noise, the image depends only on the rig, the finger and
+        # the offset, which most frames of a descent repeat.
+        key = scene.held_offset.tobytes()
+        memo = scene._held_images.get(finger)
+        if memo is not None and memo[0] == key:
+            img = memo[1]
+        else:
+            img = _held_image(scene, finger, W, H)
+            scene._held_images[finger] = (key, img)
     return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel)
+
+
+def _held_image(scene: SceneState, finger: str, W: int, H: int) -> np.ndarray:
+    """The gel pattern with the held vial's blob drawn on it, read-only."""
+    tac = scene.config.tactile
+    img = _gel_pattern(W, H)
+    center = _blob_pixel(scene.rig, finger, scene.held_offset, W, H)
+    px_per_m = (W - 1.0) / tac.span
+    r_px = tac.blob_diameter / 2.0 * px_per_m
+    # cover is exactly 0 from r_px + 1 out, so only the blob's bounding
+    # box (inclusive, clipped to the frame) can change.
+    reach = r_px + 1.0
+    u0 = max(int(np.floor(center[0] - reach)), 0)
+    u1 = min(int(np.ceil(center[0] + reach)) + 1, W)
+    v0 = max(int(np.floor(center[1] - reach)), 0)
+    v1 = min(int(np.ceil(center[1] + reach)) + 1, H)
+    if u0 < u1 and v0 < v1:
+        uu = np.arange(u0, u1)[None, :] - center[0]
+        vv = np.arange(v0, v1)[:, None] - center[1]
+        d = np.hypot(uu, vv)
+        cover = np.clip((r_px - d + 1.0) / 2.0, 0.0, 1.0)
+        img = img.copy()
+        box = img[v0:v1, u0:u1]
+        box += (_BLOB_BRIGHT - box) * cover
+        img.flags.writeable = False
+    return img
 
 
 def reference_frames(scene: SceneState, finger: str) -> np.ndarray:

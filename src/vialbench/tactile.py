@@ -12,11 +12,14 @@ The reference set arrives as one ``(n, H, W)`` int16 stack
 all of it in one exact integer step. ``find_contact`` thresholds the integer
 sum of those differences, not the float mean: normalize-then-binarize is
 monotone in the sum, so the pixels that pass are those at or above the
-smallest sum that passes, and that sum is found by running ``normalize``
-and ``binarize`` themselves on the ladder of sums from the frame's min to
-its max. The ladder has the same min and max as the frame, so each sum
-meets the same rounded floats as on the full image and the mask is the same
-bit for bit. (Float frames take their distinct sums as the ladder.)
+smallest sum that passes. That sum is found by bisection over the ladder of
+sums from the frame's min to its max (float frames take their distinct
+sums as the ladder), testing one sum at a time with the operations
+``normalize`` and ``binarize`` apply to every pixel: ``k / n``, then
+``(k / n - lo) / (hi - lo) >= threshold``. Python floats round each of
+these as numpy does element by element, and the ladder has the frame's
+min and max, so each sum meets the same rounded floats as on the full
+image and the mask is the same bit for bit.
 
 During a descent the tracker compares each finger's current centroid with
 the one captured right after the grasp; the centroid travel in pixels,
@@ -25,6 +28,7 @@ averaged over the fingers, is the slip signal that stops the motion.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 from dataclasses import dataclass
@@ -55,11 +59,11 @@ class TactileDecision(enum.Enum):
 
 @dataclass(frozen=True)
 class ContactRegion:
-    """One traced contact patch: centroid in (x, y) pixels, border polygon."""
+    """One traced contact patch: the mean of its border vertices in (x, y)
+    pixels and the area the border encloses."""
 
     centroid: tuple[float, float]
     area: float
-    border: tuple[tuple[int, int], ...]  # (row, col) vertices, trace order
 
 
 @dataclass(frozen=True)
@@ -223,12 +227,12 @@ def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]
         area = polygon_area(border)
         if area < min_area:
             continue
-        # Integer coordinates sum exactly, so these means equal the float ones.
-        regions.append(ContactRegion(
-            centroid=(float(border[:, 1].mean()), float(border[:, 0].mean())),
-            area=area,
-            border=tuple(map(tuple, border.tolist())),
-        ))
+        # Integer coordinates sum exactly and Python divides them with one
+        # rounding, so these means equal numpy's float ones.
+        rows, cols = border.sum(axis=0).tolist()
+        count = len(border)
+        regions.append(ContactRegion(centroid=(cols / count, rows / count),
+                                     area=area))
     regions.sort(key=lambda reg: (-reg.area, reg.centroid))
     return regions
 
@@ -245,17 +249,31 @@ def find_contact(frame: np.ndarray, references,
     """
     total = _difference_sum(frame, references)
     n = len(references)
-    k_min, k_max = total.min(), total.max()
-    if k_max / n < config.contact_floor:
+    if total.dtype.kind in "iu":
+        ladder = range(int(total.min()), int(total.max()) + 1)
+    else:
+        ladder = np.unique(total).tolist()
+    if ladder[-1] / n < config.contact_floor:
         return None
-    ladder = (np.arange(k_min, k_max + 1) if total.dtype.kind in "iu"
-              else np.unique(total))
-    passing = binarize(normalize(ladder / n), config.threshold)
-    if not passing.any():
+    cut = _threshold_cut(ladder, n, config.threshold)
+    if cut is None:
         return None
-    regions = extract_contacts(total >= ladder[np.argmax(passing)],
-                               config.min_area)
+    regions = extract_contacts(total >= cut, config.min_area)
     return regions[0] if regions else None
+
+
+def _threshold_cut(ladder, n: int, threshold: float):
+    """The smallest sum ``k`` of the ascending ``ladder`` whose mean
+    ``k / n`` passes ``binarize(normalize(ladder / n), threshold)``, or
+    None when none does. The test is monotone in ``k``, so it is bisected.
+    """
+    lo, hi = ladder[0] / n, ladder[-1] / n
+    if hi == lo:  # normalize maps every mean to 0.0
+        return ladder[0] if 0.0 >= threshold else None
+    span = hi - lo
+    i = bisect.bisect_left(ladder, True,
+                           key=lambda k: (k / n - lo) / span >= threshold)
+    return ladder[i] if i < len(ladder) else None
 
 
 def calibrate_mapping(centroids_px: np.ndarray, offsets: np.ndarray,

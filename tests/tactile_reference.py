@@ -120,7 +120,6 @@ def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]
         regions.append(ContactRegion(
             centroid=(float(pts[:, 1].mean()), float(pts[:, 0].mean())),
             area=area,
-            border=tuple(border),
         ))
     regions.sort(key=lambda reg: (-reg.area, reg.centroid))
     return regions

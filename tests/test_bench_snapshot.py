@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,20 +23,21 @@ def _metric(value):
     return {"value": value, "unit": "x"}
 
 
-def _write_results(out: Path, digest="d" * 64, traced_digest=None,
-                   traced_src="s"):
+def _write_results(out: Path, src, digest="d" * 64, traced_digest=None,
+                   traced_src=None):
     for workload in ("camera_campaign", "tactile_campaign"):
         for seed in (42, 977):
             stem = f"result-{workload}-seed{seed}"
             plain = {"correct": True, "failed": 0, "digest": digest,
                      "campaign_digests": [digest[:8]],
-                     "stamp": {"src_sha256": "s", "seed": seed},
+                     "stamp": {"src_sha256": src, "seed": seed},
                      "metrics": {"setup_s": _metric(0.5),
                                  "realtime_factor": _metric(400.0)},
                      "stats": {"host_speed_factor": _metric(1.1)}}
             traced = {"correct": True, "failed": 0,
                       "digest": traced_digest or digest,
-                      "stamp": {"src_sha256": traced_src, "seed": seed},
+                      "stamp": {"src_sha256": traced_src or src,
+                                "seed": seed},
                       "metrics": {
                           "simworld.render_topdown.calls": _metric(200),
                           "simworld.render_topdown.busy_s": _metric(0.8),
@@ -49,7 +52,7 @@ def _write_results(out: Path, digest="d" * 64, traced_digest=None,
 
 
 def test_snapshot_holds_end_to_end_and_per_call_times(tool, tmp_path):
-    _write_results(tmp_path)
+    _write_results(tmp_path, tool.source_digest())
     snap = tool.build_snapshot(tmp_path, 7)
     assert snap["pr"] == 7
     assert set(snap["workloads"]) == {"camera_campaign", "tactile_campaign"}
@@ -69,14 +72,14 @@ def test_snapshot_holds_end_to_end_and_per_call_times(tool, tmp_path):
     ({"traced_src": "other"}, "different sources"),
 ])
 def test_mismatched_runs_are_refused(tool, tmp_path, capsys, kwargs, fragment):
-    _write_results(tmp_path, **kwargs)
+    _write_results(tmp_path, tool.source_digest(), **kwargs)
     assert tool.main(["--pr", "7", "--results", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and fragment in lines[0]
 
 
 def test_missing_or_failed_result_is_refused(tool, tmp_path, capsys):
-    _write_results(tmp_path)
+    _write_results(tmp_path, tool.source_digest())
     path = tmp_path / "result-tactile_campaign-seed977-trace1.json"
     bad = json.loads(path.read_text())
     bad["failed"] = 1
@@ -86,3 +89,25 @@ def test_missing_or_failed_result_is_refused(tool, tmp_path, capsys):
     path.unlink()
     assert tool.main(["--pr", "7", "--results", str(tmp_path)]) == 2
     assert "No such file" in capsys.readouterr().err
+
+
+def test_runs_of_other_source_are_refused(tool, tmp_path, capsys):
+    """Runs whose stamped source is not this tree's (say, the parent
+    commit's) cannot make this tree's snapshot."""
+    _write_results(tmp_path, "a" * 64)
+    assert tool.main(["--pr", "7", "--results", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "runs are of source aaaaaaaaaaaaaaaa, not this tree's" in lines[0]
+
+
+def test_source_digest_is_campaignbench_stamp(tool):
+    """The digest the benchmark stamps, read in a child process so that
+    importing run.py leaves this one as it is."""
+    bench = TOOL.parents[1] / "campaignbench"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import run; "
+            "print(run.source_digest())")
+    out = subprocess.run([sys.executable, "-c", code, str(bench)],
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == tool.source_digest()

@@ -9,10 +9,11 @@ import pytest
 
 from vialbench.core import TactileConfig, load_config
 from vialbench.tactile import (CalibrationError, TactileDecision,
-                               apply_calibration, binarize, calibrate_mapping,
-                               difference_image, extract_contacts,
-                               find_contact, load_calibration, normalize,
-                               polygon_area, save_calibration, track_deviation)
+                               _moore_trace, apply_calibration, binarize,
+                               calibrate_mapping, difference_image,
+                               extract_contacts, find_contact,
+                               load_calibration, normalize, polygon_area,
+                               save_calibration, track_deviation)
 
 
 def frame(values):
@@ -93,10 +94,9 @@ def test_filled_block_border():
     img[2:5, 2:5] = 1
     regions = extract_contacts(img, 0.0)
     assert len(regions) == 1
-    border = set(regions[0].border)
-    expected = {(2, 2), (2, 3), (2, 4), (3, 4), (4, 4), (4, 3), (4, 2), (3, 2)}
-    assert border == expected
-    assert len(regions[0].border) == 8
+    border = _moore_trace(img.astype(bool), (2, 2)).tolist()
+    assert border == [[2, 2], [2, 3], [2, 4], [3, 4], [4, 4], [4, 3], [4, 2],
+                      [3, 2]]  # clockwise from the first pixel
     # border ring of a 3x3 block encloses a 2x2 square of pixel centers
     assert regions[0].area == 4.0
     assert regions[0].centroid == (3.0, 3.0)
@@ -144,9 +144,9 @@ def test_centroid_is_vertex_mean():
     img = np.zeros((9, 9), dtype=int)
     img[2:7, 3:6] = 1
     region = extract_contacts(img, 0.0)[0]
-    pts = np.asarray(region.border, dtype=float)
-    assert region.centroid[0] == pytest.approx(pts[:, 1].mean())
-    assert region.centroid[1] == pytest.approx(pts[:, 0].mean())
+    pts = _moore_trace(img.astype(bool), (2, 3)).astype(float)
+    assert len(pts) == 12  # the block's 2 * (5 + 3) - 4 edge pixels
+    assert region.centroid == (pts[:, 1].mean(), pts[:, 0].mean())
     # the vertex mean of a triangle is not its area centroid
     tri = np.array([(0.0, 0.0), (0.0, 4.0), (3.0, 0.0)])
     assert tuple(tri.mean(axis=0)) == (1.0, 4.0 / 3.0)
@@ -165,8 +165,10 @@ def test_centroid_inside_bounding_box():
         r0, c0 = gen.integers(2, 10, 2)
         h, w = gen.integers(3, 10, 2)
         img[r0:r0 + h, c0:c0 + w] = 1
-        for region in extract_contacts(img, 0.0):
-            pts = np.asarray(region.border)
+        regions = extract_contacts(img, 0.0)
+        assert len(regions) == 1
+        pts = _moore_trace(img.astype(bool), (r0, c0))
+        for region in regions:
             cx, cy = region.centroid
             assert pts[:, 1].min() <= cx <= pts[:, 1].max()
             assert pts[:, 0].min() <= cy <= pts[:, 0].max()

@@ -1,10 +1,14 @@
 """The tactile frame path against the seed pipeline, bit for bit.
 
-``find_contact`` thresholds the integer difference sum; ``extract_contacts``
-labels and traces only the bounding box of the mask, on flat indices;
-``sample_tactile`` draws the contact blob only inside its bounding box. Each
-must give exactly what ``tactile_reference`` gives.
+``find_contact`` thresholds the integer difference sum at a cut it bisects
+on scalars; ``extract_contacts`` labels and traces only the bounding box of
+the mask, on flat indices; ``sample_tactile`` draws the contact blob only
+inside its bounding box and reuses each finger's last held-vial image. Each
+must give exactly what ``tactile_reference`` (or, for the cut, the array
+form of ``normalize`` and ``binarize``) gives.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -15,10 +19,11 @@ from scipy import ndimage
 
 import tactile_reference
 from vialbench.core import RngStream, TactileConfig, load_config
-from vialbench.simworld import (make_rig, reference_frames, reset_trial,
-                                sample_tactile)
-from vialbench.tactile import (_difference_sum, _moore_trace, difference_image,
-                               extract_contacts, find_contact)
+from vialbench.simworld import (impose_grasp, make_rig, reference_frames,
+                                reset_trial, sample_tactile)
+from vialbench.tactile import (FINGERS, _difference_sum, _moore_trace,
+                               _threshold_cut, binarize, difference_image,
+                               extract_contacts, find_contact, normalize)
 
 SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 40))
 
@@ -75,6 +80,61 @@ def test_contact_floor_matches_reference(data, floor):
     cfg = TactileConfig(contact_floor=floor, min_area=0.0)
     assert (find_contact(frame, refs.astype(np.int16), cfg)
             == tactile_reference.find_contact(frame, list(refs), cfg))
+
+
+@st.composite
+def ladders(draw):
+    """``(ladder, array, n)``: an ascending ladder of difference sums, as
+    ``find_contact`` bisects it, and as the array ``normalize`` would see.
+
+    Integer ladders run from a drawn ``k_min`` to ``k_max`` in an int16 or
+    int32 total, as byte frames against ``n`` references give (int16 only
+    while ``n * 255`` fits); float ladders are the distinct sums of a drawn
+    float total.
+    """
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["int16", "int32", "float"]))
+    if kind == "float":
+        total = draw(hnp.arrays(np.float64, st.integers(1, 60),
+                                elements=st.floats(0.0, 255.0 * n)))
+        array = np.unique(total)
+        return array.tolist(), array, n
+    if kind == "int16":
+        n = min(n, 128)
+    top = 255 * n
+    k_min = draw(st.integers(0, top))
+    k_max = draw(st.one_of(st.just(k_min), st.integers(k_min, top)))
+    array = np.arange(k_min, k_max + 1, dtype=kind)
+    return range(k_min, k_max + 1), array, n
+
+
+@st.composite
+def thresholds(draw, array, n):
+    """At or below 0, exactly 1 or above it, anywhere between, or on and
+    next to the normalized mean of one of the ladder's sums."""
+    kind = draw(st.sampled_from(["low", "one", "high", "free", "on"]))
+    if kind == "low":
+        return draw(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 0.0)))
+    if kind == "one":
+        return 1.0
+    if kind == "high":
+        return draw(st.floats(1.0, 3.0, exclude_min=True))
+    if kind == "free":
+        return draw(st.floats(0.0, 1.0))
+    value = float(normalize(array / n)[draw(st.integers(0, len(array) - 1))])
+    step = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    return float(np.nextafter(value, value + step))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_threshold_cut_matches_array_ladder(data):
+    """The bisected cut is the first sum the array form lets through."""
+    ladder, array, n = data.draw(ladders())
+    threshold = data.draw(thresholds(array, n))
+    passing = binarize(normalize(array / n), threshold)
+    want = array[np.argmax(passing)] if passing.any() else None
+    assert _threshold_cut(ladder, n, threshold) == want
 
 
 def _same_bits(got, want):
@@ -301,3 +361,42 @@ def test_empty_gripper_and_reference_stack_match_reference(name):
                           for _ in range(n)], dtype=np.int16))
     for g, w in zip(got, want):
         _same_bits(g, w)
+
+
+def test_held_image_memo_matches_reference():
+    """``sample_tactile`` reuses each finger's last held-vial image while
+    the offset repeats. Over repeats, changes, open-gripper and empty
+    frames, a return to an earlier offset, both fingers and a grasp imposed
+    in between, every frame and the RNG must match the seed renderer."""
+    scene = reset_trial(_SIZES["default"], RngStream(8),
+                        rig=make_rig(_SIZES["default"], "tactile"))
+    first = scene.held_offset.copy()
+    moved = first + np.array([4e-4, -3e-4])
+
+    def offset(value):
+        return lambda s: setattr(s, "held_offset", value.copy())
+
+    steps = [
+        ("left", None), ("left", None), ("right", None), ("left", None),
+        ("left", offset(moved)), ("left", None), ("right", None),
+        ("right", "open"), ("left", None),
+        ("left", offset(first)), ("right", None), ("left", None),
+        ("left", lambda s: impose_grasp(s, moved)), ("right", None),
+        ("left", None), ("right", lambda s: setattr(s, "held_offset", None)),
+        ("left", None), ("left", offset(moved)), ("right", None),
+    ]
+    ref = copy.deepcopy(scene)
+    for finger, change in steps:
+        open_gripper = change == "open"
+        if callable(change):
+            change(scene)
+            change(ref)
+        got = sample_tactile(scene, finger, open_gripper=open_gripper)
+        want = tactile_reference.sample_tactile(ref, finger,
+                                                open_gripper=open_gripper)
+        _same_bits(got, want)
+        assert scene.rng.bit_generator.state == ref.rng.bit_generator.state
+    for finger in FINGERS:
+        key, image = scene._held_images[finger]
+        assert key == moved.tobytes()
+        assert not image.flags.writeable

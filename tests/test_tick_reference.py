@@ -10,13 +10,15 @@ contact, contact slot, pin, clock and RNG.
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tick_reference
 from vialbench.core import RngStream, load_config
-from vialbench.simworld import (MoveCommand, impose_grasp, jump_setpoint,
-                                make_rig, reset_trial, slot_centers, tick)
+from vialbench.simworld import (Contact, MoveCommand, impose_grasp,
+                                jump_setpoint, make_rig, release_and_evaluate,
+                                reset_trial, slot_centers, tick)
 
 CONFIG = load_config()
 DT = 1.0 / 125.0
@@ -114,3 +116,53 @@ def test_rim_example_slips_and_loses_the_vial():
                        else float(scene.held_offset[0]))
     assert offsets[0] > 0.003  # slipped outward on the first tick
     assert offsets[-1] is None  # and was lost within the leg
+
+
+def _hold_still(scene, ref, ticks=5):
+    cmd = MoveCommand(target=scene.setpoint.copy(), speed=0.03, accel=0.5)
+    for _ in range(ticks):
+        assert _sample(tick(scene, cmd, DT)) == _sample(
+            tick_reference.tick(ref, cmd, DT))
+        assert _state(scene) == _state(ref)
+
+
+@pytest.mark.parametrize("where", ["vacant", "occupied"])
+def test_occupancy_written_between_ticks_matches_reference(where):
+    """``tick`` reuses the support found at the same vial bottom xy; flipping
+    the slot under a held vial between two ticks there must still give
+    the reference contact."""
+    scene = reset_trial(CONFIG, RngStream(21), rig=make_rig(CONFIG, "rubber"))
+    impose_grasp(scene, (0.0, 0.0))
+    anchor = _anchor(scene, where)
+    jump_setpoint(scene, (anchor[0], anchor[1], 0.02))
+    ref = copy.deepcopy(scene)
+    _hold_still(scene, ref)
+    before = scene.contact
+    slot = np.argmin(np.linalg.norm(slot_centers(scene) - anchor, axis=1))
+    r, c = divmod(int(slot), CONFIG.rack.cols)
+    for s in (scene, ref):
+        s.occupancy[r, c] = not s.occupancy[r, c]
+    _hold_still(scene, ref)
+    assert scene.contact is not before
+
+
+def test_release_into_slot_then_regrasp_matches_reference():
+    """``release_and_evaluate`` fills the slot the vial went into; a vial
+    grasped again at the same bottom xy must rest on the filled slot, as
+    the reference finds."""
+    scene = reset_trial(CONFIG, RngStream(21), rig=make_rig(CONFIG, "rubber"))
+    impose_grasp(scene, (0.0, 0.0))
+    anchor = _anchor(scene, "vacant")
+    jump_setpoint(scene, (anchor[0], anchor[1], 0.02))
+    ref = copy.deepcopy(scene)
+    _hold_still(scene, ref)
+    assert scene.contact is Contact.INSERTED
+    for s in (scene, ref):
+        assert release_and_evaluate(s).kind == "inserted"
+    _hold_still(scene, ref)
+    impose_grasp(scene, (0.0, 0.0))
+    ref.held_offset = np.zeros(2)
+    tick_reference._resolve_contact(ref, 0.0)
+    assert _state(scene) == _state(ref)
+    _hold_still(scene, ref)
+    assert scene.contact is Contact.RACK_TOP

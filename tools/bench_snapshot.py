@@ -16,13 +16,19 @@ overhead. Produce the inputs first, e.g.
     python3 campaignbench/run.py --workload camera_campaign --seed 42 --trace 0
     python3 campaignbench/run.py --workload camera_campaign --seed 42 --trace 1
 
-A missing or incorrect result, or a traced run of other source or with
-another digest than the untraced one, ends with exit code 2 and one line.
+A missing or incorrect result, a traced run of other source or with
+another digest than the untraced one, or a run of other source than this
+tree's ``src/vialbench`` ends with exit code 2 and one line. The source is
+compared by the stamp's ``src_sha256``, which names the code that ran. The
+stamp's ``git_rev`` only names the commit checked out when the runs were
+made: a snapshot taken before its change is committed carries the parent
+commit.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -34,6 +40,17 @@ SEEDS = (42, 977)
 
 class SnapshotError(Exception):
     pass
+
+
+def source_digest() -> str:
+    """sha256 over vialbench's source files, names included, computed as
+    campaignbench/run.py computes a result's ``src_sha256``."""
+    h = hashlib.sha256()
+    src = ROOT / "src" / "vialbench"
+    for path in sorted(src.rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def load_result(results: Path, workload: str, seed: int, trace: int) -> dict:
@@ -65,13 +82,18 @@ def layer_times(metrics: dict) -> dict[str, dict]:
     return out
 
 
-def snapshot_entry(results: Path, workload: str, seed: int) -> dict:
+def snapshot_entry(results: Path, workload: str, seed: int,
+                   src_sha256: str) -> dict:
     plain = load_result(results, workload, seed, 0)
     traced = load_result(results, workload, seed, 1)
     where = f"{results}: {workload} seed {seed}"
     if plain["stamp"]["src_sha256"] != traced["stamp"]["src_sha256"]:
         raise SnapshotError(f"{where}: traced and untraced runs are of "
                             f"different sources")
+    if plain["stamp"]["src_sha256"] != src_sha256:
+        raise SnapshotError(f"{where}: runs are of source "
+                            f"{plain['stamp']['src_sha256'][:16]}, not this "
+                            f"tree's src/vialbench {src_sha256[:16]}")
     if plain["digest"] != traced["digest"]:
         raise SnapshotError(f"{where}: traced digest {traced['digest'][:16]} "
                             f"differs from untraced {plain['digest'][:16]}")
@@ -89,8 +111,9 @@ def snapshot_entry(results: Path, workload: str, seed: int) -> dict:
 
 
 def build_snapshot(results: Path, pr: int) -> dict:
+    src_sha256 = source_digest()
     return {"pr": pr,
-            "workloads": {w: {str(s): snapshot_entry(results, w, s)
+            "workloads": {w: {str(s): snapshot_entry(results, w, s, src_sha256)
                               for s in SEEDS} for w in WORKLOADS}}
 
 
