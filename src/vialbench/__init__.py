@@ -4,9 +4,9 @@ A simulated camera-arm-rack cell, three insertion strategies (visual, force,
 tactile), and a harness that scores them against each other on paired trials.
 """
 
-from .bench import (ExperimentResult, ModalityMetrics, ModalitySummary,
-                    compute_metrics, emit_report, load_records, run_experiment,
-                    summarize_modality, write_report)
+from .bench import (ExperimentResult, ModalitySummary, emit_report,
+                    load_records, run_experiment, summarize_modality,
+                    write_report)
 from .control import (MODALITIES, AttemptOutcome, TrialRecord, calibrate_rig,
                       run_force_trial, run_tactile_trial, run_visual_trial)
 from .core import (ConfigError, PACKAGE_VERSION, RngStream, WorkspaceConfig,
@@ -23,7 +23,6 @@ __all__ = [
     "Contact",
     "ExperimentResult",
     "MODALITIES",
-    "ModalityMetrics",
     "ModalitySummary",
     "PACKAGE_VERSION",
     "PlacementResult",
@@ -33,7 +32,6 @@ __all__ = [
     "TrialRecord",
     "WorkspaceConfig",
     "calibrate_rig",
-    "compute_metrics",
     "dump_config",
     "emit_report",
     "load_config",

@@ -32,76 +32,35 @@ from .simworld import make_rig
 
 @dataclass(frozen=True)
 class Stat:
-    """A mean/std pair plus the values that produced it (std is ddof=1,
-    None when fewer than two values are defined)."""
+    """A mean/std pair (std is ddof=1, None when fewer than two values are
+    defined)."""
 
     mean: float | None
     std: float | None
-    values: tuple[float, ...]
 
 
 def _stat(values) -> Stat:
-    vals = tuple(float(v) for v in values)
+    vals = [float(v) for v in values]
     if not vals:
-        return Stat(None, None, ())
+        return Stat(None, None)
     mean = float(np.mean(vals))
     std = float(np.std(vals, ddof=1)) if len(vals) >= 2 else None
-    return Stat(mean, std, vals)
-
-
-@dataclass(frozen=True)
-class ModalityMetrics:
-    """Pooled metrics for one modality's record list."""
-
-    modality: str
-    n_trials: int
-    n_successes: int
-    success_rate: float
-    first_time_rate: float
-    attempts_per_success: float | None   # all attempts spent / insertions won
-    avg_time_s: float | None             # successful trials only
-    histogram: dict[int, int]            # attempts -> success count
-    cumulative: dict[int, float]         # attempt n -> P(success in <= n)
-
-
-def compute_metrics(records: list[TrialRecord]) -> ModalityMetrics:
-    if not records:
-        raise ValueError("no records to summarize")
-    modality = records[0].modality
-    n = len(records)
-    wins = [r for r in records if r.success]
-    total_attempts = sum(r.attempts for r in records)
-    histogram: dict[int, int] = {}
-    for r in wins:
-        histogram[r.attempts] = histogram.get(r.attempts, 0) + 1
-    max_n = max((r.attempts for r in records), default=1)
-    cumulative = {
-        k: sum(1 for r in wins if r.attempts <= k) / n
-        for k in range(1, max_n + 1)
-    }
-    return ModalityMetrics(
-        modality=modality,
-        n_trials=n,
-        n_successes=len(wins),
-        success_rate=len(wins) / n,
-        first_time_rate=sum(1 for r in wins if r.attempts == 1) / n,
-        attempts_per_success=(total_attempts / len(wins)) if wins else None,
-        avg_time_s=(sum(r.runtime_s for r in wins) / len(wins)) if wins else None,
-        histogram=histogram,
-        cumulative=cumulative,
-    )
+    return Stat(mean, std)
 
 
 @dataclass(frozen=True)
 class ModalitySummary:
-    modality: str
-    n_trials: int
-    n_batches: int
-    metrics: ModalityMetrics
-    attempts: Stat        # successful trials, pooled
-    runtime_s: Stat       # successful trials, pooled
-    success_pct: Stat     # one value per batch
-    first_time_pct: Stat  # one value per batch
+    """What the report writes and ``vialbench run`` prints for one
+    modality's records."""
+
+    success_rate: float
+    first_time_rate: float
+    attempts: Stat                # successful trials, pooled
+    runtime_s: Stat               # successful trials, pooled
+    success_pct: Stat             # one value per batch
+    first_time_pct: Stat          # one value per batch
+    histogram: dict[int, int]     # attempts -> success count
+    cumulative: dict[int, float]  # attempt n -> P(success in <= n)
 
 
 def summarize_modality(records: list[TrialRecord], n_batches: int) -> ModalitySummary:
@@ -109,11 +68,19 @@ def summarize_modality(records: list[TrialRecord], n_batches: int) -> ModalitySu
         raise ValueError("need at least one batch")
     if n_batches > len(records):
         raise ValueError(f"cannot split {len(records)} trials into {n_batches} batches")
-    metrics = compute_metrics(records)
+    n = len(records)
     wins = [r for r in records if r.success]
+    histogram: dict[int, int] = {}
+    for r in wins:
+        histogram[r.attempts] = histogram.get(r.attempts, 0) + 1
+    max_n = max(r.attempts for r in records)
+    cumulative = {
+        k: sum(1 for r in wins if r.attempts <= k) / n
+        for k in range(1, max_n + 1)
+    }
     success_pct = []
     first_pct = []
-    bounds = np.linspace(0, len(records), n_batches + 1).astype(int)
+    bounds = np.linspace(0, n, n_batches + 1).astype(int)
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         chunk = records[b0:b1]
         chunk_wins = [r for r in chunk if r.success]
@@ -121,28 +88,23 @@ def summarize_modality(records: list[TrialRecord], n_batches: int) -> ModalitySu
         first_pct.append(100.0 * sum(1 for r in chunk_wins if r.attempts == 1)
                          / len(chunk))
     return ModalitySummary(
-        modality=metrics.modality,
-        n_trials=len(records),
-        n_batches=n_batches,
-        metrics=metrics,
+        success_rate=len(wins) / n,
+        first_time_rate=sum(1 for r in wins if r.attempts == 1) / n,
         attempts=_stat([r.attempts for r in wins]),
         runtime_s=_stat([r.runtime_s for r in wins]),
         success_pct=_stat(success_pct),
         first_time_pct=_stat(first_pct),
+        histogram=histogram,
+        cumulative=cumulative,
     )
 
 
 @dataclass
 class ExperimentResult:
-    config: WorkspaceConfig
     seed: int
     trials: int
     batches: int
-    modalities: tuple[str, ...]
     records: dict[str, list[TrialRecord]]
-    summaries: dict[str, ModalitySummary]
-    train_examples: int | None
-    train_wall_s: float | None
     campaign_wall_s: float
 
 
@@ -150,7 +112,7 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int = 3,
                    weights: CnnWeights | None = None,
                    modalities=MODALITIES, progress=None,
                    calibration=None) -> ExperimentResult:
-    """Run ``trials`` paired trials of each modality and summarize them.
+    """Run ``trials`` paired trials of each modality.
 
     Trains the slot classifier from the config seed when no weights are
     given. The tactile rig and its calibration are built once and shared by
@@ -170,14 +132,11 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int = 3,
         if progress is not None:
             progress(msg)
 
-    train_examples = None
-    train_wall = None
     if weights is None:
         note("training slot classifier")
         t0 = time.perf_counter()
-        weights, _, train_examples = train_discriminator(config)
-        train_wall = time.perf_counter() - t0
-        note(f"trained on {train_examples} crops in {train_wall:.1f}s")
+        weights, _, n_crops = train_discriminator(config)
+        note(f"trained on {n_crops} crops in {time.perf_counter() - t0:.1f}s")
 
     master = RngStream(config.seed)
     tactile_rig = None
@@ -207,15 +166,9 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int = 3,
             records[modality].append(rec)
             if (i + 1) % 25 == 0:
                 note(f"{modality}: {i + 1}/{trials} trials")
-    campaign_wall = time.perf_counter() - t0
-
-    summaries = {m: summarize_modality(records[m], batches) for m in modalities}
-    return ExperimentResult(
-        config=config, seed=config.seed, trials=trials, batches=batches,
-        modalities=tuple(modalities), records=records, summaries=summaries,
-        train_examples=train_examples, train_wall_s=train_wall,
-        campaign_wall_s=campaign_wall,
-    )
+    return ExperimentResult(seed=config.seed, trials=trials, batches=batches,
+                            records=records,
+                            campaign_wall_s=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +288,7 @@ def write_report(records: dict[str, list[TrialRecord]], batches: int,
         w = csv.writer(f)
         w.writerow(["modality", "attempt_n", "success_count"])
         for m in modalities:
-            hist = summaries[m].metrics.histogram
+            hist = summaries[m].histogram
             for k in range(1, max_n + 1):
                 w.writerow([m, k, hist.get(k, 0)])
 
@@ -344,7 +297,7 @@ def write_report(records: dict[str, list[TrialRecord]], batches: int,
         w = csv.writer(f)
         w.writerow(["modality", "attempt_n", "cumulative_probability"])
         for m in modalities:
-            cum = summaries[m].metrics.cumulative
+            cum = summaries[m].cumulative
             level = 0.0
             for k in range(1, max_n + 1):
                 level = cum.get(k, level)

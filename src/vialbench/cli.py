@@ -144,11 +144,10 @@ def _cmd_run(args) -> int:
     print(f"campaign: {args.trials} trials x {len(modalities)} modalities "
           f"in {result.campaign_wall_s:.1f}s")
     for m in modalities:
-        s = result.summaries[m]
-        met = s.metrics
+        s = bench.summarize_modality(result.records[m], result.batches)
         att = "-" if s.attempts.mean is None else f"{s.attempts.mean:.2f}"
-        print(f"  {m:8s} success {100 * met.success_rate:5.1f}%  "
-              f"first-time {100 * met.first_time_rate:5.1f}%  "
+        print(f"  {m:8s} success {100 * s.success_rate:5.1f}%  "
+              f"first-time {100 * s.first_time_rate:5.1f}%  "
               f"attempts {att}")
     print(f"report in {paths['summary'].parent}")
     return 0

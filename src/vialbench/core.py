@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -103,10 +104,6 @@ class RackSpec:
     height: float = 0.030
     footprint_w: float = 0.124
     footprint_h: float = 0.084
-
-    @property
-    def n_slots(self) -> int:
-        return self.rows * self.cols
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,10 @@ def _parse_value(raw: str, target: type, key: str, where: str):
                 raise ValueError(raw)
             return int(raw)
         if target is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
     except ValueError:
         raise ConfigError(
             f"{where}: bad {target.__name__} value {raw!r} for key {key!r}"

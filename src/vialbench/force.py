@@ -42,10 +42,6 @@ class ForceBuffer:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def full(self) -> bool:
-        return self._count == self.capacity
-
     def push(self, sample) -> None:
         v = np.asarray(sample, dtype=float)
         if v.shape != (3,):

@@ -1,8 +1,7 @@
 """Slot perception: circle detection, crop classification, target selection."""
 
 from .cnn import (CnnWeights, TrainingDiverged, forward, init_weights,
-                  load_weights, loss_and_grads, predict, save_weights,
-                  train_cnn)
+                  load_weights, loss_and_grads, save_weights, train_cnn)
 from .hough import Candidate, ChtParams, cht_params_for, detect_circles
 from .pipeline import (Label, NoValidSlotError, ScoredCandidate,
                        accepted_rack_candidates, extract_crops,
@@ -28,7 +27,6 @@ __all__ = [
     "label_candidate",
     "load_weights",
     "loss_and_grads",
-    "predict",
     "refined_camera_z",
     "save_weights",
     "score_candidates",

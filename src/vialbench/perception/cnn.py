@@ -198,11 +198,6 @@ def forward(x: np.ndarray, weights: CnnWeights):
     return _sigmoid(logits), cache
 
 
-def predict(x: np.ndarray, weights: CnnWeights) -> np.ndarray:
-    probs, _ = forward(x, weights)
-    return probs
-
-
 def loss_and_grads(weights: CnnWeights, x: np.ndarray, targets: np.ndarray,
                    mask: np.ndarray):
     """Masked two-head BCE (mean over batch) and gradients for every tensor.
@@ -331,6 +326,8 @@ def load_weights(path) -> CnnWeights:
             if len(raw) != 4 * count:
                 raise ValueError(f"{path}: truncated data for {name}")
             arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shapes[name]).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{path}: non-finite value in {name}")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after weight data")
     return CnnWeights(**arrays)

@@ -142,16 +142,10 @@ class SceneState:
     _held_images: dict = field(default_factory=dict)
 
     @property
-    def grip(self) -> np.ndarray:
-        """Actual grip position: the setpoint, z-limited by any contact pin."""
-        pos = self.setpoint.copy()
-        if self.pin_z is not None:
-            pos[2] = max(pos[2], self.pin_z)
-        return pos
-
-    @property
     def grip_z(self) -> float:
-        return float(self.grip[2])
+        """Actual grip height: the setpoint's, z-limited by any contact pin."""
+        z = float(self.setpoint[2])
+        return z if self.pin_z is None else max(z, self.pin_z)
 
     def vial_bottom_xy(self) -> np.ndarray:
         """Horizontal position of the held vial's bottom-center."""
@@ -401,10 +395,8 @@ def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
     force_contact = _resolve_contact(scene, dt)
 
     scene.sim_clock += dt
-    x, y, z = scene.setpoint.tolist()
-    if scene.pin_z is not None:
-        z = max(z, scene.pin_z)  # the z of ``scene.grip``
-    bx, by, bz = _static_bias(x, y, z, scene.held_offset is not None)
+    x, y, _ = scene.setpoint.tolist()
+    bx, by, bz = _static_bias(x, y, scene.grip_z, scene.held_offset is not None)
     nx, ny, nz = scene.rng.normal(0.0, cfg.noise.sigma_force, 3).tolist()
     return ForceSample(fx=bx + nx, fy=by + ny, fz=bz + force_contact + nz)
 

@@ -7,19 +7,19 @@ traced region's centroid is mapped to a physical in-gripper offset through a
 per-finger affine calibration fit by least squares on frames with known
 offsets.
 
-The reference set arrives as one ``(n, H, W)`` int16 stack
-(``simworld.reference_frames``), so a uint8 frame is differenced against
-all of it in one exact integer step. ``find_contact`` thresholds the integer
-sum of those differences, not the float mean: normalize-then-binarize is
-monotone in the sum, so the pixels that pass are those at or above the
-smallest sum that passes. That sum is found by bisection over the ladder of
-sums from the frame's min to its max (float frames take their distinct
-sums as the ladder), testing one sum at a time with the operations
-``normalize`` and ``binarize`` apply to every pixel: ``k / n``, then
+Frames and references are integer arrays holding byte values, as
+``simworld.sample_tactile`` and ``simworld.reference_frames`` produce them,
+so a frame is differenced against the whole reference stack in one exact
+integer step. ``find_contact`` thresholds the integer sum of those
+differences, not the float mean: normalize-then-binarize is monotone in
+the sum, so the pixels that pass are those at or above the smallest sum
+that passes. That sum is found by bisection over the sums from the frame's
+min to its max, testing one sum at a time with the float operations of
+normalizing the mean and comparing it with the threshold: ``k / n``, then
 ``(k / n - lo) / (hi - lo) >= threshold``. Python floats round each of
-these as numpy does element by element, and the ladder has the frame's
-min and max, so each sum meets the same rounded floats as on the full
-image and the mask is the same bit for bit.
+these as numpy does element by element, and ``lo`` and ``hi`` are the
+means of the frame's own min and max sums, so each sum meets the same
+rounded floats as on the full image and the mask is the same bit for bit.
 
 During a descent the tracker compares each finger's current centroid with
 the one captured right after the grasp; the centroid travel in pixels,
@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,48 +85,23 @@ class TrackReading:
 def _difference_sum(frame: np.ndarray, references) -> np.ndarray:
     """Per-pixel sum of ``|frame - reference|`` over the reference stack.
 
-    Integer inputs are subtracted in at least int16 and summed exactly;
-    other inputs are subtracted and summed in float64. One reference at a
-    time is subtracted into a reused buffer and added to the total in stack
-    order, the order ``sum(axis=0)`` adds them in. Sixteen-bit integer
-    inputs must hold byte values, as sensor frames and ``reference_frames``
-    stacks do: each difference is then at most 255, so the total stays in
-    int16 while ``n * 255`` fits and goes to int32 past that.
+    The frame and references are integer arrays holding byte values, so
+    each difference is taken in int16 and is at most 255; the total stays
+    in int16 while ``n * 255`` fits and goes to int32 past that. One
+    reference at a time is subtracted into a reused buffer and added to the
+    total. A float frame raises numpy's casting TypeError.
     """
-    if len(references) == 0:
+    n = len(references)
+    if n == 0:
         raise ValueError("need at least one reference frame")
-    refs = np.asarray(references)
-    dtype = np.result_type(frame, refs, np.int16)
-    if dtype.kind not in "iu":
-        dtype = np.dtype(float)
-    total_dtype = dtype
-    if dtype == np.int16 and len(refs) * 255 > np.iinfo(np.int16).max:
-        total_dtype = np.dtype(np.int32)
-    diff = np.empty(np.shape(frame), dtype)
-    total = np.zeros(diff.shape, total_dtype)
-    for ref in refs:
-        np.subtract(frame, ref, out=diff, dtype=dtype)
+    diff = np.empty(np.shape(frame), np.int16)
+    total = np.zeros(diff.shape, np.int16 if n * 255 <= np.iinfo(np.int16).max
+                     else np.int32)
+    for ref in references:
+        np.subtract(frame, ref, out=diff, dtype=np.int16)
         np.abs(diff, out=diff)
         total += diff
     return total
-
-
-def difference_image(frame: np.ndarray, references) -> np.ndarray:
-    """Mean absolute difference of ``frame`` against the reference stack
-    (an ``(n, H, W)`` array or a list of ``n`` frames)."""
-    return _difference_sum(frame, references) / len(references)
-
-
-def normalize(delta: np.ndarray) -> np.ndarray:
-    lo = float(delta.min())
-    hi = float(delta.max())
-    if hi == lo:
-        return np.zeros_like(delta, dtype=float)
-    return (delta - lo) / (hi - lo)
-
-
-def binarize(norm: np.ndarray, threshold: float) -> np.ndarray:
-    return norm >= threshold
 
 
 # After entering a cell by Moore step j, the backtrack (the last empty cell
@@ -249,10 +225,7 @@ def find_contact(frame: np.ndarray, references,
     """
     total = _difference_sum(frame, references)
     n = len(references)
-    if total.dtype.kind in "iu":
-        ladder = range(int(total.min()), int(total.max()) + 1)
-    else:
-        ladder = np.unique(total).tolist()
+    ladder = range(int(total.min()), int(total.max()) + 1)
     if ladder[-1] / n < config.contact_floor:
         return None
     cut = _threshold_cut(ladder, n, config.threshold)
@@ -263,12 +236,12 @@ def find_contact(frame: np.ndarray, references,
 
 
 def _threshold_cut(ladder, n: int, threshold: float):
-    """The smallest sum ``k`` of the ascending ``ladder`` whose mean
-    ``k / n`` passes ``binarize(normalize(ladder / n), threshold)``, or
-    None when none does. The test is monotone in ``k``, so it is bisected.
+    """The smallest sum ``k`` of the ``ladder`` range whose normalized mean
+    ``(k / n - lo) / (hi - lo)`` is at least ``threshold``, or None when
+    none is. The test is monotone in ``k``, so it is bisected.
     """
     lo, hi = ladder[0] / n, ladder[-1] / n
-    if hi == lo:  # normalize maps every mean to 0.0
+    if hi == lo:  # normalizing maps every mean to 0.0
         return ladder[0] if 0.0 >= threshold else None
     span = hi - lo
     i = bisect.bisect_left(ladder, True,
@@ -353,16 +326,19 @@ def load_calibration(path) -> dict[str, TactileCalibration]:
 
 def _cal_numbers(path, lines: list[str], i: int, key: str,
                  count: int) -> list[float]:
-    """The ``count`` numbers of calibration line ``i``, which must read
-    ``key n1 .. ncount``."""
+    """The ``count`` finite numbers of calibration line ``i``, which must
+    read ``key n1 .. ncount``."""
     parts = lines[i].split() if i < len(lines) else []
     if parts[:1] != [key] or len(parts) != count + 1:
         got = repr(lines[i]) if i < len(lines) else "end of file"
         raise ValueError(f"{path}: expected {key!r} with {count} numbers, got {got}")
     try:
-        return [float(v) for v in parts[1:]]
+        values = [float(v) for v in parts[1:]]
     except ValueError:
         raise ValueError(f"{path}: bad number in {lines[i]!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{path}: non-finite {key} in {lines[i]!r}")
+    return values
 
 
 def track_deviation(regions: dict[str, ContactRegion | None],

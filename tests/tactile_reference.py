@@ -1,7 +1,8 @@
 """The seed tactile pipeline, kept unchanged as the reference for tests.
 
-``vialbench.tactile.find_contact`` and ``difference_image`` must return
-exactly what these versions return, and ``vialbench.simworld.sample_tactile``
+``vialbench.tactile.find_contact`` must return exactly what this
+``find_contact`` returns, the difference sum over ``n`` what
+``difference_image`` returns, and ``vialbench.simworld.sample_tactile``
 must render the same bytes from the same RNG state. These copies cast every
 reference frame to float on every call, threshold the full normalized
 image, label and trace the whole frame with a bounds-checked tuple walk,

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from gradcheck import numeric_gradient
-from vialbench.bench import run_experiment
+from vialbench.bench import run_experiment, summarize_modality
 from vialbench.cli import main as cli_main
 from vialbench.control import MODALITIES, check_record
-from vialbench.core import CameraIntrinsics, CnnConfig, Pose3, RngStream
+from vialbench.core import (CameraIntrinsics, CnnConfig, Pose3, RngStream,
+                            TactileConfig)
 from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
                              init_baseline, update_and_check)
 from vialbench.geometry import pixel_to_world, world_to_pixel
@@ -28,8 +29,8 @@ from vialbench.perception.cnn import forward, init_weights, loss_and_grads
 from vialbench.perception.hough import ChtParams
 from vialbench.search import make_search, next_trial_positions
 from vialbench.simworld import render_topdown, reset_trial, slot_centers
-from vialbench.tactile import (binarize, calibrate_mapping, difference_image,
-                               normalize, polygon_area)
+from vialbench.tactile import (_difference_sum, calibrate_mapping,
+                               find_contact, polygon_area)
 
 
 GOLDEN = Path(__file__).parent / "golden" / "campaign_seed42_first10.json"
@@ -188,15 +189,19 @@ def test_criterion_3_classifier(config, trained):
 
 
 def test_criterion_4_tactile_math():
-    # mean absolute difference against the reference stack
-    refs = [np.full((2, 2), 10.0), np.full((2, 2), 20.0)]
-    np.testing.assert_array_equal(difference_image(np.full((2, 2), 30.0), refs),
-                                  np.full((2, 2), 15.0))
+    # mean absolute difference against the reference stack: a sum of 30
+    # over two references
+    refs = [np.full((2, 2), 10, np.uint8), np.full((2, 2), 20, np.uint8)]
+    np.testing.assert_array_equal(
+        _difference_sum(np.full((2, 2), 30, np.uint8), refs) / len(refs),
+        np.full((2, 2), 15.0))
 
-    # normalize then threshold at 0.5
-    delta = np.array([[0.0, 5.0, 10.0]])
-    np.testing.assert_array_equal(binarize(normalize(delta), 0.5),
-                                  np.array([[0, 1, 1]]))
+    # normalize then threshold at 0.5: means 0, 5, 10 keep the last two
+    # pixels, one region centred between them
+    bare = TactileConfig(threshold=0.5, contact_floor=0.0, min_area=0.0)
+    region = find_contact(np.array([[0, 5, 10]], np.uint8),
+                          [np.zeros((1, 3), np.uint8)], bare)
+    assert region.centroid == (1.5, 0.0)
 
     # shoelace areas on the listed polygons
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -318,15 +323,15 @@ def test_criterion_6_search_matches_oracle(config):
 def test_criterion_7_campaign_gates(campaign, trained):
     result, campaign_wall = campaign
     train_wall = trained[3]
-    succ = {m: 100.0 * result.summaries[m].metrics.success_rate
-            for m in MODALITIES}
-    first = {m: 100.0 * result.summaries[m].metrics.first_time_rate
-             for m in MODALITIES}
+    summaries = {m: summarize_modality(result.records[m], result.batches)
+                 for m in MODALITIES}
+    succ = {m: 100.0 * summaries[m].success_rate for m in MODALITIES}
+    first = {m: 100.0 * summaries[m].first_time_rate for m in MODALITIES}
 
     assert succ["force"] > succ["tactile"] > succ["visual"]
     assert succ["force"] >= 80.0
     assert 35.0 <= succ["visual"] <= 65.0
-    visual_attempts = result.summaries["visual"].attempts
+    visual_attempts = summaries["visual"].attempts
     assert visual_attempts.mean == 1.0
     assert visual_attempts.std == 0.0
     assert first["force"] < first["visual"]
@@ -341,7 +346,8 @@ def test_criterion_7_campaign_gates(campaign, trained):
 
 def test_criterion_8_cumulative_curves(campaign):
     result, _ = campaign
-    cum = {m: result.summaries[m].metrics.cumulative for m in MODALITIES}
+    cum = {m: summarize_modality(result.records[m], result.batches).cumulative
+           for m in MODALITIES}
     for m in MODALITIES:
         levels = [cum[m][k] for k in sorted(cum[m])]
         assert all(b >= a for a, b in zip(levels, levels[1:])), m

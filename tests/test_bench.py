@@ -9,7 +9,6 @@ from vialbench import bench
 from vialbench.bench import (
     Stat,
     _stat,
-    compute_metrics,
     load_records,
     record_from_dict,
     record_to_dict,
@@ -36,22 +35,23 @@ TRIO = [rec(1, True, runtime=30.0), rec(3, True, runtime=60.0), rec(2, False)]
 
 
 def test_metrics_worked_example():
-    m = compute_metrics(TRIO)
-    assert m.n_trials == 3
-    assert m.n_successes == 2
-    assert m.success_rate == pytest.approx(2 / 3)
-    assert m.first_time_rate == pytest.approx(1 / 3)
-    # (1 + 3 + 2) attempts spent for 2 vials seated
-    assert m.attempts_per_success == pytest.approx(3.0)
-    assert m.avg_time_s == pytest.approx(45.0)
-    assert m.histogram == {1: 1, 3: 1}
-    assert m.cumulative == {1: pytest.approx(1 / 3), 2: pytest.approx(1 / 3),
+    s = summarize_modality(TRIO, 1)
+    assert s.success_rate == pytest.approx(2 / 3)
+    assert s.first_time_rate == pytest.approx(1 / 3)
+    # the two insertions took 1 and 3 attempts, in 30 s and 60 s
+    assert s.attempts == Stat(2.0, pytest.approx(np.sqrt(2.0)))
+    assert s.runtime_s.mean == pytest.approx(45.0)
+    assert s.histogram == {1: 1, 3: 1}
+    assert s.cumulative == {1: pytest.approx(1 / 3), 2: pytest.approx(1 / 3),
                             3: pytest.approx(2 / 3)}
+    # one batch: the rates as percentages, with no spread
+    assert s.success_pct == Stat(pytest.approx(200 / 3), None)
+    assert s.first_time_pct == Stat(pytest.approx(100 / 3), None)
 
 
 def test_metrics_order_invariant():
-    m0 = compute_metrics(TRIO)
-    m1 = compute_metrics(TRIO[::-1])
+    m0 = summarize_modality(TRIO, 1)
+    m1 = summarize_modality(TRIO[::-1], 1)
     assert m0.success_rate == m1.success_rate
     assert m0.histogram == m1.histogram
     assert m0.cumulative == m1.cumulative
@@ -59,45 +59,45 @@ def test_metrics_order_invariant():
 
 def test_metrics_empty_rejected():
     with pytest.raises(ValueError):
-        compute_metrics([])
+        summarize_modality([], 1)
 
 
 def test_metrics_all_failed():
-    m = compute_metrics([rec(2, False), rec(1, False)])
-    assert m.n_successes == 0
-    assert m.attempts_per_success is None
-    assert m.avg_time_s is None
-    assert m.histogram == {}
-    assert m.cumulative == {1: 0.0, 2: 0.0}
+    s = summarize_modality([rec(2, False), rec(1, False)], 1)
+    assert s.success_rate == 0.0
+    assert s.attempts == Stat(None, None)
+    assert s.runtime_s == Stat(None, None)
+    assert s.histogram == {}
+    assert s.cumulative == {1: 0.0, 2: 0.0}
 
 
 def test_cumulative_monotone():
     rng = np.random.default_rng(2)
     records = [rec(int(rng.integers(1, 9)), bool(rng.random() < 0.6))
                for _ in range(80)]
-    cum = compute_metrics(records).cumulative
-    levels = [cum[k] for k in sorted(cum)]
+    s = summarize_modality(records, 1)
+    levels = [s.cumulative[k] for k in sorted(s.cumulative)]
     assert all(b >= a for a, b in zip(levels, levels[1:]))
-    assert levels[-1] == pytest.approx(compute_metrics(records).success_rate)
+    assert levels[-1] == pytest.approx(s.success_rate)
 
 
 def test_stat_helper():
     s = _stat([2.0, 4.0])
     assert s.mean == 3.0
     assert s.std == pytest.approx(np.std([2.0, 4.0], ddof=1))
-    assert _stat([5.0]) == Stat(5.0, None, (5.0,))
-    assert _stat([]) == Stat(None, None, ())
+    assert _stat([5.0]) == Stat(5.0, None)
+    assert _stat([]) == Stat(None, None)
 
 
 def test_summary_batching_uses_even_bounds():
     # 10 trials over 3 batches -> sizes 3/3/4 (linspace truncation), with the
-    # only success sitting in the middle batch
+    # only success sitting in the middle batch: 0%, 33.3%, 0% (rounded
+    # bounds, sizes 3/4/3, would give 25% to the middle batch)
     records = [rec(1, i == 4, idx=i) for i in range(10)]
     s = summarize_modality(records, 3)
-    assert s.success_pct.values == (0.0, 100.0 / 3, 0.0)
-    assert s.metrics.success_rate == pytest.approx(0.1)
-    assert s.attempts.values == (1.0,)
-    assert s.attempts.std is None
+    assert s.success_pct == _stat([0.0, 100.0 / 3, 0.0])
+    assert s.success_rate == pytest.approx(0.1)
+    assert s.attempts == Stat(1.0, None)
 
 
 def test_summary_rejects_bad_batching():
@@ -110,8 +110,9 @@ def test_summary_rejects_bad_batching():
 def test_summary_attempts_pool_successes_only():
     records = [rec(1, True), rec(1, True), rec(7, False)]
     s = summarize_modality(records, 1)
-    assert s.attempts.mean == 1.0  # the 7-attempt failure does not pollute it
-    assert s.metrics.attempts_per_success == pytest.approx(9 / 2)
+    # the 7-attempt failure does not pollute the mean or the spread
+    assert s.attempts == Stat(1.0, 0.0)
+    assert s.histogram == {1: 2}
 
 
 # ---------------------------------------------------------------- serde

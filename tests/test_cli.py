@@ -201,6 +201,66 @@ def test_malformed_pgm_exits_two_naming_the_file(tmp_path, weights_file,
     assert "bad.pgm" in lines[0] and fragment in lines[0]
 
 
+# A campaign small enough that an input the checks let through fails fast.
+_QUICK = ["--set", "cnn.train_scenes=4", "--set", "cnn.epochs=1",
+          "--trials", "1", "--batches", "1"]
+
+
+def _calibration_file(path, left_gain="1 0 0 1", left_bias="0 0"):
+    """A calibration file for both fingers; only the left finger's lines
+    vary."""
+    path.write_text(f"VIALTAC1\nfinger left\ngain {left_gain}\n"
+                    f"bias {left_bias}\nrms 0\n"
+                    "finger right\ngain 1 0 0 1\nbias 0 0\nrms 0\n")
+    return path
+
+
+def _weights_file(path, good, tensor, value):
+    """``good`` with the first number of ``tensor`` set to ``value``."""
+    weights = load_weights(good)
+    getattr(weights, tensor).flat[0] = value
+    save_weights(path, weights)
+    return path
+
+
+@pytest.mark.parametrize("make_args, fragment", [
+    pytest.param(lambda tmp, w: ["--set", "workspace.source_x=inf"],
+                 "bad float value 'inf' for key 'workspace.source_x'",
+                 id="set-inf"),
+    pytest.param(lambda tmp, w: ["--set", "cnn.tie_eps=nan"],
+                 "bad float value 'nan' for key 'cnn.tie_eps'", id="set-nan"),
+    pytest.param(lambda tmp, w: ["--set", "tactile.contact_floor=nan"],
+                 "bad float value 'nan' for key 'tactile.contact_floor'",
+                 id="set-nan-silent"),
+    pytest.param(lambda tmp, w: ["--set", "force.threshold=-inf"],
+                 "bad float value '-inf' for key 'force.threshold'",
+                 id="set-minus-inf"),
+    pytest.param(lambda tmp, w: ["--calibration", _calibration_file(
+        tmp / "bad.cal", left_gain="nan 0 0 nan")],
+        "bad.cal: non-finite gain in 'gain nan 0 0 nan'", id="calibration-gain"),
+    pytest.param(lambda tmp, w: ["--calibration", _calibration_file(
+        tmp / "bad.cal", left_bias="0 -inf")],
+        "bad.cal: non-finite bias in 'bias 0 -inf'", id="calibration-bias"),
+    pytest.param(lambda tmp, w: ["--weights", _weights_file(
+        tmp / "bad.weights", w, "fc3_b", np.nan)],
+        "bad.weights: non-finite value in fc3_b", id="weights-nan"),
+    pytest.param(lambda tmp, w: ["--weights", _weights_file(
+        tmp / "bad.weights", w, "conv1_w", np.inf)],
+        "bad.weights: non-finite value in conv1_w", id="weights-inf"),
+])
+def test_non_finite_inputs_exit_two_before_training(tmp_path, weights_file,
+                                                    capsys, make_args,
+                                                    fragment):
+    code = run_cli("run", *_QUICK, *make_args(tmp_path, weights_file),
+                   "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert fragment in lines[0]
+    assert "training slot classifier" not in captured.out
+
+
 # ---------------------------------------------------------------- detect
 
 

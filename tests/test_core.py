@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from vialbench.core import (ConfigError, RngStream, WorkspaceConfig,
-                            dump_config, load_config, split_rng)
+from vialbench.core import (_SECTIONS, ConfigError, RngStream,
+                            WorkspaceConfig, _field_types, dump_config,
+                            load_config, split_rng)
 
 
 def test_empty_document_gives_defaults():
@@ -57,6 +58,22 @@ def test_parse_errors_name_the_problem(text, fragment):
         load_config(text)
     assert fragment in str(err.value)
     assert "line 1" in str(err.value)
+
+
+FLOAT_KEYS = [f"{section}.{name}" for section, cls in _SECTIONS.items()
+              for name, kind in _field_types(cls).items() if kind is float]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_floats_rejected(key, raw):
+    """No range check is needed to stop a NaN or an infinity: the parser
+    refuses them for every float key, from a file or an override."""
+    want = f"bad float value {raw!r} for key {key!r}"
+    with pytest.raises(ConfigError, match=f"line 1: {want}"):
+        load_config(f"{key} = {raw}")
+    with pytest.raises(ConfigError, match=f"override .*: {want}"):
+        load_config("", [f"{key}={raw}"])
 
 
 def test_error_reports_line_number():

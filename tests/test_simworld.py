@@ -298,7 +298,8 @@ def test_release_over_table(config):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 50), slot=st.integers(0, RackSpec().n_slots - 1),
+@given(seed=st.integers(0, 50),
+       slot=st.integers(0, RackSpec().rows * RackSpec().cols - 1),
        occupied=st.booleans(),
        miss=st.one_of(st.floats(0.0, 0.003), st.floats(0.0, 0.06)),
        heading=st.floats(0.0, 2 * np.pi),

@@ -1,7 +1,8 @@
-"""Tactile image pipeline: difference images, contour tracing, calibration.
+"""Tactile image pipeline: difference sums, contour tracing, calibration.
 
 Most expected values are worked by hand; the contour and area cases use
 small enough masks that the border sequence can be enumerated directly.
+Frames are uint8 and references uint8 or int16, as the sensor gives them.
 """
 
 import numpy as np
@@ -9,77 +10,121 @@ import pytest
 
 from vialbench.core import TactileConfig, load_config
 from vialbench.tactile import (CalibrationError, TactileDecision,
-                               _moore_trace, apply_calibration, binarize,
-                               calibrate_mapping, difference_image,
+                               _difference_sum, _moore_trace,
+                               apply_calibration, calibrate_mapping,
                                extract_contacts, find_contact,
-                               load_calibration, normalize, polygon_area,
+                               load_calibration, polygon_area,
                                save_calibration, track_deviation)
 
 
 def frame(values):
-    return np.asarray(values, dtype=float)
+    return np.asarray(values, dtype=np.uint8)
 
 
-# --- difference image -----------------------------------------------------
+def flat(value, shape=(4, 4)):
+    return np.full(shape, value, dtype=np.uint8)
+
+
+def bare(threshold=0.35):
+    """Every pixel counts: no noise floor, no area floor."""
+    return TactileConfig(threshold=threshold, contact_floor=0.0, min_area=0.0)
+
+
+# --- difference sum -------------------------------------------------------
 
 
 def test_identical_frames_zero_delta():
     f = frame(np.random.default_rng(1).integers(0, 255, (8, 8)))
-    delta = difference_image(f, [f.copy(), f.copy()])
-    assert np.all(delta == 0)
+    assert np.all(_difference_sum(f, [f.copy(), f.copy()]) == 0)
+    # a constant zero difference normalizes to 0.0 everywhere: nothing
+    # reaches a positive threshold
+    assert find_contact(f, [f.copy(), f.copy()], bare()) is None
 
 
 def test_two_reference_mean():
-    refs = [np.full((4, 4), 10.0), np.full((4, 4), 20.0)]
-    delta = difference_image(np.full((4, 4), 30.0), refs)
-    # (|30-10| + |30-20|) / 2
-    assert np.all(delta == 15.0)
+    refs = [flat(10), flat(20)]
+    # |30 - 10| + |30 - 20| = 30, a mean of 15 per reference
+    assert np.all(_difference_sum(flat(30), refs) == 30)
+    # the mean is exactly 15: a floor of 15 keeps the frame, the next float
+    # above it rejects it
+    whole = find_contact(flat(30), refs, TactileConfig(
+        contact_floor=15.0, threshold=0.0, min_area=0.0))
+    assert whole.area == 9.0  # the ring of the whole 4x4 frame
+    assert find_contact(flat(30), refs, TactileConfig(
+        contact_floor=float(np.nextafter(15.0, 16.0)), threshold=0.0,
+        min_area=0.0)) is None
 
 
 def test_single_reference_exact():
     ref = frame([[0, 50], [100, 200]])
     cur = frame([[10, 40], [150, 200]])
-    assert np.array_equal(difference_image(cur, [ref]), np.abs(ref - cur))
+    assert _difference_sum(cur, [ref]).tolist() == [[10, 10], [50, 0]]
 
 
 def test_delta_nonnegative():
     gen = np.random.default_rng(5)
-    refs = [gen.integers(0, 255, (16, 16)).astype(float) for _ in range(3)]
-    delta = difference_image(gen.integers(0, 255, (16, 16)).astype(float), refs)
+    refs = [frame(gen.integers(0, 255, (16, 16))) for _ in range(3)]
+    delta = _difference_sum(frame(gen.integers(0, 255, (16, 16))), refs)
+    assert delta.dtype == np.int16
     assert delta.min() >= 0
 
 
 def test_empty_reference_set_rejected():
     with pytest.raises(ValueError):
-        difference_image(np.zeros((4, 4)), [])
+        find_contact(flat(0), [], bare())
+
+
+def test_float_frame_rejected():
+    """Frames hold bytes; a float frame fails numpy's integer cast."""
+    with pytest.raises(TypeError):
+        find_contact(np.full((4, 4), 30.0), [flat(10)], bare())
+    with pytest.raises(TypeError):
+        find_contact(flat(30), [np.full((4, 4), 10.0)], bare())
 
 
 # --- normalize + threshold ------------------------------------------------
 
 
+def _mean_row(values):
+    """A one-row frame whose mean difference against a zero reference is
+    ``values``."""
+    return frame([values]), [frame([[0] * len(values)])]
+
+
 def test_binarize_example():
-    delta = frame([0.0, 5.0, 10.0])
-    b = binarize(normalize(delta), 0.5)
-    assert b.tolist() == [0, 1, 1]
+    # means 0, 5, 10 normalize to 0, 0.5, 1: at 0.5 the last two pass, a
+    # two-pixel region centred between them
+    cur, refs = _mean_row([0, 5, 10])
+    region = find_contact(cur, refs, bare(0.5))
+    assert region.centroid == (1.5, 0.0)
+    region = find_contact(cur, refs, bare(float(np.nextafter(0.5, 1.0))))
+    assert region.centroid == (2.0, 0.0)
 
 
 def test_constant_delta_binarizes_to_zero():
-    b = binarize(normalize(np.full((3, 3), 7.0)), 0.35)
-    assert not b.any()
+    assert find_contact(flat(7, (3, 3)), [flat(0, (3, 3))], bare()) is None
 
 
 def test_threshold_zero_accepts_everything():
-    delta = frame([0.0, 1.0, 3.0])
-    assert binarize(normalize(delta), 0.0).tolist() == [1, 1, 1]
+    cur = frame([[0, 1, 3], [1, 1, 1], [3, 1, 0]])
+    region = find_contact(cur, [flat(0, (3, 3))], bare(0.0))
+    # the whole 3x3 frame: its border ring encloses a 2x2 square
+    assert region.area == 4.0
+    assert region.centroid == (1.0, 1.0)
 
 
 def test_normalized_range():
     gen = np.random.default_rng(2)
-    norm = normalize(gen.random((32, 32)) * 90)
-    assert norm.min() == 0.0
-    assert norm.max() == 1.0
-    b = binarize(norm, 0.35)
-    assert set(np.unique(b)) <= {0, 1}
+    cur = frame(gen.integers(0, 90, (32, 32)))
+    cur[20, 7] = 90  # the one maximum
+    refs = [flat(0, (32, 32))]
+    # the minimum normalizes to 0.0: a zero threshold takes every pixel
+    whole = find_contact(cur, refs, bare(0.0))
+    assert whole.area == 31.0 * 31.0
+    # the maximum normalizes to 1.0: a threshold of 1 takes it alone
+    top = find_contact(cur, refs, bare(1.0))
+    assert top.centroid == (7.0, 20.0)
+    assert top.area == 0.0
 
 
 # --- contour tracing and areas --------------------------------------------
@@ -284,16 +329,26 @@ def test_calibration_file_malformed_names_file(tmp_path, body):
 CFG = TactileConfig()
 
 
-def _blob_frame(cx, cy, radius=16, size=(160, 160), level=235.0, base=90.0):
+GEL = flat(90, (160, 160))
+
+
+def _blob_frame(cx, cy, radius=16, size=(160, 160), level=235, base=90):
     h, w = size
     yy, xx = np.mgrid[0:h, 0:w]
-    img = np.full(size, base)
+    img = np.full(size, base, dtype=np.uint8)
     img[np.hypot(xx - cx, yy - cy) <= radius] = level
     return img
 
 
+def _noisy(img, gen, sigma):
+    """``img`` plus Gaussian noise, clipped and truncated to bytes as the
+    sensor renders it."""
+    return np.clip(img + gen.normal(0, sigma, img.shape), 0.0,
+                   255.0).astype(np.uint8)
+
+
 def test_find_contact_locates_blob():
-    refs = [np.full((160, 160), 90.0) for _ in range(3)]
+    refs = [GEL] * 3
     region = find_contact(_blob_frame(60.0, 100.0), refs, CFG)
     assert region is not None
     assert region.centroid[0] == pytest.approx(60.0, abs=1.0)
@@ -302,9 +357,8 @@ def test_find_contact_locates_blob():
 
 def test_find_contact_rejects_noise_only_frames():
     gen = np.random.default_rng(11)
-    refs = [np.full((160, 160), 90.0) + gen.normal(0, 2, (160, 160))
-            for _ in range(4)]
-    cur = np.full((160, 160), 90.0) + gen.normal(0, 2, (160, 160))
+    refs = [_noisy(GEL, gen, 2) for _ in range(4)]
+    cur = _noisy(GEL, gen, 2)
     # raw differences stay far below the contact floor, so the normalize
     # step must not get the chance to amplify them into a phantom blob
     assert find_contact(cur, refs, CFG) is None
@@ -315,7 +369,7 @@ def _contacts(frames, refs, cfg=CFG):
 
 
 def test_track_neutral_continue():
-    refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
+    refs = {f: [GEL] for f in ("left", "right")}
     regions = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
     neutral = {f: r.centroid for f, r in regions.items()}
     reading = track_deviation(regions, neutral, CFG)
@@ -324,7 +378,7 @@ def test_track_neutral_continue():
 
 
 def test_track_shift_past_threshold_stops():
-    refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
+    refs = {f: [GEL] for f in ("left", "right")}
     start = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
     neutral = {f: r.centroid for f, r in start.items()}
     shift = CFG.stop_px + 1.0
@@ -335,8 +389,8 @@ def test_track_shift_past_threshold_stops():
 
 
 def test_track_lost_contact():
-    refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
-    gone = _contacts({f: np.full((160, 160), 90.0) for f in refs}, refs)
+    refs = {f: [GEL] for f in ("left", "right")}
+    gone = _contacts({f: GEL for f in refs}, refs)
     assert gone == {"left": None, "right": None}
     reading = track_deviation(gone, {"left": (0, 0), "right": (0, 0)}, CFG)
     assert reading.decision is TactileDecision.LOST_CONTACT
@@ -346,7 +400,7 @@ def test_track_lost_contact():
 def test_track_skips_finger_without_grasp_centroid():
     # the right finger saw no contact at grasp time, so it has no baseline:
     # only the left finger's travel counts
-    refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
+    refs = {f: [GEL] for f in ("left", "right")}
     neutral = {"left": find_contact(_blob_frame(80.0, 80.0), refs["left"],
                                     CFG).centroid}
     shift = CFG.stop_px - 2.0
@@ -359,7 +413,7 @@ def test_track_skips_finger_without_grasp_centroid():
 
 
 def test_track_sub_threshold_shift_continues():
-    refs = {f: [np.full((160, 160), 90.0)] for f in ("left", "right")}
+    refs = {f: [GEL] for f in ("left", "right")}
     start = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
     neutral = {f: r.centroid for f, r in start.items()}
     moved = _contacts({f: _blob_frame(80.0 + CFG.stop_px - 2.0, 80.0)
@@ -373,17 +427,16 @@ def test_default_noise_never_false_stops():
     cfg = load_config()
     assert cfg.noise.sigma_pixel <= 3.0
     gen = np.random.default_rng(17)
-    base = np.full((160, 160), 90.0)
-    refs = {f: [base + gen.normal(0, cfg.noise.sigma_pixel, base.shape)
-                for _ in range(cfg.tactile.n_reference)]
+    sigma = cfg.noise.sigma_pixel
+    refs = {f: [_noisy(GEL, gen, sigma) for _ in range(cfg.tactile.n_reference)]
             for f in ("left", "right")}
-    start = {f: _blob_frame(80.0, 80.0) + gen.normal(
-        0, cfg.noise.sigma_pixel, base.shape) for f in ("left", "right")}
+    start = {f: _noisy(_blob_frame(80.0, 80.0), gen, sigma)
+             for f in ("left", "right")}
     neutral = {f: r.centroid
                for f, r in _contacts(start, refs, cfg.tactile).items()}
     for _ in range(25):
-        frames = {f: _blob_frame(80.0, 80.0) + gen.normal(
-            0, cfg.noise.sigma_pixel, base.shape) for f in ("left", "right")}
+        frames = {f: _noisy(_blob_frame(80.0, 80.0), gen, sigma)
+                  for f in ("left", "right")}
         reading = track_deviation(_contacts(frames, refs, cfg.tactile),
                                   neutral, cfg.tactile)
         assert reading.decision is TactileDecision.CONTINUE

@@ -4,8 +4,8 @@
 on scalars; ``extract_contacts`` labels and traces only the bounding box of
 the mask, on flat indices; ``sample_tactile`` draws the contact blob only
 inside its bounding box and reuses each finger's last held-vial image. Each
-must give exactly what ``tactile_reference`` (or, for the cut, the array
-form of ``normalize`` and ``binarize``) gives.
+must give exactly what ``tactile_reference`` (for the cut, its array
+``normalize`` and ``binarize``) gives.
 """
 
 import copy
@@ -21,9 +21,9 @@ import tactile_reference
 from vialbench.core import RngStream, TactileConfig, load_config
 from vialbench.simworld import (impose_grasp, make_rig, reference_frames,
                                 reset_trial, sample_tactile)
+from tactile_reference import binarize, normalize
 from vialbench.tactile import (FINGERS, _difference_sum, _moore_trace,
-                               _threshold_cut, binarize, difference_image,
-                               extract_contacts, find_contact, normalize)
+                               _threshold_cut, extract_contacts, find_contact)
 
 SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 40))
 
@@ -84,21 +84,15 @@ def test_contact_floor_matches_reference(data, floor):
 
 @st.composite
 def ladders(draw):
-    """``(ladder, array, n)``: an ascending ladder of difference sums, as
-    ``find_contact`` bisects it, and as the array ``normalize`` would see.
+    """``(ladder, array, n)``: the range of difference sums ``find_contact``
+    bisects, and the same sums as the array ``normalize`` would see.
 
-    Integer ladders run from a drawn ``k_min`` to ``k_max`` in an int16 or
-    int32 total, as byte frames against ``n`` references give (int16 only
-    while ``n * 255`` fits); float ladders are the distinct sums of a drawn
-    float total.
+    Ladders run from a drawn ``k_min`` to ``k_max`` in an int16 or int32
+    total, as byte frames against ``n`` references give (int16 only while
+    ``n * 255`` fits).
     """
     n = draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["int16", "int32", "float"]))
-    if kind == "float":
-        total = draw(hnp.arrays(np.float64, st.integers(1, 60),
-                                elements=st.floats(0.0, 255.0 * n)))
-        array = np.unique(total)
-        return array.tolist(), array, n
+    kind = draw(st.sampled_from(["int16", "int32"]))
     if kind == "int16":
         n = min(n, 128)
     top = 255 * n
@@ -145,32 +139,14 @@ def _same_bits(got, want):
 
 @settings(max_examples=200, deadline=None)
 @given(frame_and_stack())
-def test_difference_image_uint8_matches_reference(data):
+def test_difference_sum_uint8_matches_reference(data):
+    """The exact sum over ``n`` is the seed's float mean, bit for bit."""
     frame, refs = data
+    n = len(refs)
     want = tactile_reference.difference_image(frame, list(refs))
-    _same_bits(difference_image(frame, refs.astype(np.int16)), want)
-    _same_bits(difference_image(frame, refs), want)
-    _same_bits(difference_image(frame, list(refs)), want)
-
-
-@st.composite
-def typed_frame_and_stack(draw, dtype, elements):
-    h, w = draw(SHAPES)
-    n = draw(st.integers(1, 8))
-    return (draw(hnp.arrays(dtype, (h, w), elements=elements)),
-            draw(hnp.arrays(dtype, (n, h, w), elements=elements)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(
-    typed_frame_and_stack(np.int64, st.integers(-10**6, 10**6)),
-    typed_frame_and_stack(np.float64, st.floats(-1e6, 1e6)),
-    typed_frame_and_stack(np.float32, st.floats(-1e4, 1e4, width=32)),
-))
-def test_difference_image_int_and_float_match_reference(data):
-    frame, refs = data
-    _same_bits(difference_image(frame, list(refs)),
-               tactile_reference.difference_image(frame, list(refs)))
+    _same_bits(_difference_sum(frame, refs.astype(np.int16)) / n, want)
+    _same_bits(_difference_sum(frame, refs) / n, want)
+    _same_bits(_difference_sum(frame, list(refs)) / n, want)
 
 
 @pytest.mark.parametrize("n", [1, 128, 129, 300])
@@ -185,7 +161,7 @@ def test_difference_sum_of_many_byte_references_is_exact(n):
         got = _difference_sum(frame, stack)
         assert got.dtype.kind == "i"
         assert got.tolist() == want.tolist()
-    _same_bits(difference_image(frame, refs),
+    _same_bits(_difference_sum(frame, refs) / n,
                tactile_reference.difference_image(frame, list(refs)))
 
 

@@ -119,7 +119,9 @@ def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
     force_contact = _resolve_contact(scene, dt)
 
     scene.sim_clock += dt
-    pos = scene.grip
+    pos = scene.setpoint.copy()
+    if scene.pin_z is not None:
+        pos[2] = max(pos[2], scene.pin_z)
     bias = _static_bias(pos, scene.held_offset is not None)
     noise = scene.rng.normal(0.0, cfg.noise.sigma_force, 3)
     return ForceSample(
