@@ -24,8 +24,8 @@ import numpy as np
 from .control import (MODALITIES, AttemptOutcome, TrialRecord, calibrate_rig,
                       check_record, run_force_trial, run_tactile_trial,
                       run_visual_trial)
-from .core import (KEY_CALIB, PACKAGE_VERSION, RngStream, WorkspaceConfig,
-                   read_utf8, split_rng)
+from .core import (PACKAGE_VERSION, RngStream, WorkspaceConfig, read_utf8,
+                   split_rng)
 from .perception import CnnWeights, train_discriminator
 from .simworld import make_rig
 
@@ -108,7 +108,7 @@ class ExperimentResult:
     campaign_wall_s: float
 
 
-def run_experiment(config: WorkspaceConfig, trials: int, batches: int = 3,
+def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
                    weights: CnnWeights | None = None,
                    modalities=MODALITIES, progress=None,
                    calibration=None) -> ExperimentResult:
@@ -143,8 +143,7 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int = 3,
     if "tactile" in modalities:
         tactile_rig = make_rig(config, "tactile")
         if calibration is None:
-            calibration = calibrate_rig(config, tactile_rig,
-                                        master.child(KEY_CALIB))
+            calibration = calibrate_rig(config, tactile_rig)
 
     t0 = time.perf_counter()
     records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}

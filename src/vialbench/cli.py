@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import bench, control, pgm
-from .core import (ConfigError, PACKAGE_VERSION, RngStream, KEY_CALIB,
-                   WorkspaceConfig, load_config, read_utf8)
+from .core import (ConfigError, PACKAGE_VERSION, WorkspaceConfig, load_config,
+                   read_utf8)
 from .perception import (cht_params_for, detect_circles, load_weights,
                          save_weights, score_candidates, train_discriminator)
 from .simworld import make_rig
 from .tactile import load_calibration, save_calibration
+
+
+_BATCHES = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +63,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="run a benchmark campaign")
     add_config_args(p)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--batches", type=int, default=3)
+    p.add_argument("--batches", type=int, default=_BATCHES)
     p.add_argument("--modality", choices=[*control.MODALITIES, "all"],
                    default="all")
     p.add_argument("--weights", type=Path, default=None,
@@ -70,7 +74,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="rebuild report CSVs from records.jsonl")
     p.add_argument("--records", type=Path, required=True)
-    p.add_argument("--batches", type=int, default=3)
+    p.add_argument("--batches", type=int, default=_BATCHES)
     p.add_argument("--out", type=Path, default=Path("results"))
     return parser
 
@@ -101,10 +105,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _load_config_from(args)
+    cam_z = config.camera.z if args.camera_z is None else args.camera_z
+    if not math.isfinite(cam_z):
+        raise ValueError(f"--camera-z must be finite, got {cam_z}")
     image = pgm.read_pgm(args.image)
     weights = load_weights(args.weights)
-    cam_z = config.camera.z if args.camera_z is None else args.camera_z
-    candidates = detect_circles(image, cht_params_for(config, cam_z))
+    params = cht_params_for(config, cam_z)
+    if 2 * params.r_max > min(image.shape):
+        raise ValueError(f"--camera-z {cam_z}: slot radii up to {params.r_max} px "
+                         f"exceed half the {image.shape[1]}x{image.shape[0]} image")
+    candidates = detect_circles(image, params)
     scored = score_candidates(image, candidates, weights, config.cnn.crop_size)
     print(f"{len(scored)} candidates")
     for s in scored:
@@ -116,9 +126,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config_from(args)
-    rig = make_rig(config, "tactile")
-    cals = control.calibrate_rig(config, rig,
-                                 RngStream(config.seed).child(KEY_CALIB))
+    cals = control.calibrate_rig(config, make_rig(config, "tactile"))
     save_calibration(args.out, cals)
     for finger, cal in cals.items():
         print(f"{finger}: residual rms {cal.residual_rms * 1e6:.1f} um")

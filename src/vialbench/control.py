@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Pose3, RngStream, TactileConfig, WorkspaceConfig
+from .core import KEY_CALIB, Pose3, RngStream, TactileConfig, WorkspaceConfig
 from .force import (ForceBuffer, ForceDecision, buffer_capacity, init_baseline,
                     safety_stop, update_and_check)
 from .geometry import pixel_to_world
@@ -121,22 +121,22 @@ def _charged_move(scene: SceneState, target, speed: float) -> None:
 
 
 def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.ndarray:
-    x, y, _ = pixel_to_world(u, v, config.camera.intrinsics(), pose,
-                             config.rack.height)
-    return np.array([x, y])
+    return np.array(pixel_to_world(u, v, config.camera.intrinsics(), pose,
+                                   config.rack.height))
 
 
 def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
-                      mode: str, gen: np.random.Generator,
+                      gen: np.random.Generator,
                       ref_uv: tuple[float, float] | None = None, *,
-                      seen: dict):
+                      seen: dict | None):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
     ``seen`` maps (image digest, shape, dtype, camera z) to the scored
     candidates of an image already perceived with the same config and
     weights; a hit skips circle detection and scoring, a miss adds its
-    result. The picture is always rendered and the pick always made, so
-    every RNG draws alike on a hit and on a miss.
+    result. With ``seen`` None the image is perceived without a digest.
+    The picture is always rendered and the pick always made, so every RNG
+    draws alike on a hit and on a miss.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
@@ -144,15 +144,18 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     cfg = scene.config
     advance_clock(scene, cfg.timing.image_s)
     image = render_topdown(scene, pose)
-    key = (hashlib.blake2b(image.tobytes()).digest(), image.shape,
-           image.dtype.str, pose.z)
-    scored = seen.get(key)
+    key = None if seen is None else (
+        hashlib.blake2b(image.tobytes()).digest(), image.shape,
+        image.dtype.str, pose.z)
+    scored = None if key is None else seen.get(key)
     if scored is None:
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
         # A tuple, so that a result shared through ``seen`` cannot change.
-        scored = seen[key] = tuple(score_candidates(image, candidates, weights,
-                                                    cfg.cnn.crop_size))
-    chosen = select_target(scored, mode, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
+        scored = tuple(score_candidates(image, candidates, weights,
+                                        cfg.cnn.crop_size))
+        if key is not None:
+            seen[key] = scored
+    chosen = select_target(scored, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)
     return scored, chosen
 
@@ -187,13 +190,13 @@ def _xy(position) -> tuple[float, float]:
 
 def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                weights: CnnWeights, trial_index: int, rig,
-               prepare, attempt_descent, seen: dict) -> TrialRecord:
+               prepare, attempt_descent, seen: dict | None) -> TrialRecord:
     """The one trial loop: pick and grasp, prepare, then descend until the
     vial is released, lost or given up.
 
     ``seen`` is the overview cache of ``_image_and_select``, shared by the
     trials of one campaign (trial ``i`` of every modality sees the same
-    scene); an empty dict perceives the overview afresh.
+    scene); None perceives the overview afresh.
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
@@ -225,8 +228,8 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
 
     overview = config.camera.pose()
     try:
-        scored, first = _image_and_select(scene, overview, weights,
-                                          "best_vacant", sel_gen, seen=seen)
+        scored, first = _image_and_select(scene, overview, weights, sel_gen,
+                                          seen=seen)
         advance_clock(scene, config.timing.grasp_s)
         target = _project(config, overview, first.candidate.u, first.candidate.v)
         ctx, target = prepare(scene, sel_gen, target)
@@ -278,7 +281,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
                      weights: CnnWeights, trial_index: int = 0,
-                     rig=None, seen: dict | None = None) -> TrialRecord:
+                     seen: dict | None = None) -> TrialRecord:
     """Vision-only: overhead pick, close-up refinement, open-loop insert."""
     cam = config.camera
     depth_z = config.rack.height - config.motion.visual_floor + config.vial.grip_height
@@ -288,24 +291,23 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
         # height: angular calibration error shrinks with the viewing distance.
         close_z = refined_camera_z(config)
         advance_clock(scene, (cam.z - close_z) / config.motion.speed)
-        pose = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z, yaw=0.0)
-        # A close-up never repeats, so it gets a cache of its own.
-        _, refined = _image_and_select(scene, pose, weights, "nearest_center",
-                                       sel_gen, ref_uv=(cam.cx, cam.cy),
-                                       seen={})
+        pose = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z)
+        # A close-up never repeats, so it is not cached.
+        _, refined = _image_and_select(scene, pose, weights, sel_gen,
+                                       ref_uv=(cam.cx, cam.cy), seen=None)
         return None, _project(config, pose, refined.candidate.u,
                               refined.candidate.v)
 
     def attempt_descent(scene, ctx, position):
         return _descend_to_floor(scene, position, depth_z, lambda sample: None)
 
-    return _run_trial("visual", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent, {} if seen is None else seen)
+    return _run_trial("visual", config, stream, weights, trial_index, None,
+                      prepare, attempt_descent, seen)
 
 
 def run_force_trial(config: WorkspaceConfig, stream: RngStream,
                     weights: CnnWeights, trial_index: int = 0,
-                    rig=None, seen: dict | None = None) -> TrialRecord:
+                    seen: dict | None = None) -> TrialRecord:
     """Force-guarded insertion with lattice-search recovery."""
 
     def prepare(scene, sel_gen, target):
@@ -331,8 +333,8 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
 
         return _descend_to_floor(scene, position, config.descent_floor_z(), check)
 
-    return _run_trial("force", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent, {} if seen is None else seen)
+    return _run_trial("force", config, stream, weights, trial_index, None,
+                      prepare, attempt_descent, seen)
 
 
 def _finger_contacts(scene: SceneState, refs: dict[str, np.ndarray],
@@ -401,14 +403,15 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
                                  check)
 
     return _run_trial("tactile", config, stream, weights, trial_index, rig,
-                      prepare, attempt_descent, {} if seen is None else seen)
+                      prepare, attempt_descent, seen)
 
 
-def calibrate_rig(config: WorkspaceConfig, rig,
-                  stream: RngStream) -> dict[str, TactileCalibration]:
-    """Fit each finger's centroid-to-offset map on a grid of known grasps."""
+def calibrate_rig(config: WorkspaceConfig, rig) -> dict[str, TactileCalibration]:
+    """Fit each finger's centroid-to-offset map on a grid of known grasps,
+    drawn from the reserved calibration RNG stream of the config seed."""
     if rig is None or not rig.has_tactile:
         raise ValueError("calibration needs a tactile-equipped rig")
+    stream = RngStream(config.seed).child(KEY_CALIB)
     scene = reset_trial(config, stream.child(0), rig)
     refs = {f: reference_frames(scene, f) for f in FINGERS}
     reach = 3.0e-3

@@ -55,12 +55,11 @@ def split_rng(master: RngStream, trial_index: int) -> RngStream:
 
 @dataclass(frozen=True)
 class Pose3:
-    """Position plus yaw in the robot base frame (meters, radians)."""
+    """Nadir (straight-down) camera position in the robot base frame, meters."""
 
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-    yaw: float = 0.0
+    x: float
+    y: float
+    z: float
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class CameraConfig:
         return CameraIntrinsics(self.fx, self.fy, self.cx, self.cy)
 
     def pose(self) -> Pose3:
-        return Pose3(self.x, self.y, self.z, 0.0)
+        return Pose3(self.x, self.y, self.z)
 
 
 @dataclass(frozen=True)
@@ -164,6 +163,11 @@ class ForceConfig:
     rate: int = 125
     buffer_seconds: float = 1.0
     floor: float = 0.5
+
+
+def buffer_capacity(config: ForceConfig) -> int:
+    """Samples in the force window: ``rate * buffer_seconds``, rounded."""
+    return int(round(config.rate * config.buffer_seconds))
 
 
 @dataclass(frozen=True)
@@ -365,6 +369,7 @@ def _require(cond: bool, key: str, message: str) -> None:
 
 def validate_config(config: WorkspaceConfig) -> None:
     """Range and consistency checks; messages name the offending key."""
+    _require(config.seed >= 0, "seed", "must be >= 0")
     cam, rack, vial = config.camera, config.rack, config.vial
     _require(cam.fx > 0 and cam.fy > 0, "camera.fx", "focal lengths must be positive")
     _require(cam.width >= 16 and cam.height >= 16, "camera.width", "image too small")
@@ -383,6 +388,13 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(ws.x_min < ws.x_max, "workspace.x_min", "empty x range")
     _require(ws.y_min < ws.y_max, "workspace.y_min", "empty y range")
     _require(ws.yaw_max >= 0, "workspace.yaw_max", "must be >= 0")
+    # Every rack pose must stay inside the overview image at rack height.
+    reach = float(np.hypot(rack.footprint_w, rack.footprint_h))
+    depth = cam.z - rack.height
+    _require(ws.x_max - ws.x_min + reach <= cam.width * depth / cam.fx,
+             "workspace.x_min", "x range plus rack footprint exceeds the camera view")
+    _require(ws.y_max - ws.y_min + reach <= cam.height * depth / cam.fy,
+             "workspace.y_min", "y range plus rack footprint exceeds the camera view")
     noise = config.noise
     for name in ("sigma_bias_angle", "sigma_bias_xy", "sigma_detect", "sigma_force",
                  "sigma_pixel", "sigma_grasp"):
@@ -399,7 +411,8 @@ def validate_config(config: WorkspaceConfig) -> None:
     frc = config.force
     _require(frc.threshold > 0, "force.threshold", "must be positive")
     _require(frc.rate > 0, "force.rate", "must be positive")
-    _require(frc.buffer_seconds > 0, "force.buffer_seconds", "must be positive")
+    _require(buffer_capacity(frc) >= 1, "force.buffer_seconds",
+             "rate * buffer_seconds must round to at least one sample")
     _require(frc.floor > 0, "force.floor", "must be positive")
     tac = config.tactile
     _require(tac.rate > 0, "tactile.rate", "must be positive")
@@ -425,6 +438,7 @@ def validate_config(config: WorkspaceConfig) -> None:
     cnn = config.cnn
     _require(0 <= cnn.theta_rack <= 1, "cnn.theta_rack", "must be in [0, 1]")
     _require(0 <= cnn.theta_occ <= 1, "cnn.theta_occ", "must be in [0, 1]")
+    _require(cnn.tie_eps >= 0, "cnn.tie_eps", "must be >= 0")
     _require(cnn.lr > 0, "cnn.lr", "must be positive")
     _require(0 <= cnn.momentum < 1, "cnn.momentum", "must be in [0, 1)")
     _require(cnn.epochs >= 1 and cnn.batch_size >= 1, "cnn.epochs", "must be >= 1")

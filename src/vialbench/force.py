@@ -13,7 +13,7 @@ import enum
 
 import numpy as np
 
-from .core import ForceConfig, WorkspaceConfig
+from .core import ForceConfig, WorkspaceConfig, buffer_capacity
 
 _REFRESH_EVERY = 4096  # recompute the running sum exactly, bounding FP drift
 
@@ -61,10 +61,6 @@ class ForceBuffer:
         if self._count == 0:
             raise ValueError("mean of an empty buffer")
         return self._sum / self._count
-
-
-def buffer_capacity(config: ForceConfig) -> int:
-    return int(round(config.rate * config.buffer_seconds))
 
 
 def init_baseline(samples, config: ForceConfig) -> np.ndarray:

@@ -7,37 +7,33 @@ import numpy as np
 from .core import CameraIntrinsics, Pose3
 
 
-def pixel_to_world(u, v, intrinsics: CameraIntrinsics, cam: Pose3, plane_z: float):
-    """Back-project a pixel onto the horizontal plane at ``plane_z``.
+def pixel_to_world(u: float, v: float, intrinsics: CameraIntrinsics, cam: Pose3,
+                   plane_z: float) -> tuple[float, float]:
+    """Back-project pixel (u, v) onto the horizontal plane at ``plane_z``.
 
     Assumes a nadir (straight-down) camera model:
 
         x = cam.x + (u - cx) * (cam.z - plane_z) / fx
         y = cam.y + (v - cy) * (cam.z - plane_z) / fy
 
-    Returns (x, y, plane_z); accepts scalars or arrays for u, v.
+    Returns (x, y).
     """
     depth = cam.z - plane_z
     if depth <= 0:
         raise ValueError(f"camera height {cam.z} must be above plane z={plane_z}")
-    x = cam.x + (np.asarray(u, dtype=float) - intrinsics.cx) * depth / intrinsics.fx
-    y = cam.y + (np.asarray(v, dtype=float) - intrinsics.cy) * depth / intrinsics.fy
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
-        return float(x), float(y), float(plane_z)
-    return x, y, np.full_like(x, float(plane_z))
+    return (cam.x + (u - intrinsics.cx) * depth / intrinsics.fx,
+            cam.y + (v - intrinsics.cy) * depth / intrinsics.fy)
 
 
-def world_to_pixel(x, y, z, intrinsics: CameraIntrinsics, cam: Pose3):
-    """Project world points into the nadir image; exact inverse of pixel_to_world."""
-    dx = np.asarray(x, dtype=float) - cam.x
-    dy = np.asarray(y, dtype=float) - cam.y
-    depth = cam.z - np.asarray(z, dtype=float)
-    if np.any(depth <= 0):
+def world_to_pixel(x: np.ndarray, y: np.ndarray, z: float,
+                   intrinsics: CameraIntrinsics, cam: Pose3):
+    """Project world points (arrays ``x``, ``y`` on the plane at ``z``) into
+    the nadir image; exact inverse of pixel_to_world. Returns arrays (u, v)."""
+    depth = cam.z - z
+    if depth <= 0:
         raise ValueError("point at or behind the camera plane")
-    u = intrinsics.cx + intrinsics.fx * dx / depth
-    v = intrinsics.cy + intrinsics.fy * dy / depth
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(u), float(v)
+    u = intrinsics.cx + intrinsics.fx * (x - cam.x) / depth
+    v = intrinsics.cy + intrinsics.fy * (y - cam.y) / depth
     return u, v
 
 

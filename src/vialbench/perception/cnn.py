@@ -178,10 +178,8 @@ def _softplus(z):
 
 
 def forward(x: np.ndarray, weights: CnnWeights):
-    """Run the network; returns ``(probs, cache)`` with probs of shape (n, 2)."""
-    x = np.asarray(x)
-    if x.ndim == 3:
-        x = x[:, None, :, :]
+    """Run the network on crops ``x`` of shape (n, 1, cs, cs); returns
+    ``(probs, cache)`` with probs of shape (n, 2)."""
     z1, cols1 = _conv_forward(x, weights.conv1_w, weights.conv1_b)
     a1 = np.maximum(z1, 0)
     p1 = _pool_forward(a1)
@@ -258,10 +256,9 @@ def targets_for_labels(labels: np.ndarray):
 
 def train_cnn(crops: np.ndarray, labels: np.ndarray, config: CnnConfig,
               gen: np.random.Generator):
-    """SGD-with-momentum training; returns ``(weights, per_epoch_loss)``."""
+    """SGD-with-momentum training on crops of shape (n, 1, cs, cs); returns
+    ``(weights, per_epoch_loss)``."""
     crops = np.asarray(crops, dtype=np.float32)
-    if crops.ndim == 3:
-        crops = crops[:, None, :, :]
     n = crops.shape[0]
     if n == 0:
         raise ValueError("empty training set")

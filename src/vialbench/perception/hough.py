@@ -33,8 +33,8 @@ class ChtParams:
 
     r_min: int
     r_max: int
-    vote_frac: float = 0.35
-    edge_thresh: float = 60.0
+    vote_frac: float
+    edge_thresh: float
 
     def __post_init__(self):
         if not (1 <= self.r_min <= self.r_max):

@@ -40,7 +40,7 @@ class ScoredCandidate:
     p_occupied: float
 
 
-def extract_crops(image: np.ndarray, u, v, r, crop_size: int = 32,
+def extract_crops(image: np.ndarray, u, v, r, crop_size: int,
                   margin: float = 1.1) -> np.ndarray:
     """Bilinear crops of side 2*margin*r around each (u, v), resampled to
     crop_size and scaled to [0, 1]: shape (n, crop_size, crop_size) float32.
@@ -126,7 +126,7 @@ def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream,
             pick = centers[int(scene.rng.integers(len(centers)))]
             jitter = scene.rng.normal(0.0, 1.0e-3, size=2)
             pose = Pose3(x=pick[0] + jitter[0], y=pick[1] + jitter[1],
-                         z=refined_camera_z(config), yaw=0.0)
+                         z=refined_camera_z(config))
             params = refined_params
         else:
             pose = config.camera.pose()
@@ -187,7 +187,7 @@ def train_discriminator(config: WorkspaceConfig, dump_dir=None):
 
 
 def score_candidates(image: np.ndarray, candidates: list[Candidate],
-                     weights: CnnWeights, crop_size: int = 32) -> list[ScoredCandidate]:
+                     weights: CnnWeights, crop_size: int) -> list[ScoredCandidate]:
     if not candidates:
         return []
     batch = _crops_of(image, candidates, crop_size)[:, None, :, :]
@@ -201,30 +201,25 @@ def accepted_rack_candidates(scored: list[ScoredCandidate],
     return [s for s in scored if s.p_rack >= theta_rack]
 
 
-def select_target(scored: list[ScoredCandidate], mode: str, theta_rack: float,
+def select_target(scored: list[ScoredCandidate], theta_rack: float,
                   theta_occ: float, tie_eps: float, gen: np.random.Generator,
                   ref_uv: tuple[float, float] | None = None) -> ScoredCandidate:
     """Pick the vacant slot to aim at.
 
-    ``best_vacant`` takes the most confidently vacant candidate;
-    ``nearest_center`` takes the vacant candidate closest to ``ref_uv``
-    (used by the close-up pass, where the intended slot sits near the image
-    center). Score ties within ``tie_eps`` are broken by a seeded draw so runs
-    stay reproducible.
+    With no ``ref_uv`` it takes the most confidently vacant candidate; with
+    one, the vacant candidate closest to ``ref_uv`` (the close-up pass, where
+    the intended slot sits near the image center). Score ties within
+    ``tie_eps`` are broken by a seeded draw so runs stay reproducible.
     """
     vacant = [s for s in accepted_rack_candidates(scored, theta_rack)
               if s.p_occupied <= theta_occ]
     if not vacant:
         raise NoValidSlotError("no vacant rack slot among candidates")
-    if mode == "best_vacant":
+    if ref_uv is None:
         scores = [1.0 - s.p_occupied for s in vacant]
-    elif mode == "nearest_center":
-        if ref_uv is None:
-            raise ValueError("nearest_center mode needs a reference pixel")
+    else:
         scores = [-np.hypot(s.candidate.u - ref_uv[0], s.candidate.v - ref_uv[1])
                   for s in vacant]
-    else:
-        raise ValueError(f"unknown selection mode {mode!r}")
     best = max(scores)
     ties = [s for s, sc in zip(vacant, scores) if best - sc <= tie_eps]
     if len(ties) == 1:

@@ -70,7 +70,6 @@ class FingertipRig:
     compliant gel pad lets it lean.
     """
 
-    material: str  # "rubber" | "tactile"
     mu: float
     sigma_grasp: float
     tilt_gain: float
@@ -83,7 +82,6 @@ def make_rig(config: WorkspaceConfig, material: str) -> FingertipRig:
     """Build the fingertip rig for one material, seeded from the master seed."""
     if material == "rubber":
         return FingertipRig(
-            material="rubber",
             mu=config.contact.mu_rubber,
             sigma_grasp=config.noise.sigma_grasp,
             tilt_gain=1.0,
@@ -102,7 +100,6 @@ def make_rig(config: WorkspaceConfig, material: str) -> FingertipRig:
         gains[finger] = np.array([[gx, cross[0]], [cross[1], gy]])
         offsets[finger] = 0.5 + gen.normal(0.0, 0.015, size=2)
     return FingertipRig(
-        material="tactile",
         mu=config.contact.mu_tactile,
         sigma_grasp=config.tactile.sigma_grasp,
         tilt_gain=config.tactile.tilt_gain,
@@ -202,14 +199,7 @@ def reset_trial(config: WorkspaceConfig, rng: RngStream,
     """
     if rig is None:
         rig = make_rig(config, "rubber")
-    ws, rack, cam = config.workspace, config.rack, config.camera
-    half_diag = float(np.hypot(rack.footprint_w, rack.footprint_h)) / 2.0
-    fov_x = cam.width * (cam.z - rack.height) / cam.fx
-    fov_y = cam.height * (cam.z - rack.height) / cam.fy
-    if (ws.x_max - ws.x_min) + 2 * half_diag > fov_x or \
-            (ws.y_max - ws.y_min) + 2 * half_diag > fov_y:
-        raise SimError("workspace too small for rack: poses can leave the camera view")
-
+    ws, rack = config.workspace, config.rack
     gen = rng.generator()
     rack_xy = np.array([gen.uniform(ws.x_min, ws.x_max),
                         gen.uniform(ws.y_min, ws.y_max)])
@@ -504,7 +494,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     depth = cam_pose.z - cfg.rack.height
     shift = (scene.bias_xy + scene.bias_angle * depth
              + scene.rng.normal(0.0, cfg.noise.sigma_detect, 2))
-    eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z, 0.0)
+    eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z)
     scene.last_render_cam = eff
 
     # Table plane: gradient, two straight seams, ring-shaped clutter.

@@ -53,7 +53,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     depth = cam_pose.z - cfg.rack.height
     shift = (scene.bias_xy + scene.bias_angle * depth
              + scene.rng.normal(0.0, cfg.noise.sigma_detect, 2))
-    eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z, 0.0)
+    eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z)
     scene.last_render_cam = eff
 
     img = np.empty((H, W), dtype=float)

@@ -18,8 +18,8 @@ from gradcheck import numeric_gradient
 from vialbench.bench import run_experiment, summarize_modality
 from vialbench.cli import main as cli_main
 from vialbench.control import MODALITIES, check_record
-from vialbench.core import (CameraIntrinsics, CnnConfig, Pose3, RngStream,
-                            TactileConfig)
+from vialbench.core import (CameraIntrinsics, ChtConfig, CnnConfig, Pose3,
+                            RngStream, TactileConfig)
 from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
                              init_baseline, update_and_check)
 from vialbench.geometry import pixel_to_world, world_to_pixel
@@ -73,10 +73,10 @@ def test_criterion_1_projection_round_trip():
     t0 = time.perf_counter()
 
     # the three worked examples, exact
-    assert pixel_to_world(320.0, 240.0, intr, cam, 0.05) == (0.0, 0.0, 0.05)
-    x, _, _ = pixel_to_world(380.0, 240.0, intr, cam, 0.05)
+    assert pixel_to_world(320.0, 240.0, intr, cam, 0.05) == (0.0, 0.0)
+    x, _ = pixel_to_world(380.0, 240.0, intr, cam, 0.05)
     assert x == pytest.approx(0.075, abs=1e-15)
-    _, y, _ = pixel_to_world(320.0, 360.0, intr, cam, 0.05)
+    _, y = pixel_to_world(320.0, 360.0, intr, cam, 0.05)
     assert y == pytest.approx(0.15, abs=1e-15)
 
     gen = np.random.default_rng(1)
@@ -86,9 +86,9 @@ def test_criterion_1_projection_round_trip():
         pose = Pose3(gen.uniform(-0.5, 0.5), gen.uniform(-0.5, 0.5),
                      plane + gen.uniform(0.1, 1.0))
         u, v = gen.uniform(0.0, 640.0), gen.uniform(0.0, 480.0)
-        x0, y0, _ = pixel_to_world(u, v, intr, pose, plane)
-        u1, v1 = world_to_pixel(x0, y0, plane, intr, pose)
-        x1, y1, _ = pixel_to_world(u1, v1, intr, pose, plane)
+        x0, y0 = pixel_to_world(u, v, intr, pose, plane)
+        u1, v1 = world_to_pixel(np.array(x0), np.array(y0), plane, intr, pose)
+        x1, y1 = pixel_to_world(float(u1), float(v1), intr, pose, plane)
         worst = max(worst, float(np.hypot(x1 - x0, y1 - y0)))
     elapsed = time.perf_counter() - t0
 
@@ -102,7 +102,9 @@ def test_criterion_2_circle_detection(config):
     t0 = time.perf_counter()
 
     # 50 seeded synthetic single-circle images
-    params = ChtParams(r_min=6, r_max=14)
+    cht = ChtConfig()
+    params = ChtParams(r_min=6, r_max=14, vote_frac=cht.vote_frac,
+                       edge_thresh=cht.edge_thresh)
     gen = np.random.default_rng(4242)
     yy, xx = np.mgrid[0:128, 0:128]
     worst_center = worst_radius = 0.0

@@ -261,7 +261,50 @@ def test_non_finite_inputs_exit_two_before_training(tmp_path, weights_file,
     assert "training slot classifier" not in captured.out
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--set", "workspace.x_max=0.60"], "vialbench: workspace.x_min: "
+     "x range plus rack footprint exceeds the camera view"),
+    (["--set", "force.buffer_seconds=0.003"], "vialbench: force.buffer_seconds: "
+     "rate * buffer_seconds must round to at least one sample"),
+    (["--set", "cnn.tie_eps=-1"], "vialbench: cnn.tie_eps: must be >= 0"),
+    (["--seed", "-3"], "vialbench: seed: must be >= 0"),
+])
+def test_config_rules_exit_two_before_training(tmp_path, capsys, extra,
+                                               message):
+    code = run_cli("run", *_QUICK, "--modality", "force", *extra,
+                   "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [message]
+    assert "Traceback" not in captured.err
+    assert "training slot classifier" not in captured.out
+
+
 # ---------------------------------------------------------------- detect
+
+
+@pytest.mark.parametrize("camera_z, fragment", [
+    ("nan", "--camera-z must be finite, got nan"),
+    ("inf", "--camera-z must be finite, got inf"),
+    # 0.1 mm above the rack: slot radii up to 71 400 px
+    ("0.0301", "--camera-z 0.0301: slot radii up to"),
+])
+def test_detect_rejects_camera_z_before_detection(tmp_path, weights_file,
+                                                  capsys, monkeypatch,
+                                                  camera_z, fragment):
+    def no_detection(image, params):
+        raise AssertionError("detection ran")
+
+    monkeypatch.setattr("vialbench.cli.detect_circles", no_detection)
+    blank = tmp_path / "blank.pgm"
+    write_pgm(blank, np.full((96, 96), 128, dtype=np.uint8))
+    code = run_cli("detect", "--image", blank, "--weights", weights_file,
+                   "--camera-z", camera_z)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert lines[0].startswith(f"vialbench: {fragment}")
 
 
 def test_detect_blank_image_reports_zero(tmp_path, weights_file, capsys):

@@ -121,7 +121,7 @@ def test_exhausted_search_with_empty_gripper_is_dropped_on_table(weights):
         return "stopped"
 
     rec = _run_trial("force", cfg, RngStream(0), weights, 0, None,
-                     prepare, slip_and_stop, {})
+                     prepare, slip_and_stop, None)
     assert [o.result for o in rec.outcomes] == ["rack_top"]
     assert rec.placement == "dropped_on_table"
     assert rec.final_offset is None
@@ -134,14 +134,14 @@ def test_exhausted_search_with_empty_gripper_is_dropped_on_table(weights):
 def default_tactile(config):
     """A tactile rig calibrated under the default config."""
     rig = make_rig(config, "tactile")
-    return rig, calibrate_rig(config, rig, RngStream(config.seed).child(77))
+    return rig, calibrate_rig(config, rig)
 
 
 @pytest.fixture(scope="module")
 def tactile_setup():
     cfg = load_config(NO_CAMERA_BIAS)  # grasp noise stays: tactile corrects it
     rig = make_rig(cfg, "tactile")
-    cal = calibrate_rig(cfg, rig, RngStream(cfg.seed).child(77))
+    cal = calibrate_rig(cfg, rig)
     return cfg, rig, cal
 
 
@@ -159,14 +159,14 @@ def test_tactile_needs_tactile_rig(config, weights):
     with pytest.raises(ValueError):
         run_tactile_trial(config, RngStream(0), weights, rubber, {})
     with pytest.raises(ValueError):
-        calibrate_rig(config, rubber, RngStream(0))
+        calibrate_rig(config, rubber)
     with pytest.raises(ValueError):
-        calibrate_rig(config, None, RngStream(0))
+        calibrate_rig(config, None)
 
 
 def test_calibration_fits_both_fingers(config):
     rig = make_rig(config, "tactile")
-    cal = calibrate_rig(config, rig, RngStream(5))
+    cal = calibrate_rig(config, rig)
     assert set(cal) == {"left", "right"}
     for c in cal.values():
         assert c.gain.shape == (2, 2)

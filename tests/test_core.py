@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vialbench.core import (_SECTIONS, ConfigError, RngStream,
                             WorkspaceConfig, _field_types, dump_config,
                             load_config, split_rng)
+from vialbench.force import (ForceBuffer, buffer_capacity, init_baseline,
+                             update_and_check)
+from vialbench.perception import Candidate, ScoredCandidate, select_target
+from vialbench.simworld import reset_trial
 
 
 def test_empty_document_gives_defaults():
@@ -97,6 +103,57 @@ def test_validation_rejects_out_of_range():
                 "tactile.threshold = 1.5", "contact.stiffness = 0"]:
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+_VIEW = "x range plus rack footprint exceeds the camera view"
+
+
+@pytest.mark.parametrize("text, message", [
+    # 0.30 m of x range plus the 0.15 m rack diagonal; 0.40 m in view
+    ("workspace.x_max = 0.60", f"workspace.x_min: {_VIEW}"),
+    ("workspace.y_min = -0.10", f"workspace.y_min: {_VIEW.replace('x', 'y', 1)}"),
+    ("camera.z = 0.3", f"workspace.x_min: {_VIEW}"),
+    # 125 Hz for 3 ms rounds to no sample at all
+    ("force.buffer_seconds = 0.003", "force.buffer_seconds: "
+     "rate * buffer_seconds must round to at least one sample"),
+    ("cnn.tie_eps = -1", "cnn.tie_eps: must be >= 0"),
+    ("seed = -3", "seed: must be >= 0"),
+])
+def test_cross_key_rules_name_their_key(text, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(text)
+    assert str(err.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_min=st.floats(0.2, 0.5), x_span=st.floats(0.01, 0.4),
+       y_span=st.floats(0.01, 0.4), camera_z=st.floats(0.031, 1.2),
+       rate=st.integers(1, 400), buffer_seconds=st.floats(1e-4, 2.0),
+       tie_eps=st.floats(-0.01, 0.1))
+def test_accepted_configs_reset_a_trial_and_fill_a_force_window(
+        x_min, x_span, y_span, camera_z, rate, buffer_seconds, tie_eps):
+    try:
+        config = load_config("", [
+            f"workspace.x_min = {x_min!r}",
+            f"workspace.x_max = {x_min + x_span!r}",
+            f"workspace.y_min = {-y_span / 2!r}",
+            f"workspace.y_max = {y_span / 2!r}",
+            f"camera.z = {camera_z!r}",
+            f"force.rate = {rate}",
+            f"force.buffer_seconds = {buffer_seconds!r}",
+            f"cnn.tie_eps = {tie_eps!r}",
+        ])
+    except ConfigError:
+        return
+    reset_trial(config, RngStream(0))
+    capacity = buffer_capacity(config.force)
+    baseline = init_baseline([np.ones(3)] * capacity, config.force)
+    update_and_check(ForceBuffer(capacity), np.ones(3), baseline, config.force)
+    # two equally vacant slots are a tie, broken by one draw
+    tied = [ScoredCandidate(Candidate(u, 0.0, 8.0, 1.0), 0.9, 0.1)
+            for u in (1.0, 2.0)]
+    assert select_target(tied, 0.5, 0.5, config.cnn.tie_eps,
+                         np.random.default_rng(0)) in tied
 
 
 def test_round_trip():

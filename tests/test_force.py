@@ -135,7 +135,9 @@ def test_step_change_stops_within_one_buffer():
 
 
 def test_safety_stop_rule():
-    cfg = load_config("rack.height = 0.05\nvial.grip_height = 0.04\n")
+    # camera.z keeps the taller rack's poses inside the camera view
+    cfg = load_config("rack.height = 0.05\nvial.grip_height = 0.04\n"
+                      "camera.z = 0.6\n")
     assert safety_stop(0.02, cfg)            # 0.02 < 0.025
     assert not safety_stop(0.025, cfg)       # strict comparison
     assert not safety_stop(0.10, cfg)

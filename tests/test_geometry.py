@@ -17,19 +17,18 @@ CAM = Pose3(0.0, 0.0, 0.8)
 
 
 def test_principal_point_maps_to_camera_axis():
-    x, y, z = pixel_to_world(320.0, 240.0, INTR, CAM, 0.05)
-    assert (x, y, z) == (0.0, 0.0, 0.05)
+    assert pixel_to_world(320.0, 240.0, INTR, CAM, 0.05) == (0.0, 0.0)
 
 
 def test_u_offset_example():
     # (380 - 320) * (0.8 - 0.05) / 600 = 0.075
-    x, _, _ = pixel_to_world(380.0, 240.0, INTR, CAM, 0.05)
+    x, _ = pixel_to_world(380.0, 240.0, INTR, CAM, 0.05)
     assert x == pytest.approx(0.075, abs=1e-15)
 
 
 def test_v_offset_example():
     # (360 - 240) * 0.75 / 600 = 0.15
-    _, y, _ = pixel_to_world(320.0, 360.0, INTR, CAM, 0.05)
+    _, y = pixel_to_world(320.0, 360.0, INTR, CAM, 0.05)
     assert y == pytest.approx(0.15, abs=1e-15)
 
 
@@ -53,8 +52,8 @@ def _plane_z(cam: Pose3, frac: float) -> float:
        v=_between(0.0, 480.0))
 def test_round_trip_random_poses(cam, frac, u, v):
     plane = _plane_z(cam, frac)
-    x, y, z = pixel_to_world(u, v, INTR, cam, plane)
-    uu, vv = world_to_pixel(x, y, z, INTR, cam)
+    x, y = pixel_to_world(u, v, INTR, cam, plane)
+    uu, vv = world_to_pixel(np.array(x), np.array(y), plane, INTR, cam)
     # compare in meters on the plane
     assert abs(uu - u) * (cam.z - plane) / INTR.fx <= 1e-9
     assert abs(vv - v) * (cam.z - plane) / INTR.fy <= 1e-9
@@ -64,22 +63,22 @@ def test_camera_below_plane_rejected():
     with pytest.raises(ValueError):
         pixel_to_world(0, 0, INTR, Pose3(0, 0, 0.1), 0.2)
     with pytest.raises(ValueError):
-        world_to_pixel(0.0, 0.0, 0.5, INTR, Pose3(0, 0, 0.1))
+        world_to_pixel(np.zeros(1), np.zeros(1), 0.5, INTR, Pose3(0, 0, 0.1))
 
 
 def test_array_inputs():
-    u = np.array([320.0, 380.0])
-    v = np.array([240.0, 240.0])
-    x, y, z = pixel_to_world(u, v, INTR, CAM, 0.05)
-    assert x.shape == (2,)
-    assert x[1] == pytest.approx(0.075)
-    assert np.all(z == 0.05)
+    x = np.array([0.0, 0.075])
+    y = np.array([0.0, 0.15])
+    u, v = world_to_pixel(x, y, 0.05, INTR, CAM)
+    assert u.shape == v.shape == (2,)
+    np.testing.assert_allclose(u, [320.0, 380.0])
+    np.testing.assert_allclose(v, [240.0, 360.0])
 
 
 def test_plane_grid_matches_pointwise():
     gx, gy = plane_grid(INTR, CAM, 0.05, 8, 6)
     assert gx.shape == (6, 8)
-    x, y, _ = pixel_to_world(3.0, 4.0, INTR, CAM, 0.05)
+    x, y = pixel_to_world(3.0, 4.0, INTR, CAM, 0.05)
     assert gx[4, 3] == pytest.approx(x)
     assert gy[4, 3] == pytest.approx(y)
 
@@ -91,10 +90,9 @@ def test_plane_grid_matches_pixel_to_world_everywhere(cam, frac, width,
                                                       height):
     plane = _plane_z(cam, frac)
     gx, gy = plane_grid(INTR, cam, plane, width, height)
-    u, v = np.meshgrid(np.arange(width, dtype=float),
-                       np.arange(height, dtype=float))
-    x, y, _ = pixel_to_world(u, v, INTR, cam, plane)
+    xy = np.array([[pixel_to_world(float(u), float(v), INTR, cam, plane)
+                     for u in range(width)] for v in range(height)])
     assert gx.shape == gy.shape == (height, width)
     # same model, different rounding order: (u - cx) / fx * depth
-    np.testing.assert_allclose(gx, x, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gy, y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gx, xy[..., 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gy, xy[..., 1], rtol=0, atol=1e-12)

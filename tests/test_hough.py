@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 import hough_reference
-from vialbench.core import load_config
+from vialbench.core import ChtConfig, load_config
 from vialbench.geometry import world_to_pixel
 from vialbench.perception.hough import (
     Candidate,
@@ -32,7 +32,10 @@ def draw_disk(h, w, cu, cv, r, fg=200.0, bg=20.0):
     return bg + alpha * (fg - bg)
 
 
-PARAMS = ChtParams(r_min=6, r_max=14)
+# The detector thresholds every campaign runs with.
+CHT = ChtConfig()
+PARAMS = ChtParams(r_min=6, r_max=14, vote_frac=CHT.vote_frac,
+                   edge_thresh=CHT.edge_thresh)
 
 
 def test_blank_image_no_candidates():
@@ -48,7 +51,8 @@ def test_non_2d_image_rejected():
 def test_bad_radius_range_rejected(bad):
     lo, hi = bad
     with pytest.raises(ValueError):
-        ChtParams(r_min=lo, r_max=hi)
+        ChtParams(r_min=lo, r_max=hi, vote_frac=CHT.vote_frac,
+                  edge_thresh=CHT.edge_thresh)
 
 
 def test_single_disk_center_and_radius():
@@ -186,7 +190,8 @@ def test_radius_window_edges_match_reference(r_min, extra, last, off, ring,
     the end slice only, whose neighbour's lines are then built for
     ``_refine`` alone.
     """
-    params = ChtParams(r_min=r_min, r_max=r_min + extra, vote_frac=vote_frac)
+    params = ChtParams(r_min=r_min, r_max=r_min + extra, vote_frac=vote_frac,
+                       edge_thresh=CHT.edge_thresh)
     r = (params.r_max if last else params.r_min) + off
     img = draw_disk(64, 64, cu, cv, r)
     if ring:

@@ -5,11 +5,17 @@ import pytest
 from scipy import ndimage
 
 import hough_reference
-from vialbench.core import Pose3, RngStream
+from vialbench.core import ChtConfig, Pose3, RngStream
 from vialbench.perception.hough import (ChtParams, _box_lines, cht_params_for,
                                         detect_circles)
 from vialbench.perception.pipeline import refined_camera_z
 from vialbench.simworld import render_topdown, reset_trial, slot_centers
+
+
+# The detector thresholds every campaign runs with.
+CHT = ChtConfig()
+PARAMS = ChtParams(r_min=6, r_max=14, vote_frac=CHT.vote_frac,
+                   edge_thresh=CHT.edge_thresh)
 
 
 def assert_same(image, params):
@@ -33,13 +39,12 @@ def test_close_ups_match_reference(config):
         scene = reset_trial(config, RngStream(2000 + seed))
         centers = slot_centers(scene)
         x, y = centers[seed % len(centers), :2]
-        pose = Pose3(x=float(x), y=float(y), z=close_z, yaw=0.0)
+        pose = Pose3(x=float(x), y=float(y), z=close_z)
         assert assert_same(render_topdown(scene, pose), params)
 
 
 def test_synthetic_circles_match_reference():
     # the 50 synthetic circles of acceptance criterion 2
-    params = ChtParams(r_min=6, r_max=14)
     gen = np.random.default_rng(4242)
     yy, xx = np.mgrid[0:128, 0:128]
     for _ in range(50):
@@ -47,17 +52,18 @@ def test_synthetic_circles_match_reference():
         r = gen.uniform(7.0, 13.0)
         img = 20.0 + np.clip(r - np.hypot(xx - cu, yy - cv) + 0.5, 0.0, 1.0) * 180.0
         img += gen.normal(0.0, 2.0, img.shape)
-        assert assert_same(img, params)
+        assert assert_same(img, PARAMS)
 
 
 def test_blank_image_matches_reference():
-    assert assert_same(np.full((64, 64), 37.0), ChtParams(r_min=6, r_max=14)) == []
+    assert assert_same(np.full((64, 64), 37.0), PARAMS) == []
 
 
 def test_dense_noise_matches_reference():
     # more than 2**15 edge pixels: the vote counts need 32 bits
     img = np.random.default_rng(5).uniform(0.0, 255.0, (200, 200))
-    params = ChtParams(r_min=8, r_max=9, vote_frac=0.3)
+    params = ChtParams(r_min=8, r_max=9, vote_frac=0.3,
+                       edge_thresh=CHT.edge_thresh)
     assert 2 * np.count_nonzero(np.hypot(ndimage.sobel(img, axis=1),
                                          ndimage.sobel(img, axis=0))
                                 >= params.edge_thresh) > 2 ** 16

@@ -26,7 +26,7 @@ from vialbench.pgm import read_pgm
 
 def test_crop_uniform_image():
     img = np.full((64, 64), 100.0)
-    crops = extract_crops(img, [32.0, 10.0], [32.0, 50.0], [8.0, 5.0])
+    crops = extract_crops(img, [32.0, 10.0], [32.0, 50.0], [8.0, 5.0], 32)
     assert crops.shape == (2, 32, 32)
     assert crops.dtype == np.float32
     np.testing.assert_allclose(crops, 100.0 / 255.0, rtol=1e-6)
@@ -50,17 +50,17 @@ def test_crop_replicates_border():
     img = np.full((32, 32), 50.0)
     img[0, 0] = 7.0
     img[31, 31] = 9.0
-    crops = extract_crops(img, [-40.0, 80.0], [-40.0, 90.0], [3.0, 3.0])
+    crops = extract_crops(img, [-40.0, 80.0], [-40.0, 90.0], [3.0, 3.0], 32)
     np.testing.assert_allclose(crops[0], 7.0 / 255.0, rtol=1e-6)
     np.testing.assert_allclose(crops[1], 9.0 / 255.0, rtol=1e-6)
 
 def test_crop_rejects_color_image():
     with pytest.raises(ValueError):
-        extract_crops(np.zeros((16, 16, 3)), [8.0], [8.0], [4.0])
+        extract_crops(np.zeros((16, 16, 3)), [8.0], [8.0], [4.0], 32)
 
 def test_crop_rejects_ragged_candidates():
     with pytest.raises(ValueError):
-        extract_crops(np.zeros((16, 16)), [8.0, 9.0], [8.0], [4.0, 4.0])
+        extract_crops(np.zeros((16, 16)), [8.0, 9.0], [8.0], [4.0, 4.0], 32)
 
 
 # ---------------------------------------------------------------- labels
@@ -115,34 +115,34 @@ def test_rack_gate_is_inclusive():
 
 def test_select_most_confidently_vacant():
     scored = [sc(0.9, 0.40, u=1), sc(0.9, 0.05, u=2), sc(0.9, 0.20, u=3)]
-    got = select_target(scored, "best_vacant", 0.5, 0.5, 1e-6, GEN)
+    got = select_target(scored, 0.5, 0.5, 1e-6, GEN)
     assert got.candidate.u == 2
 
 def test_select_skips_low_rack_confidence():
     scored = [sc(0.2, 0.0, u=1), sc(0.9, 0.3, u=2)]
-    got = select_target(scored, "best_vacant", 0.5, 0.5, 1e-6, GEN)
+    got = select_target(scored, 0.5, 0.5, 1e-6, GEN)
     assert got.candidate.u == 2
 
 def test_select_occupancy_gate_inclusive():
     # p_occupied == theta_occ is still eligible
-    got = select_target([sc(0.9, 0.5, u=4)], "best_vacant", 0.5, 0.5, 1e-6, GEN)
+    got = select_target([sc(0.9, 0.5, u=4)], 0.5, 0.5, 1e-6, GEN)
     assert got.candidate.u == 4
 
 def test_select_no_eligible_candidate_raises():
     scored = [sc(0.2, 0.1), sc(0.9, 0.9)]
     with pytest.raises(NoValidSlotError):
-        select_target(scored, "best_vacant", 0.5, 0.5, 1e-6, GEN)
+        select_target(scored, 0.5, 0.5, 1e-6, GEN)
     with pytest.raises(NoValidSlotError):
-        select_target([], "best_vacant", 0.5, 0.5, 1e-6, GEN)
+        select_target([], 0.5, 0.5, 1e-6, GEN)
 
 def test_select_tie_is_seeded_and_balanced():
     scored = [sc(0.9, 0.1, u=1), sc(0.9, 0.1, u=2)]
-    one = select_target(scored, "best_vacant", 0.5, 0.5, 1e-6,
+    one = select_target(scored, 0.5, 0.5, 1e-6,
                         np.random.default_rng(7))
-    two = select_target(scored, "best_vacant", 0.5, 0.5, 1e-6,
+    two = select_target(scored, 0.5, 0.5, 1e-6,
                         np.random.default_rng(7))
     assert one.candidate.u == two.candidate.u
-    picks = [select_target(scored, "best_vacant", 0.5, 0.5, 1e-6,
+    picks = [select_target(scored, 0.5, 0.5, 1e-6,
                            np.random.default_rng(s)).candidate.u
              for s in range(200)]
     n_first = picks.count(1)
@@ -150,24 +150,15 @@ def test_select_tie_is_seeded_and_balanced():
 
 def test_select_nearest_center():
     scored = [sc(0.9, 0.01, u=10, v=10), sc(0.9, 0.45, u=99, v=101)]
-    got = select_target(scored, "nearest_center", 0.5, 0.5, 1e-6, GEN,
-                        ref_uv=(100.0, 100.0))
+    got = select_target(scored, 0.5, 0.5, 1e-6, GEN, ref_uv=(100.0, 100.0))
     assert got.candidate.u == 99
-
-def test_select_nearest_center_needs_reference():
-    with pytest.raises(ValueError):
-        select_target([sc(0.9, 0.1)], "nearest_center", 0.5, 0.5, 1e-6, GEN)
-
-def test_select_unknown_mode():
-    with pytest.raises(ValueError):
-        select_target([sc(0.9, 0.1)], "weirdest", 0.5, 0.5, 1e-6, GEN)
 
 
 # ---------------------------------------------------------------- scoring
 
 
 def test_score_candidates_empty():
-    assert score_candidates(np.zeros((8, 8)), [], None) == []
+    assert score_candidates(np.zeros((8, 8)), [], None, 32) == []
 
 def test_score_candidates_shapes_and_range(config, weights):
     img = np.random.default_rng(3).uniform(0, 255, (128, 128))

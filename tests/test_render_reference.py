@@ -17,7 +17,7 @@ def _pose(config, scene, close_up: bool, k: int) -> Pose3:
         return config.camera.pose()
     centers = slot_centers(scene)
     x, y = centers[k % len(centers)]
-    return Pose3(float(x), float(y), refined_camera_z(config), 0.0)
+    return Pose3(float(x), float(y), refined_camera_z(config))
 
 
 def _render_both(config, seed: int, k: int, pose_of, edit=None):
@@ -107,7 +107,7 @@ def test_ring_on_the_frame_edge_matches_reference(config, u, v):
 def test_rack_on_the_frame_edge_matches_reference(config, dx, dy):
     def pose_of(scene):
         return Pose3(float(scene.rack_xy[0]) + dx, float(scene.rack_xy[1]) + dy,
-                     config.camera.z, 0.0)
+                     config.camera.z)
     _render_both(config, 977, 5, pose_of)
 
 

@@ -77,7 +77,7 @@ def perceive(config, weights, pose, seen):
     """(scored, chosen) of one look at the fixed image, None if no pick."""
     scene = reset_trial(config, RngStream(7))
     with suppress(NoValidSlotError):
-        return control._image_and_select(scene, pose, weights, "best_vacant",
+        return control._image_and_select(scene, pose, weights,
                                          np.random.default_rng(0), seen=seen)
     return None
 
@@ -110,7 +110,7 @@ def test_other_camera_height_misses(config, weights, fixed_image, monkeypatch):
     seen = {}
     pose = config.camera.pose()
     perceive(config, weights, pose, seen)
-    low = Pose3(x=pose.x, y=pose.y, z=refined_camera_z(config), yaw=pose.yaw)
+    low = Pose3(x=pose.x, y=pose.y, z=refined_camera_z(config))
     perceive(config, weights, low, seen)
     assert len(detect) == 2
     assert len(seen) == 2

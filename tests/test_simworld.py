@@ -44,7 +44,6 @@ def hold_still(scene):
 
 def test_rubber_rig(config):
     rig = make_rig(config, "rubber")
-    assert rig.material == "rubber"
     assert rig.mu == config.contact.mu_rubber
     assert rig.tilt_gain == 1.0
     assert not rig.has_tactile
@@ -360,7 +359,7 @@ def test_render_rejects_camera_below_rack(config):
     scene = reset_trial(config, RngStream(19))
     pose = config.camera.pose()
     with pytest.raises(SimError):
-        render_topdown(scene, type(pose)(pose.x, pose.y, config.rack.height, 0.0))
+        render_topdown(scene, type(pose)(pose.x, pose.y, config.rack.height))
 
 
 # ---------------------------------------------------------------- tactile
