@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import bench, control, pgm
 from .core import (ConfigError, PACKAGE_VERSION, WorkspaceConfig, load_config,
-                   read_utf8)
+                   radius_sweep_error, read_utf8)
 from .perception import (cht_params_for, detect_circles, load_weights,
                          save_weights, score_candidates, train_discriminator)
 from .simworld import make_rig
@@ -110,11 +110,10 @@ def _cmd_detect(args) -> int:
         raise ValueError(f"--camera-z must be finite, got {cam_z}")
     image = pgm.read_pgm(args.image)
     weights = load_weights(args.weights)
-    params = cht_params_for(config, cam_z)
-    if 2 * params.r_max > min(image.shape):
-        raise ValueError(f"--camera-z {cam_z}: slot radii up to {params.r_max} px "
-                         f"exceed half the {image.shape[1]}x{image.shape[0]} image")
-    candidates = detect_circles(image, params)
+    problem = radius_sweep_error(config, cam_z, image.shape)
+    if problem is not None:
+        raise ValueError(f"--camera-z {cam_z}: {problem}")
+    candidates = detect_circles(image, cht_params_for(config, cam_z))
     scored = score_candidates(image, candidates, weights, config.cnn.crop_size)
     print(f"{len(scored)} candidates")
     for s in scored:

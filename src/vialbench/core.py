@@ -362,6 +362,40 @@ def dump_config(config: WorkspaceConfig) -> str:
     return "\n".join(out) + "\n"
 
 
+def refined_camera_z(config: WorkspaceConfig) -> float:
+    """Camera height for the close-up second look."""
+    cam = config.camera
+    return config.rack.height + cam.refine_factor * (cam.z - config.rack.height)
+
+
+def hough_radii(config: WorkspaceConfig, cam_z: float) -> tuple[int, int]:
+    """Hough radius sweep ``(r_min, r_max)`` in pixels, bracketing the slot
+    radius as seen from camera height ``cam_z``."""
+    depth = cam_z - config.rack.height
+    if depth <= 0:
+        raise ValueError("camera height must be above the rack plane")
+    r_px = config.rack.slot_radius * config.camera.fx / depth
+    return (max(3, int(np.floor(config.cht.r_lo_factor * r_px))),
+            int(np.ceil(config.cht.r_hi_factor * r_px)))
+
+
+def radius_sweep_error(config: WorkspaceConfig, cam_z: float,
+                       shape: tuple[int, ...]) -> str | None:
+    """Why the Hough sweep from camera height ``cam_z`` cannot run on an
+    image of ``shape`` (rows, cols), or None when it can.
+
+    ``r_max`` may be at most half the image's shorter side: no larger
+    circle fits the image, and the vote buffer grows with ``r_max``.
+    """
+    if not cam_z > config.rack.height:
+        return "camera must sit above the rack plane"
+    r_max = hough_radii(config, cam_z)[1]
+    if 2 * r_max > min(shape):
+        return (f"slot radii up to {r_max} px exceed half the "
+                f"{shape[1]}x{shape[0]} image")
+    return None
+
+
 def _require(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{key}: {message}")
@@ -395,6 +429,14 @@ def validate_config(config: WorkspaceConfig) -> None:
              "workspace.x_min", "x range plus rack footprint exceeds the camera view")
     _require(ws.y_max - ws.y_min + reach <= cam.height * depth / cam.fy,
              "workspace.y_min", "y range plus rack footprint exceeds the camera view")
+    # Fitting is not enough: the view must also sit over them.
+    half = reach / 2
+    _require(cam.x - cam.cx * depth / cam.fx <= ws.x_min - half
+             and ws.x_max + half <= cam.x + (cam.width - cam.cx) * depth / cam.fx,
+             "camera.x", "view does not cover the x range plus rack footprint")
+    _require(cam.y - cam.cy * depth / cam.fy <= ws.y_min - half
+             and ws.y_max + half <= cam.y + (cam.height - cam.cy) * depth / cam.fy,
+             "camera.y", "view does not cover the y range plus rack footprint")
     noise = config.noise
     for name in ("sigma_bias_angle", "sigma_bias_xy", "sigma_detect", "sigma_force",
                  "sigma_pixel", "sigma_grasp"):
@@ -435,6 +477,11 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(0 < cht.vote_frac <= 1, "cht.vote_frac", "must be in (0, 1]")
     _require(cht.edge_thresh > 0, "cht.edge_thresh", "must be positive")
     _require(0 < cht.r_lo_factor < cht.r_hi_factor, "cht.r_lo_factor", "need 0 < lo < hi")
+    # Both heights a campaign images from: the overview and the close-up.
+    for key, cam_z in (("camera.z", cam.z),
+                       ("camera.refine_factor", refined_camera_z(config))):
+        problem = radius_sweep_error(config, cam_z, (cam.height, cam.width))
+        _require(problem is None, key, problem)
     cnn = config.cnn
     _require(0 <= cnn.theta_rack <= 1, "cnn.theta_rack", "must be in [0, 1]")
     _require(0 <= cnn.theta_occ <= 1, "cnn.theta_occ", "must be in [0, 1]")

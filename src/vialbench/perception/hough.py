@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ..core import WorkspaceConfig
+from ..core import WorkspaceConfig, hough_radii
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,9 @@ class ChtParams:
 
 def cht_params_for(config: WorkspaceConfig, cam_z: float) -> ChtParams:
     """Radius sweep bracketing the slot radius as seen from ``cam_z``."""
-    depth = cam_z - config.rack.height
-    if depth <= 0:
-        raise ValueError("camera height must be above the rack plane")
-    r_px = config.rack.slot_radius * config.camera.fx / depth
-    return ChtParams(
-        r_min=max(3, int(np.floor(config.cht.r_lo_factor * r_px))),
-        r_max=int(np.ceil(config.cht.r_hi_factor * r_px)),
-        vote_frac=config.cht.vote_frac,
-        edge_thresh=config.cht.edge_thresh,
-    )
+    r_min, r_max = hough_radii(config, cam_z)
+    return ChtParams(r_min=r_min, r_max=r_max, vote_frac=config.cht.vote_frac,
+                     edge_thresh=config.cht.edge_thresh)
 
 
 # The 8 neighbours of a cell in the local-maximum test.

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import KEY_TRAIN, Pose3, RngStream, WorkspaceConfig
+from ..core import (KEY_TRAIN, Pose3, RngStream, WorkspaceConfig,
+                    refined_camera_z)
 from ..geometry import world_to_pixel
 from ..simworld import render_topdown, reset_trial, slot_centers
 from .cnn import CnnWeights, forward, train_cnn
@@ -83,12 +84,6 @@ def _crops_of(image: np.ndarray, candidates: list[Candidate],
     return extract_crops(image, [c.u for c in candidates],
                          [c.v for c in candidates], [c.r for c in candidates],
                          crop_size)
-
-
-def refined_camera_z(config: WorkspaceConfig) -> float:
-    """Camera height for the close-up second look."""
-    cam = config.camera
-    return config.rack.height + cam.refine_factor * (cam.z - config.rack.height)
 
 
 def label_candidate(u: float, v: float, slot_u: np.ndarray, slot_v: np.ndarray,

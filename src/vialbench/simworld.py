@@ -660,12 +660,10 @@ def _held_image(scene: SceneState, finger: str, W: int, H: int) -> np.ndarray:
 
 def reference_frames(scene: SceneState, finger: str) -> np.ndarray:
     """Reference stack for the difference pipeline: ``n_reference``
-    open-gripper frames as one ``(n_reference, H, W)`` int16 array.
+    open-gripper frames as one ``(n_reference, H, W)`` uint8 array.
 
-    The frames are uint8; holding them as int16 once per capture lets
-    ``tactile.find_contact`` subtract every live frame from the whole stack
-    in one exact integer step instead of casting each reference per call.
+    One stack per capture lets ``tactile.find_contact`` difference every
+    live frame against all references in one exact step on the bytes.
     """
-    return np.array([sample_tactile(scene, finger, open_gripper=True)
-                     for _ in range(scene.config.tactile.n_reference)],
-                    dtype=np.int16)
+    return np.stack([sample_tactile(scene, finger, open_gripper=True)
+                     for _ in range(scene.config.tactile.n_reference)])

@@ -7,12 +7,13 @@ traced region's centroid is mapped to a physical in-gripper offset through a
 per-finger affine calibration fit by least squares on frames with known
 offsets.
 
-Frames and references are integer arrays holding byte values, as
+Frames are uint8 and the references one uint8 stack, as
 ``simworld.sample_tactile`` and ``simworld.reference_frames`` produce them,
-so a frame is differenced against the whole reference stack in one exact
-integer step. ``find_contact`` thresholds the integer sum of those
-differences, not the float mean: normalize-then-binarize is monotone in
-the sum, so the pixels that pass are those at or above the smallest sum
+so a frame is differenced against the whole stack in one exact step on the
+bytes: the larger value minus the smaller. ``find_contact`` thresholds
+the integer sum of those differences, not the float mean:
+normalize-then-binarize is monotone in the sum, so the pixels that pass
+are those at or above the smallest sum
 that passes. That sum is found by bisection over the sums from the frame's
 min to its max, testing one sum at a time with the float operations of
 normalizing the mean and comparing it with the threshold: ``k / n``, then
@@ -20,6 +21,11 @@ normalizing the mean and comparing it with the threshold: ``k / n``, then
 these as numpy does element by element, and ``lo`` and ``hi`` are the
 means of the frame's own min and max sums, so each sum meets the same
 rounded floats as on the full image and the mask is the same bit for bit.
+
+A contact mask is usually one patch whose rows are each one run of pixels,
+each run reaching the next. ``extract_contacts`` checks that from the rows'
+first and last filled columns and counts; when it holds, the mask's
+bounding box is one 8-connected component and is traced without labelling.
 
 During a descent the tracker compares each finger's current centroid with
 the one captured right after the grasp; the centroid travel in pixels,
@@ -85,23 +91,24 @@ class TrackReading:
 def _difference_sum(frame: np.ndarray, references) -> np.ndarray:
     """Per-pixel sum of ``|frame - reference|`` over the reference stack.
 
-    The frame and references are integer arrays holding byte values, so
-    each difference is taken in int16 and is at most 255; the total stays
-    in int16 while ``n * 255`` fits and goes to int32 past that. One
-    reference at a time is subtracted into a reused buffer and added to the
-    total. A float frame raises numpy's casting TypeError.
+    The frame and references are integer arrays holding byte values: an
+    ``(n, H, W)`` stack, as ``simworld.reference_frames`` gives it, or a
+    list of frames. Each difference is the larger value minus the smaller,
+    so it is exact in the inputs' own dtype and at most 255; the total stays
+    in int16 while ``n * 255`` fits and goes to int32 past that. A float
+    frame or reference raises TypeError.
     """
-    n = len(references)
+    refs = np.asarray(references)
+    n = len(refs)
     if n == 0:
         raise ValueError("need at least one reference frame")
-    diff = np.empty(np.shape(frame), np.int16)
-    total = np.zeros(diff.shape, np.int16 if n * 255 <= np.iinfo(np.int16).max
-                     else np.int32)
-    for ref in references:
-        np.subtract(frame, ref, out=diff, dtype=np.int16)
-        np.abs(diff, out=diff)
-        total += diff
-    return total
+    if frame.dtype.kind not in "iu" or refs.dtype.kind not in "iu":
+        raise TypeError(f"tactile frames hold bytes, got {frame.dtype} "
+                        f"against {refs.dtype} references")
+    diff = np.maximum(refs, frame)
+    np.subtract(diff, np.minimum(refs, frame), out=diff)
+    return diff.sum(axis=0, dtype=np.int16 if n * 255 <= np.iinfo(np.int16).max
+                    else np.int32)
 
 
 # After entering a cell by Moore step j, the backtrack (the last empty cell
@@ -124,14 +131,15 @@ def _moore_scan(stride: int) -> tuple:
         for b in range(8))
 
 
-def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
+def _moore_trace(mask: np.ndarray,
+                 start: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Clockwise outer-border trace from ``start`` (the first filled pixel in
     row-major order, so its west neighbor is guaranteed empty).
 
     The walk runs on flat indices into the mask padded by one empty cell, so
     no step needs a bounds check, and looks at the neighbors in the order
-    ``_moore_scan`` lists for the current backtrack. Returns the border as
-    an ``(n, 2)`` int array of ``(row, col)`` vertices in trace order.
+    ``_moore_scan`` lists for the current backtrack. Returns the border's
+    vertices in trace order as two int arrays, their rows and their columns.
     """
     h, w = mask.shape
     stride = w + 2
@@ -156,24 +164,46 @@ def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
         back = after
     else:
         raise RuntimeError("border trace failed to close")
-    return np.column_stack(np.divmod(np.array(trail), stride)) - 1
+    # Cell (r, c) sits at (r + 1) * stride + c + 1 in the padded grid.
+    return np.divmod(np.array(trail) - (stride + 1), stride)
 
 
-def polygon_area(border) -> float:
-    """Shoelace area of a traced border (vertices at pixel centers): a list
-    of integer ``(row, col)`` pairs or an ``(n, 2)`` int array.
+def polygon_area(rows: np.ndarray, cols: np.ndarray) -> float:
+    """Shoelace area of a traced border (vertices at pixel centers), given
+    as the integer arrays of its vertex rows and columns.
 
     Integer coordinates make every product and sum exact, so the area is
-    the same whatever order they are added in.
+    the same whatever order they are added in and wherever the border sits.
     """
-    if len(border) < 3:
+    if len(rows) < 3:
         return 0.0
-    pts = np.asarray(border)
-    y = pts[:, 0]
-    x = pts[:, 1]
-    twice = (np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:])
-             + x[-1] * y[0] - y[-1] * x[0])
+    twice = (np.dot(cols[:-1], rows[1:]) - np.dot(rows[:-1], cols[1:])
+             + cols[-1] * rows[0] - rows[-1] * cols[0])
     return 0.5 * abs(float(twice))
+
+
+def _single_component_start(box: np.ndarray) -> int | None:
+    """Prove from its row runs that the bounding box of a mask holds one
+    8-connected component; return the column of its first pixel in row 0,
+    or None when the proof fails.
+
+    The proof holds when every row is one run of filled cells (its count
+    equals its last column minus its first plus one, which an empty row
+    fails) and each run reaches the next row's run, diagonals included.
+    It does not decide every one-component mask: a U shape fails it.
+    """
+    h, w = box.shape
+    first = box.argmax(axis=1)
+    last = (w - 1) - box[:, ::-1].argmax(axis=1)
+    # A row's count is at most its span, with equality only for one run; an
+    # empty row spans the whole box. So the counts sum to the spans exactly
+    # when every row is one run.
+    if np.count_nonzero(box) != int(last.sum()) - int(first.sum()) + h:
+        return None
+    if h > 1 and ((first[1:] - last[:-1]).max() > 1
+                  or (first[:-1] - last[1:]).max() > 1):
+        return None
+    return int(first[0])
 
 
 def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]:
@@ -181,7 +211,9 @@ def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]
 
     Only the bounding box of the filled pixels is labelled and traced. The
     box keeps their raster order, so labels, start pixels and borders are
-    those of the whole frame, moved by the box origin.
+    those of the whole frame, moved by the box origin. When the box's row
+    runs prove it holds one component, that component is the box itself
+    and nothing is labelled.
 
     Returns regions sorted largest first.
     """
@@ -191,24 +223,28 @@ def extract_contacts(binary: np.ndarray, min_area: float) -> list[ContactRegion]
     band = binary[rows[0]:rows[-1] + 1]
     cols = np.flatnonzero(band.any(axis=0))
     r0, c0 = int(rows[0]), int(cols[0])
-    box = band[:, c0:cols[-1] + 1]
-    labeled, count = ndimage.label(box, structure=_EIGHT_CONNECTED)
+    box = band[:, c0:cols[-1] + 1].astype(bool, copy=False)
+    start = _single_component_start(box)
+    if start is not None:
+        components = [(box, (0, start))]
+    else:
+        labeled, count = ndimage.label(box, structure=_EIGHT_CONNECTED)
+        components = []
+        for lbl in range(1, count + 1):
+            mask = labeled == lbl
+            components.append((mask, divmod(int(np.argmax(mask)), box.shape[1])))
     regions = []
-    w = box.shape[1]
-    for lbl in range(1, count + 1):
-        mask = labeled == lbl
-        flat = int(np.argmax(mask))
-        border = _moore_trace(mask, (flat // w, flat % w))
-        border += (r0, c0)
-        area = polygon_area(border)
+    for mask, first in components:
+        vr, vc = _moore_trace(mask, first)
+        area = polygon_area(vr, vc)
         if area < min_area:
             continue
         # Integer coordinates sum exactly and Python divides them with one
-        # rounding, so these means equal numpy's float ones.
-        rows, cols = border.sum(axis=0).tolist()
-        count = len(border)
-        regions.append(ContactRegion(centroid=(cols / count, rows / count),
-                                     area=area))
+        # rounding, so these means equal numpy's float ones over the frame.
+        n = len(vr)
+        regions.append(ContactRegion(
+            centroid=((int(vc.sum()) + n * c0) / n, (int(vr.sum()) + n * r0) / n),
+            area=area))
     regions.sort(key=lambda reg: (-reg.area, reg.centroid))
     return regions
 

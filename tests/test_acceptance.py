@@ -208,8 +208,9 @@ def test_criterion_4_tactile_math():
     # shoelace areas on the listed polygons
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
     triangle = [(0, 0), (0, 4), (3, 0)]
-    assert polygon_area(square) == 1.0
-    assert polygon_area(triangle) == 6.0
+    for polygon, want in ((square, 1.0), (triangle, 6.0)):
+        rows, cols = np.array(polygon).T
+        assert polygon_area(rows, cols) == want
 
     # border centroid is the vertex mean
     vx = float(np.mean([p[0] for p in triangle]))

@@ -268,9 +268,28 @@ def test_non_finite_inputs_exit_two_before_training(tmp_path, weights_file,
      "rate * buffer_seconds must round to at least one sample"),
     (["--set", "cnn.tie_eps=-1"], "vialbench: cnn.tie_eps: must be >= 0"),
     (["--seed", "-3"], "vialbench: seed: must be >= 0"),
+    # the view spans x 0.1995..0.6005 at rack height around camera.x = 0.4;
+    # at 0.9 it misses the rack, so every trial would end no_target
+    (["--set", "camera.x=0.9"], "vialbench: camera.x: "
+     "view does not cover the x range plus rack footprint"),
+    (["--set", "camera.y=0.01"], "vialbench: camera.y: "
+     "view does not cover the y range plus rack footprint"),
+    # close-up sweeps of about 24 GB and of 304 px radii
+    (["--set", "camera.refine_factor=0.001"], "vialbench: camera.refine_factor: "
+     "slot radii up to 15192 px exceed half the 512x384 image"),
+    (["--set", "camera.refine_factor=0.05"], "vialbench: camera.refine_factor: "
+     "slot radii up to 304 px exceed half the 512x384 image"),
+    (["--set", "camera.z=0.0301"], "vialbench: workspace.x_min: "
+     "x range plus rack footprint exceeds the camera view"),
 ])
-def test_config_rules_exit_two_before_training(tmp_path, capsys, extra,
-                                               message):
+def test_config_rules_exit_two_before_training(tmp_path, capsys, monkeypatch,
+                                               extra, message):
+    def no_detection(image, params):
+        raise AssertionError("detection ran")
+
+    for name in ("vialbench.control.detect_circles",
+                 "vialbench.perception.pipeline.detect_circles"):
+        monkeypatch.setattr(name, no_detection)
     code = run_cli("run", *_QUICK, "--modality", "force", *extra,
                    "--out", tmp_path / "out")
     captured = capsys.readouterr()
@@ -288,6 +307,7 @@ def test_config_rules_exit_two_before_training(tmp_path, capsys, extra,
     ("inf", "--camera-z must be finite, got inf"),
     # 0.1 mm above the rack: slot radii up to 71 400 px
     ("0.0301", "--camera-z 0.0301: slot radii up to"),
+    ("0.02", "--camera-z 0.02: camera must sit above the rack plane"),
 ])
 def test_detect_rejects_camera_z_before_detection(tmp_path, weights_file,
                                                   capsys, monkeypatch,

@@ -10,8 +10,10 @@ from vialbench.core import (_SECTIONS, ConfigError, RngStream,
                             load_config, split_rng)
 from vialbench.force import (ForceBuffer, buffer_capacity, init_baseline,
                              update_and_check)
-from vialbench.perception import Candidate, ScoredCandidate, select_target
-from vialbench.simworld import reset_trial
+from vialbench.geometry import world_to_pixel
+from vialbench.perception import (Candidate, ScoredCandidate, cht_params_for,
+                                  refined_camera_z, select_target)
+from vialbench.simworld import reset_trial, slot_centers
 
 
 def test_empty_document_gives_defaults():
@@ -113,6 +115,16 @@ _VIEW = "x range plus rack footprint exceeds the camera view"
     ("workspace.x_max = 0.60", f"workspace.x_min: {_VIEW}"),
     ("workspace.y_min = -0.10", f"workspace.y_min: {_VIEW.replace('x', 'y', 1)}"),
     ("camera.z = 0.3", f"workspace.x_min: {_VIEW}"),
+    # the view at rack height must sit over the workspace, not only span it
+    ("camera.x = 0.9", "camera.x: view does not cover the x range plus rack "
+     "footprint"),
+    ("camera.y = -0.006", "camera.y: view does not cover the y range plus "
+     "rack footprint"),
+    # both sweeps a campaign runs: the overview's and the close-up's
+    ("camera.refine_factor = 0.05", "camera.refine_factor: slot radii up to "
+     "304 px exceed half the 512x384 image"),
+    ("cht.r_hi_factor = 20", "camera.z: slot radii up to 218 px exceed half "
+     "the 512x384 image"),
     # 125 Hz for 3 ms rounds to no sample at all
     ("force.buffer_seconds = 0.003", "force.buffer_seconds: "
      "rate * buffer_seconds must round to at least one sample"),
@@ -128,10 +140,13 @@ def test_cross_key_rules_name_their_key(text, message):
 @settings(max_examples=60, deadline=None)
 @given(x_min=st.floats(0.2, 0.5), x_span=st.floats(0.01, 0.4),
        y_span=st.floats(0.01, 0.4), camera_z=st.floats(0.031, 1.2),
+       camera_x=st.floats(0.2, 0.6), camera_y=st.floats(-0.05, 0.05),
+       refine_factor=st.floats(0.001, 1.0),
        rate=st.integers(1, 400), buffer_seconds=st.floats(1e-4, 2.0),
        tie_eps=st.floats(-0.01, 0.1))
 def test_accepted_configs_reset_a_trial_and_fill_a_force_window(
-        x_min, x_span, y_span, camera_z, rate, buffer_seconds, tie_eps):
+        x_min, x_span, y_span, camera_z, camera_x, camera_y, refine_factor,
+        rate, buffer_seconds, tie_eps):
     try:
         config = load_config("", [
             f"workspace.x_min = {x_min!r}",
@@ -139,13 +154,26 @@ def test_accepted_configs_reset_a_trial_and_fill_a_force_window(
             f"workspace.y_min = {-y_span / 2!r}",
             f"workspace.y_max = {y_span / 2!r}",
             f"camera.z = {camera_z!r}",
+            f"camera.x = {camera_x!r}",
+            f"camera.y = {camera_y!r}",
+            f"camera.refine_factor = {refine_factor!r}",
             f"force.rate = {rate}",
             f"force.buffer_seconds = {buffer_seconds!r}",
             f"cnn.tie_eps = {tie_eps!r}",
         ])
     except ConfigError:
         return
-    reset_trial(config, RngStream(0))
+    cam = config.camera
+    for key in range(3):
+        # every slot of every rack pose lies in the overview image
+        scene = reset_trial(config, RngStream(0).child(key))
+        xy = slot_centers(scene)
+        u, v = world_to_pixel(xy[:, 0], xy[:, 1], config.rack.height,
+                              cam.intrinsics(), cam.pose())
+        assert np.all((u >= 0) & (u <= cam.width) & (v >= 0) & (v <= cam.height))
+    for cam_z in (cam.z, refined_camera_z(config)):
+        assert 2 * cht_params_for(config, cam_z).r_max <= min(cam.width,
+                                                              cam.height)
     capacity = buffer_capacity(config.force)
     baseline = init_baseline([np.ones(3)] * capacity, config.force)
     update_and_check(ForceBuffer(capacity), np.ones(3), baseline, config.force)

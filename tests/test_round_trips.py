@@ -31,7 +31,7 @@ def scratch(tmp_path_factory):
 # Fields whose validation leaves the whole range of their type open, so any
 # drawn value gives a valid config.
 _CONFIG_FIELDS = {
-    "camera.x": finite,
+    "workspace.source_x": finite,
     "noise.bias_angle_y": finite,
     "noise.sigma_pixel": non_negative,
     "contact.slip_rate": non_negative,

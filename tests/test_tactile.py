@@ -75,7 +75,7 @@ def test_empty_reference_set_rejected():
 
 
 def test_float_frame_rejected():
-    """Frames hold bytes; a float frame fails numpy's integer cast."""
+    """Frames hold bytes; a float frame or reference is refused."""
     with pytest.raises(TypeError):
         find_contact(np.full((4, 4), 30.0), [flat(10)], bare())
     with pytest.raises(TypeError):
@@ -139,9 +139,11 @@ def test_filled_block_border():
     img[2:5, 2:5] = 1
     regions = extract_contacts(img, 0.0)
     assert len(regions) == 1
-    border = _moore_trace(img.astype(bool), (2, 2)).tolist()
-    assert border == [[2, 2], [2, 3], [2, 4], [3, 4], [4, 4], [4, 3], [4, 2],
-                      [3, 2]]  # clockwise from the first pixel
+    rows, cols = _moore_trace(img.astype(bool), (2, 2))
+    assert rows.dtype.kind == cols.dtype.kind == "i"
+    assert list(zip(rows.tolist(), cols.tolist())) == [
+        (2, 2), (2, 3), (2, 4), (3, 4), (4, 4), (4, 3), (4, 2),
+        (3, 2)]  # clockwise from the first pixel
     # border ring of a 3x3 block encloses a 2x2 square of pixel centers
     assert regions[0].area == 4.0
     assert regions[0].centroid == (3.0, 3.0)
@@ -161,37 +163,44 @@ def test_diagonal_pixels_are_one_component():
     assert len(extract_contacts(img, 0.0)) == 1  # 8-connectivity
 
 
+def area(vertices):
+    """``polygon_area`` of a list of ``(row, col)`` vertices."""
+    rows, cols = np.array(vertices, dtype=int).reshape(-1, 2).T
+    return polygon_area(rows, cols)
+
+
 def test_shoelace_unit_square():
-    assert polygon_area([(0, 0), (0, 1), (1, 1), (1, 0)]) == 1.0
+    assert area([(0, 0), (0, 1), (1, 1), (1, 0)]) == 1.0
 
 
 def test_shoelace_triangle():
     # base 4, height 3 -> area 6; border vertices are (row, col)
-    assert polygon_area([(0, 0), (0, 4), (3, 0)]) == 6.0
+    assert area([(0, 0), (0, 4), (3, 0)]) == 6.0
 
 
 def test_degenerate_polygons():
-    assert polygon_area([(2, 3)]) == 0.0
-    assert polygon_area([(2, 3), (5, 9)]) == 0.0
+    assert area([(2, 3)]) == 0.0
+    assert area([(2, 3), (5, 9)]) == 0.0
 
 
 def test_shoelace_cyclic_and_translation_invariant():
     poly = [(0, 0), (0, 4), (2, 5), (3, 0)]
-    base = polygon_area(poly)
+    base = area(poly)
     for k in range(1, len(poly)):
         rolled = poly[k:] + poly[:k]
-        assert polygon_area(rolled) == base
+        assert area(rolled) == base
     shifted = [(r + 11, c + 7) for r, c in poly]
-    assert polygon_area(shifted) == base
+    assert area(shifted) == base
 
 
 def test_centroid_is_vertex_mean():
     img = np.zeros((9, 9), dtype=int)
     img[2:7, 3:6] = 1
     region = extract_contacts(img, 0.0)[0]
-    pts = _moore_trace(img.astype(bool), (2, 3)).astype(float)
-    assert len(pts) == 12  # the block's 2 * (5 + 3) - 4 edge pixels
-    assert region.centroid == (pts[:, 1].mean(), pts[:, 0].mean())
+    rows, cols = _moore_trace(img.astype(bool), (2, 3))
+    assert len(rows) == 12  # the block's 2 * (5 + 3) - 4 edge pixels
+    assert region.centroid == (cols.astype(float).mean(),
+                               rows.astype(float).mean())
     # the vertex mean of a triangle is not its area centroid
     tri = np.array([(0.0, 0.0), (0.0, 4.0), (3.0, 0.0)])
     assert tuple(tri.mean(axis=0)) == (1.0, 4.0 / 3.0)
@@ -212,11 +221,11 @@ def test_centroid_inside_bounding_box():
         img[r0:r0 + h, c0:c0 + w] = 1
         regions = extract_contacts(img, 0.0)
         assert len(regions) == 1
-        pts = _moore_trace(img.astype(bool), (r0, c0))
+        rows, cols = _moore_trace(img.astype(bool), (r0, c0))
         for region in regions:
             cx, cy = region.centroid
-            assert pts[:, 1].min() <= cx <= pts[:, 1].max()
-            assert pts[:, 0].min() <= cy <= pts[:, 0].max()
+            assert cols.min() <= cx <= cols.max()
+            assert rows.min() <= cy <= rows.max()
 
 
 def test_regions_sorted_largest_first():

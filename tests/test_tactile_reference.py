@@ -23,7 +23,8 @@ from vialbench.simworld import (impose_grasp, make_rig, reference_frames,
                                 reset_trial, sample_tactile)
 from tactile_reference import binarize, normalize
 from vialbench.tactile import (FINGERS, _difference_sum, _moore_trace,
-                               _threshold_cut, extract_contacts, find_contact)
+                               _single_component_start, _threshold_cut,
+                               extract_contacts, find_contact)
 
 SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 40))
 
@@ -152,15 +153,15 @@ def test_difference_sum_uint8_matches_reference(data):
 @pytest.mark.parametrize("n", [1, 128, 129, 300])
 def test_difference_sum_of_many_byte_references_is_exact(n):
     """Past 128 references of 0 and 255 a uint8 frame's total no longer fits
-    in int16; it must still equal the exact sum."""
+    in int16; it must still equal the exact sum. A uint8 stack, an int16
+    stack and a list of uint8 frames give the same total, bit for bit."""
     frame = np.array([[255, 0, 128], [7, 255, 0]], dtype=np.uint8)
     refs = np.zeros((n, 2, 3), dtype=np.int16)
     refs[1::2] = 255
     want = np.abs(frame.astype(np.int64) - refs.astype(np.int64)).sum(axis=0)
-    for stack in (refs, refs.astype(np.uint8), list(refs.astype(np.uint8))):
-        got = _difference_sum(frame, stack)
-        assert got.dtype.kind == "i"
-        assert got.tolist() == want.tolist()
+    want = want.astype(np.int16 if n <= 128 else np.int32)
+    for stack in (refs.astype(np.uint8), refs, list(refs.astype(np.uint8))):
+        _same_bits(_difference_sum(frame, stack), want)
     _same_bits(_difference_sum(frame, refs) / n,
                tactile_reference.difference_image(frame, list(refs)))
 
@@ -257,9 +258,122 @@ def test_moore_trace_matches_reference(mask):
         start = (flat // w, flat % w)
         want = tactile_reference._moore_trace(component, start)
         for on in (component, mask):
-            got = _moore_trace(on, start)
-            assert got.dtype.kind == "i"
-            assert list(map(tuple, got.tolist())) == want
+            rows, cols = _moore_trace(on, start)
+            assert rows.dtype.kind == cols.dtype.kind == "i"
+            assert list(zip(rows.tolist(), cols.tolist())) == want
+
+
+# --- the row-run proof of one component ------------------------------------
+
+
+@st.composite
+def row_run_masks(draw):
+    """``(mask, proven)``: one run per row, each placed against the run
+    above it so that the two overlap, touch only at a diagonal or stand a
+    column or more apart, with empty rows anywhere, and a few stray pixels
+    on top. ``proven`` says whether the rows as drawn, without the strays,
+    are all one run each and each run reaches the next; it is None when
+    strays were added.
+    """
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 16))
+    mask = np.zeros((h, w), dtype=bool)
+    proven = True
+    prev = None
+    for r in range(h):
+        if draw(st.integers(0, 5)) == 0:  # an empty row
+            mask[r] = False
+            proven = False
+            prev = None
+            continue
+        length = draw(st.integers(1, w))
+        if prev is None:
+            first = draw(st.integers(0, w - length))
+        else:
+            p_first, p_last = prev
+            where = draw(st.sampled_from(
+                ["overlap", "diagonal_right", "diagonal_left", "gap", "any"]))
+            first = {
+                "overlap": draw(st.integers(p_first - length + 1, p_last)),
+                "diagonal_right": p_last + 1,
+                "diagonal_left": p_first - length,
+                "gap": draw(st.sampled_from([p_last + 2,
+                                             p_first - length - 1])),
+                "any": draw(st.integers(0, w - length)),
+            }[where]
+            first = min(max(first, 0), w - length)
+            if first > p_last + 1 or first + length - 1 < p_first - 1:
+                proven = False
+        mask[r, first:first + length] = True
+        prev = (first, first + length - 1)
+    strays = draw(st.lists(st.tuples(st.integers(0, h - 1),
+                                     st.integers(0, w - 1)), max_size=2))
+    for r, c in strays:
+        mask[r, c] = True
+    return mask, None if strays else proven
+
+
+def _label_count(mask):
+    return ndimage.label(mask, structure=np.ones((3, 3), dtype=int))[1]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(row_run_masks(), masks().map(lambda m: (m.astype(bool), None))))
+def test_row_run_proof_implies_one_component(case):
+    """Whenever the proof passes, the mask holds exactly one 8-connected
+    component and its first pixel in raster order sits in row 0 at the
+    returned column. On row-run masks without strays it passes exactly
+    when every row is one run that reaches the next."""
+    mask, proven = case
+    start = _single_component_start(mask)
+    if proven is not None:
+        assert (start is not None) == proven
+    if start is not None:
+        assert _label_count(mask) == 1
+        assert int(np.argmax(mask)) == start
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_run_masks(), st.sampled_from([0.0, 1.0, 4.0, 25.0]))
+def test_extract_contacts_on_row_runs_matches_reference(case, min_area):
+    """Row-run masks reach both the proof path and the labelling path."""
+    mask, _ = case
+    assert (extract_contacts(mask, min_area)
+            == tactile_reference.extract_contacts(mask, min_area))
+
+
+def _rows(*rows):
+    return np.array([[ch == "#" for ch in row] for row in rows])
+
+
+_U = _rows("#...#",
+           "#...#",
+           "#####")
+_STAIRCASE = _rows("##....",
+                   "..##..",
+                   "....##")
+_APART = _rows("##.##",
+               "#####",
+               "##.##")
+_ONE_COLUMN_APART = _rows("##.##")
+
+
+@pytest.mark.parametrize("mask, start, components", [
+    (_U, None, 1),                   # two runs in one row: not proven
+    (_STAIRCASE, 0, 1),              # runs that touch only at a diagonal
+    (_APART, None, 1),               # one component, rows of two runs
+    (_ONE_COLUMN_APART, None, 2),    # two runs one column apart
+    (_rows("#"), 0, 1),
+    (_rows("..#", "...", "#.."), None, 2),   # an empty interior row
+    (_rows(".##", "#.."), 1, 1),     # a diagonal step to the left
+    (_rows("##..", "...#"), None, 2),  # a column apart across rows
+])
+def test_row_run_proof_examples(mask, start, components):
+    assert _single_component_start(mask) == start
+    assert _label_count(mask) == components
+    got = extract_contacts(mask, 0.0)
+    assert len(got) == components
+    assert got == tactile_reference.extract_contacts(mask, 0.0)
 
 
 # --- rendering -------------------------------------------------------------
@@ -334,9 +448,26 @@ def test_empty_gripper_and_reference_stack_match_reference(name):
     scene.rng = np.random.default_rng(3)
     want = [tactile_reference.sample_tactile(scene, "left")]
     want.append(np.array([tactile_reference.sample_tactile(scene, "right")
-                          for _ in range(n)], dtype=np.int16))
+                          for _ in range(n)], dtype=np.uint8))
     for g, w in zip(got, want):
         _same_bits(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(_SIZES))
+def test_reference_stack_is_open_gripper_frames(name):
+    """With a vial held, the stack is ``n_reference`` open-gripper frames
+    as uint8, drawn in order from the scene's RNG."""
+    scene = _SCENES[name]
+    scene.held_offset = _offset_for_center(
+        scene, "left", (scene.config.tactile.width / 2.0,
+                        scene.config.tactile.height / 2.0))
+    scene.rng = np.random.default_rng(4)
+    got = reference_frames(scene, "left")
+    scene.rng = np.random.default_rng(4)
+    want = np.array([sample_tactile(scene, "left", open_gripper=True)
+                     for _ in range(scene.config.tactile.n_reference)],
+                    dtype=np.uint8)
+    _same_bits(got, want)
 
 
 def test_held_image_memo_matches_reference():
