@@ -1,11 +1,11 @@
 """Benchmark campaigns: paired trials, metrics, and report files.
 
-A campaign runs every modality over the same sequence of per-trial random
-streams, so modality A's trial i sees the same rack pose, occupancy, and
-camera miscalibration as modality B's trial i. Metrics follow two
-conventions side by side: attempt and runtime statistics pool the successful
-trials, while success and first-time percentages are computed per batch and
-summarized across batches.
+A campaign runs one trial index at a time: trial i of every modality draws
+from the same per-trial random stream, so modality A's trial i sees the same
+rack pose, occupancy, and camera miscalibration as modality B's trial i.
+Metrics follow two conventions side by side: attempt and runtime statistics
+pool the successful trials, while success and first-time percentages are
+computed per batch and summarized across batches.
 
 Reports are deterministic byte for byte: rerunning the same seed and trial
 count reproduces identical CSV output.
@@ -112,7 +112,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
                    weights: CnnWeights | None = None,
                    modalities=MODALITIES, progress=None,
                    calibration=None) -> ExperimentResult:
-    """Run ``trials`` paired trials of each modality.
+    """Run ``trials`` paired trials of each modality: trial i of every
+    modality, in ``modalities`` order, then trial i + 1.
 
     Trains the slot classifier from the config seed when no weights are
     given. The tactile rig and its calibration are built once and shared by
@@ -147,12 +148,12 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
 
     t0 = time.perf_counter()
     records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}
-    # Trial i of every modality sees the same scene, so its overview image
-    # repeats; each distinct overview is perceived once (see _run_trial).
-    seen: dict = {}
-    for modality in modalities:
-        for i in range(trials):
-            stream = split_rng(master, i)
+    for i in range(trials):
+        stream = split_rng(master, i)
+        # Every modality's trial i sees the same scene, so its overview
+        # image repeats; each distinct one is perceived once (see _run_trial).
+        seen: dict = {}
+        for modality in modalities:
             if modality == "visual":
                 rec = run_visual_trial(config, stream, weights, trial_index=i,
                                        seen=seen)
@@ -163,8 +164,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
                 rec = run_tactile_trial(config, stream, weights, tactile_rig,
                                         calibration, trial_index=i, seen=seen)
             records[modality].append(rec)
-            if (i + 1) % 25 == 0:
-                note(f"{modality}: {i + 1}/{trials} trials")
+        if (i + 1) % 25 == 0:
+            note(f"{i + 1}/{trials} trials")
     return ExperimentResult(seed=config.seed, trials=trials, batches=batches,
                             records=records,
                             campaign_wall_s=time.perf_counter() - t0)

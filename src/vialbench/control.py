@@ -28,7 +28,6 @@ and stop latency play out sample by sample.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +130,12 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       seen: dict | None):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
-    ``seen`` maps (image digest, shape, dtype, camera z) to the scored
-    candidates of an image already perceived with the same config and
-    weights; a hit skips circle detection and scoring, a miss adds its
-    result. With ``seen`` None the image is perceived without a digest.
-    The picture is always rendered and the pick always made, so every RNG
-    draws alike on a hit and on a miss.
+    ``seen`` maps the bytes of an image already perceived to its scored
+    candidates; a hit skips circle detection and scoring, a miss adds its
+    result. It lives for one trial index of one campaign (one config, one
+    set of weights, overview poses only), so equal bytes are the same image.
+    None perceives afresh. The picture is always rendered and the pick
+    always made, so every RNG draws alike on a hit and on a miss.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
@@ -144,9 +143,7 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     cfg = scene.config
     advance_clock(scene, cfg.timing.image_s)
     image = render_topdown(scene, pose)
-    key = None if seen is None else (
-        hashlib.blake2b(image.tobytes()).digest(), image.shape,
-        image.dtype.str, pose.z)
+    key = None if seen is None else image.tobytes()
     scored = None if key is None else seen.get(key)
     if scored is None:
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
@@ -195,8 +192,8 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     vial is released, lost or given up.
 
     ``seen`` is the overview cache of ``_image_and_select``, shared by the
-    trials of one campaign (trial ``i`` of every modality sees the same
-    scene); None perceives the overview afresh.
+    trials of one index of a campaign (trial ``i`` of every modality sees
+    the same scene); None perceives the overview afresh.
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.

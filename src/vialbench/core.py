@@ -283,13 +283,15 @@ def _parse_value(raw: str, target: type, key: str, where: str):
         if target is int:
             if "." in raw or "e" in raw.lower():
                 raise ValueError(raw)
-            return int(raw)
+            value = int(raw)
+            float(value)  # beyond the float range it is no finite number
+            return value
         if target is float:
             value = float(raw)
             if not math.isfinite(value):
                 raise ValueError(raw)
             return value
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(
             f"{where}: bad {target.__name__} value {raw!r} for key {key!r}"
         ) from None
@@ -384,59 +386,89 @@ def radius_sweep_error(config: WorkspaceConfig, cam_z: float,
     """Why the Hough sweep from camera height ``cam_z`` cannot run on an
     image of ``shape`` (rows, cols), or None when it can.
 
-    ``r_max`` may be at most half the image's shorter side: no larger
-    circle fits the image, and the vote buffer grows with ``r_max``.
+    The sweep must not be empty: ``r_min``, floored at 3 px, may not
+    exceed ``r_max``. And ``r_max`` may be at most half the image's shorter
+    side: no larger circle fits the image, and the vote buffer grows with
+    ``r_max``.
     """
     if not cam_z > config.rack.height:
         return "camera must sit above the rack plane"
-    r_max = hough_radii(config, cam_z)[1]
+    try:
+        r_min, r_max = hough_radii(config, cam_z)
+    except OverflowError:  # the slot spans infinitely many pixels
+        r_min, r_max = 3, math.inf
+    if r_min > r_max:
+        return f"slot radii up to {r_max} px are below the {r_min} px sweep floor"
     if 2 * r_max > min(shape):
         return (f"slot radii up to {r_max} px exceed half the "
                 f"{shape[1]}x{shape[0]} image")
     return None
 
 
-def _require(cond: bool, key: str, message: str) -> None:
+def _require(cond: bool, key: str, message: str, *reads: str) -> None:
+    """ConfigError naming ``key`` unless ``cond``; ``reads`` are the other
+    keys the rule reads, so every key that can break it is named."""
     if not cond:
-        raise ConfigError(f"{key}: {message}")
+        also = f" (depends on {', '.join(reads)})" if reads else ""
+        raise ConfigError(f"{key}: {message}{also}")
 
 
 def validate_config(config: WorkspaceConfig) -> None:
-    """Range and consistency checks; messages name the offending key."""
+    """Range and consistency checks; messages name every key a rule reads."""
     _require(config.seed >= 0, "seed", "must be >= 0")
     cam, rack, vial = config.camera, config.rack, config.vial
-    _require(cam.fx > 0 and cam.fy > 0, "camera.fx", "focal lengths must be positive")
-    _require(cam.width >= 16 and cam.height >= 16, "camera.width", "image too small")
-    _require(0 <= cam.cx < cam.width, "camera.cx", "principal point outside image")
-    _require(0 <= cam.cy < cam.height, "camera.cy", "principal point outside image")
-    _require(cam.z > rack.height, "camera.z", "camera must sit above the rack plane")
+    _require(cam.fx > 0, "camera.fx", "focal length must be positive")
+    _require(cam.fy > 0, "camera.fy", "focal length must be positive")
+    _require(cam.width >= 16, "camera.width", "image too small")
+    _require(cam.height >= 16, "camera.height", "image too small")
+    _require(0 <= cam.cx < cam.width, "camera.cx", "principal point outside image",
+             "camera.width")
+    _require(0 <= cam.cy < cam.height, "camera.cy", "principal point outside image",
+             "camera.height")
+    _require(cam.z > rack.height, "camera.z", "camera must sit above the rack plane",
+             "rack.height")
     _require(0 < cam.refine_factor <= 1.0, "camera.refine_factor", "must be in (0, 1]")
-    _require(rack.rows >= 1 and rack.cols >= 1, "rack.rows", "rack needs at least one slot")
-    _require(rack.pitch > 2 * rack.slot_radius, "rack.pitch", "slots overlap: pitch <= 2*slot_radius")
+    _require(rack.rows >= 1, "rack.rows", "rack needs at least one slot")
+    _require(rack.cols >= 1, "rack.cols", "rack needs at least one slot")
+    _require(rack.pitch > 2 * rack.slot_radius, "rack.pitch",
+             "slots overlap: pitch <= 2*slot_radius", "rack.slot_radius")
     _require(rack.height > 0, "rack.height", "must be positive")
-    _require(rack.footprint_w >= rack.cols * rack.pitch, "rack.footprint_w", "smaller than slot grid")
-    _require(rack.footprint_h >= rack.rows * rack.pitch, "rack.footprint_h", "smaller than slot grid")
-    _require(0 < vial.radius < rack.slot_radius, "vial.radius", "vial must fit the slot")
-    _require(0 < vial.grip_height <= vial.height, "vial.grip_height", "must be in (0, height]")
+    _require(rack.footprint_w >= rack.cols * rack.pitch, "rack.footprint_w",
+             "smaller than slot grid", "rack.cols", "rack.pitch")
+    _require(rack.footprint_h >= rack.rows * rack.pitch, "rack.footprint_h",
+             "smaller than slot grid", "rack.rows", "rack.pitch")
+    _require(vial.radius > 0, "vial.radius", "must be positive")
+    _require(vial.radius < rack.slot_radius, "vial.radius", "vial must fit the slot",
+             "rack.slot_radius")
+    _require(vial.grip_height > 0, "vial.grip_height", "must be positive")
+    _require(vial.grip_height <= vial.height, "vial.grip_height",
+             "must not exceed the vial height", "vial.height")
     ws = config.workspace
-    _require(ws.x_min < ws.x_max, "workspace.x_min", "empty x range")
-    _require(ws.y_min < ws.y_max, "workspace.y_min", "empty y range")
+    _require(ws.x_min < ws.x_max, "workspace.x_min", "empty x range", "workspace.x_max")
+    _require(ws.y_min < ws.y_max, "workspace.y_min", "empty y range", "workspace.y_max")
     _require(ws.yaw_max >= 0, "workspace.yaw_max", "must be >= 0")
     # Every rack pose must stay inside the overview image at rack height.
     reach = float(np.hypot(rack.footprint_w, rack.footprint_h))
     depth = cam.z - rack.height
+    view = ("rack.footprint_w", "rack.footprint_h", "camera.z", "rack.height")
     _require(ws.x_max - ws.x_min + reach <= cam.width * depth / cam.fx,
-             "workspace.x_min", "x range plus rack footprint exceeds the camera view")
+             "workspace.x_min", "x range plus rack footprint exceeds the camera view",
+             "workspace.x_max", *view, "camera.width", "camera.fx")
     _require(ws.y_max - ws.y_min + reach <= cam.height * depth / cam.fy,
-             "workspace.y_min", "y range plus rack footprint exceeds the camera view")
+             "workspace.y_min", "y range plus rack footprint exceeds the camera view",
+             "workspace.y_max", *view, "camera.height", "camera.fy")
     # Fitting is not enough: the view must also sit over them.
     half = reach / 2
     _require(cam.x - cam.cx * depth / cam.fx <= ws.x_min - half
              and ws.x_max + half <= cam.x + (cam.width - cam.cx) * depth / cam.fx,
-             "camera.x", "view does not cover the x range plus rack footprint")
+             "camera.x", "view does not cover the x range plus rack footprint",
+             "workspace.x_min", "workspace.x_max", *view, "camera.width",
+             "camera.fx", "camera.cx")
     _require(cam.y - cam.cy * depth / cam.fy <= ws.y_min - half
              and ws.y_max + half <= cam.y + (cam.height - cam.cy) * depth / cam.fy,
-             "camera.y", "view does not cover the y range plus rack footprint")
+             "camera.y", "view does not cover the y range plus rack footprint",
+             "workspace.y_min", "workspace.y_max", *view, "camera.height",
+             "camera.fy", "camera.cy")
     noise = config.noise
     for name in ("sigma_bias_angle", "sigma_bias_xy", "sigma_detect", "sigma_force",
                  "sigma_pixel", "sigma_grasp"):
@@ -453,43 +485,56 @@ def validate_config(config: WorkspaceConfig) -> None:
     frc = config.force
     _require(frc.threshold > 0, "force.threshold", "must be positive")
     _require(frc.rate > 0, "force.rate", "must be positive")
+    _require(math.isfinite(frc.rate * frc.buffer_seconds), "force.buffer_seconds",
+             "rate * buffer_seconds overflows", "force.rate")
     _require(buffer_capacity(frc) >= 1, "force.buffer_seconds",
-             "rate * buffer_seconds must round to at least one sample")
+             "rate * buffer_seconds must round to at least one sample", "force.rate")
     _require(frc.floor > 0, "force.floor", "must be positive")
     tac = config.tactile
     _require(tac.rate > 0, "tactile.rate", "must be positive")
     _require(0.0 <= tac.threshold <= 1.0, "tactile.threshold", "must be in [0, 1]")
     _require(tac.min_area >= 0, "tactile.min_area", "must be >= 0")
     _require(tac.stop_px > 0, "tactile.stop_px", "must be positive")
-    _require(tac.width >= 16 and tac.height >= 16, "tactile.width", "frame too small")
+    _require(tac.width >= 16, "tactile.width", "frame too small")
+    _require(tac.height >= 16, "tactile.height", "frame too small")
     _require(tac.span > 0, "tactile.span", "must be positive")
     _require(tac.blob_diameter > 0, "tactile.blob_diameter", "must be positive")
     _require(tac.n_reference >= 1, "tactile.n_reference", "need at least one reference frame")
     _require(tac.sigma_grasp >= 0, "tactile.sigma_grasp", "sigma must be >= 0")
     _require(tac.tilt_gain > 0, "tactile.tilt_gain", "must be positive")
     mot = config.motion
-    _require(mot.speed > 0 and mot.descent_speed > 0, "motion.speed", "speeds must be positive")
+    _require(mot.speed > 0, "motion.speed", "must be positive")
+    _require(mot.descent_speed > 0, "motion.descent_speed", "must be positive")
     _require(mot.accel > 0, "motion.accel", "must be positive")
     _require(mot.lift_clearance > 0, "motion.lift_clearance", "must be positive")
     _require(mot.floor_margin > 0, "motion.floor_margin", "must be positive")
-    _require(0 < mot.visual_floor < rack.height, "motion.visual_floor", "must be in (0, rack height)")
+    _require(mot.visual_floor > 0, "motion.visual_floor", "must be positive")
+    _require(mot.visual_floor < rack.height, "motion.visual_floor",
+             "must be below the rack top", "rack.height")
     cht = config.cht
     _require(0 < cht.vote_frac <= 1, "cht.vote_frac", "must be in (0, 1]")
     _require(cht.edge_thresh > 0, "cht.edge_thresh", "must be positive")
-    _require(0 < cht.r_lo_factor < cht.r_hi_factor, "cht.r_lo_factor", "need 0 < lo < hi")
+    _require(cht.r_lo_factor > 0, "cht.r_lo_factor", "must be positive")
+    _require(cht.r_lo_factor < cht.r_hi_factor, "cht.r_lo_factor", "need lo < hi",
+             "cht.r_hi_factor")
     # Both heights a campaign images from: the overview and the close-up.
-    for key, cam_z in (("camera.z", cam.z),
-                       ("camera.refine_factor", refined_camera_z(config))):
+    sweep = ("rack.height", "rack.slot_radius", "camera.fx", "cht.r_lo_factor",
+             "cht.r_hi_factor", "camera.width", "camera.height")
+    for key, cam_z, reads in (
+            ("camera.z", cam.z, sweep),
+            ("camera.refine_factor", refined_camera_z(config), ("camera.z", *sweep))):
         problem = radius_sweep_error(config, cam_z, (cam.height, cam.width))
-        _require(problem is None, key, problem)
+        _require(problem is None, key, problem, *reads)
     cnn = config.cnn
     _require(0 <= cnn.theta_rack <= 1, "cnn.theta_rack", "must be in [0, 1]")
     _require(0 <= cnn.theta_occ <= 1, "cnn.theta_occ", "must be in [0, 1]")
     _require(cnn.tie_eps >= 0, "cnn.tie_eps", "must be >= 0")
     _require(cnn.lr > 0, "cnn.lr", "must be positive")
     _require(0 <= cnn.momentum < 1, "cnn.momentum", "must be in [0, 1)")
-    _require(cnn.epochs >= 1 and cnn.batch_size >= 1, "cnn.epochs", "must be >= 1")
-    _require(cnn.k1 >= 1 and cnn.k2 >= 1, "cnn.k1", "channel counts must be >= 1")
+    _require(cnn.epochs >= 1, "cnn.epochs", "must be >= 1")
+    _require(cnn.batch_size >= 1, "cnn.batch_size", "must be >= 1")
+    _require(cnn.k1 >= 1, "cnn.k1", "channel count must be >= 1")
+    _require(cnn.k2 >= 1, "cnn.k2", "channel count must be >= 1")
     _require(cnn.crop_size >= 16 and cnn.crop_size % 16 == 0, "cnn.crop_size",
              "must be a multiple of 16")
     _require(cnn.train_scenes >= 1, "cnn.train_scenes", "must be >= 1")

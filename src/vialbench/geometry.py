@@ -39,19 +39,15 @@ def world_to_pixel(x: np.ndarray, y: np.ndarray, z: float,
 
 def plane_grid(intrinsics: CameraIntrinsics, cam: Pose3, plane_z: float,
                width: int, height: int):
-    """World (x, y) for every pixel center, on the plane at ``plane_z``.
+    """World x of every pixel column and y of every pixel row, on the plane
+    at ``plane_z``: the nadir model of pixel_to_world on the pixel grid.
 
-    Returns two (height, width) float arrays, the nadir model of
-    pixel_to_world evaluated on the whole pixel grid. They are read-only
-    broadcast views: x varies only along a row and y only down a column,
-    so ``x[0]`` and ``y[:, 0]`` hold every value.
+    Returns ``(x, y)``, float arrays of ``width`` and ``height`` values;
+    pixel (u, v) lies at ``(x[u], y[v])``.
     """
-    u = np.arange(width, dtype=float)[None, :]
-    v = np.arange(height, dtype=float)[:, None]
-    a = (u - intrinsics.cx) / intrinsics.fx
-    b = (v - intrinsics.cy) / intrinsics.fy
     depth = cam.z - plane_z
     if depth <= 0:
         raise ValueError("camera must be above the plane")
-    return (np.broadcast_to(cam.x + a * depth, (height, width)),
-            np.broadcast_to(cam.y + b * depth, (height, width)))
+    a = (np.arange(width, dtype=float) - intrinsics.cx) / intrinsics.fx
+    b = (np.arange(height, dtype=float) - intrinsics.cy) / intrinsics.fy
+    return cam.x + a * depth, cam.y + b * depth

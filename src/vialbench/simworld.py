@@ -498,8 +498,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     scene.last_render_cam = eff
 
     # Table plane: gradient, two straight seams, ring-shaped clutter.
-    gx, gy = plane_grid(intr, eff, 0.0, W, H)
-    tx, ty = gx[0], gy[:, 0]
+    tx, ty = plane_grid(intr, eff, 0.0, W, H)
     ws = cfg.workspace
     cx0 = (ws.x_min + ws.x_max) / 2.0
     cy0 = (ws.y_min + ws.y_max) / 2.0
@@ -516,8 +515,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
         img[rows, cols][np.abs(dd - dr) < _RIM_HALF] = shade
 
     # Rack plane: body mask plus per-slot detail.
-    gx, gy = plane_grid(intr, eff, cfg.rack.height, W, H)
-    rx, ry = gx[0], gy[:, 0]
+    rx, ry = plane_grid(intr, eff, cfg.rack.height, W, H)
     rack = cfg.rack
     reach = float(np.hypot(rack.footprint_w, rack.footprint_h)) / 2.0 + _SLACK
     rows = _span(ry, scene.rack_xy[1], reach)

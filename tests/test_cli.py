@@ -261,26 +261,44 @@ def test_non_finite_inputs_exit_two_before_training(tmp_path, weights_file,
     assert "training slot classifier" not in captured.out
 
 
+_VIEW_X = ("(depends on workspace.x_max, rack.footprint_w, rack.footprint_h, "
+           "camera.z, rack.height, camera.width, camera.fx)")
+_COVER = ("(depends on workspace.{0}_min, workspace.{0}_max, rack.footprint_w, "
+          "rack.footprint_h, camera.z, rack.height, camera.{1}, camera.f{0}, "
+          "camera.c{0})")
+_SWEEP = ("rack.height, rack.slot_radius, camera.fx, cht.r_lo_factor, "
+          "cht.r_hi_factor, camera.width, camera.height)")
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--set", "workspace.x_max=0.60"], "vialbench: workspace.x_min: "
-     "x range plus rack footprint exceeds the camera view"),
+     f"x range plus rack footprint exceeds the camera view {_VIEW_X}"),
     (["--set", "force.buffer_seconds=0.003"], "vialbench: force.buffer_seconds: "
-     "rate * buffer_seconds must round to at least one sample"),
+     "rate * buffer_seconds must round to at least one sample "
+     "(depends on force.rate)"),
     (["--set", "cnn.tie_eps=-1"], "vialbench: cnn.tie_eps: must be >= 0"),
     (["--seed", "-3"], "vialbench: seed: must be >= 0"),
     # the view spans x 0.1995..0.6005 at rack height around camera.x = 0.4;
     # at 0.9 it misses the rack, so every trial would end no_target
     (["--set", "camera.x=0.9"], "vialbench: camera.x: "
-     "view does not cover the x range plus rack footprint"),
+     "view does not cover the x range plus rack footprint "
+     f"{_COVER.format('x', 'width')}"),
     (["--set", "camera.y=0.01"], "vialbench: camera.y: "
-     "view does not cover the y range plus rack footprint"),
+     "view does not cover the y range plus rack footprint "
+     f"{_COVER.format('y', 'height')}"),
     # close-up sweeps of about 24 GB and of 304 px radii
     (["--set", "camera.refine_factor=0.001"], "vialbench: camera.refine_factor: "
-     "slot radii up to 15192 px exceed half the 512x384 image"),
+     "slot radii up to 15192 px exceed half the 512x384 image "
+     f"(depends on camera.z, {_SWEEP}"),
     (["--set", "camera.refine_factor=0.05"], "vialbench: camera.refine_factor: "
-     "slot radii up to 304 px exceed half the 512x384 image"),
+     "slot radii up to 304 px exceed half the 512x384 image "
+     f"(depends on camera.z, {_SWEEP}"),
     (["--set", "camera.z=0.0301"], "vialbench: workspace.x_min: "
-     "x range plus rack footprint exceeds the camera view"),
+     f"x range plus rack footprint exceeds the camera view {_VIEW_X}"),
+    # slots of 1.09 px: the overview sweep from the 3 px floor to 2 px is
+    # empty, which used to surface only after training
+    (["--set", "camera.fx=60"], "vialbench: camera.z: slot radii up to 2 px "
+     f"are below the 3 px sweep floor (depends on {_SWEEP}"),
 ])
 def test_config_rules_exit_two_before_training(tmp_path, capsys, monkeypatch,
                                                extra, message):

@@ -1,5 +1,7 @@
 """Config parsing/validation and the seeded RNG streams."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,7 @@ def test_comments_and_blank_lines():
     ("force.axis = z", "unknown key"),
     ("search.spacing = banana", "bad float"),
     ("force.rate = 1.5", "bad int"),
+    ("force.rate = 1" + "0" * 309, "bad int"),  # no float holds it
 ])
 def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -108,28 +111,52 @@ def test_validation_rejects_out_of_range():
 
 
 _VIEW = "x range plus rack footprint exceeds the camera view"
+_VIEW_X = ("(depends on workspace.x_max, rack.footprint_w, rack.footprint_h, "
+           "camera.z, rack.height, camera.width, camera.fx)")
+_VIEW_Y = ("(depends on workspace.y_max, rack.footprint_w, rack.footprint_h, "
+           "camera.z, rack.height, camera.height, camera.fy)")
+_COVER = ("(depends on workspace.{0}_min, workspace.{0}_max, rack.footprint_w, "
+          "rack.footprint_h, camera.z, rack.height, camera.{1}, camera.f{0}, "
+          "camera.c{0})")
+_SWEEP = ("rack.height, rack.slot_radius, camera.fx, cht.r_lo_factor, "
+          "cht.r_hi_factor, camera.width, camera.height)")
 
 
 @pytest.mark.parametrize("text, message", [
     # 0.30 m of x range plus the 0.15 m rack diagonal; 0.40 m in view
-    ("workspace.x_max = 0.60", f"workspace.x_min: {_VIEW}"),
-    ("workspace.y_min = -0.10", f"workspace.y_min: {_VIEW.replace('x', 'y', 1)}"),
-    ("camera.z = 0.3", f"workspace.x_min: {_VIEW}"),
+    ("workspace.x_max = 0.60", f"workspace.x_min: {_VIEW} {_VIEW_X}"),
+    ("workspace.y_min = -0.10",
+     f"workspace.y_min: {_VIEW.replace('x', 'y', 1)} {_VIEW_Y}"),
+    ("camera.z = 0.3", f"workspace.x_min: {_VIEW} {_VIEW_X}"),
     # the view at rack height must sit over the workspace, not only span it
     ("camera.x = 0.9", "camera.x: view does not cover the x range plus rack "
-     "footprint"),
+     f"footprint {_COVER.format('x', 'width')}"),
     ("camera.y = -0.006", "camera.y: view does not cover the y range plus "
-     "rack footprint"),
+     f"rack footprint {_COVER.format('y', 'height')}"),
     # both sweeps a campaign runs: the overview's and the close-up's
     ("camera.refine_factor = 0.05", "camera.refine_factor: slot radii up to "
-     "304 px exceed half the 512x384 image"),
+     f"304 px exceed half the 512x384 image (depends on camera.z, {_SWEEP}"),
     ("cht.r_hi_factor = 20", "camera.z: slot radii up to 218 px exceed half "
-     "the 512x384 image"),
+     f"the 512x384 image (depends on {_SWEEP}"),
     # 125 Hz for 3 ms rounds to no sample at all
     ("force.buffer_seconds = 0.003", "force.buffer_seconds: "
-     "rate * buffer_seconds must round to at least one sample"),
+     "rate * buffer_seconds must round to at least one sample "
+     "(depends on force.rate)"),
     ("cnn.tie_eps = -1", "cnn.tie_eps: must be >= 0"),
     ("seed = -3", "seed: must be >= 0"),
+    # a rule reading two keys names the one that broke it, or both
+    ("cnn.batch_size = 0", "cnn.batch_size: must be >= 1"),
+    ("camera.fy = 0", "camera.fy: focal length must be positive"),
+    ("rack.slot_radius = 0", "vial.radius: vial must fit the slot "
+     "(depends on rack.slot_radius)"),
+    ("workspace.x_max = 0", "workspace.x_min: empty x range "
+     "(depends on workspace.x_max)"),
+    # slots of 1.09 px: a sweep from the 3 px floor to 2 px is empty
+    ("camera.fx = 60", "camera.z: slot radii up to 2 px are below the 3 px "
+     f"sweep floor (depends on {_SWEEP}"),
+    # the largest radius overflows to infinitely many pixels
+    ("cht.r_hi_factor = 1e308", "camera.z: slot radii up to inf px exceed "
+     f"half the 512x384 image (depends on {_SWEEP}"),
 ])
 def test_cross_key_rules_name_their_key(text, message):
     with pytest.raises(ConfigError) as err:
@@ -182,6 +209,43 @@ def test_accepted_configs_reset_a_trial_and_fill_a_force_window(
             for u in (1.0, 2.0)]
     assert select_target(tied, 0.5, 0.5, config.cnn.tie_eps,
                          np.random.default_rng(0)) in tied
+
+
+KEY_TYPES = {"seed": int, **{f"{section}.{name}": kind
+                             for section, cls in _SECTIONS.items()
+                             for name, kind in _field_types(cls).items()}}
+_GRID = {float: [0.0, -1.0, 1e-9, 0.5, 1.0, 2.0, 1e9, -1e9],
+         int: [0, -1, 1, 3, 100000]}
+
+
+def check_single_override(key, value):
+    """One override on the defaults is refused naming its key, or loads
+    into a config whose Hough sweeps build at both camera heights."""
+    try:
+        config = load_config("", [f"{key} = {value!r}"])
+    except ConfigError as err:
+        assert key in re.findall(r"[\w.]+", str(err)), str(err)
+        return
+    for cam_z in (config.camera.z, refined_camera_z(config)):
+        cht_params_for(config, cam_z)
+
+
+def test_every_settable_value_is_counted():
+    assert len(KEY_TYPES) == 85
+
+
+@pytest.mark.parametrize("key", KEY_TYPES)
+def test_every_refusal_names_the_key_set(key):
+    for value in _GRID[KEY_TYPES[key]]:
+        check_single_override(key, value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), key=st.sampled_from(sorted(KEY_TYPES)))
+def test_any_single_override_names_its_key_or_loads(data, key):
+    value = data.draw(st.integers() if KEY_TYPES[key] is int else
+                      st.floats(allow_nan=False, allow_infinity=False))
+    check_single_override(key, value)
 
 
 def test_round_trip():

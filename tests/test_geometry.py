@@ -77,10 +77,10 @@ def test_array_inputs():
 
 def test_plane_grid_matches_pointwise():
     gx, gy = plane_grid(INTR, CAM, 0.05, 8, 6)
-    assert gx.shape == (6, 8)
+    assert gx.shape == (8,) and gy.shape == (6,)
     x, y = pixel_to_world(3.0, 4.0, INTR, CAM, 0.05)
-    assert gx[4, 3] == pytest.approx(x)
-    assert gy[4, 3] == pytest.approx(y)
+    assert gx[3] == pytest.approx(x)
+    assert gy[4] == pytest.approx(y)
 
 
 @settings(max_examples=100, deadline=None)
@@ -92,7 +92,9 @@ def test_plane_grid_matches_pixel_to_world_everywhere(cam, frac, width,
     gx, gy = plane_grid(INTR, cam, plane, width, height)
     xy = np.array([[pixel_to_world(float(u), float(v), INTR, cam, plane)
                      for u in range(width)] for v in range(height)])
-    assert gx.shape == gy.shape == (height, width)
+    assert gx.shape == (width,) and gy.shape == (height,)
     # same model, different rounding order: (u - cx) / fx * depth
-    np.testing.assert_allclose(gx, xy[..., 0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gy, xy[..., 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.broadcast_to(gx, (height, width)),
+                               xy[..., 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.broadcast_to(gy[:, None], (height, width)),
+                               xy[..., 1], rtol=0, atol=1e-12)

@@ -1,20 +1,23 @@
-"""One campaign perceives each distinct overview image once.
+"""One campaign index perceives each distinct overview image once.
 
-Trial ``i`` of every modality sees the same scene, so ``run_experiment``
-shares one ``seen`` cache across its trials: a repeated overview skips
-circle detection and scoring, and everything else draws as before.
+``run_experiment`` runs one trial index at a time: trial ``i`` of every
+modality sees the same scene, so the trials of index ``i`` share one
+``seen`` cache, keyed by the image bytes. A repeated overview skips circle
+detection and scoring, and everything else draws as before.
 """
 
+from collections import Counter
 from contextlib import suppress
 
 import numpy as np
 import pytest
 
-from vialbench import control
+from vialbench import bench, control
 from vialbench.bench import run_experiment
-from vialbench.core import Pose3, RngStream, split_rng
-from vialbench.perception import NoValidSlotError, refined_camera_z
-from vialbench.simworld import reset_trial
+from vialbench.cli import main
+from vialbench.core import RngStream, split_rng
+from vialbench.perception import NoValidSlotError, save_weights
+from vialbench.simworld import make_rig, reset_trial
 
 TRIALS = 3
 
@@ -33,19 +36,67 @@ def counting(monkeypatch, name):
 
 
 @pytest.fixture(scope="module")
-def paired(config, weights):
-    return run_experiment(config, TRIALS, 1, weights=weights,
-                          modalities=("visual", "force"))
+def campaign(config, weights):
+    return run_experiment(config, TRIALS, 1, weights=weights)
 
 
-def test_shared_run_records_equal_fresh_trials(config, weights, paired):
+def test_shared_run_records_equal_fresh_trials(config, weights, campaign):
+    rig = make_rig(config, "tactile")
+    calibration = control.calibrate_rig(config, rig)
     master = RngStream(config.seed)
     for i in range(TRIALS):
         stream = split_rng(master, i)
-        assert paired.records["visual"][i] == control.run_visual_trial(
+        assert campaign.records["visual"][i] == control.run_visual_trial(
             config, stream, weights, trial_index=i, seen={})
-        assert paired.records["force"][i] == control.run_force_trial(
+        assert campaign.records["force"][i] == control.run_force_trial(
             config, stream, weights, trial_index=i, seen={})
+        assert campaign.records["tactile"][i] == control.run_tactile_trial(
+            config, stream, weights, rig, calibration, trial_index=i,
+            seen={})
+
+
+def test_each_index_detects_twice_with_a_cache_of_its_own(config, weights,
+                                                            monkeypatch):
+    """Per index: one split, one cache for all three modalities, and two
+    detections (the shared overview and the visual close-up)."""
+    indices, detected_at, caches = [], [], {}
+    detect = control.detect_circles
+
+    def split(master, i):
+        indices.append(i)
+        return split_rng(master, i)
+
+    def detect_at_index(*args):
+        detected_at.append(indices[-1])
+        return detect(*args)
+
+    monkeypatch.setattr(bench, "split_rng", split)
+    monkeypatch.setattr(control, "detect_circles", detect_at_index)
+    for modality in control.MODALITIES:
+        name = f"run_{modality}_trial"
+        trial = getattr(bench, name)
+
+        def spy(*args, trial=trial, **kwargs):
+            caches.setdefault(kwargs["trial_index"], []).append(kwargs["seen"])
+            return trial(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, spy)
+    run_experiment(config, TRIALS, 1, weights=weights)
+    assert indices == list(range(TRIALS))
+    assert Counter(detected_at) == {i: 2 for i in range(TRIALS)}
+    for seen in caches.values():
+        assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
+        assert len(seen[0]) == 1  # the three overviews are one image
+    assert len({id(seen[0]) for seen in caches.values()}) == TRIALS
+
+
+def test_progress_counts_indices(tmp_path, weights, capsys):
+    path = tmp_path / "slot.weights"
+    save_weights(path, weights)
+    assert main(["run", "--trials", "25", "--batches", "1", "--modality",
+                 "force", "--weights", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines().count("25/25 trials") == 1
 
 
 def test_force_overview_reuses_visual_detection(config, weights, monkeypatch):
@@ -101,16 +152,5 @@ def test_one_pixel_changed_misses(config, weights, fixed_image, monkeypatch):
     perceive(config, weights, pose, seen)
     fixed_image[100, 200] ^= 1
     perceive(config, weights, pose, seen)
-    assert len(detect) == 2
-    assert len(seen) == 2
-
-
-def test_other_camera_height_misses(config, weights, fixed_image, monkeypatch):
-    detect = counting(monkeypatch, "detect_circles")
-    seen = {}
-    pose = config.camera.pose()
-    perceive(config, weights, pose, seen)
-    low = Pose3(x=pose.x, y=pose.y, z=refined_camera_z(config))
-    perceive(config, weights, low, seen)
     assert len(detect) == 2
     assert len(seen) == 2
