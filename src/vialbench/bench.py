@@ -26,7 +26,7 @@ from .control import (MODALITIES, AttemptOutcome, TrialRecord, calibrate_rig,
                       run_visual_trial)
 from .core import (PACKAGE_VERSION, RngStream, WorkspaceConfig, read_utf8,
                    split_rng)
-from .perception import CnnWeights, train_discriminator
+from .perception import CnnWeights, check_weights, train_discriminator
 from .simworld import make_rig
 
 
@@ -116,7 +116,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
     modality, in ``modalities`` order, then trial i + 1.
 
     Trains the slot classifier from the config seed when no weights are
-    given. The tactile rig and its calibration are built once and shared by
+    given, and checks given weights against the config's network first.
+    The tactile rig and its calibration are built once and shared by
     every tactile trial, mirroring a fixed physical gripper; a pre-computed
     ``calibration`` mapping (finger name -> TactileCalibration) skips the
     in-run calibration pass.
@@ -138,6 +139,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
         t0 = time.perf_counter()
         weights, _, n_crops = train_discriminator(config)
         note(f"trained on {n_crops} crops in {time.perf_counter() - t0:.1f}s")
+    else:
+        check_weights(weights, config.cnn)
 
     master = RngStream(config.seed)
     tactile_rig = None

@@ -10,8 +10,9 @@ from pathlib import Path
 from . import bench, control, pgm
 from .core import (ConfigError, PACKAGE_VERSION, WorkspaceConfig, load_config,
                    radius_sweep_error, read_utf8)
-from .perception import (cht_params_for, detect_circles, load_weights,
-                         save_weights, score_candidates, train_discriminator)
+from .perception import (check_weights, cht_params_for, detect_circles,
+                         load_weights, save_weights, score_candidates,
+                         train_discriminator)
 from .simworld import make_rig
 from .tactile import load_calibration, save_calibration
 
@@ -110,6 +111,7 @@ def _cmd_detect(args) -> int:
         raise ValueError(f"--camera-z must be finite, got {cam_z}")
     image = pgm.read_pgm(args.image)
     weights = load_weights(args.weights)
+    check_weights(weights, config.cnn)
     problem = radius_sweep_error(config, cam_z, image.shape)
     if problem is not None:
         raise ValueError(f"--camera-z {cam_z}: {problem}")

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KEY_CALIB, Pose3, RngStream, TactileConfig, WorkspaceConfig
-from .force import (ForceBuffer, ForceDecision, buffer_capacity, init_baseline,
-                    safety_stop, update_and_check)
+from .force import (ForceBuffer, buffer_capacity, init_baseline, safety_stop,
+                    update_and_check)
 from .geometry import pixel_to_world
 from .perception import (CnnWeights, NoValidSlotError,
                          accepted_rack_candidates, cht_params_for,
@@ -45,9 +45,9 @@ from .simworld import (MoveCommand, SceneState, SimError, advance_clock,
                        impose_grasp, jump_setpoint, reference_frames,
                        release_and_evaluate, render_topdown, reset_trial,
                        sample_tactile, tick)
-from .tactile import (FINGERS, ContactRegion, TactileCalibration,
-                      TactileDecision, apply_calibration, calibrate_mapping,
-                      find_contact, track_deviation)
+from .tactile import (FINGERS, CalibrationError, ContactRegion,
+                      TactileCalibration, TactileDecision, apply_calibration,
+                      calibrate_mapping, find_contact, track_deviation)
 
 MODALITIES = ("visual", "force", "tactile")
 RESULTS = ("inserted", "rack_top", "safety_stop", "released_failed",
@@ -175,12 +175,6 @@ def _descend_to_floor(scene: SceneState, xy, floor_z: float, check) -> str:
     raise SimError("descent failed to terminate within its time budget")
 
 
-def _grab_offset(scene: SceneState) -> tuple[float, float] | None:
-    if scene.held_offset is None:
-        return None
-    return (float(scene.held_offset[0]), float(scene.held_offset[1]))
-
-
 def _xy(position) -> tuple[float, float]:
     return (float(position[0]), float(position[1]))
 
@@ -208,14 +202,14 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
 
     def finish(placement: str | None, release_at=None) -> TrialRecord:
         """Release at ``release_at`` if given, then build the record."""
-        final_offset = _grab_offset(scene)
+        final_offset = (None if scene.held_offset is None
+                        else _xy(scene.held_offset))
         if release_at is not None:
             advance_clock(scene, config.timing.release_s)
-            placed = release_and_evaluate(scene)
+            placement = release_and_evaluate(scene)
             outcomes.append(AttemptOutcome(
                 _xy(release_at),
-                "inserted" if placed.success else "released_failed"))
-            placement = placed.kind
+                "inserted" if placement == "inserted" else "released_failed"))
         return TrialRecord(
             modality=modality, trial_index=trial_index,
             attempts=max(attempts, 1),
@@ -312,7 +306,7 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
         dt = 1.0 / config.force.rate
         hold = MoveCommand(target=scene.setpoint.copy(),
                            speed=config.motion.speed, accel=config.motion.accel)
-        samples = [tick(scene, hold, dt).vector
+        samples = [tick(scene, hold, dt)
                    for _ in range(buffer_capacity(config.force))]
         return init_baseline(samples, config.force), target
 
@@ -320,9 +314,8 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
         buffer = ForceBuffer(buffer_capacity(config.force))
 
         def check(sample):
-            decision, _ = update_and_check(buffer, sample.vector, baseline,
-                                           config.force)
-            if decision is ForceDecision.STOP:
+            stop, _ = update_and_check(buffer, sample, baseline, config.force)
+            if stop:
                 return "stopped"
             if scene.held_offset is None:
                 return "lost"
@@ -405,23 +398,30 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
 
 def calibrate_rig(config: WorkspaceConfig, rig) -> dict[str, TactileCalibration]:
     """Fit each finger's centroid-to-offset map on a grid of known grasps,
-    drawn from the reserved calibration RNG stream of the config seed."""
+    drawn from the reserved calibration RNG stream of the config seed; a
+    finger with contact in fewer than three grasps raises CalibrationError."""
     if rig is None or not rig.has_tactile:
         raise ValueError("calibration needs a tactile-equipped rig")
     stream = RngStream(config.seed).child(KEY_CALIB)
     scene = reset_trial(config, stream.child(0), rig)
     refs = {f: reference_frames(scene, f) for f in FINGERS}
     reach = 3.0e-3
+    grasps = [(ox, oy) for ox in (-reach, 0.0, reach)
+              for oy in (-reach, 0.0, reach)]
     cents: dict[str, list] = {f: [] for f in FINGERS}
     offs: dict[str, list] = {f: [] for f in FINGERS}
-    for ox in (-reach, 0.0, reach):
-        for oy in (-reach, 0.0, reach):
-            impose_grasp(scene, [ox, oy])
-            contacts = _finger_contacts(scene, refs, config.tactile)
-            for finger, region in contacts.items():
-                if region is not None:
-                    cents[finger].append(region.centroid)
-                    offs[finger].append((ox, oy))
+    for ox, oy in grasps:
+        impose_grasp(scene, [ox, oy])
+        contacts = _finger_contacts(scene, refs, config.tactile)
+        for finger, region in contacts.items():
+            if region is not None:
+                cents[finger].append(region.centroid)
+                offs[finger].append((ox, oy))
+    for f in FINGERS:
+        if len(cents[f]) < 3:
+            raise CalibrationError(
+                f"{f} finger: contact in {len(cents[f])} of {len(grasps)} "
+                f"calibration grasps, need 3")
     return {f: calibrate_mapping(np.asarray(cents[f]), np.asarray(offs[f]),
                                  config.tactile.width, config.tactile.height)
             for f in FINGERS}

@@ -9,18 +9,11 @@ at the gripper height when a stop fires.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .core import ForceConfig, WorkspaceConfig, buffer_capacity
 
 _REFRESH_EVERY = 4096  # recompute the running sum exactly, bounding FP drift
-
-
-class ForceDecision(enum.Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
 
 
 class ForceBuffer:
@@ -35,24 +28,17 @@ class ForceBuffer:
         self._sum = np.zeros(3)
         self._pushes = 0
 
-    @property
-    def capacity(self) -> int:
-        return self._buf.shape[0]
-
-    def __len__(self) -> int:
-        return self._count
-
     def push(self, sample) -> None:
         v = np.asarray(sample, dtype=float)
         if v.shape != (3,):
             raise ValueError(f"expected a 3-axis sample, got shape {v.shape}")
-        if self._count == self.capacity:
+        if self._count == len(self._buf):
             self._sum -= self._buf[self._head]
         else:
             self._count += 1
         self._buf[self._head] = v
         self._sum += v
-        self._head = (self._head + 1) % self.capacity
+        self._head = (self._head + 1) % len(self._buf)
         self._pushes += 1
         if self._pushes % _REFRESH_EVERY == 0:
             self._sum = self._buf[:self._count].sum(axis=0)
@@ -75,24 +61,19 @@ def init_baseline(samples, config: ForceConfig) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def deviation(buffer: ForceBuffer, baseline: np.ndarray) -> float:
-    """Norm of the current window mean's deviation from the baseline."""
-    return float(np.linalg.norm(buffer.mean() - baseline))
-
-
 def stop_threshold(baseline: np.ndarray, config: ForceConfig) -> float:
     magnitude = float(np.linalg.norm(baseline))
     return config.threshold * max(magnitude, config.floor)
 
 
 def update_and_check(buffer: ForceBuffer, sample, baseline: np.ndarray,
-                     config: ForceConfig) -> tuple[ForceDecision, float]:
-    """Push one sample and evaluate the stop rule (strict inequality)."""
+                     config: ForceConfig) -> tuple[bool, float]:
+    """Push one sample and evaluate the stop rule (strict inequality) on the
+    norm of the window mean's deviation from the baseline; returns
+    ``(stop, deviation)``."""
     buffer.push(sample)
-    dev = deviation(buffer, baseline)
-    if dev > stop_threshold(baseline, config):
-        return ForceDecision.STOP, dev
-    return ForceDecision.CONTINUE, dev
+    dev = float(np.linalg.norm(buffer.mean() - baseline))
+    return dev > stop_threshold(baseline, config), dev
 
 
 def safety_stop(grip_z: float, config: WorkspaceConfig) -> bool:

@@ -1,7 +1,8 @@
 """Slot perception: circle detection, crop classification, target selection."""
 
-from .cnn import (CnnWeights, TrainingDiverged, forward, init_weights,
-                  load_weights, loss_and_grads, save_weights, train_cnn)
+from .cnn import (CnnWeights, TrainingDiverged, check_weights, forward,
+                  init_weights, load_weights, loss_and_grads, save_weights,
+                  train_cnn)
 from .hough import Candidate, ChtParams, cht_params_for, detect_circles
 from .pipeline import (Label, NoValidSlotError, ScoredCandidate,
                        accepted_rack_candidates, extract_crops,
@@ -18,6 +19,7 @@ __all__ = [
     "ScoredCandidate",
     "TrainingDiverged",
     "accepted_rack_candidates",
+    "check_weights",
     "cht_params_for",
     "detect_circles",
     "extract_crops",

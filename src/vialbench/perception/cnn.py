@@ -19,7 +19,7 @@ finite-difference gradient checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,11 +31,6 @@ HIDDEN2 = 128
 N_HEADS = 2
 
 _MAGIC = b"VIALCNN1\n"
-
-_TENSOR_NAMES = (
-    "conv1_w", "conv1_b", "conv2_w", "conv2_b",
-    "fc1_w", "fc1_b", "fc2_w", "fc2_b", "fc3_w", "fc3_b",
-)
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,32 +54,61 @@ class CnnWeights:
         """All parameter arrays in declaration order."""
         return [(name, getattr(self, name)) for name in _TENSOR_NAMES]
 
-    def astype(self, dtype) -> "CnnWeights":
-        return CnnWeights(**{n: a.astype(dtype) for n, a in self.tensors()})
+
+_TENSOR_NAMES = tuple(f.name for f in fields(CnnWeights))
+
+
+def tensor_shapes(config: CnnConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape in the network ``config`` describes, in order."""
+    # Two stride-2 convolutions and two 2x2 pools: 16x total downsampling.
+    side = config.crop_size // 16
+    flat = config.k2 * side * side
+    return {
+        "conv1_w": (config.k1, 1, 5, 5), "conv1_b": (config.k1,),
+        "conv2_w": (config.k2, config.k1, 5, 5), "conv2_b": (config.k2,),
+        "fc1_w": (flat, HIDDEN1), "fc1_b": (HIDDEN1,),
+        "fc2_w": (HIDDEN1, HIDDEN2), "fc2_b": (HIDDEN2,),
+        "fc3_w": (HIDDEN2, N_HEADS), "fc3_b": (N_HEADS,),
+    }
+
+
+_SHAPE_KEYS = {  # the config keys a tensor's shape depends on, if any
+    "conv1_w": ("k1",), "conv1_b": ("k1",), "conv2_w": ("k2", "k1"),
+    "conv2_b": ("k2",), "fc1_w": ("k2", "crop_size"),
+}
+
+
+def check_weights(weights: CnnWeights, config: CnnConfig) -> None:
+    """Raise ValueError unless every tensor has the shape ``config`` needs,
+    naming the first that does not and the keys its shape depends on."""
+    for name, need in tensor_shapes(config).items():
+        have = getattr(weights, name).shape
+        if have != need:
+            keys = _SHAPE_KEYS.get(name, ())
+            by = (" and ".join(f"cnn.{k} = {getattr(config, k)}" for k in keys)
+                  if keys else "the network")
+            verb = "need" if len(keys) > 1 else "needs"
+            raise ValueError(f"weights: {name} is {_dims(have)} but {by} "
+                             f"{verb} {_dims(need)}")
+
+
+def _dims(shape: tuple[int, ...]) -> str:
+    return "x".join(str(d) for d in shape)
 
 
 def init_weights(gen: np.random.Generator, config: CnnConfig,
                  dtype=np.float32) -> CnnWeights:
     """He-initialized weights, zero biases."""
-    # Two stride-2 convolutions and two 2x2 pools: 16x total downsampling.
-    side = config.crop_size // 16
-    flat = config.k2 * side * side
-
-    def he(shape, fan_in):
-        return (gen.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
-
-    return CnnWeights(
-        conv1_w=he((config.k1, 1, 5, 5), 25),
-        conv1_b=np.zeros(config.k1, dtype=dtype),
-        conv2_w=he((config.k2, config.k1, 5, 5), config.k1 * 25),
-        conv2_b=np.zeros(config.k2, dtype=dtype),
-        fc1_w=he((flat, HIDDEN1), flat),
-        fc1_b=np.zeros(HIDDEN1, dtype=dtype),
-        fc2_w=he((HIDDEN1, HIDDEN2), HIDDEN1),
-        fc2_b=np.zeros(HIDDEN2, dtype=dtype),
-        fc3_w=he((HIDDEN2, N_HEADS), HIDDEN2),
-        fc3_b=np.zeros(N_HEADS, dtype=dtype),
-    )
+    tensors = {}
+    for name, shape in tensor_shapes(config).items():
+        if name.endswith("_b"):
+            tensors[name] = np.zeros(shape, dtype=dtype)
+        else:
+            # Inputs per output unit: (in, out) for fc, (out, in, k, k) for conv.
+            fan_in = shape[0] if name.startswith("fc") else int(np.prod(shape[1:]))
+            tensors[name] = (gen.standard_normal(shape)
+                             * np.sqrt(2.0 / fan_in)).astype(dtype)
+    return CnnWeights(**tensors)
 
 
 def _conv_forward(x, w, b, stride=2, pad=2):
@@ -109,19 +133,17 @@ def _conv_param_grads(dy, cols, w):
 
 def _conv_input_grad(dy, w, x_shape, stride=2, pad=2):
     """Input gradient of a convolution: col2im of ``dy @ w``, one kernel tap
-    at a time."""
+    at a time, each through the strided view of the taps it feeds."""
     n, c, h, ww = x_shape
     ko, _, k, _ = w.shape
     dyt = dy.transpose(0, 2, 3, 1)
     oh, ow = dyt.shape[1], dyt.shape[2]
     dcols = (dyt @ w.reshape(ko, -1)).reshape(n, oh, ow, c, k, k)
     dxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=dy.dtype)
-    rows = stride * np.arange(oh)
-    col_idx = stride * np.arange(ow)
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki + rows[:, None], kj + col_idx[None, :]] += \
-                dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+            dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] \
+                += dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
     return dxp[:, :, pad:pad + h, pad:pad + ww]
 
 
@@ -192,7 +214,7 @@ def forward(x: np.ndarray, weights: CnnWeights):
     h2 = a3 @ weights.fc2_w + weights.fc2_b
     a4 = np.maximum(h2, 0)
     logits = a4 @ weights.fc3_w + weights.fc3_b
-    cache = (x, cols1, a1, p1, cols2, a2, p2, flat, h1, a3, h2, a4, logits)
+    cache = (cols1, a1, p1, cols2, a2, p2, flat, a3, a4, logits)
     return _sigmoid(logits), cache
 
 
@@ -204,8 +226,8 @@ def loss_and_grads(weights: CnnWeights, x: np.ndarray, targets: np.ndarray,
     contribution for that sample entirely.
     """
     probs, cache = forward(x, weights)
-    xin, cols1, a1, p1, cols2, a2, p2, flat, h1, a3, h2, a4, logits = cache
-    n = xin.shape[0]
+    cols1, a1, p1, cols2, a2, p2, flat, a3, a4, logits = cache
+    n = x.shape[0]
     t = np.asarray(targets, dtype=logits.dtype)
     m = np.asarray(mask, dtype=logits.dtype)
     loss = float((m * (_softplus(logits) - t * logits)).sum() / n)
@@ -214,11 +236,11 @@ def loss_and_grads(weights: CnnWeights, x: np.ndarray, targets: np.ndarray,
     dfc3_w = a4.T @ dlogits
     dfc3_b = dlogits.sum(axis=0)
     da4 = dlogits @ weights.fc3_w.T
-    dh2 = da4 * (h2 > 0)
+    dh2 = da4 * (a4 > 0)  # max(h, 0) > 0 exactly when h > 0
     dfc2_w = a3.T @ dh2
     dfc2_b = dh2.sum(axis=0)
     da3 = dh2 @ weights.fc2_w.T
-    dh1 = da3 * (h1 > 0)
+    dh1 = da3 * (a3 > 0)
     dfc1_w = flat.T @ dh1
     dfc1_b = dh1.sum(axis=0)
     dflat = dh1 @ weights.fc1_w.T

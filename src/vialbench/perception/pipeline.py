@@ -98,23 +98,21 @@ def label_candidate(u: float, v: float, slot_u: np.ndarray, slot_v: np.ndarray,
     return Label.NOT_IN_RACK
 
 
-def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream,
-                             n_scenes: int | None = None):
-    """Render scenes, detect circles, and label each candidate crop.
+def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream):
+    """Render ``cnn.train_scenes`` scenes, detect circles, and label each
+    candidate crop.
 
     Every fourth scene is imaged close-up over a random slot so the training
     distribution covers both camera heights the runtime uses. Returns
     ``(crops, labels)`` with crops of shape (n, 1, cs, cs) float32.
     """
-    if n_scenes is None:
-        n_scenes = config.cnn.train_scenes
     cs = config.cnn.crop_size
     intr = config.camera.intrinsics()
     nominal_params = cht_params_for(config, config.camera.z)
     refined_params = cht_params_for(config, refined_camera_z(config))
     crops: list[np.ndarray] = []
     labels: list[int] = []
-    for i in range(n_scenes):
+    for i in range(config.cnn.train_scenes):
         scene = reset_trial(config, stream.child(i))
         centers = slot_centers(scene)
         if i % 4 == 3:

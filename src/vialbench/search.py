@@ -3,14 +3,14 @@
 When a guarded descent stops on the rack surface, the estimate was off by
 less than an inter-slot gap, so the true opening is searched on a square
 lattice centered on the estimate: ring by ring outward, each ring walked
-clockwise from its +x cell, skipping cells already tried and cells outside
-the envelope. The envelope extents come from the gaps to neighboring
-detections, so the search can never wander onto an adjacent slot.
+clockwise from its +x cell, skipping cells outside the envelope (rings are
+disjoint, so no cell repeats). The envelope extents come from the gaps to
+neighboring detections, so the search can never wander onto an adjacent slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class SearchState:
     height: float               # envelope full extent along y, meters
     spacing: float
     expansion: int = 1
-    visited: set[tuple[int, int]] = field(default_factory=lambda: {(0, 0)})
 
     @property
     def exhausted(self) -> bool:
@@ -59,26 +58,19 @@ def _ring_cells(e: int) -> list[tuple[int, int]]:
 
 
 def next_trial_positions(state: SearchState) -> list[np.ndarray]:
-    """World positions of the next untried ring, or [] once exhausted.
-
-    Advances through expansion rings until one contributes at least one
-    in-envelope, unvisited cell; all returned cells are marked visited.
-    """
+    """World positions of the next ring's in-envelope cells, or [] once
+    exhausted. Until then (e, 0) or (0, e) is in the envelope, so the ring
+    is never empty."""
+    if state.exhausted:
+        return []
     half_w = 0.5 * state.width + _EPS
     half_h = 0.5 * state.height + _EPS
-    while not state.exhausted:
-        fresh = []
-        for ex, ey in _ring_cells(state.expansion):
-            if (ex, ey) in state.visited:
-                continue
-            if abs(state.spacing * ex) > half_w or abs(state.spacing * ey) > half_h:
-                continue
-            state.visited.add((ex, ey))
-            fresh.append(state.target + state.spacing * np.array([ex, ey], dtype=float))
-        state.expansion += 1
-        if fresh:
-            return fresh
-    return []
+    ring = _ring_cells(state.expansion)
+    state.expansion += 1
+    return [state.target + state.spacing * np.array([ex, ey], dtype=float)
+            for ex, ey in ring
+            if abs(state.spacing * ex) <= half_w
+            and abs(state.spacing * ey) <= half_h]
 
 
 def compute_search_bounds(neighbors_xy, target_xy, fallback_pitch: float

@@ -33,32 +33,6 @@ class Contact(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ForceSample:
-    """One wrist force/torque reading (forces only), in newtons."""
-
-    fx: float
-    fy: float
-    fz: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.fx, self.fy, self.fz])
-
-
-@dataclass(frozen=True)
-class PlacementResult:
-    """Outcome of releasing (or abandoning) the held vial."""
-
-    kind: str  # inserted | resting_on_rack | dropped_on_table | still_held
-    row: int | None = None
-    col: int | None = None
-
-    @property
-    def success(self) -> bool:
-        return self.kind == "inserted"
-
-
-@dataclass(frozen=True)
 class FingertipRig:
     """Gripper fingertip material model plus the true tactile mount maps.
 
@@ -73,9 +47,12 @@ class FingertipRig:
     mu: float
     sigma_grasp: float
     tilt_gain: float
-    has_tactile: bool
     map_gain: dict[str, np.ndarray] = field(default_factory=dict)
     map_offset: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def has_tactile(self) -> bool:  # tactile sensors come with mount maps
+        return bool(self.map_gain)
 
 
 def make_rig(config: WorkspaceConfig, material: str) -> FingertipRig:
@@ -85,7 +62,6 @@ def make_rig(config: WorkspaceConfig, material: str) -> FingertipRig:
             mu=config.contact.mu_rubber,
             sigma_grasp=config.noise.sigma_grasp,
             tilt_gain=1.0,
-            has_tactile=False,
         )
     if material != "tactile":
         raise ValueError(f"unknown fingertip material {material!r}")
@@ -103,7 +79,6 @@ def make_rig(config: WorkspaceConfig, material: str) -> FingertipRig:
         mu=config.contact.mu_tactile,
         sigma_grasp=config.tactile.sigma_grasp,
         tilt_gain=config.tactile.tilt_gain,
-        has_tactile=True,
         map_gain=gains,
         map_offset=offsets,
     )
@@ -350,10 +325,7 @@ def _resolve_contact(scene: SceneState, dt: float) -> float:
                 scene.held_offset = scene.held_offset + (away / norm) * drift
                 if np.max(np.abs(scene.held_offset)) > cfg.contact.max_offset:
                     # Slid past the fingertip edge: the vial is gone.
-                    scene.held_offset = None
-                    scene.pin_z = None
-                    scene.contact = Contact.NONE
-                    scene.contact_slot = None
+                    _let_go(scene)
                     force_contact = 0.0
     else:
         scene.pin_z = 0.0
@@ -364,8 +336,17 @@ def _resolve_contact(scene: SceneState, dt: float) -> float:
     return force_contact
 
 
-def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
-    """Advance one control period: motion, contact, slip, and a force reading."""
+def _let_go(scene: SceneState) -> None:
+    """The gripper no longer holds a vial: nothing pins it or touches."""
+    scene.held_offset = None
+    scene.pin_z = None
+    scene.contact = Contact.NONE
+    scene.contact_slot = None
+
+
+def tick(scene: SceneState, command: MoveCommand, dt: float) -> np.ndarray:
+    """Advance one control period: motion, contact, slip, and a wrist force
+    reading, the ``(3,)`` vector ``(fx, fy, fz)`` in newtons."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = scene.config
@@ -388,7 +369,7 @@ def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
     x, y, _ = scene.setpoint.tolist()
     bx, by, bz = _static_bias(x, y, scene.grip_z, scene.held_offset is not None)
     nx, ny, nz = scene.rng.normal(0.0, cfg.noise.sigma_force, 3).tolist()
-    return ForceSample(fx=bx + nx, fy=by + ny, fz=bz + force_contact + nz)
+    return np.array([bx + nx, by + ny, bz + force_contact + nz])
 
 
 def jump_setpoint(scene: SceneState, target) -> None:
@@ -425,29 +406,21 @@ def _static_bias(x: float, y: float, z: float,
             -4.0 + 0.30 * x + 0.20 * y + 0.05 * z + payload)
 
 
-def release_and_evaluate(scene: SceneState) -> PlacementResult:
-    """Open the gripper and judge where the vial ends up.
-
-    Inserted requires the vial to actually be in a slot (below the rack top
-    within clearance); otherwise the drop lands on whatever is underneath.
-    """
+def release_and_evaluate(scene: SceneState) -> str:
+    """Open the gripper and judge where the vial ends up: "inserted" (in a
+    slot, below the rack top within clearance; the slot fills), else
+    "resting_on_rack" or "dropped_on_table", whatever is underneath."""
     if scene.held_offset is None:
         raise SimError("release with no vial held")
     if scene.contact is Contact.INSERTED and scene.contact_slot is not None:
-        r, c = scene.contact_slot
-        scene.occupancy[r, c] = True
-        result = PlacementResult("inserted", r, c)
+        scene.occupancy[scene.contact_slot] = True
+        placement = "inserted"
+    elif in_rack_footprint(scene, scene.vial_bottom_xy()):
+        placement = "resting_on_rack"
     else:
-        bottom = scene.vial_bottom_xy()
-        if in_rack_footprint(scene, bottom):
-            result = PlacementResult("resting_on_rack")
-        else:
-            result = PlacementResult("dropped_on_table")
-    scene.held_offset = None
-    scene.pin_z = None
-    scene.contact = Contact.NONE
-    scene.contact_slot = None
-    return result
+        placement = "dropped_on_table"
+    _let_go(scene)
+    return placement
 
 
 # ---------------------------------------------------------------------------

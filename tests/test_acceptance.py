@@ -19,9 +19,9 @@ from vialbench.bench import run_experiment, summarize_modality
 from vialbench.cli import main as cli_main
 from vialbench.control import MODALITIES, check_record
 from vialbench.core import (CameraIntrinsics, ChtConfig, CnnConfig, Pose3,
-                            RngStream, TactileConfig)
-from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
-                             init_baseline, update_and_check)
+                            RngStream, TactileConfig, load_config)
+from vialbench.force import (ForceBuffer, buffer_capacity, init_baseline,
+                             update_and_check)
 from vialbench.geometry import pixel_to_world, world_to_pixel
 from vialbench.perception import (cht_params_for, detect_circles,
                                   generate_labeled_dataset, save_weights)
@@ -153,7 +153,7 @@ def test_criterion_3_classifier(config, trained):
     # gradient check against central differences
     cnn_cfg = CnnConfig()
     gen = np.random.default_rng(7)
-    w = init_weights(gen, cnn_cfg).astype(np.float64)
+    w = init_weights(gen, cnn_cfg, dtype=np.float64)
     x = gen.random((2, 1, cnn_cfg.crop_size, cnn_cfg.crop_size))
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
     mask = np.array([[1.0, 1.0], [1.0, 0.0]])
@@ -171,8 +171,8 @@ def test_criterion_3_classifier(config, trained):
     assert worst_rel <= 1e-3
 
     # held-out three-way accuracy on a fresh 10k-crop dataset
-    crops, labels = generate_labeled_dataset(config, RngStream(987),
-                                             n_scenes=215)
+    crops, labels = generate_labeled_dataset(
+        load_config("", ["cnn.train_scenes = 215"]), RngStream(987))
     assert len(labels) >= 10_000
     crops, labels = crops[:10_000], labels[:10_000]
     preds = np.empty(len(labels), dtype=np.int64)
@@ -241,23 +241,23 @@ def test_criterion_5_force_monitor(config):
 
     def fill_and_check(sample):
         buf = ForceBuffer(capacity)
-        decision = ForceDecision.CONTINUE
+        stop = False
         for _ in range(capacity):
-            decision, _ = update_and_check(buf, sample, baseline, fc)
-        return decision
+            stop, _ = update_and_check(buf, sample, baseline, fc)
+        return stop
 
     # strict boundary: 20% of the baseline magnitude is still Continue
-    assert fill_and_check(np.array([0.0, 0.0, -12.0])) is ForceDecision.CONTINUE
-    assert fill_and_check(np.array([0.0, 0.0, -12.001])) is ForceDecision.STOP
-    assert fill_and_check(np.array([0.0, 0.0, -8.5])) is ForceDecision.CONTINUE
-    assert fill_and_check(np.array([0.0, 0.0, -12.5])) is ForceDecision.STOP
+    assert fill_and_check(np.array([0.0, 0.0, -12.0])) is False
+    assert fill_and_check(np.array([0.0, 0.0, -12.001])) is True
+    assert fill_and_check(np.array([0.0, 0.0, -8.5])) is False
+    assert fill_and_check(np.array([0.0, 0.0, -12.5])) is True
 
     # a noiseless contact-free descent never stops
     buf = ForceBuffer(capacity)
     stops = 0
     for _ in range(1_000_000):
-        decision, _ = update_and_check(buf, quiet, baseline, fc)
-        stops += decision is ForceDecision.STOP
+        stop, _ = update_and_check(buf, quiet, baseline, fc)
+        stops += stop is True
     assert stops == 0
 
     # a 2x-threshold load step is caught within one buffer length
@@ -266,10 +266,10 @@ def test_criterion_5_force_monitor(config):
         update_and_check(buf, quiet, baseline, fc)
     step = np.array([0.0, 0.0, -14.0])  # twice the 2 N deviation band
     for ticks in range(1, capacity + 1):
-        decision, _ = update_and_check(buf, step, baseline, fc)
-        if decision is ForceDecision.STOP:
+        stop, _ = update_and_check(buf, step, baseline, fc)
+        if stop:
             break
-    assert decision is ForceDecision.STOP
+    assert stop is True
     assert ticks <= capacity
     print(f"\ncriterion 5: boundary strict, 1e6 quiet ticks with 0 stops, "
           f"2x step caught after {ticks}/{capacity} ticks")

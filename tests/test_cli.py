@@ -317,6 +317,52 @@ def test_config_rules_exit_two_before_training(tmp_path, capsys, monkeypatch,
     assert "training slot classifier" not in captured.out
 
 
+_CONV1 = "conv1_w is 8x1x5x5 but cnn.k1 = 4 needs 4x1x5x5"
+_CONV2 = "conv2_w is 16x8x5x5 but cnn.k2 = 8 and cnn.k1 = 8 need 8x8x5x5"
+_FC1 = "fc1_w is 64x512 but cnn.k2 = 16 and cnn.crop_size = 48 need 144x512"
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    (["--set", "cnn.k1=4"], _CONV1),
+    (["--set", "cnn.k2=8"], _CONV2),
+    (["--set", "cnn.crop_size=48"], _FC1),
+])
+def test_run_rejects_weights_of_another_network_before_any_trial(
+        tmp_path, weights_file, capsys, monkeypatch, extra, fragment):
+    def no_calibration(config, rig):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr("vialbench.bench.calibrate_rig", no_calibration)
+    code = run_cli("run", "--trials", "1", "--batches", "1", "--weights",
+                   weights_file, *extra, "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [f"vialbench: weights: {fragment}"]
+    assert "Traceback" not in captured.err
+    assert "campaign:" not in captured.out
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    (["--set", "cnn.k1=4"], _CONV1),
+    (["--set", "cnn.crop_size=48"], _FC1),
+])
+def test_detect_rejects_weights_of_another_network(tmp_path, weights_file,
+                                                   capsys, monkeypatch,
+                                                   extra, fragment):
+    def no_detection(image, params):
+        raise AssertionError("detection ran")
+
+    monkeypatch.setattr("vialbench.cli.detect_circles", no_detection)
+    blank = tmp_path / "blank.pgm"
+    write_pgm(blank, np.full((96, 96), 128, dtype=np.uint8))
+    code = run_cli("detect", "--image", blank, "--weights", weights_file,
+                   *extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [f"vialbench: weights: {fragment}"]
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------- detect
 
 
@@ -394,6 +440,26 @@ def test_calibrate_writes_parseable_file(tmp_path, capsys):
     cal = load_calibration(out)
     assert set(cal) == {"left", "right"}
     assert "rms" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make_args", [
+    pytest.param(lambda tmp, w: ["calibrate", "--out", tmp / "fingertips.cal"],
+                 id="calibrate"),
+    pytest.param(lambda tmp, w: ["run", "--trials", "1", "--batches", "1",
+                                 "--modality", "tactile", "--weights", w,
+                                 "--out", tmp / "out"], id="run"),
+])
+def test_calibration_without_contacts_names_the_finger(tmp_path, weights_file,
+                                                       capsys, make_args):
+    # No contact patch can reach this area, so no grasp sees contact.
+    code = run_cli(*make_args(tmp_path, weights_file),
+                   "--set", "tactile.min_area=1e9")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        "vialbench: left finger: contact in 0 of 9 calibration grasps, need 3"]
+    assert "Traceback" not in captured.err
+    assert "campaign:" not in captured.out
 
 
 # ---------------------------------------------------------------- run/report

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from gradcheck import numeric_gradient
 from vialbench.core import CnnConfig
-from vialbench.perception.cnn import (CnnWeights, TrainingDiverged, forward,
-                                      init_weights, load_weights,
-                                      loss_and_grads, save_weights,
-                                      targets_for_labels, train_cnn)
+from vialbench.perception.cnn import (CnnWeights, TrainingDiverged,
+                                      check_weights, forward, init_weights,
+                                      load_weights, loss_and_grads,
+                                      save_weights, targets_for_labels,
+                                      train_cnn)
 from vialbench.perception.pipeline import Label
 
 CFG = CnnConfig()
@@ -49,6 +50,19 @@ def test_forward_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_weights_are_checked_against_the_config_network():
+    cfg = CnnConfig(k1=3, k2=5, crop_size=48)
+    w = init_weights(np.random.default_rng(0), cfg)
+    check_weights(w, cfg)
+    with pytest.raises(ValueError, match=r"^weights: fc1_w is 45x512 but "
+                       r"cnn\.k2 = 5 and cnn\.crop_size = 32 need 20x512$"):
+        check_weights(w, CnnConfig(k1=3, k2=5))
+    w.fc3_b = np.zeros(3, dtype=np.float32)
+    with pytest.raises(ValueError, match=r"^weights: fc3_b is 3 but the "
+                       r"network needs 2$"):
+        check_weights(w, cfg)
+
+
 def test_gradient_check_against_central_differences():
     """Analytic gradients within 1e-3 relative of finite differences.
 
@@ -57,7 +71,7 @@ def test_gradient_check_against_central_differences():
     every probed point on the same linear piece.
     """
     gen = np.random.default_rng(7)
-    w = init_weights(gen, CFG).astype(np.float64)
+    w = init_weights(gen, CFG, dtype=np.float64)
     x = gen.random((2, 1, CFG.crop_size, CFG.crop_size))
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
     mask = np.array([[1.0, 1.0], [1.0, 0.0]])

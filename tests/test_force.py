@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vialbench.core import ForceConfig, load_config
-from vialbench.force import (ForceBuffer, ForceDecision, buffer_capacity,
-                             init_baseline, safety_stop,
-                             stop_threshold, update_and_check)
+from vialbench.force import (ForceBuffer, buffer_capacity, init_baseline,
+                             safety_stop, stop_threshold, update_and_check)
 
 CFG = ForceConfig()
 
@@ -48,34 +47,34 @@ def test_baseline_needs_full_window():
 def test_deviation_25_percent_stops():
     baseline = np.array([0.0, 0.0, -10.0])
     buf = filled_buffer([0.0, 0.0, -12.5])
-    decision, dev = update_and_check(buf, [0.0, 0.0, -12.5], baseline, CFG)
+    stop, dev = update_and_check(buf, [0.0, 0.0, -12.5], baseline, CFG)
     assert dev == pytest.approx(2.5)
-    assert decision is ForceDecision.STOP
+    assert stop is True
 
 
 def test_deviation_15_percent_continues():
     baseline = np.array([0.0, 0.0, -10.0])
     buf = filled_buffer([0.0, 0.0, -11.5])
-    decision, dev = update_and_check(buf, [0.0, 0.0, -11.5], baseline, CFG)
+    stop, dev = update_and_check(buf, [0.0, 0.0, -11.5], baseline, CFG)
     assert dev == pytest.approx(1.5)
-    assert decision is ForceDecision.CONTINUE
+    assert stop is False
 
 
 def test_deviation_exactly_20_percent_continues():
     # the rule is strictly greater-than
     baseline = np.array([0.0, 0.0, -10.0])
     buf = filled_buffer([0.0, 0.0, -12.0])
-    decision, dev = update_and_check(buf, [0.0, 0.0, -12.0], baseline, CFG)
+    stop, dev = update_and_check(buf, [0.0, 0.0, -12.0], baseline, CFG)
     assert dev == pytest.approx(2.0)
-    assert decision is ForceDecision.CONTINUE
+    assert stop is False
 
 
 def test_threshold_floor_guards_tiny_baselines():
     baseline = np.zeros(3)
     assert stop_threshold(baseline, CFG) == pytest.approx(0.2 * CFG.floor)
     buf = filled_buffer([0.0, 0.0, 0.09])
-    decision, _ = update_and_check(buf, [0.0, 0.0, 0.09], baseline, CFG)
-    assert decision is ForceDecision.CONTINUE
+    stop, _ = update_and_check(buf, [0.0, 0.0, 0.09], baseline, CFG)
+    assert stop is False
 
 
 def test_buffer_evicts_oldest():
@@ -108,7 +107,6 @@ def test_running_mean_matches_exact_mean(capacity, pushes, scale, seed):
         buf.push(s)
         if i % 997 == 0 or i == pushes - 1:
             exact = samples[max(0, i + 1 - capacity):i + 1].mean(axis=0)
-            assert len(buf) == min(i + 1, capacity)
             assert np.allclose(buf.mean(), exact, rtol=1e-12,
                                atol=1e-12 * scale)
 
@@ -118,8 +116,8 @@ def test_zero_noise_never_stops():
     baseline = np.array([0.3, -0.2, -9.7])
     buf = ForceBuffer(125)
     for _ in range(100_000):
-        decision, _ = update_and_check(buf, baseline, baseline, CFG)
-        assert decision is ForceDecision.CONTINUE
+        stop, _ = update_and_check(buf, baseline, baseline, CFG)
+        assert stop is False
 
 
 def test_step_change_stops_within_one_buffer():
@@ -127,10 +125,10 @@ def test_step_change_stops_within_one_buffer():
     step = np.array([0.0, 0.0, -10.0 - 2 * 0.2 * 10.0])  # 2x threshold
     buf = filled_buffer([0.0, 0.0, -10.0])
     for i in range(buffer_capacity(CFG)):
-        decision, _ = update_and_check(buf, step, baseline, CFG)
-        if decision is ForceDecision.STOP:
+        stop, _ = update_and_check(buf, step, baseline, CFG)
+        if stop:
             break
-    assert decision is ForceDecision.STOP
+    assert stop is True
     assert i < buffer_capacity(CFG)
 
 

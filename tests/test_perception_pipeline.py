@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vialbench.core import RngStream
+from vialbench.core import RngStream, load_config
 from vialbench.perception.hough import Candidate
 from vialbench.perception.pipeline import (
     Label,
@@ -177,8 +177,9 @@ def test_score_candidates_shapes_and_range(config, weights):
 # ---------------------------------------------------------------- dataset
 
 
-def test_generate_labeled_dataset_small(config):
-    crops, labels = generate_labeled_dataset(config, RngStream(55), n_scenes=8)
+def test_generate_labeled_dataset_small():
+    config = load_config("", ["cnn.train_scenes = 8"])
+    crops, labels = generate_labeled_dataset(config, RngStream(55))
     n = len(labels)
     assert n > 0
     assert crops.shape == (n, 1, config.cnn.crop_size, config.cnn.crop_size)
@@ -187,9 +188,10 @@ def test_generate_labeled_dataset_small(config):
     present = set(int(x) for x in labels)
     assert present == {0, 1, 2}, f"classes seen: {present}"
 
-def test_generate_labeled_dataset_deterministic(config):
-    a = generate_labeled_dataset(config, RngStream(55), n_scenes=4)
-    b = generate_labeled_dataset(config, RngStream(55), n_scenes=4)
+def test_generate_labeled_dataset_deterministic():
+    four = load_config("", ["cnn.train_scenes = 4"])
+    a = generate_labeled_dataset(four, RngStream(55))
+    b = generate_labeled_dataset(four, RngStream(55))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 

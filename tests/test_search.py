@@ -159,6 +159,26 @@ def test_search_terminates_everywhere():
             assert st.exhausted or not next_trial_positions(st)
 
 
+@settings(max_examples=200, deadline=None)
+@given(target=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       width=st.floats(0.0, 40.0), height=st.floats(0.0, 40.0),
+       spacing=st.floats(1e-4, 1e-2))
+def test_every_ring_before_exhaustion_is_new_and_not_empty(target, width,
+                                                           height, spacing):
+    """Each call before exhaustion returns at least one cell; over the whole
+    search no position repeats and none is the target. ``width`` and
+    ``height`` are in lattice spacings."""
+    search = make_search(target, width * spacing, height * spacing, spacing)
+    tried = []
+    while not search.exhausted:
+        batch = next_trial_positions(search)
+        assert batch
+        tried += [tuple(p) for p in batch]
+    assert next_trial_positions(search) == []
+    assert len(tried) == len(set(tried))
+    assert tuple(search.target) not in tried
+
+
 # --- neighbor-derived envelope bounds -------------------------------------
 
 PITCH = 0.020

@@ -1,6 +1,6 @@
 """The seed control-period step, kept unchanged as the reference for tests.
 
-``vialbench.simworld.tick`` must return the same ``ForceSample`` as this
+``vialbench.simworld.tick`` must return the same force vector as this
 version and leave the scene in the same state: setpoint, speed, held
 offset, contact, contact slot, pin, clock and RNG. These copies build
 small numpy arrays at every step: the rack-frame offset with ``np.stack``,
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from vialbench.simworld import (Contact, ForceSample, MoveCommand, SceneState,
-                                slot_centers)
+from vialbench.simworld import Contact, MoveCommand, SceneState, slot_centers
 
 
 def _to_rack_frame(scene: SceneState, xy: np.ndarray) -> np.ndarray:
@@ -100,7 +99,7 @@ def _static_bias(pos: np.ndarray, holding: bool) -> np.ndarray:
     ])
 
 
-def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
+def tick(scene: SceneState, command: MoveCommand, dt: float) -> np.ndarray:
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = scene.config
@@ -124,8 +123,8 @@ def tick(scene: SceneState, command: MoveCommand, dt: float) -> ForceSample:
         pos[2] = max(pos[2], scene.pin_z)
     bias = _static_bias(pos, scene.held_offset is not None)
     noise = scene.rng.normal(0.0, cfg.noise.sigma_force, 3)
-    return ForceSample(
-        fx=float(bias[0] + noise[0]),
-        fy=float(bias[1] + noise[1]),
-        fz=float(bias[2] + force_contact + noise[2]),
-    )
+    return np.array([
+        float(bias[0] + noise[0]),
+        float(bias[1] + noise[1]),
+        float(bias[2] + force_contact + noise[2]),
+    ])
