@@ -11,15 +11,14 @@ from .control import (MODALITIES, AttemptOutcome, TrialRecord, calibrate_rig,
                       run_force_trial, run_tactile_trial, run_visual_trial)
 from .core import (ConfigError, PACKAGE_VERSION, RngStream, WorkspaceConfig,
                    dump_config, load_config, split_rng, validate_config)
-from .simworld import (Contact, SceneState, SimError, make_rig,
-                       release_and_evaluate, render_topdown, reset_trial, tick)
+from .simworld import (SceneState, SimError, make_rig, release_and_evaluate,
+                       render_topdown, reset_trial, tick)
 
 __version__ = PACKAGE_VERSION
 
 __all__ = [
     "AttemptOutcome",
     "ConfigError",
-    "Contact",
     "ExperimentResult",
     "MODALITIES",
     "ModalitySummary",

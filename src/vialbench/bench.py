@@ -178,8 +178,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
 # report files
 
 
-def _fmt(value: float | None, decimals: int = 2) -> str:
-    return "" if value is None else f"{value:.{decimals}f}"
+def _fmt(value: float | None) -> str:
+    return "" if value is None else f"{value:.2f}"
 
 
 def record_to_dict(record: TrialRecord) -> dict:
@@ -201,10 +201,13 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number (int or float, not bool) as a float."""
+    """A finite JSON number (int or float, not bool) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not np.isfinite(number):  # a literal past the float range, like 1e999
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _count(value, what: str) -> int:
@@ -227,14 +230,14 @@ def record_from_dict(data: dict) -> TrialRecord:
     wrong JSON type or the record breaks a rule of ``control.check_record``.
 
     ``success`` is a JSON bool, ``trial_index`` and ``attempts`` integers,
-    ``runtime_s`` a finite number >= 0; positions hold numbers or null (no
-    target), and ``final_offset`` is null or two numbers.
+    ``runtime_s`` a finite number >= 0; positions hold finite numbers or
+    null (no target), and ``final_offset`` is null or two finite numbers.
     """
     success = data["success"]
     if not isinstance(success, bool):
         raise ValueError(f"success must be true or false, got {success!r}")
     runtime_s = _number(data["runtime_s"], "runtime_s")
-    if not (np.isfinite(runtime_s) and runtime_s >= 0.0):
+    if runtime_s < 0.0:
         raise ValueError(f"runtime_s must be finite and >= 0, got {runtime_s!r}")
     outcomes = tuple(
         AttemptOutcome(position=_pair(o["position"], "position", nulls=True),
@@ -330,20 +333,28 @@ def emit_report(result: ExperimentResult, out_dir) -> dict[str, Path]:
                                   "trials_requested": result.trials})
 
 
+def _not_json_number(token: str):
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_records(path) -> dict[str, list[TrialRecord]]:
     """Read a records.jsonl back into per-modality record lists.
 
-    A byte that is not UTF-8, or a line that does not hold a trial record
-    that keeps ``control.check_record``'s rules, raises ValueError naming
-    the file and the line.
+    A byte that is not UTF-8, a ``NaN`` or ``Infinity`` token (not JSON),
+    or a line that does not hold a trial record that keeps
+    ``control.check_record``'s rules, raises ValueError naming the file and
+    the line.
     """
     records: dict[str, list[TrialRecord]] = {}
     for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            rec = record_from_dict(json.loads(line))
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            rec = record_from_dict(json.loads(line,
+                                              parse_constant=_not_json_number))
+        except (ValueError, KeyError, TypeError, IndexError,
+                OverflowError) as exc:
             raise ValueError(f"{path}: line {line_no}: not a trial record "
                              f"({type(exc).__name__}: {exc})") from None
         records.setdefault(rec.modality, []).append(rec)

@@ -41,13 +41,12 @@ from .perception import (CnnWeights, NoValidSlotError,
                          detect_circles, refined_camera_z, score_candidates,
                          select_target)
 from .search import compute_search_bounds, make_search, next_trial_positions
-from .simworld import (MoveCommand, SceneState, SimError, advance_clock,
-                       impose_grasp, jump_setpoint, reference_frames,
-                       release_and_evaluate, render_topdown, reset_trial,
-                       sample_tactile, tick)
+from .simworld import (SceneState, SimError, advance_clock, impose_grasp,
+                       jump_setpoint, reference_frames, release_and_evaluate,
+                       render_topdown, reset_trial, sample_tactile, tick)
 from .tactile import (FINGERS, CalibrationError, ContactRegion,
-                      TactileCalibration, TactileDecision, apply_calibration,
-                      calibrate_mapping, find_contact, track_deviation)
+                      TactileCalibration, apply_calibration, calibrate_mapping,
+                      find_contact, track_deviation)
 
 MODALITIES = ("visual", "force", "tactile")
 RESULTS = ("inserted", "rack_top", "safety_stop", "released_failed",
@@ -80,15 +79,17 @@ def check_record(record: TrialRecord) -> None:
     """Raise ValueError unless ``record`` keeps the rules of the trial loop.
 
     Its modality, results and placement come from ``MODALITIES``,
-    ``RESULTS`` and ``PLACEMENTS`` (placement may be None); it spent at
-    least one attempt and has at least one outcome; it succeeded exactly
-    when its last result is ``inserted``; a trial that released the vial
-    (last result ``inserted`` or ``released_failed``) has a
-    ``final_offset``; a ``no_target`` trial has no placement, and a
-    ``safety_stop`` leaves the vial ``still_held``.
+    ``RESULTS`` and ``PLACEMENTS`` (placement may be None); its trial index
+    is not negative; it spent at least one attempt and has at least one
+    outcome; it succeeded exactly when its last result is ``inserted``; a
+    trial that released the vial (last result ``inserted`` or
+    ``released_failed``) has a ``final_offset``; a ``no_target`` trial has
+    no placement, and a ``safety_stop`` leaves the vial ``still_held``.
     """
     if record.modality not in MODALITIES:
         raise ValueError(f"unknown modality {record.modality!r}")
+    if record.trial_index < 0:
+        raise ValueError(f"trial_index must be >= 0, got {record.trial_index}")
     if record.attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {record.attempts}")
     if not record.outcomes:
@@ -112,11 +113,12 @@ def check_record(record: TrialRecord) -> None:
                          f"{record.placement!r}, not 'still_held'")
 
 
-def _charged_move(scene: SceneState, target, speed: float) -> None:
+def _charged_move(scene: SceneState, target) -> None:
+    """Jump to ``target``, charging the travel time at ``motion.speed``."""
     target = np.asarray(target, dtype=float)
     dist = float(np.linalg.norm(target - scene.setpoint))
     jump_setpoint(scene, target)
-    advance_clock(scene, dist / speed)
+    advance_clock(scene, dist / scene.config.motion.speed)
 
 
 def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.ndarray:
@@ -161,12 +163,10 @@ def _descend_to_floor(scene: SceneState, xy, floor_z: float, check) -> str:
     """Shared descent loop; ``check`` is called after every tick and may
     return a terminal string ("stopped" / "lost") or None to continue."""
     cfg = scene.config
-    dt = 1.0 / cfg.force.rate
-    cmd = MoveCommand(target=np.array([xy[0], xy[1], floor_z]),
-                      speed=cfg.motion.descent_speed, accel=cfg.motion.accel)
+    target = np.array([xy[0], xy[1], floor_z])
     budget = (scene.setpoint[2] - floor_z) / cfg.motion.descent_speed + 10.0
     for _ in range(int(budget * cfg.force.rate) + 1):
-        sample = tick(scene, cmd, dt)
+        sample = tick(scene, target)
         verdict = check(sample)
         if verdict is not None:
             return verdict
@@ -228,7 +228,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
         outcomes.append(AttemptOutcome((np.nan, np.nan), "no_target"))
         return finish(None)
 
-    _charged_move(scene, [target[0], target[1], hover], config.motion.speed)
+    _charged_move(scene, [target[0], target[1], hover])
     queue: list[np.ndarray] = [target.copy()]
     search = None
     while True:
@@ -241,8 +241,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             return finish("dropped_on_table")
         position = queue.pop(0)
         attempts += 1
-        _charged_move(scene, [position[0], position[1], hover],
-                      config.motion.speed)
+        _charged_move(scene, [position[0], position[1], hover])
         verdict = attempt_descent(scene, ctx, position)
         if verdict == "completed" and scene.held_offset is not None:
             return finish(None, release_at=position)
@@ -266,8 +265,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             width, height = compute_search_bounds(neighbors, target,
                                                   config.rack.pitch)
             search = make_search(target, width, height, config.search.spacing)
-        _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover],
-                      config.motion.speed)
+        _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover])
 
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
@@ -303,10 +301,8 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
 
     def prepare(scene, sel_gen, target):
         # Stationary baseline with the vial already in hand.
-        dt = 1.0 / config.force.rate
-        hold = MoveCommand(target=scene.setpoint.copy(),
-                           speed=config.motion.speed, accel=config.motion.accel)
-        samples = [tick(scene, hold, dt)
+        hold = scene.setpoint.copy()
+        samples = [tick(scene, hold)
                    for _ in range(buffer_capacity(config.force))]
         return init_baseline(samples, config.force), target
 
@@ -369,8 +365,7 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
         # Apply the compensation while still at hover height so the descent
         # itself is vertical; folding it into the descent would leave most of
         # the lateral move unexecuted at the moment the vial meets the rack.
-        _charged_move(scene, [corrected[0], corrected[1], config.hover_z()],
-                      config.motion.speed)
+        _charged_move(scene, [corrected[0], corrected[1], config.hover_z()])
         period = 1.0 / tac.rate
         next_sample = scene.sim_clock + period
 
@@ -381,13 +376,11 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
             if scene.sim_clock + 1e-12 < next_sample:
                 return None
             next_sample += period
-            reading = track_deviation(_finger_contacts(scene, refs, tac),
-                                      centroids, tac)
-            if reading.decision is TactileDecision.LOST_CONTACT:
+            stop, travel = track_deviation(_finger_contacts(scene, refs, tac),
+                                           centroids, tac)
+            if travel is None:
                 return "lost"
-            if reading.decision is TactileDecision.STOP:
-                return "stopped"
-            return None
+            return "stopped" if stop else None
 
         return _descend_to_floor(scene, corrected, config.descent_floor_z(),
                                  check)

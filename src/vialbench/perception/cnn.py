@@ -29,6 +29,8 @@ from ..core import CnnConfig
 HIDDEN1 = 512
 HIDDEN2 = 128
 N_HEADS = 2
+_STRIDE = 2
+_PAD = 2
 
 _MAGIC = b"VIALCNN1\n"
 
@@ -111,12 +113,12 @@ def init_weights(gen: np.random.Generator, config: CnnConfig,
     return CnnWeights(**tensors)
 
 
-def _conv_forward(x, w, b, stride=2, pad=2):
+def _conv_forward(x, w, b):
     n, c, h, ww = x.shape
     ko, _, k, _ = w.shape
-    xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + ww] = x
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    xp = np.zeros((n, c, h + 2 * _PAD, ww + 2 * _PAD), dtype=x.dtype)
+    xp[:, :, _PAD:_PAD + h, _PAD:_PAD + ww] = x
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::_STRIDE, ::_STRIDE]
     oh, ow = win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh, ow, c * k * k)
     y = cols @ w.reshape(ko, -1).T
@@ -131,7 +133,7 @@ def _conv_param_grads(dy, cols, w):
     return dw, dyt.sum(axis=(0, 1, 2))
 
 
-def _conv_input_grad(dy, w, x_shape, stride=2, pad=2):
+def _conv_input_grad(dy, w, x_shape):
     """Input gradient of a convolution: col2im of ``dy @ w``, one kernel tap
     at a time, each through the strided view of the taps it feeds."""
     n, c, h, ww = x_shape
@@ -139,12 +141,13 @@ def _conv_input_grad(dy, w, x_shape, stride=2, pad=2):
     dyt = dy.transpose(0, 2, 3, 1)
     oh, ow = dyt.shape[1], dyt.shape[2]
     dcols = (dyt @ w.reshape(ko, -1)).reshape(n, oh, ow, c, k, k)
-    dxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=dy.dtype)
+    dxp = np.zeros((n, c, h + 2 * _PAD, ww + 2 * _PAD), dtype=dy.dtype)
+    s = _STRIDE
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] \
+            dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] \
                 += dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-    return dxp[:, :, pad:pad + h, pad:pad + ww]
+    return dxp[:, :, _PAD:_PAD + h, _PAD:_PAD + ww]
 
 
 # The four cells of a 2x2 pooling window, in row-major order.

@@ -19,7 +19,7 @@ import numpy as np
 from ..core import (KEY_TRAIN, Pose3, RngStream, WorkspaceConfig,
                     refined_camera_z)
 from ..geometry import world_to_pixel
-from ..simworld import render_topdown, reset_trial, slot_centers
+from ..simworld import render_topdown, reset_trial
 from .cnn import CnnWeights, forward, train_cnn
 from .hough import Candidate, cht_params_for, detect_circles
 
@@ -41,9 +41,11 @@ class ScoredCandidate:
     p_occupied: float
 
 
-def extract_crops(image: np.ndarray, u, v, r, crop_size: int,
-                  margin: float = 1.1) -> np.ndarray:
-    """Bilinear crops of side 2*margin*r around each (u, v), resampled to
+CROP_MARGIN = 1.1
+
+
+def extract_crops(image: np.ndarray, u, v, r, crop_size: int) -> np.ndarray:
+    """Bilinear crops of side 2*CROP_MARGIN*r around each (u, v), resampled to
     crop_size and scaled to [0, 1]: shape (n, crop_size, crop_size) float32.
 
     ``u``, ``v`` and ``r`` are sequences of equal length n. Samples outside
@@ -60,7 +62,7 @@ def extract_crops(image: np.ndarray, u, v, r, crop_size: int,
         raise ValueError(f"u, v and r differ in length: "
                          f"{u.shape[0]}, {v.shape[0]}, {r.shape[0]}")
     h, w = img.shape
-    half = margin * r
+    half = CROP_MARGIN * r
     t = (np.arange(crop_size) + 0.5) / crop_size * 2.0 - 1.0
     uu = u + t * half  # (n, crop_size): sample columns of each crop
     vv = v + t * half  # (n, crop_size): sample rows of each crop
@@ -114,7 +116,7 @@ def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream):
     labels: list[int] = []
     for i in range(config.cnn.train_scenes):
         scene = reset_trial(config, stream.child(i))
-        centers = slot_centers(scene)
+        centers = scene.slots
         if i % 4 == 3:
             pick = centers[int(scene.rng.integers(len(centers)))]
             jitter = scene.rng.normal(0.0, 1.0e-3, size=2)

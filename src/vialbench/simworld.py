@@ -9,7 +9,6 @@ commands, mirroring how the physical workcell is driven.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, field
@@ -23,13 +22,6 @@ from .tactile import FINGERS
 
 class SimError(RuntimeError):
     """Raised when an operation is invalid for the current scene state."""
-
-
-class Contact(enum.Enum):
-    NONE = "none"
-    RACK_TOP = "rack_top"
-    TABLE = "table"
-    INSERTED = "inserted"
 
 
 @dataclass(frozen=True)
@@ -94,6 +86,7 @@ class SceneState:
     rack_xy: np.ndarray
     rack_yaw: float
     occupancy: np.ndarray  # (rows, cols) bool
+    slots: np.ndarray  # (rows*cols, 2) world xy of the slot centers, row-major
     setpoint: np.ndarray  # commanded grip position the arm is tracking
     held_offset: np.ndarray | None  # in-gripper vial offset (2,), None if empty
     bias_angle: np.ndarray  # per-trial angular camera miscalibration (2,)
@@ -102,11 +95,9 @@ class SceneState:
     rng: np.random.Generator
     speed: float = 0.0
     pin_z: float | None = None
-    contact: Contact = Contact.NONE
-    contact_slot: tuple[int, int] | None = None
+    inserted_slot: tuple[int, int] | None = None  # the slot a release fills
     sim_clock: float = 0.0
     last_render_cam: Pose3 | None = None
-    _slots: np.ndarray | None = None
     # The last ``_support`` answer and its key, (bx, by, occupancy bytes).
     _support_memo: tuple | None = None
     # Per finger, the last held-vial gel image before noise and its key,
@@ -119,34 +110,17 @@ class SceneState:
         z = float(self.setpoint[2])
         return z if self.pin_z is None else max(z, self.pin_z)
 
-    def vial_bottom_xy(self) -> np.ndarray:
-        """Horizontal position of the held vial's bottom-center."""
-        if self.held_offset is None:
-            raise SimError("no vial held")
-        return self.setpoint[:2] + self.rig.tilt_gain * self.held_offset
 
-
-@dataclass(frozen=True)
-class MoveCommand:
-    """Position setpoint target with a speed limit and acceleration ramp."""
-
-    target: np.ndarray
-    speed: float
-    accel: float
-
-
-def slot_centers(scene: SceneState) -> np.ndarray:
-    """World (x, y) of every slot center, row-major, shape (rows*cols, 2)."""
-    if scene._slots is None:
-        rack = scene.config.rack
-        cols = np.arange(rack.cols) - (rack.cols - 1) / 2.0
-        rows = np.arange(rack.rows) - (rack.rows - 1) / 2.0
-        lx, ly = np.meshgrid(cols * rack.pitch, rows * rack.pitch)
-        local = np.stack([lx.ravel(), ly.ravel()], axis=1)
-        c, s = np.cos(scene.rack_yaw), np.sin(scene.rack_yaw)
-        rot = np.array([[c, -s], [s, c]])
-        scene._slots = scene.rack_xy[None, :] + local @ rot.T
-    return scene._slots
+def _slot_centers(rack, rack_xy: np.ndarray, yaw: float) -> np.ndarray:
+    """World (x, y) of every slot center of ``rack`` posed at ``rack_xy``
+    and ``yaw``, row-major, shape (rows*cols, 2)."""
+    cols = np.arange(rack.cols) - (rack.cols - 1) / 2.0
+    rows = np.arange(rack.rows) - (rack.rows - 1) / 2.0
+    lx, ly = np.meshgrid(cols * rack.pitch, rows * rack.pitch)
+    local = np.stack([lx.ravel(), ly.ravel()], axis=1)
+    c, s = np.cos(yaw), np.sin(yaw)
+    rot = np.array([[c, -s], [s, c]])
+    return rack_xy[None, :] + local @ rot.T
 
 
 def in_rack_footprint(scene: SceneState, xy) -> bool:
@@ -196,6 +170,7 @@ def reset_trial(config: WorkspaceConfig, rng: RngStream,
         rack_xy=rack_xy,
         rack_yaw=yaw,
         occupancy=occupancy,
+        slots=_slot_centers(rack, rack_xy, yaw),
         setpoint=np.array([ws.source_x, ws.source_y, config.hover_z() + 0.03]),
         held_offset=held,
         bias_angle=bias_angle,
@@ -236,10 +211,10 @@ def _seed_distractors(scene: SceneState, gen: np.random.Generator) -> None:
 
 
 def _support(scene: SceneState, bx: float, by: float):
-    """Support height under the vial bottom at (bx, by) and its contact
-    classification.
+    """Support height under the vial bottom at (bx, by).
 
-    Returns (support_z, contact_kind, slot_rc, rim_slot_center). The rim
+    Returns (support_z, slot_rc, rim_slot_center). ``slot_rc`` is the
+    (row, col) of the vacant slot the bottom fits, else None. The rim
     center is set when the bottom overlaps a vacant slot's opening without
     fitting it, which is the configuration that generates lateral rim
     reaction and therefore in-gripper slip.
@@ -261,11 +236,11 @@ def _find_support(scene: SceneState, bx: float, by: float):
     cfg = scene.config
     rack, vial = cfg.rack, cfg.vial
     if not in_rack_footprint(scene, (bx, by)):
-        return 0.0, Contact.TABLE, None, None
+        return 0.0, None, None
 
     # The nearest slot, and the nearest occupied one closer than two vial
     # radii; the first in row-major order on ties, as ``np.argmin`` picks.
-    centers = slot_centers(scene)
+    centers = scene.slots
     occ = scene.occupancy.ravel().tolist()
     reach = 2 * vial.radius
     nearest = hit = None
@@ -279,40 +254,39 @@ def _find_support(scene: SceneState, bx: float, by: float):
             hit, d_hit = idx, d
 
     if hit is not None:
-        return vial.height, Contact.RACK_TOP, divmod(hit, rack.cols), None
+        return vial.height, None, None
     if not occ[nearest] and d_near <= cfg.clearance:
-        return 0.0, Contact.INSERTED, divmod(nearest, rack.cols), None
+        return 0.0, divmod(nearest, rack.cols), None
 
     rim_center = None
     if not occ[nearest] and cfg.clearance < d_near < rack.slot_radius + vial.radius:
         rim_center = centers[nearest]
-    return rack.height, Contact.RACK_TOP, None, rim_center
+    return rack.height, None, rim_center
+
+
+def _bottom(scene: SceneState) -> tuple[float, float]:
+    """World (x, y) of the held vial's bottom-center."""
+    sx, sy = scene.setpoint[:2].tolist()
+    hx, hy = scene.held_offset.tolist()
+    tilt = scene.rig.tilt_gain
+    return sx + tilt * hx, sy + tilt * hy
 
 
 def _resolve_contact(scene: SceneState, dt: float) -> float:
-    """Update pin/contact state for the current setpoint; returns contact force.
+    """Update the pin and inserted slot for the setpoint; returns contact force.
 
     With ``dt`` zero this is a pure state refresh (no slip accumulates).
     """
     cfg = scene.config
-    sx, sy, sz = scene.setpoint.tolist()
+    sz = float(scene.setpoint[2])
     if scene.held_offset is not None:
-        hx, hy = scene.held_offset.tolist()
-        tilt = scene.rig.tilt_gain
-        bx, by = sx + tilt * hx, sy + tilt * hy  # vial_bottom_xy, per axis
-        support, kind, slot_rc, rim_center = _support(scene, bx, by)
+        bx, by = _bottom(scene)
+        support, slot_rc, rim_center = _support(scene, bx, by)
         pin = support + cfg.vial.grip_height
         scene.pin_z = pin
-        grip_z = max(sz, pin)
-        if kind is Contact.INSERTED and grip_z < cfg.rack.height + cfg.vial.grip_height:
-            scene.contact = Contact.INSERTED
-            scene.contact_slot = slot_rc
-        elif sz < pin:
-            scene.contact = kind
-            scene.contact_slot = slot_rc
-        else:
-            scene.contact = Contact.NONE
-            scene.contact_slot = None
+        # In the vacant slot it fits once the vial bottom is below the rack top.
+        scene.inserted_slot = (slot_rc if max(sz, pin)
+                               < cfg.rack.height + cfg.vial.grip_height else None)
         penetration = max(0.0, pin - sz)
         force_contact = cfg.contact.stiffness * penetration
 
@@ -331,31 +305,30 @@ def _resolve_contact(scene: SceneState, dt: float) -> float:
         scene.pin_z = 0.0
         penetration = max(0.0, -sz)
         force_contact = cfg.contact.stiffness * penetration
-        scene.contact = Contact.TABLE if penetration > 0 else Contact.NONE
-        scene.contact_slot = None
+        scene.inserted_slot = None
     return force_contact
 
 
 def _let_go(scene: SceneState) -> None:
-    """The gripper no longer holds a vial: nothing pins it or touches."""
+    """The gripper no longer holds a vial: nothing pins it or sits in a slot."""
     scene.held_offset = None
     scene.pin_z = None
-    scene.contact = Contact.NONE
-    scene.contact_slot = None
+    scene.inserted_slot = None
 
 
-def tick(scene: SceneState, command: MoveCommand, dt: float) -> np.ndarray:
-    """Advance one control period: motion, contact, slip, and a wrist force
-    reading, the ``(3,)`` vector ``(fx, fy, fz)`` in newtons."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def tick(scene: SceneState, target) -> np.ndarray:
+    """Advance one force-sensor period toward ``target`` at the descent speed,
+    with the accel ramp: motion, contact, slip, and a wrist force reading,
+    the ``(3,)`` vector ``(fx, fy, fz)`` in newtons."""
     cfg = scene.config
+    dt = 1.0 / cfg.force.rate
 
     # Setpoint tracking with an acceleration-limited speed ramp.
-    delta = np.asarray(command.target, dtype=float) - scene.setpoint
+    delta = np.asarray(target, dtype=float) - scene.setpoint
     dist = math.sqrt(np.dot(delta, delta))  # np.linalg.norm of a vector
     if dist > 1e-12:
-        scene.speed = min(command.speed, scene.speed + command.accel * dt)
+        scene.speed = min(cfg.motion.descent_speed,
+                          scene.speed + cfg.motion.accel * dt)
         step = min(scene.speed * dt, dist)
         scene.setpoint = scene.setpoint + delta * (step / dist)
         if step >= dist:
@@ -412,10 +385,10 @@ def release_and_evaluate(scene: SceneState) -> str:
     "resting_on_rack" or "dropped_on_table", whatever is underneath."""
     if scene.held_offset is None:
         raise SimError("release with no vial held")
-    if scene.contact is Contact.INSERTED and scene.contact_slot is not None:
-        scene.occupancy[scene.contact_slot] = True
+    if scene.inserted_slot is not None:
+        scene.occupancy[scene.inserted_slot] = True
         placement = "inserted"
-    elif in_rack_footprint(scene, scene.vial_bottom_xy()):
+    elif in_rack_footprint(scene, _bottom(scene)):
         placement = "resting_on_rack"
     else:
         placement = "dropped_on_table"
@@ -503,7 +476,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
                  (np.abs(ly) <= rack.footprint_h / 2)
         img[rows, cols][inside] = _RACK_BODY
 
-    centers = slot_centers(scene)
+    centers = scene.slots
     occ = scene.occupancy.ravel()
     slot_r = rack.slot_radius
     half = int(np.ceil((slot_r + 0.003) * intr.fx / depth)) + 2

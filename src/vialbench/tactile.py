@@ -35,7 +35,6 @@ averaged over the fingers, is the slip signal that stops the motion.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -58,12 +57,6 @@ class CalibrationError(RuntimeError):
     """Calibration input is unusable (too few or degenerate samples)."""
 
 
-class TactileDecision(enum.Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-    LOST_CONTACT = "lost_contact"
-
-
 @dataclass(frozen=True)
 class ContactRegion:
     """One traced contact patch: the mean of its border vertices in (x, y)
@@ -80,12 +73,6 @@ class TactileCalibration:
     gain: np.ndarray      # (2, 2): offset_i = gain[i] @ (nx, ny) + bias[i]
     bias: np.ndarray      # (2,)
     residual_rms: float
-
-
-@dataclass(frozen=True)
-class TrackReading:
-    decision: TactileDecision
-    displacement_px: float | None
 
 
 def _difference_sum(frame: np.ndarray, references) -> np.ndarray:
@@ -379,15 +366,16 @@ def _cal_numbers(path, lines: list[str], i: int, key: str,
 
 def track_deviation(regions: dict[str, ContactRegion | None],
                     grasp_centroids: dict[str, tuple[float, float]],
-                    config: TactileConfig) -> TrackReading:
-    """Slip check for one sampling instant during a monitored descent.
+                    config: TactileConfig) -> tuple[bool, float | None]:
+    """Slip check for one sampling instant during a monitored descent:
+    ``(stop, travel)``, as ``force.update_and_check`` returns its verdict.
 
     ``regions`` holds each finger's dominant contact (``find_contact``), or
     None. A finger's centroid is compared with the one captured right after
     the grasp; a finger with no grasp centroid has no baseline and is
-    skipped. The usable fingers' pixel travel is averaged, and no usable
-    finger means the vial is gone. The stop fires only when the mean travel
-    strictly exceeds ``stop_px``.
+    skipped. ``travel`` is the usable fingers' mean pixel travel, or None
+    when no finger is usable: the vial is gone. The stop fires only when
+    the mean travel strictly exceeds ``stop_px``.
     """
     travel = []
     for finger, region in regions.items():
@@ -397,8 +385,6 @@ def track_deviation(regions: dict[str, ContactRegion | None],
         travel.append(float(np.hypot(region.centroid[0] - gx,
                                      region.centroid[1] - gy)))
     if not travel:
-        return TrackReading(TactileDecision.LOST_CONTACT, None)
+        return False, None
     mean_travel = sum(travel) / len(travel)
-    decision = (TactileDecision.STOP if mean_travel > config.stop_px
-                else TactileDecision.CONTINUE)
-    return TrackReading(decision, mean_travel)
+    return mean_travel > config.stop_px, mean_travel

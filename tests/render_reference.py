@@ -17,8 +17,7 @@ from vialbench.core import Pose3
 from vialbench.geometry import world_to_pixel
 from vialbench.simworld import (_CAP_DOT, _CAP_GRAY, _GAP_DARK, _RACK_BODY,
                                 _RIM_DARK, _RIM_HALF, _TABLE_BASE,
-                                _VACANT_BRIGHT, SceneState, SimError,
-                                slot_centers)
+                                _VACANT_BRIGHT, SceneState, SimError)
 
 
 def plane_grid(intrinsics, cam: Pose3, plane_z: float, width: int, height: int):
@@ -81,7 +80,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
                 (np.abs(ly) <= cfg.rack.footprint_h / 2)
     img[rack_mask] = _RACK_BODY
 
-    centers = slot_centers(scene)
+    centers = scene.slots
     occ = scene.occupancy.ravel()
     slot_r = cfg.rack.slot_radius
     box_m = slot_r + 0.003

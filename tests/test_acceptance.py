@@ -28,7 +28,7 @@ from vialbench.perception import (cht_params_for, detect_circles,
 from vialbench.perception.cnn import forward, init_weights, loss_and_grads
 from vialbench.perception.hough import ChtParams
 from vialbench.search import make_search, next_trial_positions
-from vialbench.simworld import render_topdown, reset_trial, slot_centers
+from vialbench.simworld import render_topdown, reset_trial
 from vialbench.tactile import (_difference_sum, calibrate_mapping,
                                find_contact, polygon_area)
 
@@ -129,7 +129,7 @@ def test_criterion_2_circle_detection(config):
         image = render_topdown(scene, config.camera.pose())
         cands = detect_circles(image, rack_params)
         assert cands
-        centers = slot_centers(scene)
+        centers = scene.slots
         su, sv = world_to_pixel(centers[:, 0], centers[:, 1],
                                 config.rack.height, intr,
                                 scene.last_render_cam)

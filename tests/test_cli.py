@@ -126,7 +126,25 @@ _GOOD_RECORD = (b'{"attempts": 1, "final_offset": [0.0004, -0.0002], '
     pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5', b'"runtime_s": "nan"'),
                  "runtime_s must be a number, got 'nan'", id="runtime-string"),
     pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5', b'"runtime_s": NaN'),
-                 "runtime_s must be finite and >= 0, got nan", id="runtime-nan"),
+                 "NaN is not a JSON number", id="runtime-nan"),
+    pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5', b'"runtime_s": 1e999'),
+                 "runtime_s must be finite, got inf", id="runtime-overflow"),
+    pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5',
+                                      b'"runtime_s": ' + b'1' * 400),
+                 "OverflowError: int too large to convert to float",
+                 id="runtime-huge-int"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'[NaN, 0.0]'),
+                 "NaN is not a JSON number", id="final-offset-nan"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'[-Infinity, 0.0]'),
+                 "-Infinity is not a JSON number", id="final-offset-minus-infinity"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'[1e999, 0.0]'),
+                 "final_offset must be finite, got inf", id="final-offset-overflow"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.1, 0.2]', b'[Infinity, 0.1]'),
+                 "Infinity is not a JSON number", id="position-infinity"),
+    pytest.param(_GOOD_RECORD.replace(b'[0.1, 0.2]', b'[0.1, -1e999]'),
+                 "position must be finite, got -inf", id="position-overflow"),
+    pytest.param(_GOOD_RECORD.replace(b'"trial_index": 0', b'"trial_index": -5'),
+                 "trial_index must be >= 0, got -5", id="trial-index-negative"),
     pytest.param(_GOOD_RECORD.replace(b'"runtime_s": 9.5', b'"runtime_s": -1'),
                  "runtime_s must be finite and >= 0, got -1.0",
                  id="runtime-negative"),

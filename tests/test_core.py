@@ -15,7 +15,7 @@ from vialbench.force import (ForceBuffer, buffer_capacity, init_baseline,
 from vialbench.geometry import world_to_pixel
 from vialbench.perception import (Candidate, ScoredCandidate, cht_params_for,
                                   refined_camera_z, select_target)
-from vialbench.simworld import reset_trial, slot_centers
+from vialbench.simworld import reset_trial
 
 
 def test_empty_document_gives_defaults():
@@ -105,7 +105,8 @@ def test_seed_override():
 
 def test_validation_rejects_out_of_range():
     for bad in ["camera.fx = -1", "vial.radius = 0.02", "search.spacing = 0",
-                "tactile.threshold = 1.5", "contact.stiffness = 0"]:
+                "tactile.threshold = 1.5", "contact.stiffness = 0",
+                "force.rate = 0"]:  # tick's period is 1 / force.rate
         with pytest.raises(ConfigError):
             load_config(bad)
 
@@ -194,7 +195,7 @@ def test_accepted_configs_reset_a_trial_and_fill_a_force_window(
     for key in range(3):
         # every slot of every rack pose lies in the overview image
         scene = reset_trial(config, RngStream(0).child(key))
-        xy = slot_centers(scene)
+        xy = scene.slots
         u, v = world_to_pixel(xy[:, 0], xy[:, 1], config.rack.height,
                               cam.intrinsics(), cam.pose())
         assert np.all((u >= 0) & (u <= cam.width) & (v >= 0) & (v <= cam.height))

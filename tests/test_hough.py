@@ -19,7 +19,7 @@ from vialbench.perception.hough import (
     _sobel,
     detect_circles,
 )
-from vialbench.simworld import reset_trial, slot_centers
+from vialbench.simworld import reset_trial
 from vialbench.core import RngStream
 from vialbench.simworld import render_topdown
 
@@ -133,7 +133,7 @@ def test_rendered_rack_every_slot_recovered(config):
         image = render_topdown(scene, config.camera.pose())
         cands = detect_circles(image, params)
         assert len(cands) >= scene.config.rack.rows * scene.config.rack.cols
-        centers = slot_centers(scene)
+        centers = scene.slots
         su, sv = world_to_pixel(centers[:, 0], centers[:, 1],
                                 config.rack.height, intr,
                                 scene.last_render_cam)

@@ -9,7 +9,7 @@ from vialbench.core import ChtConfig, Pose3, RngStream
 from vialbench.perception.hough import (ChtParams, _box_lines, cht_params_for,
                                         detect_circles)
 from vialbench.perception.pipeline import refined_camera_z
-from vialbench.simworld import render_topdown, reset_trial, slot_centers
+from vialbench.simworld import render_topdown, reset_trial
 
 
 # The detector thresholds every campaign runs with.
@@ -37,7 +37,7 @@ def test_close_ups_match_reference(config):
     params = cht_params_for(config, close_z)
     for seed in range(20):
         scene = reset_trial(config, RngStream(2000 + seed))
-        centers = slot_centers(scene)
+        centers = scene.slots
         x, y = centers[seed % len(centers), :2]
         pose = Pose3(x=float(x), y=float(y), z=close_z)
         assert assert_same(render_topdown(scene, pose), params)

@@ -6,6 +6,7 @@ import pytest
 from vialbench.core import RngStream, load_config
 from vialbench.perception.hough import Candidate
 from vialbench.perception.pipeline import (
+    CROP_MARGIN,
     Label,
     NoValidSlotError,
     ScoredCandidate,
@@ -37,9 +38,9 @@ def test_crop_interior_bilinear_exact_on_ramp():
     h = w = 96
     yy, xx = np.mgrid[0:h, 0:w].astype(float)
     img = 2.0 * xx + 3.0 * yy
-    cs, margin = 32, 1.1
+    cs, margin = 32, CROP_MARGIN
     u, v, r = [48.0, 30.5], [40.0, 61.25], [10.0, 7.5]
-    crops = extract_crops(img, u, v, r, cs, margin)
+    crops = extract_crops(img, u, v, r, cs)
     t = (np.arange(cs) + 0.5) / cs * 2.0 - 1.0
     for crop, cu, cv, cr in zip(crops, u, v, r):
         uu, vv = np.meshgrid(cu + t * margin * cr, cv + t * margin * cr)

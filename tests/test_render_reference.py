@@ -9,13 +9,13 @@ from vialbench.core import Pose3, RngStream, load_config
 from vialbench.geometry import world_to_pixel
 from vialbench.perception.hough import cht_params_for, detect_circles
 from vialbench.perception.pipeline import extract_crops, refined_camera_z
-from vialbench.simworld import render_topdown, reset_trial, slot_centers
+from vialbench.simworld import _slot_centers, render_topdown, reset_trial
 
 
 def _pose(config, scene, close_up: bool, k: int) -> Pose3:
     if not close_up:
         return config.camera.pose()
-    centers = slot_centers(scene)
+    centers = scene.slots
     x, y = centers[k % len(centers)]
     return Pose3(float(x), float(y), refined_camera_z(config))
 
@@ -122,7 +122,7 @@ def test_turned_rack_matches_reference(config, turn):
 
     def edit(scene):
         scene.rack_yaw = float(yaw)
-        scene._slots = None
+        scene.slots = _slot_centers(rack, scene.rack_xy, scene.rack_yaw)
     _render_both(config, 42, 1, lambda s: config.camera.pose(), edit)
 
 

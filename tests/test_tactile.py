@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from vialbench.core import TactileConfig, load_config
-from vialbench.tactile import (CalibrationError, TactileDecision,
-                               _difference_sum, _moore_trace,
+from vialbench.tactile import (CalibrationError, _difference_sum, _moore_trace,
                                apply_calibration, calibrate_mapping,
                                extract_contacts, find_contact,
                                load_calibration, polygon_area,
@@ -381,9 +380,9 @@ def test_track_neutral_continue():
     refs = {f: [GEL] for f in ("left", "right")}
     regions = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
     neutral = {f: r.centroid for f, r in regions.items()}
-    reading = track_deviation(regions, neutral, CFG)
-    assert reading.decision is TactileDecision.CONTINUE
-    assert reading.displacement_px == pytest.approx(0.0, abs=1e-9)
+    stop, travel = track_deviation(regions, neutral, CFG)
+    assert stop is False
+    assert travel == pytest.approx(0.0, abs=1e-9)
 
 
 def test_track_shift_past_threshold_stops():
@@ -392,18 +391,18 @@ def test_track_shift_past_threshold_stops():
     neutral = {f: r.centroid for f, r in start.items()}
     shift = CFG.stop_px + 1.0
     moved = _contacts({f: _blob_frame(80.0 + shift, 80.0) for f in refs}, refs)
-    reading = track_deviation(moved, neutral, CFG)
-    assert reading.decision is TactileDecision.STOP
-    assert reading.displacement_px > CFG.stop_px
+    stop, travel = track_deviation(moved, neutral, CFG)
+    assert stop is True
+    assert travel > CFG.stop_px
 
 
 def test_track_lost_contact():
     refs = {f: [GEL] for f in ("left", "right")}
     gone = _contacts({f: GEL for f in refs}, refs)
     assert gone == {"left": None, "right": None}
-    reading = track_deviation(gone, {"left": (0, 0), "right": (0, 0)}, CFG)
-    assert reading.decision is TactileDecision.LOST_CONTACT
-    assert reading.displacement_px is None
+    stop, travel = track_deviation(gone, {"left": (0, 0), "right": (0, 0)}, CFG)
+    assert stop is False
+    assert travel is None
 
 
 def test_track_skips_finger_without_grasp_centroid():
@@ -416,9 +415,9 @@ def test_track_skips_finger_without_grasp_centroid():
     moved = _contacts({"left": _blob_frame(80.0 + shift, 80.0),
                        "right": _blob_frame(40.0, 40.0)}, refs)
     assert moved["right"] is not None
-    reading = track_deviation(moved, neutral, CFG)
-    assert reading.decision is TactileDecision.CONTINUE
-    assert reading.displacement_px == pytest.approx(shift, abs=1.0)
+    stop, travel = track_deviation(moved, neutral, CFG)
+    assert stop is False
+    assert travel == pytest.approx(shift, abs=1.0)
 
 
 def test_track_sub_threshold_shift_continues():
@@ -427,8 +426,8 @@ def test_track_sub_threshold_shift_continues():
     neutral = {f: r.centroid for f, r in start.items()}
     moved = _contacts({f: _blob_frame(80.0 + CFG.stop_px - 2.0, 80.0)
                        for f in refs}, refs)
-    assert track_deviation(moved, neutral,
-                           CFG).decision is TactileDecision.CONTINUE
+    stop, travel = track_deviation(moved, neutral, CFG)
+    assert stop is False and travel is not None
 
 
 def test_default_noise_never_false_stops():
@@ -446,6 +445,6 @@ def test_default_noise_never_false_stops():
     for _ in range(25):
         frames = {f: _noisy(_blob_frame(80.0, 80.0), gen, sigma)
                   for f in ("left", "right")}
-        reading = track_deviation(_contacts(frames, refs, cfg.tactile),
-                                  neutral, cfg.tactile)
-        assert reading.decision is TactileDecision.CONTINUE
+        stop, travel = track_deviation(_contacts(frames, refs, cfg.tactile),
+                                       neutral, cfg.tactile)
+        assert stop is False and travel is not None

@@ -2,17 +2,40 @@
 
 ``vialbench.simworld.tick`` must return the same force vector as this
 version and leave the scene in the same state: setpoint, speed, held
-offset, contact, contact slot, pin, clock and RNG. These copies build
-small numpy arrays at every step: the rack-frame offset with ``np.stack``,
-the distance to every slot with ``np.linalg.norm`` and the wrist bias as an
-array.
+offset, pin, clock and RNG, and ``inserted_slot`` equal to this version's
+``contact_slot`` when its ``contact`` is ``Contact.INSERTED`` (None
+otherwise). This version keeps its four-valued contact in the scene's
+``contact`` and ``contact_slot`` attributes, takes its target, speed limit
+and ramp as a ``MoveCommand`` and its period as ``dt``. These copies build
+small numpy arrays at every step: the vial bottom, the rack-frame offset
+with ``np.stack``, the distance to every slot with ``np.linalg.norm`` and
+the wrist bias as an array.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
+
 import numpy as np
 
-from vialbench.simworld import Contact, MoveCommand, SceneState, slot_centers
+from vialbench.simworld import SceneState
+
+
+class Contact(enum.Enum):
+    NONE = "none"
+    RACK_TOP = "rack_top"
+    TABLE = "table"
+    INSERTED = "inserted"
+
+
+@dataclass(frozen=True)
+class MoveCommand:
+    """Position setpoint target with a speed limit and acceleration ramp."""
+
+    target: np.ndarray
+    speed: float
+    accel: float
 
 
 def _to_rack_frame(scene: SceneState, xy: np.ndarray) -> np.ndarray:
@@ -29,7 +52,7 @@ def _support(scene: SceneState, bottom_xy: np.ndarray):
     if abs(local[0]) > rack.footprint_w / 2 or abs(local[1]) > rack.footprint_h / 2:
         return 0.0, Contact.TABLE, None, None
 
-    centers = slot_centers(scene)
+    centers = scene.slots
     d = np.linalg.norm(centers - bottom_xy[None, :], axis=1)
     occ = scene.occupancy.ravel()
 
@@ -51,7 +74,7 @@ def _support(scene: SceneState, bottom_xy: np.ndarray):
 def _resolve_contact(scene: SceneState, dt: float) -> float:
     cfg = scene.config
     if scene.held_offset is not None:
-        bottom = scene.vial_bottom_xy()
+        bottom = scene.setpoint[:2] + scene.rig.tilt_gain * scene.held_offset
         support, kind, slot_rc, rim_center = _support(scene, bottom)
         pin = support + cfg.vial.grip_height
         scene.pin_z = pin
@@ -128,3 +151,14 @@ def tick(scene: SceneState, command: MoveCommand, dt: float) -> np.ndarray:
         float(bias[1] + noise[1]),
         float(bias[2] + force_contact + noise[2]),
     ])
+
+
+def release(scene: SceneState) -> None:
+    """The seed release: a vial in contact ``INSERTED`` fills its slot, and
+    the gripper lets go."""
+    if scene.contact is Contact.INSERTED and scene.contact_slot is not None:
+        scene.occupancy[scene.contact_slot] = True
+    scene.held_offset = None
+    scene.pin_z = None
+    scene.contact = Contact.NONE
+    scene.contact_slot = None
