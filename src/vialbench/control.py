@@ -122,22 +122,21 @@ def _charged_move(scene: SceneState, target) -> None:
 
 
 def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.ndarray:
-    return np.array(pixel_to_world(u, v, config.camera.intrinsics(), pose,
-                                   config.rack.height))
+    return np.array(pixel_to_world(u, v, config.camera, pose, config.rack.height))
 
 
 def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       gen: np.random.Generator,
                       ref_uv: tuple[float, float] | None = None, *,
-                      seen: dict | None):
+                      seen: dict):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
     ``seen`` maps the bytes of an image already perceived to its scored
     candidates; a hit skips circle detection and scoring, a miss adds its
-    result. It lives for one trial index of one campaign (one config, one
-    set of weights, overview poses only), so equal bytes are the same image.
-    None perceives afresh. The picture is always rendered and the pick
-    always made, so every RNG draws alike on a hit and on a miss.
+    result. One dict serves one config, one set of weights and one camera
+    height, so equal bytes are the same image. The picture is always
+    rendered and the pick always made, so every RNG draws alike on a hit
+    and on a miss.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
@@ -145,15 +144,14 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     cfg = scene.config
     advance_clock(scene, cfg.timing.image_s)
     image = render_topdown(scene, pose)
-    key = None if seen is None else image.tobytes()
-    scored = None if key is None else seen.get(key)
+    key = image.tobytes()
+    scored = seen.get(key)
     if scored is None:
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
         # A tuple, so that a result shared through ``seen`` cannot change.
         scored = tuple(score_candidates(image, candidates, weights,
                                         cfg.cnn.crop_size))
-        if key is not None:
-            seen[key] = scored
+        seen[key] = scored
     chosen = select_target(scored, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)
     return scored, chosen
@@ -181,13 +179,13 @@ def _xy(position) -> tuple[float, float]:
 
 def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                weights: CnnWeights, trial_index: int, rig,
-               prepare, attempt_descent, seen: dict | None) -> TrialRecord:
+               prepare, attempt_descent, seen: dict) -> TrialRecord:
     """The one trial loop: pick and grasp, prepare, then descend until the
     vial is released, lost or given up.
 
     ``seen`` is the overview cache of ``_image_and_select``, shared by the
     trials of one index of a campaign (trial ``i`` of every modality sees
-    the same scene); None perceives the overview afresh.
+    the same scene).
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
@@ -269,8 +267,8 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
 
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
-                     weights: CnnWeights, trial_index: int = 0,
-                     seen: dict | None = None) -> TrialRecord:
+                     weights: CnnWeights, trial_index: int,
+                     seen: dict) -> TrialRecord:
     """Vision-only: overhead pick, close-up refinement, open-loop insert."""
     cam = config.camera
     depth_z = config.rack.height - config.motion.visual_floor + config.vial.grip_height
@@ -281,9 +279,9 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
         close_z = refined_camera_z(config)
         advance_clock(scene, (cam.z - close_z) / config.motion.speed)
         pose = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z)
-        # A close-up never repeats, so it is not cached.
+        # A close-up is seen from the other height, so it gets its own cache.
         _, refined = _image_and_select(scene, pose, weights, sel_gen,
-                                       ref_uv=(cam.cx, cam.cy), seen=None)
+                                       ref_uv=(cam.cx, cam.cy), seen={})
         return None, _project(config, pose, refined.candidate.u,
                               refined.candidate.v)
 
@@ -295,8 +293,8 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
 
 
 def run_force_trial(config: WorkspaceConfig, stream: RngStream,
-                    weights: CnnWeights, trial_index: int = 0,
-                    seen: dict | None = None) -> TrialRecord:
+                    weights: CnnWeights, trial_index: int,
+                    seen: dict) -> TrialRecord:
     """Force-guarded insertion with lattice-search recovery."""
 
     def prepare(scene, sel_gen, target):
@@ -334,8 +332,7 @@ def _finger_contacts(scene: SceneState, refs: dict[str, np.ndarray],
 def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
                       weights: CnnWeights, rig,
                       calibration: dict[str, TactileCalibration],
-                      trial_index: int = 0,
-                      seen: dict | None = None) -> TrialRecord:
+                      trial_index: int, seen: dict) -> TrialRecord:
     """Tactile-guided insertion: offset compensation plus slip-stop descents."""
     if rig is None or not rig.has_tactile:
         raise ValueError("tactile trials need a tactile-equipped rig")

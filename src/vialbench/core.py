@@ -63,17 +63,10 @@ class Pose3:
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
-    """Pinhole focal lengths and principal point, in pixels."""
-
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-
-
-@dataclass(frozen=True)
 class CameraConfig:
+    """The nadir camera model: focal lengths and principal point in pixels,
+    image size, overview position in meters, close-up height factor."""
+
     fx: float = 600.0
     fy: float = 600.0
     cx: float = 256.0
@@ -84,9 +77,6 @@ class CameraConfig:
     y: float = 0.0
     z: float = 0.50
     refine_factor: float = 0.5
-
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(self.fx, self.fy, self.cx, self.cy)
 
     def pose(self) -> Pose3:
         return Pose3(self.x, self.y, self.z)

@@ -19,6 +19,8 @@ finite-difference gradient checks.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -343,10 +345,11 @@ def load_weights(path) -> CnnWeights:
             raise ValueError(f"{path}: unexpected tensor list {order}")
         arrays = {}
         for name in order:
-            count = int(np.prod(shapes[name]))
-            raw = f.read(4 * count)
-            if len(raw) != 4 * count:
+            # Checked against the bytes left, so a header cannot demand memory.
+            size = 4 * math.prod(shapes[name])
+            if size > os.fstat(f.fileno()).st_size - f.tell():
                 raise ValueError(f"{path}: truncated data for {name}")
+            raw = f.read(size)
             arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shapes[name]).copy()
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"{path}: non-finite value in {name}")

@@ -109,7 +109,6 @@ def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream):
     ``(crops, labels)`` with crops of shape (n, 1, cs, cs) float32.
     """
     cs = config.cnn.crop_size
-    intr = config.camera.intrinsics()
     nominal_params = cht_params_for(config, config.camera.z)
     refined_params = cht_params_for(config, refined_camera_z(config))
     crops: list[np.ndarray] = []
@@ -131,8 +130,8 @@ def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream):
         if not cands:
             continue
         eff = scene.last_render_cam
-        su, sv = world_to_pixel(centers[:, 0], centers[:, 1],
-                                config.rack.height, intr, eff)
+        su, sv = world_to_pixel(centers[:, 0], centers[:, 1], config.camera,
+                                eff, config.rack.height)
         pitch_px = config.rack.pitch * config.camera.fx / (eff.z - config.rack.height)
         occ = scene.occupancy.ravel()
         labels += [int(label_candidate(c.u, c.v, su, sv, occ, pitch_px))

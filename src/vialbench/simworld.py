@@ -123,19 +123,19 @@ def _slot_centers(rack, rack_xy: np.ndarray, yaw: float) -> np.ndarray:
     return rack_xy[None, :] + local @ rot.T
 
 
-def in_rack_footprint(scene: SceneState, xy) -> bool:
-    """Whether world point ``xy`` lies on the rack's footprint.
+def in_rack_footprint(scene: SceneState, x, y):
+    """Whether world point (``x``, ``y``) lies on the rack's footprint; floats
+    give a bool, arrays an element-wise mask (the renderer's rack body).
 
-    Scalar floats: ``math.cos`` and ``math.sin`` return what ``np.cos`` and
-    ``np.sin`` do, and each product and sum rounds as numpy's element-wise
-    ones do, so the rack-frame coordinates are those of the array form.
+    Each product and sum rounds alike on floats and on arrays, so a point
+    gets the same answer in either form.
     """
     rack = scene.config.rack
     c, s = math.cos(scene.rack_yaw), math.sin(scene.rack_yaw)
     rx, ry = scene.rack_xy.tolist()
-    dx, dy = float(xy[0]) - rx, float(xy[1]) - ry
-    return (abs(c * dx + s * dy) <= rack.footprint_w / 2
-            and abs(-s * dx + c * dy) <= rack.footprint_h / 2)
+    dx, dy = x - rx, y - ry
+    return ((abs(c * dx + s * dy) <= rack.footprint_w / 2)
+            & (abs(-s * dx + c * dy) <= rack.footprint_h / 2))
 
 
 def reset_trial(config: WorkspaceConfig, rng: RngStream,
@@ -178,13 +178,13 @@ def reset_trial(config: WorkspaceConfig, rng: RngStream,
         distractors=[],
         rng=gen,
     )
-    _seed_distractors(scene, gen)
+    _seed_distractors(scene)
     return scene
 
 
-def _seed_distractors(scene: SceneState, gen: np.random.Generator) -> None:
+def _seed_distractors(scene: SceneState) -> None:
     """Scatter ring-shaped clutter on the table, clear of the rack."""
-    cfg = scene.config
+    cfg, gen = scene.config, scene.rng
     cam, rack = cfg.camera, cfg.rack
     depth = cam.z - rack.height
     slot_r_px = rack.slot_radius * cam.fx / depth
@@ -235,7 +235,7 @@ def _support(scene: SceneState, bx: float, by: float):
 def _find_support(scene: SceneState, bx: float, by: float):
     cfg = scene.config
     rack, vial = cfg.rack, cfg.vial
-    if not in_rack_footprint(scene, (bx, by)):
+    if not in_rack_footprint(scene, bx, by):
         return 0.0, None, None
 
     # The nearest slot, and the nearest occupied one closer than two vial
@@ -388,7 +388,7 @@ def release_and_evaluate(scene: SceneState) -> str:
     if scene.inserted_slot is not None:
         scene.occupancy[scene.inserted_slot] = True
         placement = "inserted"
-    elif in_rack_footprint(scene, _bottom(scene)):
+    elif in_rack_footprint(scene, *_bottom(scene)):
         placement = "resting_on_rack"
     else:
         placement = "dropped_on_table"
@@ -435,7 +435,6 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     if cam_pose.z <= cfg.rack.height:
         raise SimError("camera must be above the rack plane")
     W, H = cam.width, cam.height
-    intr = cam.intrinsics()
 
     depth = cam_pose.z - cfg.rack.height
     shift = (scene.bias_xy + scene.bias_angle * depth
@@ -444,7 +443,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     scene.last_render_cam = eff
 
     # Table plane: gradient, two straight seams, ring-shaped clutter.
-    tx, ty = plane_grid(intr, eff, 0.0, W, H)
+    tx, ty = plane_grid(cam, eff, 0.0)
     ws = cfg.workspace
     cx0 = (ws.x_min + ws.x_max) / 2.0
     cy0 = (ws.y_min + ws.y_max) / 2.0
@@ -461,26 +460,20 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
         img[rows, cols][np.abs(dd - dr) < _RIM_HALF] = shade
 
     # Rack plane: body mask plus per-slot detail.
-    rx, ry = plane_grid(intr, eff, cfg.rack.height, W, H)
+    rx, ry = plane_grid(cam, eff, cfg.rack.height)
     rack = cfg.rack
     reach = float(np.hypot(rack.footprint_w, rack.footprint_h)) / 2.0 + _SLACK
     rows = _span(ry, scene.rack_xy[1], reach)
     cols = _span(rx, scene.rack_xy[0], reach)
     if rows is not None and cols is not None:
-        c, s = np.cos(scene.rack_yaw), np.sin(scene.rack_yaw)
-        dxr = rx[None, cols] - scene.rack_xy[0]
-        dyr = ry[rows, None] - scene.rack_xy[1]
-        lx = c * dxr + s * dyr
-        ly = -s * dxr + c * dyr
-        inside = (np.abs(lx) <= rack.footprint_w / 2) & \
-                 (np.abs(ly) <= rack.footprint_h / 2)
+        inside = in_rack_footprint(scene, rx[None, cols], ry[rows, None])
         img[rows, cols][inside] = _RACK_BODY
 
     centers = scene.slots
     occ = scene.occupancy.ravel()
     slot_r = rack.slot_radius
-    half = int(np.ceil((slot_r + 0.003) * intr.fx / depth)) + 2
-    us, vs = world_to_pixel(centers[:, 0], centers[:, 1], rack.height, intr, eff)
+    half = int(np.ceil((slot_r + 0.003) * cam.fx / depth)) + 2
+    us, vs = world_to_pixel(centers[:, 0], centers[:, 1], cam, eff, rack.height)
     for idx in range(centers.shape[0]):
         sx, sy = centers[idx]
         u, v = int(us[idx]), int(vs[idx])

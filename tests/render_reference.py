@@ -47,7 +47,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     if cam_pose.z <= cfg.rack.height:
         raise SimError("camera must be above the rack plane")
     W, H = cam.width, cam.height
-    intr = cam.intrinsics()
+    intr = cam
 
     depth = cam_pose.z - cfg.rack.height
     shift = (scene.bias_xy + scene.bias_angle * depth
@@ -87,7 +87,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     for idx in range(centers.shape[0]):
         sx, sy = centers[idx]
         try:
-            u, v = world_to_pixel(sx, sy, cfg.rack.height, intr, eff)
+            u, v = world_to_pixel(sx, sy, intr, eff, cfg.rack.height)
         except ValueError:
             continue
         half = int(np.ceil(box_m * intr.fx / depth)) + 2

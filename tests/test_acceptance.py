@@ -18,7 +18,7 @@ from gradcheck import numeric_gradient
 from vialbench.bench import run_experiment, summarize_modality
 from vialbench.cli import main as cli_main
 from vialbench.control import MODALITIES, check_record
-from vialbench.core import (CameraIntrinsics, ChtConfig, CnnConfig, Pose3,
+from vialbench.core import (CameraConfig, ChtConfig, CnnConfig, Pose3,
                             RngStream, TactileConfig, load_config)
 from vialbench.force import (ForceBuffer, buffer_capacity, init_baseline,
                              update_and_check)
@@ -68,15 +68,16 @@ def campaign(config, trained):
 
 
 def test_criterion_1_projection_round_trip():
-    intr = CameraIntrinsics(600.0, 600.0, 320.0, 240.0)
+    camera = CameraConfig(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640,
+                          height=480)
     cam = Pose3(0.0, 0.0, 0.8)
     t0 = time.perf_counter()
 
     # the three worked examples, exact
-    assert pixel_to_world(320.0, 240.0, intr, cam, 0.05) == (0.0, 0.0)
-    x, _ = pixel_to_world(380.0, 240.0, intr, cam, 0.05)
+    assert pixel_to_world(320.0, 240.0, camera, cam, 0.05) == (0.0, 0.0)
+    x, _ = pixel_to_world(380.0, 240.0, camera, cam, 0.05)
     assert x == pytest.approx(0.075, abs=1e-15)
-    _, y = pixel_to_world(320.0, 360.0, intr, cam, 0.05)
+    _, y = pixel_to_world(320.0, 360.0, camera, cam, 0.05)
     assert y == pytest.approx(0.15, abs=1e-15)
 
     gen = np.random.default_rng(1)
@@ -86,9 +87,9 @@ def test_criterion_1_projection_round_trip():
         pose = Pose3(gen.uniform(-0.5, 0.5), gen.uniform(-0.5, 0.5),
                      plane + gen.uniform(0.1, 1.0))
         u, v = gen.uniform(0.0, 640.0), gen.uniform(0.0, 480.0)
-        x0, y0 = pixel_to_world(u, v, intr, pose, plane)
-        u1, v1 = world_to_pixel(np.array(x0), np.array(y0), plane, intr, pose)
-        x1, y1 = pixel_to_world(float(u1), float(v1), intr, pose, plane)
+        x0, y0 = pixel_to_world(u, v, camera, pose, plane)
+        u1, v1 = world_to_pixel(np.array(x0), np.array(y0), camera, pose, plane)
+        x1, y1 = pixel_to_world(float(u1), float(v1), camera, pose, plane)
         worst = max(worst, float(np.hypot(x1 - x0, y1 - y0)))
     elapsed = time.perf_counter() - t0
 
@@ -122,7 +123,6 @@ def test_criterion_2_circle_detection(config):
 
     # 50 rendered racks: every true slot matched within 3 px
     rack_params = cht_params_for(config, config.camera.z)
-    intr = config.camera.intrinsics()
     worst_slot = 0.0
     for seed in range(50):
         scene = reset_trial(config, RngStream(1000 + seed))
@@ -130,9 +130,8 @@ def test_criterion_2_circle_detection(config):
         cands = detect_circles(image, rack_params)
         assert cands
         centers = scene.slots
-        su, sv = world_to_pixel(centers[:, 0], centers[:, 1],
-                                config.rack.height, intr,
-                                scene.last_render_cam)
+        su, sv = world_to_pixel(centers[:, 0], centers[:, 1], config.camera,
+                                scene.last_render_cam, config.rack.height)
         cu = np.array([c.u for c in cands])
         cv = np.array([c.v for c in cands])
         gap = np.hypot(su[:, None] - cu[None, :],

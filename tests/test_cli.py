@@ -1,11 +1,13 @@
 """Exercises the command-line surface end to end (in-process)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vialbench.cli import main
 from vialbench.pgm import write_pgm
-from vialbench.perception import load_weights, save_weights
+from vialbench.perception import CnnWeights, load_weights, save_weights
 from vialbench.tactile import load_calibration
 
 
@@ -66,6 +68,25 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
     assert "short.cal" in lines[0] and "gap.weights" in lines[1]
+
+
+@pytest.mark.parametrize("command", ["detect", "run"])
+def test_weights_header_cannot_demand_memory(tmp_path, capsys, command):
+    """A header that declares 10**15 floats ahead of a few data bytes is
+    refused as truncated, before anything of that size is read."""
+    names = [f.name for f in dataclasses.fields(CnnWeights)]
+    header = (f"{names[0]} 1000000 1000000 1000 1\n"
+              + "".join(f"{name} 1\n" for name in names[1:]))
+    huge = tmp_path / "huge.weights"
+    huge.write_bytes(b"VIALCNN1\n" + header.encode() + b"data\n" + bytes(16))
+    blank = tmp_path / "blank.pgm"
+    write_pgm(blank, np.full((96, 96), 128, dtype=np.uint8))
+    args = (["--image", blank] if command == "detect"
+            else ["--trials", "1", "--out", tmp_path / "out"])
+    assert run_cli(command, *args, "--weights", huge) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"vialbench: {huge}: truncated data for {names[0]}"]
 
 
 _GOOD_RECORD = (b'{"attempts": 1, "final_offset": [0.0004, -0.0002], '

@@ -49,7 +49,7 @@ def test_modalities_constant():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_visual_clean_run_inserts_first_try(clean_config, weights, seed):
-    rec = run_visual_trial(clean_config, RngStream(seed), weights)
+    rec = run_visual_trial(clean_config, RngStream(seed), weights, 0, {})
     assert rec.success
     assert rec.attempts == 1
     assert [o.result for o in rec.outcomes] == ["inserted"]
@@ -60,7 +60,7 @@ def test_visual_clean_run_inserts_first_try(clean_config, weights, seed):
 def test_visual_never_retries(config, weights):
     for seed in range(10):
         rec = run_visual_trial(config, RngStream(seed), weights,
-                               trial_index=seed)
+                               trial_index=seed, seen={})
         assert rec.modality == "visual"
         assert rec.trial_index == seed
         assert rec.attempts == 1
@@ -73,7 +73,7 @@ def test_visual_never_retries(config, weights):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_force_clean_run_inserts_first_try(clean_config, weights, seed):
-    rec = run_force_trial(clean_config, RngStream(seed), weights)
+    rec = run_force_trial(clean_config, RngStream(seed), weights, 0, {})
     assert rec.success
     assert rec.attempts == 1
     assert [o.result for o in rec.outcomes] == ["inserted"]
@@ -81,7 +81,7 @@ def test_force_clean_run_inserts_first_try(clean_config, weights, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_force_search_recovers_known_bias(biased_config, weights, seed):
-    rec = run_force_trial(biased_config, RngStream(seed), weights)
+    rec = run_force_trial(biased_config, RngStream(seed), weights, 0, {})
     assert rec.success
     assert rec.attempts == 2
     assert [o.result for o in rec.outcomes] == ["rack_top", "inserted"]
@@ -90,8 +90,8 @@ def test_force_search_recovers_known_bias(biased_config, weights, seed):
 
 
 def test_force_trial_deterministic(config, weights):
-    a = run_force_trial(config, RngStream(31), weights)
-    b = run_force_trial(config, RngStream(31), weights)
+    a = run_force_trial(config, RngStream(31), weights, 0, {})
+    b = run_force_trial(config, RngStream(31), weights, 0, {})
     assert a == b
 
 
@@ -101,7 +101,7 @@ def test_exhausted_search_releases_in_place(biased_config, weights):
     cfg = load_config(NO_CAMERA_BIAS.replace(
         "noise.bias_angle_x = 0.0", "noise.bias_angle_x = 6.4e-3")
         + "noise.sigma_grasp = 0.0\nsearch.spacing = 0.5\n")
-    rec = run_force_trial(cfg, RngStream(0), weights)
+    rec = run_force_trial(cfg, RngStream(0), weights, 0, {})
     assert not rec.success
     assert rec.attempts == 1
     assert [o.result for o in rec.outcomes] == ["rack_top", "released_failed"]
@@ -121,7 +121,7 @@ def test_exhausted_search_with_empty_gripper_is_dropped_on_table(weights):
         return "stopped"
 
     rec = _run_trial("force", cfg, RngStream(0), weights, 0, None,
-                     prepare, slip_and_stop, None)
+                     prepare, slip_and_stop, {})
     assert [o.result for o in rec.outcomes] == ["rack_top"]
     assert rec.placement == "dropped_on_table"
     assert rec.final_offset is None
@@ -148,7 +148,7 @@ def tactile_setup():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tactile_compensates_grasp_offset(tactile_setup, weights, seed):
     cfg, rig, cal = tactile_setup
-    rec = run_tactile_trial(cfg, RngStream(seed), weights, rig, cal)
+    rec = run_tactile_trial(cfg, RngStream(seed), weights, rig, cal, 0, {})
     assert rec.success
     assert rec.attempts == 1
     assert [o.result for o in rec.outcomes] == ["inserted"]
@@ -157,7 +157,7 @@ def test_tactile_compensates_grasp_offset(tactile_setup, weights, seed):
 def test_tactile_needs_tactile_rig(config, weights):
     rubber = make_rig(config, "rubber")
     with pytest.raises(ValueError):
-        run_tactile_trial(config, RngStream(0), weights, rubber, {})
+        run_tactile_trial(config, RngStream(0), weights, rubber, {}, 0, {})
     with pytest.raises(ValueError):
         calibrate_rig(config, rubber)
     with pytest.raises(ValueError):
@@ -182,7 +182,8 @@ def test_sensor_loss_with_vial_in_hand_is_still_held(config, weights,
     rig, cal = default_tactile
     blind = load_config("tactile.contact_floor = 256\n")
     for seed in range(3):
-        rec = run_tactile_trial(blind, RngStream(seed), weights, rig, cal)
+        rec = run_tactile_trial(blind, RngStream(seed), weights, rig, cal, 0,
+                                {})
         assert [o.result for o in rec.outcomes] == ["lost_contact"]
         assert rec.placement == "still_held"
         assert rec.final_offset is not None
@@ -198,11 +199,11 @@ def test_trial_invariants(config, weights, default_tactile, modality):
     for seed in range(8):
         stream = RngStream(seed)
         if modality == "visual":
-            rec = run_visual_trial(config, stream, weights)
+            rec = run_visual_trial(config, stream, weights, 0, {})
         elif modality == "force":
-            rec = run_force_trial(config, stream, weights)
+            rec = run_force_trial(config, stream, weights, 0, {})
         else:
-            rec = run_tactile_trial(config, stream, weights, rig, cal)
+            rec = run_tactile_trial(config, stream, weights, rig, cal, 0, {})
         assert rec.modality == modality
         check_record(rec)
         results = [o.result for o in rec.outcomes]

@@ -196,8 +196,8 @@ def test_accepted_configs_reset_a_trial_and_fill_a_force_window(
         # every slot of every rack pose lies in the overview image
         scene = reset_trial(config, RngStream(0).child(key))
         xy = scene.slots
-        u, v = world_to_pixel(xy[:, 0], xy[:, 1], config.rack.height,
-                              cam.intrinsics(), cam.pose())
+        u, v = world_to_pixel(xy[:, 0], xy[:, 1], cam, cam.pose(),
+                              config.rack.height)
         assert np.all((u >= 0) & (u <= cam.width) & (v >= 0) & (v <= cam.height))
     for cam_z in (cam.z, refined_camera_z(config)):
         assert 2 * cht_params_for(config, cam_z).r_max <= min(cam.width,

@@ -127,16 +127,14 @@ def test_params_for_camera_below_rack_raises(config):
 def test_rendered_rack_every_slot_recovered(config):
     stream = RngStream(2026)
     params = cht_params_for(config, config.camera.z)
-    intr = config.camera.intrinsics()
     for i in range(2):
         scene = reset_trial(config, stream.child(i))
         image = render_topdown(scene, config.camera.pose())
         cands = detect_circles(image, params)
         assert len(cands) >= scene.config.rack.rows * scene.config.rack.cols
         centers = scene.slots
-        su, sv = world_to_pixel(centers[:, 0], centers[:, 1],
-                                config.rack.height, intr,
-                                scene.last_render_cam)
+        su, sv = world_to_pixel(centers[:, 0], centers[:, 1], config.camera,
+                                scene.last_render_cam, config.rack.height)
         cu = np.array([c.u for c in cands])
         cv = np.array([c.v for c in cands])
         d = np.hypot(su[:, None] - cu[None, :], sv[:, None] - cv[None, :])

@@ -1,6 +1,7 @@
-"""Every name a package exports resolves, and every module uses what it
-imports, so a deletion cannot leave a stale entry in ``__all__`` or a stale
-import behind."""
+"""Every name a package exports resolves, every module uses what it
+imports, and every module-level definition is named somewhere, so a
+deletion cannot leave a stale entry in ``__all__``, a stale import or a
+dead definition behind."""
 
 import ast
 import importlib
@@ -39,3 +40,37 @@ def test_no_module_keeps_an_unused_import():
     modules = sorted(p for p in package.rglob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
     assert [hit for path in modules for hit in _unused_imports(path)] == []
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` reads, imports or lists in ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.split(".")[-1] for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_module_keeps_a_dead_definition():
+    """A module-level function or class that no module of the package
+    names, imports or exports is dead: a deletion cannot leave one behind
+    (``__init__`` files only re-export, so their own definitions are left
+    out)."""
+    package = Path(importlib.import_module("vialbench").__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.rglob("*.py"))}
+    used = set().union(*map(_names_used, trees.values()))
+    defined = [(path, node) for path, tree in trees.items()
+               if path.name != "__init__.py" for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defined) > 100
+    assert [f"{path.name}:{node.lineno} {node.name}" for path, node in defined
+            if node.name not in used] == []

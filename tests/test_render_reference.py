@@ -47,18 +47,18 @@ def _clipped(lo_u, hi_u, lo_v, hi_v, width, height) -> bool:
 def _edges_clipped(scene) -> tuple[bool, bool]:
     """Whether a distractor ring, and whether the rack, is cut by the frame."""
     cfg = scene.config
-    cam, intr, eff = cfg.camera, cfg.camera.intrinsics(), scene.last_render_cam
+    cam, eff = cfg.camera, scene.last_render_cam
     ring = False
     for dx, dy, dr, _ in scene.distractors:
-        u, v = world_to_pixel(dx, dy, 0.0, intr, eff)
-        r = dr * intr.fx / eff.z
+        u, v = world_to_pixel(dx, dy, cam, eff, 0.0)
+        r = dr * cam.fx / eff.z
         ring |= _clipped(u - r, u + r, v - r, v + r, cam.width, cam.height)
     half = np.array([cfg.rack.footprint_w, cfg.rack.footprint_h]) / 2.0
     c, s = np.cos(scene.rack_yaw), np.sin(scene.rack_yaw)
     corners = np.array([[sx * half[0], sy * half[1]]
                         for sx in (-1, 1) for sy in (-1, 1)])
     world = scene.rack_xy + corners @ np.array([[c, s], [-s, c]])
-    u, v = world_to_pixel(world[:, 0], world[:, 1], cfg.rack.height, intr, eff)
+    u, v = world_to_pixel(world[:, 0], world[:, 1], cam, eff, cfg.rack.height)
     rack = _clipped(u.min(), u.max(), v.min(), v.max(), cam.width, cam.height)
     return ring, rack
 

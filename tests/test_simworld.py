@@ -103,15 +103,39 @@ def test_reset_starts_holding_at_source(config):
     assert scene.inserted_slot is None
 
 
-def test_slot_centers_geometry(config):
+_HALF_W, _HALF_H = RackSpec().footprint_w / 2, RackSpec().footprint_h / 2
+
+
+def _rack_frame(half):
+    """A rack-frame coordinate: anywhere near the footprint, or on its edge."""
+    return st.one_of(st.floats(-1.5 * half, 1.5 * half),
+                     st.sampled_from([-half, half]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(yaw=st.floats(-0.3, 0.3),
+       local=st.lists(st.tuples(_rack_frame(_HALF_W), _rack_frame(_HALF_H)),
+                      min_size=1, max_size=6))
+def test_slot_centers_geometry(config, yaw, local):
     scene = reset_trial(config, RngStream(3))
     centers = scene.slots
     assert centers.shape == (config.rack.rows * config.rack.cols, 2)
     d = np.linalg.norm(centers[None, :, :] - centers[:, None, :], axis=-1)
     d[np.diag_indices(len(centers))] = np.inf
     assert d.min() == pytest.approx(config.rack.pitch, rel=1e-9)
-    assert in_rack_footprint(scene, scene.rack_xy)
-    assert not in_rack_footprint(scene, scene.rack_xy + np.array([1.0, 0.0]))
+    assert in_rack_footprint(scene, *scene.rack_xy)
+    assert not in_rack_footprint(scene, *(scene.rack_xy + np.array([1.0, 0.0])))
+
+    # The array form, broadcast row against column as the renderer asks it,
+    # equals the float form at every element, edge points included.
+    scene.rack_yaw = yaw
+    c, s = np.cos(yaw), np.sin(yaw)
+    xs = np.array([scene.rack_xy[0] + c * lx - s * ly for lx, ly in local])
+    ys = np.array([scene.rack_xy[1] + s * lx + c * ly for lx, ly in local])
+    mask = in_rack_footprint(scene, xs[None, :], ys[:, None])
+    assert mask.dtype == bool and mask.shape == (len(ys), len(xs))
+    assert mask.tolist() == [[in_rack_footprint(scene, x, y) for x in xs.tolist()]
+                             for y in ys.tolist()]
 
 
 # ---------------------------------------------------------------- contact
@@ -309,7 +333,7 @@ def test_release_inserts_only_within_clearance_of_a_vacant_slot(
         [np.cos(heading), np.sin(heading)])
     rack_top_grip = rack.height + vial.grip_height
     jump_setpoint(scene, (bottom[0], bottom[1], rack_top_grip - depth))
-    on_rack = in_rack_footprint(scene, bottom)
+    on_rack = in_rack_footprint(scene, *bottom)
     grip_z = scene.grip_z
     inserts = not occupied and miss <= config.clearance
     assert scene.inserted_slot == (divmod(slot, rack.cols) if inserts else None)
@@ -334,10 +358,9 @@ def test_render_shape_and_slot_shading(config):
     assert img.shape == (config.camera.height, config.camera.width)
     assert img.dtype == np.uint8
     vac, occ = vacant_and_occupied(scene)
-    intr = config.camera.intrinsics()
-    eff = scene.last_render_cam
-    uv, vv = world_to_pixel(vac[0], vac[1], config.rack.height, intr, eff)
-    uo, vo = world_to_pixel(occ[0], occ[1], config.rack.height, intr, eff)
+    cam, eff = config.camera, scene.last_render_cam
+    uv, vv = world_to_pixel(vac[0], vac[1], cam, eff, config.rack.height)
+    uo, vo = world_to_pixel(occ[0], occ[1], cam, eff, config.rack.height)
     vacant_px = float(img[int(round(vv)), int(round(uv))])
     occupied_px = float(img[int(round(vo)), int(round(uo))])
     assert vacant_px > occupied_px + 50.0  # open bore is bright, cap is gray
