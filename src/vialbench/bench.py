@@ -154,7 +154,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
     for i in range(trials):
         stream = split_rng(master, i)
         # Every modality's trial i sees the same scene, so its overview
-        # image repeats; each distinct one is perceived once (see _run_trial).
+        # repeats; each distinct one is rendered and perceived once (see
+        # control._image_and_select).
         seen: dict = {}
         for modality in modalities:
             if modality == "visual":

@@ -43,7 +43,8 @@ from .perception import (CnnWeights, NoValidSlotError,
 from .search import compute_search_bounds, make_search, next_trial_positions
 from .simworld import (SceneState, SimError, advance_clock, impose_grasp,
                        jump_setpoint, reference_frames, release_and_evaluate,
-                       render_topdown, reset_trial, sample_tactile, tick)
+                       render_key, render_topdown, reset_trial,
+                       sample_tactile, tick)
 from .tactile import (FINGERS, CalibrationError, ContactRegion,
                       TactileCalibration, apply_calibration, calibrate_mapping,
                       find_contact, track_deviation)
@@ -131,27 +132,33 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       seen: dict):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
-    ``seen`` maps the bytes of an image already perceived to its scored
-    candidates; a hit skips circle detection and scoring, a miss adds its
-    result. One dict serves one config, one set of weights and one camera
-    height, so equal bytes are the same image. The picture is always
-    rendered and the pick always made, so every RNG draws alike on a hit
-    and on a miss.
+    ``seen`` maps the ``render_key`` of a look (the pose and everything
+    the render reads from the scene, its RNG state included) to what the
+    render left: the RNG state after it, the effective camera pose and the
+    scored candidates. A hit skips the render, circle detection and
+    scoring, and restores that RNG state and camera pose, so every later
+    draw is the one a render would have left; a miss renders, perceives and
+    stores. One dict serves one config and one set of weights, so an equal
+    key is an equal image. The pick is always made.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
     """
     cfg = scene.config
     advance_clock(scene, cfg.timing.image_s)
-    image = render_topdown(scene, pose)
-    key = image.tobytes()
-    scored = seen.get(key)
-    if scored is None:
+    key = render_key(scene, pose)
+    hit = seen.get(key)
+    if hit is None:
+        image = render_topdown(scene, pose)
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
         # A tuple, so that a result shared through ``seen`` cannot change.
         scored = tuple(score_candidates(image, candidates, weights,
                                         cfg.cnn.crop_size))
-        seen[key] = scored
+        seen[key] = (scene.rng.bit_generator.state, scene.last_render_cam,
+                     scored)
+    else:
+        state, scene.last_render_cam, scored = hit
+        scene.rng.bit_generator.state = state
     chosen = select_target(scored, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)
     return scored, chosen
@@ -279,7 +286,7 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
         close_z = refined_camera_z(config)
         advance_clock(scene, (cam.z - close_z) / config.motion.speed)
         pose = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z)
-        # A close-up is seen from the other height, so it gets its own cache.
+        # A close-up is taken once per index, so it gets a cache of its own.
         _, refined = _image_and_select(scene, pose, weights, sel_gen,
                                        ref_uv=(cam.cx, cam.cy), seen={})
         return None, _project(config, pose, refined.candidate.u,

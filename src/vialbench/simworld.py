@@ -495,6 +495,25 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel)
 
 
+def render_key(scene: SceneState, cam_pose: Pose3) -> tuple:
+    """Everything ``render_topdown(scene, cam_pose)`` reads, as a hashable
+    tuple: the pose, the scene generator's full PCG64 state, and the rack,
+    slot, bias and distractor values ``reset_trial`` drew. Under one config,
+    equal keys render equal images and leave equal generator states.
+
+    The generator state alone is not enough: with ``noise.sigma_grasp = 0``
+    the rubber rig skips the grasp-offset draw that the tactile rig makes,
+    and the distractor placement, which rejects positions near the rack,
+    can bring both generators to one state with other distractors.
+    """
+    state = scene.rng.bit_generator.state
+    return (cam_pose, state["state"]["state"], state["state"]["inc"],
+            state["has_uint32"], state["uinteger"], scene.rack_xy.tobytes(),
+            scene.rack_yaw, scene.occupancy.tobytes(), scene.slots.tobytes(),
+            scene.bias_angle.tobytes(), scene.bias_xy.tobytes(),
+            tuple(scene.distractors))
+
+
 def _noisy_bytes(img: np.ndarray, rng: np.random.Generator,
                  sigma: float) -> np.ndarray:
     """``img`` plus Gaussian pixel noise, clipped and cast to uint8; ``img``

@@ -1,9 +1,13 @@
-"""One campaign index perceives each distinct overview image once.
+"""One campaign index renders and perceives each distinct overview once.
 
 ``run_experiment`` runs one trial index at a time: trial ``i`` of every
 modality sees the same scene, so the trials of index ``i`` share one
-``seen`` cache, keyed by the image bytes. A repeated overview skips circle
-detection and scoring, and everything else draws as before.
+``seen`` cache, keyed by ``render_key``: the camera pose and everything the
+render reads from the scene, its RNG state included. A repeated overview
+skips the render, circle detection and scoring, restores the RNG state and
+camera pose a render leaves, and everything else draws as before. The
+premise of the key, that an equal key is an equal image, is tested here on
+scenes and on whole trials.
 """
 
 from collections import Counter
@@ -11,13 +15,16 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vialbench import bench, control
 from vialbench.bench import run_experiment
 from vialbench.cli import main
-from vialbench.core import RngStream, split_rng
+from vialbench.core import Pose3, RngStream, load_config, split_rng
 from vialbench.perception import NoValidSlotError, save_weights
-from vialbench.simworld import make_rig, reset_trial
+from vialbench.simworld import (make_rig, render_key, render_topdown,
+                                reset_trial)
 
 TRIALS = 3
 
@@ -86,7 +93,7 @@ def test_each_index_detects_twice_with_a_cache_of_its_own(config, weights,
     assert Counter(detected_at) == {i: 2 for i in range(TRIALS)}
     for seen in caches.values():
         assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
-        assert len(seen[0]) == 1  # the three overviews are one image
+        assert len(seen[0]) == 1  # the three overviews share one key
     assert len({id(seen[0]) for seen in caches.values()}) == TRIALS
 
 
@@ -108,49 +115,192 @@ def test_force_overview_reuses_visual_detection(config, weights, monkeypatch):
     # Every visual trial takes a close-up, which is never shared.
     assert all(r.outcomes[0].result != "no_target"
                for r in result.records["visual"])
-    assert len(render) == 3 * TRIALS
+    # Per index: the visual overview and close-up; the force overview hits.
+    assert len(render) == 2 * TRIALS
     assert len(detect) == 2 * TRIALS
     assert len(score) == 2 * TRIALS
 
 
-@pytest.fixture()
-def fixed_image(config, monkeypatch):
-    """``control.render_topdown`` returns one overview image whatever the
-    pose; returns that image, which the test may edit."""
-    scene = reset_trial(config, RngStream(7))
-    image = control.render_topdown(scene, config.camera.pose())
-    monkeypatch.setattr(control, "render_topdown",
-                        lambda scene, pose: image.copy())
-    return image
-
-
-def perceive(config, weights, pose, seen):
-    """(scored, chosen) of one look at the fixed image, None if no pick."""
-    scene = reset_trial(config, RngStream(7))
+def perceive(scene, weights, pose, seen):
+    """(scored, chosen) of one look at ``scene``, None if no pick."""
     with suppress(NoValidSlotError):
         return control._image_and_select(scene, pose, weights,
                                          np.random.default_rng(0), seen=seen)
     return None
 
 
-def test_repeated_overview_hits(config, weights, fixed_image, monkeypatch):
+def test_repeated_overview_hits(config, weights, monkeypatch):
+    """A hit serves the stored perception and leaves the scene as a render
+    would: the same RNG state (the next draws are equal) and camera pose."""
+    render = counting(monkeypatch, "render_topdown")
     detect = counting(monkeypatch, "detect_circles")
+    score = counting(monkeypatch, "score_candidates")
     seen = {}
     pose = config.camera.pose()
-    first = perceive(config, weights, pose, seen)
-    again = perceive(config, weights, pose, seen)
-    assert len(detect) == 1
+    rendered = reset_trial(config, RngStream(7))
+    first = perceive(rendered, weights, pose, seen)
+    served = reset_trial(config, RngStream(7))
+    again = perceive(served, weights, pose, seen)
+    assert len(render) == len(detect) == len(score) == 1
     assert len(seen) == 1
     assert first is not None
-    assert again == first == perceive(config, weights, pose, {})
+    assert again == first == perceive(reset_trial(config, RngStream(7)),
+                                      weights, pose, {})
+    assert served.last_render_cam == rendered.last_render_cam
+    assert served.rng.bit_generator.state == rendered.rng.bit_generator.state
+    assert served.rng.random(8).tobytes() == rendered.rng.random(8).tobytes()
 
 
-def test_one_pixel_changed_misses(config, weights, fixed_image, monkeypatch):
+def test_another_pose_or_state_misses(config, weights, monkeypatch):
+    """The same scene seen from another pose, or with its RNG one draw on,
+    is a miss, and each miss perceives what an empty cache would."""
+    pose = config.camera.pose()
+    moved = Pose3(pose.x + 1e-3, pose.y, pose.z)
+
+    def looks():
+        drawn = reset_trial(config, RngStream(7))
+        drawn.rng.random()
+        return [(reset_trial(config, RngStream(7)), pose),
+                (reset_trial(config, RngStream(7)), moved), (drawn, pose)]
+
+    fresh = [perceive(scene, weights, at, {}) for scene, at in looks()]
+    assert None not in fresh
     detect = counting(monkeypatch, "detect_circles")
     seen = {}
+    assert [perceive(scene, weights, at, seen)
+            for scene, at in looks()] == fresh
+    assert len(detect) == 3
+    assert len(seen) == 3
+
+
+class Rendered(Exception):
+    """Raised at the first overview render to end a trial there."""
+
+
+def overview_keys(config, weights, index):
+    """Per modality, the ``render_key`` with which trial ``index`` of a
+    ``config`` campaign reaches its overview render."""
+    stream = split_rng(RngStream(config.seed), index)
+    rig = make_rig(config, "tactile")
+    keys = []
+
+    def render(scene, pose):
+        keys.append(render_key(scene, pose))
+        raise Rendered
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "render_topdown", render)
+        for run in (
+                lambda: control.run_visual_trial(config, stream, weights,
+                                                 index, {}),
+                lambda: control.run_force_trial(config, stream, weights,
+                                                index, {}),
+                lambda: control.run_tactile_trial(config, stream, weights,
+                                                  rig, {}, index, {})):
+            with pytest.raises(Rendered):
+                run()
+    return keys
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+INDICES = st.integers(0, 199)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, index=INDICES)
+def test_paired_trials_reach_the_overview_with_one_key(weights, seed, index):
+    """At defaults both rigs draw a grasp offset, so the visual, force and
+    tactile scenes of one index reach the overview in one state."""
+    visual, force, tactile = overview_keys(load_config(f"seed = {seed}"),
+                                           weights, index)
+    assert visual == force == tactile
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, index=INDICES,
+       overrides=st.sampled_from([[], ["noise.sigma_grasp = 0"]]))
+def test_equal_keys_render_equal_images(seed, index, overrides):
+    """The rubber and tactile scenes of one index: equal keys give equal
+    bytes and leave equal generator states."""
+    config = load_config(f"seed = {seed}", overrides)
+    stream = split_rng(RngStream(seed), index).child(0)
+    scenes = [reset_trial(config, stream, rig)
+              for rig in (None, make_rig(config, "tactile"))]
     pose = config.camera.pose()
-    perceive(config, weights, pose, seen)
-    fixed_image[100, 200] ^= 1
-    perceive(config, weights, pose, seen)
-    assert len(detect) == 2
-    assert len(seen) == 2
+    rubber, tactile = [render_key(scene, pose) for scene in scenes]
+    images = [render_topdown(scene, pose).tobytes() for scene in scenes]
+    if rubber == tactile:
+        assert images[0] == images[1]
+        assert (scenes[0].rng.bit_generator.state
+                == scenes[1].rng.bit_generator.state)
+
+
+def test_generator_state_alone_is_no_key():
+    """Seed 42, index 25, no rubber grasp noise: the rubber rig skips the
+    offset draw, the distractor placement rejects a position near the rack
+    and both generators reach the overview in one state, with other
+    distractors. The images differ, and so do the keys."""
+    config = load_config("", ["noise.sigma_grasp = 0"])
+    stream = split_rng(RngStream(config.seed), 25).child(0)
+    rubber, tactile = [reset_trial(config, stream, rig)
+                       for rig in (None, make_rig(config, "tactile"))]
+    assert rubber.rng.bit_generator.state == tactile.rng.bit_generator.state
+    assert rubber.distractors != tactile.distractors
+    pose = config.camera.pose()
+    assert render_key(rubber, pose) != render_key(tactile, pose)
+    assert (render_topdown(rubber, pose).tobytes()
+            != render_topdown(tactile, pose).tobytes())
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=SEEDS, index=INDICES)
+def test_renders_with_one_key_are_one_image(weights, seed, index):
+    """Whole trials of all three modalities, each with an empty cache: every
+    two renders with equal keys give equal bytes, and the three overviews
+    share one key."""
+    config = load_config(f"seed = {seed}")
+    stream = split_rng(RngStream(seed), index)
+    rig = make_rig(config, "tactile")
+    calibration = control.calibrate_rig(config, rig)
+    images = {}
+    overviews = []
+    render = control.render_topdown
+
+    def recording(scene, pose):
+        key = render_key(scene, pose)
+        image = render(scene, pose)
+        images.setdefault(key, []).append(image.tobytes())
+        if pose == config.camera.pose():
+            overviews.append(key)
+        return image
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "render_topdown", recording)
+        control.run_visual_trial(config, stream, weights, index, {})
+        control.run_force_trial(config, stream, weights, index, {})
+        control.run_tactile_trial(config, stream, weights, rig, calibration,
+                                  index, {})
+    assert len(overviews) == 3 and len(set(overviews)) == 1
+    for same_key in images.values():
+        assert len(set(same_key)) == 1
+
+
+def test_shared_trials_equal_fresh_ones_without_rubber_grasp_noise(weights):
+    """Index 25 of seed 42 with no rubber grasp noise, where the generator
+    states of the rubber and tactile overviews meet with other distractors
+    (see above): trials sharing one cache equal trials with empty ones."""
+    config = load_config("", ["noise.sigma_grasp = 0"])
+    stream = split_rng(RngStream(config.seed), 25)
+    rig = make_rig(config, "tactile")
+    calibration = control.calibrate_rig(config, rig)
+
+    def trials(seen):
+        return (control.run_visual_trial(config, stream, weights, 25,
+                                         seen()),
+                control.run_force_trial(config, stream, weights, 25, seen()),
+                control.run_tactile_trial(config, stream, weights, rig,
+                                          calibration, 25, seen()))
+
+    shared = {}
+    assert trials(lambda: shared) == trials(dict)
+    assert len(shared) == 2
