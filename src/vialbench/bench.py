@@ -1,8 +1,8 @@
 """Benchmark campaigns: paired trials, metrics, and report files.
 
 A campaign runs one trial index at a time: trial i of every modality draws
-from the same per-trial random stream, so modality A's trial i sees the same
-rack pose, occupancy, and camera miscalibration as modality B's trial i.
+from one per-trial random stream, so they all see the same rack pose,
+occupancy, camera miscalibration and overview image at any grasp noise.
 Metrics follow two conventions side by side: attempt and runtime statistics
 pool the successful trials, while success and first-time percentages are
 computed per batch and summarized across batches.
@@ -153,8 +153,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
     records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}
     for i in range(trials):
         stream = split_rng(master, i)
-        # Every modality's trial i sees the same scene, so its overview
-        # repeats; each distinct one is rendered and perceived once (see
+        # Every modality's trial i sees the same scene, so the first trial
+        # renders and perceives the overview and the others reuse it (see
         # control._image_and_select).
         seen: dict = {}
         for modality in modalities:

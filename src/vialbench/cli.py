@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -91,8 +92,23 @@ def _load_config_from(args) -> WorkspaceConfig:
     return load_config(text, overrides, source)
 
 
+def _check_out(flag: str, path: Path, *, directory: bool = False) -> None:
+    """Refuse an output path before any work: a file's parent, or a
+    directory's nearest existing ancestor (itself included), must be a
+    writable directory, and a file must not be a directory."""
+    base = (next(p for p in (path, *path.parents) if p.exists())
+            if directory else path.parent)
+    if not directory and path.is_dir():
+        raise ValueError(f"{flag} {path}: is a directory")
+    if not (base.is_dir() and os.access(base, os.W_OK)):
+        raise ValueError(f"{flag} {path}: {base} is not a writable directory")
+
+
 def _cmd_train(args) -> int:
     config = _load_config_from(args)
+    _check_out("--out", args.out)
+    if args.dump_dataset is not None:
+        _check_out("--dump-dataset", args.dump_dataset, directory=True)
     weights, history, n_examples = train_discriminator(
         config, dump_dir=args.dump_dataset)
     save_weights(args.out, weights)
@@ -127,6 +143,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config_from(args)
+    _check_out("--out", args.out)
     cals = control.calibrate_rig(config, make_rig(config, "tactile"))
     save_calibration(args.out, cals)
     for finger, cal in cals.items():
@@ -137,6 +154,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config_from(args)
+    _check_out("--out", args.out, directory=True)
     modalities = (control.MODALITIES if args.modality == "all"
                   else (args.modality,))
     weights = None

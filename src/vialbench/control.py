@@ -43,8 +43,7 @@ from .perception import (CnnWeights, NoValidSlotError,
 from .search import compute_search_bounds, make_search, next_trial_positions
 from .simworld import (SceneState, SimError, advance_clock, impose_grasp,
                        jump_setpoint, reference_frames, release_and_evaluate,
-                       render_key, render_topdown, reset_trial,
-                       sample_tactile, tick)
+                       render_topdown, reset_trial, sample_tactile, tick)
 from .tactile import (FINGERS, CalibrationError, ContactRegion,
                       TactileCalibration, apply_calibration, calibrate_mapping,
                       find_contact, track_deviation)
@@ -132,30 +131,29 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       seen: dict):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
-    ``seen`` maps the ``render_key`` of a look (the pose and everything
-    the render reads from the scene, its RNG state included) to what the
-    render left: the RNG state after it, the effective camera pose and the
-    scored candidates. A hit skips the render, circle detection and
-    scoring, and restores that RNG state and camera pose, so every later
-    draw is the one a render would have left; a miss renders, perceives and
-    stores. One dict serves one config and one set of weights, so an equal
-    key is an equal image. The pick is always made.
+    ``seen`` maps a camera pose to what its look left: the RNG state after
+    the render, the effective camera pose and the scored candidates. One
+    dict serves the trials of one index (one config, one set of weights),
+    whose scenes ``reset_trial`` builds from one stream with the same draws,
+    so at one pose they render one image. A hit skips the render, circle
+    detection and scoring, and restores that RNG state and camera pose, so
+    every later draw is the one a render would have left; a miss renders,
+    perceives and stores. The pick is always made.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
     """
     cfg = scene.config
     advance_clock(scene, cfg.timing.image_s)
-    key = render_key(scene, pose)
-    hit = seen.get(key)
+    hit = seen.get(pose)
     if hit is None:
         image = render_topdown(scene, pose)
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
         # A tuple, so that a result shared through ``seen`` cannot change.
         scored = tuple(score_candidates(image, candidates, weights,
                                         cfg.cnn.crop_size))
-        seen[key] = (scene.rng.bit_generator.state, scene.last_render_cam,
-                     scored)
+        seen[pose] = (scene.rng.bit_generator.state, scene.last_render_cam,
+                      scored)
     else:
         state, scene.last_render_cam, scored = hit
         scene.rng.bit_generator.state = state

@@ -144,7 +144,8 @@ def reset_trial(config: WorkspaceConfig, rng: RngStream,
 
     The grasp happens "from above" at a known source position, so the gripper
     starts at source hover height already holding a vial whose in-gripper
-    offset is drawn from the rig's grasp noise.
+    offset is drawn from the rig's grasp noise, at zero too (it gives +0.0),
+    so every rig's scene from one ``rng`` makes the same draws.
     """
     if rig is None:
         rig = make_rig(config, "rubber")
@@ -162,7 +163,7 @@ def reset_trial(config: WorkspaceConfig, rng: RngStream,
     bias_angle = np.array([config.noise.bias_angle_x, config.noise.bias_angle_y])
     bias_angle = bias_angle + gen.normal(0.0, config.noise.sigma_bias_angle, 2)
     bias_xy = gen.normal(0.0, config.noise.sigma_bias_xy, 2)
-    held = gen.normal(0.0, rig.sigma_grasp, 2) if rig.sigma_grasp > 0 else np.zeros(2)
+    held = gen.normal(0.0, rig.sigma_grasp, 2)
 
     scene = SceneState(
         config=config,
@@ -493,25 +494,6 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
         patch[np.abs(d - slot_r) <= _RIM_HALF] = _RIM_DARK
 
     return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel)
-
-
-def render_key(scene: SceneState, cam_pose: Pose3) -> tuple:
-    """Everything ``render_topdown(scene, cam_pose)`` reads, as a hashable
-    tuple: the pose, the scene generator's full PCG64 state, and the rack,
-    slot, bias and distractor values ``reset_trial`` drew. Under one config,
-    equal keys render equal images and leave equal generator states.
-
-    The generator state alone is not enough: with ``noise.sigma_grasp = 0``
-    the rubber rig skips the grasp-offset draw that the tactile rig makes,
-    and the distractor placement, which rejects positions near the rack,
-    can bring both generators to one state with other distractors.
-    """
-    state = scene.rng.bit_generator.state
-    return (cam_pose, state["state"]["state"], state["state"]["inc"],
-            state["has_uint32"], state["uinteger"], scene.rack_xy.tobytes(),
-            scene.rack_yaw, scene.occupancy.tobytes(), scene.slots.tobytes(),
-            scene.bias_angle.tobytes(), scene.bias_xy.tobytes(),
-            tuple(scene.distractors))
 
 
 def _noisy_bytes(img: np.ndarray, rng: np.random.Generator,

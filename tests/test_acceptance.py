@@ -34,6 +34,9 @@ from vialbench.tactile import (_difference_sum, calibrate_mapping,
 
 
 GOLDEN = Path(__file__).parent / "golden" / "campaign_seed42_first10.json"
+# The same campaign with no grasp noise on either rig.
+GOLDEN_NO_GRASP_NOISE = GOLDEN.with_name(
+    "campaign_seed42_sigma_grasp0_first10.json")
 GOLDEN_TRIALS = 10
 
 
@@ -379,6 +382,19 @@ def test_criterion_9_byte_identical_reports(tmp_path, trained):
           "summary/histogram/cumulative CSVs")
 
 
+def assert_golden(records, path) -> None:
+    """The first ``GOLDEN_TRIALS`` records of each modality equal the rows
+    of the fixture at ``path``, field for field."""
+    got = [row for m in MODALITIES
+           for row in golden_rows(records[m][:GOLDEN_TRIALS])]
+    want = json.loads(path.read_text())
+    assert len(want) == GOLDEN_TRIALS * len(MODALITIES)
+    for g, w in zip(got, want):
+        differ = sorted(k for k in g.keys() | w.keys() if g.get(k) != w.get(k))
+        assert g == w, (w["modality"], w["trial_index"], differ)
+    assert len(got) == len(want)
+
+
 def test_golden_campaign_trials(campaign):
     """Trial-level drift guard between commits (criterion 9 only compares
     two runs of the same commit). Trial i of a campaign depends only on the
@@ -390,11 +406,13 @@ def test_golden_campaign_trials(campaign):
     for m in MODALITIES:
         for record in result.records[m]:
             check_record(record)
-    got = [row for m in MODALITIES
-           for row in golden_rows(result.records[m][:GOLDEN_TRIALS])]
-    want = json.loads(GOLDEN.read_text())
-    assert len(want) == GOLDEN_TRIALS * len(MODALITIES)
-    for g, w in zip(got, want):
-        differ = sorted(k for k in g.keys() | w.keys() if g.get(k) != w.get(k))
-        assert g == w, (w["modality"], w["trial_index"], differ)
-    assert len(got) == len(want)
+    assert_golden(result.records, GOLDEN)
+
+
+def test_golden_campaign_trials_without_grasp_noise(trained):
+    """The same guard at zero grasp noise on both rigs, where the rubber
+    and tactile scenes of an index must still make the same draws."""
+    config = load_config("", ["noise.sigma_grasp = 0",
+                              "tactile.sigma_grasp = 0"])
+    result = run_experiment(config, GOLDEN_TRIALS, 1, weights=trained[0])
+    assert_golden(result.records, GOLDEN_NO_GRASP_NOISE)

@@ -70,6 +70,46 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
     assert "short.cal" in lines[0] and "gap.weights" in lines[1]
 
 
+@pytest.mark.parametrize("make_args, fragment", [
+    pytest.param(lambda tmp: ["run", "--out", tmp / "file"],
+                 "--out {tmp}/file: {tmp}/file is not a writable directory",
+                 id="run-existing-file"),
+    pytest.param(lambda tmp: ["run", "--out", tmp / "file" / "out"],
+                 "--out {tmp}/file/out: {tmp}/file is not a writable "
+                 "directory", id="run-under-a-file"),
+    pytest.param(lambda tmp: ["train", "--out", tmp / "file" / "w.bin"],
+                 "--out {tmp}/file/w.bin: {tmp}/file is not a writable "
+                 "directory", id="train-under-a-file"),
+    pytest.param(lambda tmp: ["train", "--out", tmp],
+                 "--out {tmp}: is a directory", id="train-directory"),
+    pytest.param(lambda tmp: ["train", "--dump-dataset", tmp / "file"],
+                 "--dump-dataset {tmp}/file: {tmp}/file is not a writable "
+                 "directory", id="train-dump-into-a-file"),
+    pytest.param(lambda tmp: ["calibrate", "--out", tmp / "no" / "f.cal"],
+                 "--out {tmp}/no/f.cal: {tmp}/no is not a writable directory",
+                 id="calibrate-missing-directory"),
+])
+def test_bad_output_path_exits_two_before_any_work(tmp_path, capsys,
+                                                   monkeypatch, make_args,
+                                                   fragment):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("vialbench.cli.train_discriminator",
+                 "vialbench.bench.train_discriminator",
+                 "vialbench.bench.calibrate_rig",
+                 "vialbench.control.calibrate_rig"):
+        monkeypatch.setattr(name, no_work)
+    (tmp_path / "file").write_text("kept\n")
+    code = run_cli(*make_args(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        "vialbench: " + fragment.format(tmp=tmp_path)]
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 @pytest.mark.parametrize("command", ["detect", "run"])
 def test_weights_header_cannot_demand_memory(tmp_path, capsys, command):
     """A header that declares 10**15 floats ahead of a few data bytes is

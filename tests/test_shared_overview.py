@@ -2,12 +2,12 @@
 
 ``run_experiment`` runs one trial index at a time: trial ``i`` of every
 modality sees the same scene, so the trials of index ``i`` share one
-``seen`` cache, keyed by ``render_key``: the camera pose and everything the
-render reads from the scene, its RNG state included. A repeated overview
-skips the render, circle detection and scoring, restores the RNG state and
-camera pose a render leaves, and everything else draws as before. The
-premise of the key, that an equal key is an equal image, is tested here on
-scenes and on whole trials.
+``seen`` cache, keyed by the camera pose. A repeated overview skips the
+render, circle detection and scoring, restores the RNG state and camera
+pose a render leaves, and everything else draws as before. The premise of
+the key, that the scenes of one index reach a pose with everything the
+render reads equal, is tested here with ``render_key`` as the oracle, at
+any grasp noise of either rig, and on whole trials.
 """
 
 from collections import Counter
@@ -23,10 +23,22 @@ from vialbench.bench import run_experiment
 from vialbench.cli import main
 from vialbench.core import Pose3, RngStream, load_config, split_rng
 from vialbench.perception import NoValidSlotError, save_weights
-from vialbench.simworld import (make_rig, render_key, render_topdown,
-                                reset_trial)
+from vialbench.simworld import make_rig, render_topdown, reset_trial
 
 TRIALS = 3
+
+
+def render_key(scene, cam_pose):
+    """Everything ``render_topdown(scene, cam_pose)`` reads, as a hashable
+    tuple: the pose, the scene generator's full PCG64 state, and the rack,
+    slot, bias and distractor values ``reset_trial`` drew. Under one config,
+    equal keys render equal images and leave equal generator states."""
+    state = scene.rng.bit_generator.state
+    return (cam_pose, state["state"]["state"], state["state"]["inc"],
+            state["has_uint32"], state["uinteger"], scene.rack_xy.tobytes(),
+            scene.rack_yaw, scene.occupancy.tobytes(), scene.slots.tobytes(),
+            scene.bias_angle.tobytes(), scene.bias_xy.tobytes(),
+            tuple(scene.distractors))
 
 
 def counting(monkeypatch, name):
@@ -151,17 +163,14 @@ def test_repeated_overview_hits(config, weights, monkeypatch):
     assert served.rng.random(8).tobytes() == rendered.rng.random(8).tobytes()
 
 
-def test_another_pose_or_state_misses(config, weights, monkeypatch):
-    """The same scene seen from another pose, or with its RNG one draw on,
-    is a miss, and each miss perceives what an empty cache would."""
+def test_another_pose_misses(config, weights, monkeypatch):
+    """The same scene seen from another pose is a miss, and each miss
+    perceives what an empty cache would."""
     pose = config.camera.pose()
     moved = Pose3(pose.x + 1e-3, pose.y, pose.z)
 
     def looks():
-        drawn = reset_trial(config, RngStream(7))
-        drawn.rng.random()
-        return [(reset_trial(config, RngStream(7)), pose),
-                (reset_trial(config, RngStream(7)), moved), (drawn, pose)]
+        return [(reset_trial(config, RngStream(7)), at) for at in (pose, moved)]
 
     fresh = [perceive(scene, weights, at, {}) for scene, at in looks()]
     assert None not in fresh
@@ -169,8 +178,8 @@ def test_another_pose_or_state_misses(config, weights, monkeypatch):
     seen = {}
     assert [perceive(scene, weights, at, seen)
             for scene, at in looks()] == fresh
-    assert len(detect) == 3
-    assert len(seen) == 3
+    assert len(detect) == 2
+    assert len(seen) == 2
 
 
 class Rendered(Exception):
@@ -204,24 +213,30 @@ def overview_keys(config, weights, index):
 
 SEEDS = st.integers(0, 2**32 - 1)
 INDICES = st.integers(0, 199)
+SIGMAS = st.one_of(st.just(0.0), st.floats(1e-6, 2e-3))
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=SEEDS, index=INDICES)
-def test_paired_trials_reach_the_overview_with_one_key(weights, seed, index):
-    """At defaults both rigs draw a grasp offset, so the visual, force and
-    tactile scenes of one index reach the overview in one state."""
-    visual, force, tactile = overview_keys(load_config(f"seed = {seed}"),
-                                           weights, index)
+@given(seed=SEEDS, index=INDICES, rubber=SIGMAS, tactile=SIGMAS)
+def test_paired_trials_reach_the_overview_with_one_key(weights, seed, index,
+                                                       rubber, tactile):
+    """Both rigs draw a grasp offset at any grasp noise, zero included, so
+    the visual, force and tactile scenes of one index reach the overview
+    with everything the render reads equal: the pose alone keys it."""
+    config = load_config(f"seed = {seed}", [f"noise.sigma_grasp = {rubber!r}",
+                                            f"tactile.sigma_grasp = {tactile!r}"])
+    visual, force, tactile = overview_keys(config, weights, index)
     assert visual == force == tactile
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, index=INDICES,
-       overrides=st.sampled_from([[], ["noise.sigma_grasp = 0"]]))
+       overrides=st.sampled_from([[], ["noise.sigma_grasp = 0"],
+                                  ["tactile.sigma_grasp = 0"]]))
 def test_equal_keys_render_equal_images(seed, index, overrides):
-    """The rubber and tactile scenes of one index: equal keys give equal
-    bytes and leave equal generator states."""
+    """The rubber and tactile scenes of one index, with or without grasp
+    noise: their keys are equal, and so are their bytes and the generator
+    states the render leaves."""
     config = load_config(f"seed = {seed}", overrides)
     stream = split_rng(RngStream(seed), index).child(0)
     scenes = [reset_trial(config, stream, rig)
@@ -229,27 +244,10 @@ def test_equal_keys_render_equal_images(seed, index, overrides):
     pose = config.camera.pose()
     rubber, tactile = [render_key(scene, pose) for scene in scenes]
     images = [render_topdown(scene, pose).tobytes() for scene in scenes]
-    if rubber == tactile:
-        assert images[0] == images[1]
-        assert (scenes[0].rng.bit_generator.state
-                == scenes[1].rng.bit_generator.state)
-
-
-def test_generator_state_alone_is_no_key():
-    """Seed 42, index 25, no rubber grasp noise: the rubber rig skips the
-    offset draw, the distractor placement rejects a position near the rack
-    and both generators reach the overview in one state, with other
-    distractors. The images differ, and so do the keys."""
-    config = load_config("", ["noise.sigma_grasp = 0"])
-    stream = split_rng(RngStream(config.seed), 25).child(0)
-    rubber, tactile = [reset_trial(config, stream, rig)
-                       for rig in (None, make_rig(config, "tactile"))]
-    assert rubber.rng.bit_generator.state == tactile.rng.bit_generator.state
-    assert rubber.distractors != tactile.distractors
-    pose = config.camera.pose()
-    assert render_key(rubber, pose) != render_key(tactile, pose)
-    assert (render_topdown(rubber, pose).tobytes()
-            != render_topdown(tactile, pose).tobytes())
+    assert rubber == tactile
+    assert images[0] == images[1]
+    assert (scenes[0].rng.bit_generator.state
+            == scenes[1].rng.bit_generator.state)
 
 
 @settings(max_examples=6, deadline=None)
@@ -286,9 +284,10 @@ def test_renders_with_one_key_are_one_image(weights, seed, index):
 
 
 def test_shared_trials_equal_fresh_ones_without_rubber_grasp_noise(weights):
-    """Index 25 of seed 42 with no rubber grasp noise, where the generator
-    states of the rubber and tactile overviews meet with other distractors
-    (see above): trials sharing one cache equal trials with empty ones."""
+    """Index 25 of seed 42 with no rubber grasp noise, whose distractors
+    move if the rubber rig skips its offset draw: the three trials share
+    one overview, and trials sharing one cache equal trials with empty
+    ones."""
     config = load_config("", ["noise.sigma_grasp = 0"])
     stream = split_rng(RngStream(config.seed), 25)
     rig = make_rig(config, "tactile")
@@ -303,4 +302,4 @@ def test_shared_trials_equal_fresh_ones_without_rubber_grasp_noise(weights):
 
     shared = {}
     assert trials(lambda: shared) == trials(dict)
-    assert len(shared) == 2
+    assert len(shared) == 1
