@@ -28,6 +28,7 @@ and stop latency play out sample by sample.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .perception import (CnnWeights, NoValidSlotError,
                          accepted_rack_candidates, cht_params_for,
                          detect_circles, refined_camera_z, score_candidates,
                          select_target)
-from .search import compute_search_bounds, make_search, next_trial_positions
+from .search import compute_search_bounds, next_trial_positions
 from .simworld import (SceneState, SimError, advance_clock, impose_grasp,
                        jump_setpoint, reference_frames, release_and_evaluate,
                        render_topdown, reset_trial, sample_tactile, tick)
@@ -80,11 +81,11 @@ def check_record(record: TrialRecord) -> None:
 
     Its modality, results and placement come from ``MODALITIES``,
     ``RESULTS`` and ``PLACEMENTS`` (placement may be None); its trial index
-    is not negative; it spent at least one attempt and has at least one
-    outcome; it succeeded exactly when its last result is ``inserted``; a
-    trial that released the vial (last result ``inserted`` or
-    ``released_failed``) has a ``final_offset``; a ``no_target`` trial has
-    no placement, and a ``safety_stop`` leaves the vial ``still_held``.
+    is not negative; it spent at least one attempt and no more attempts
+    than it has outcomes; it succeeded exactly when its last result is
+    ``inserted``; a trial that released the vial (last result ``inserted``
+    or ``released_failed``) has a ``final_offset``; a ``no_target`` trial
+    has no placement, and a ``safety_stop`` leaves the vial ``still_held``.
     """
     if record.modality not in MODALITIES:
         raise ValueError(f"unknown modality {record.modality!r}")
@@ -94,6 +95,9 @@ def check_record(record: TrialRecord) -> None:
         raise ValueError(f"attempts must be at least 1, got {record.attempts}")
     if not record.outcomes:
         raise ValueError("no outcomes")
+    if record.attempts > len(record.outcomes):
+        raise ValueError(f"{record.attempts} attempts but only "
+                         f"{len(record.outcomes)} outcomes")
     results = [o.result for o in record.outcomes]
     for result in results:
         if result not in RESULTS:
@@ -182,11 +186,29 @@ def _xy(position) -> tuple[float, float]:
     return (float(position[0]), float(position[1]))
 
 
+def _aims(config: WorkspaceConfig, overview: Pose3, scored, target):
+    """Where the descents of one trial aim: ``target``, then the lattice
+    search around it, ring 1, ring 2, ... up to the first empty ring. A
+    second aim is asked for only after a rack-top stop, so only then is the
+    envelope built from the overview's accepted detections."""
+    yield target
+    neighbors = np.array([
+        _project(config, overview, s.candidate.u, s.candidate.v)
+        for s in accepted_rack_candidates(scored, config.cnn.theta_rack)])
+    width, height = compute_search_bounds(neighbors, target, config.rack.pitch)
+    for ring in itertools.count(1):
+        cells = next_trial_positions(target, width, height,
+                                     config.search.spacing, ring)
+        if not cells:
+            return
+        yield from cells
+
+
 def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                weights: CnnWeights, trial_index: int, rig,
                prepare, attempt_descent, seen: dict) -> TrialRecord:
-    """The one trial loop: pick and grasp, prepare, then descend until the
-    vial is released, lost or given up.
+    """The one trial loop: pick and grasp, prepare, then descend at each of
+    ``_aims`` in turn until the vial is released, lost or given up.
 
     ``seen`` is the overview cache of ``_image_and_select``, shared by the
     trials of one index of a campaign (trial ``i`` of every modality sees
@@ -195,13 +217,14 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
     ``attempt_descent(scene, ctx, position)`` runs one descent aimed at
-    ``position`` and returns "completed", "stopped" or "lost".
+    ``position`` and returns "completed", "stopped" or "lost". When the
+    aims run out, the vial is released where the gripper is.
     """
     scene = reset_trial(config, stream.child(0), rig)
     sel_gen = stream.child(1).generator()
     hover = config.hover_z()
     outcomes: list[AttemptOutcome] = []
-    attempts = 0
+    attempts = 1
 
     def finish(placement: str | None, release_at=None) -> TrialRecord:
         """Release at ``release_at`` if given, then build the record."""
@@ -214,8 +237,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
                 _xy(release_at),
                 "inserted" if placement == "inserted" else "released_failed"))
         return TrialRecord(
-            modality=modality, trial_index=trial_index,
-            attempts=max(attempts, 1),
+            modality=modality, trial_index=trial_index, attempts=attempts,
             success=outcomes[-1].result == "inserted",
             runtime_s=float(scene.sim_clock), outcomes=tuple(outcomes),
             final_offset=final_offset, placement=placement)
@@ -231,19 +253,8 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
         outcomes.append(AttemptOutcome((np.nan, np.nan), "no_target"))
         return finish(None)
 
-    _charged_move(scene, [target[0], target[1], hover])
-    queue: list[np.ndarray] = [target.copy()]
-    search = None
-    while True:
-        if not queue:
-            queue = next_trial_positions(search)
-        if not queue:
-            # Search envelope exhausted: give the vial up where we are.
-            if scene.held_offset is not None:
-                return finish(None, release_at=scene.setpoint[:2])
-            return finish("dropped_on_table")
-        position = queue.pop(0)
-        attempts += 1
+    for attempts, position in enumerate(
+            _aims(config, overview, scored, target), start=1):
         _charged_move(scene, [position[0], position[1], hover])
         verdict = attempt_descent(scene, ctx, position)
         if verdict == "completed" and scene.held_offset is not None:
@@ -258,17 +269,13 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             outcomes.append(AttemptOutcome(_xy(position), "safety_stop"))
             return finish("still_held")
         # Surface impact (or a spurious stop in free air): back off and try
-        # the next lattice cell of an envelope set by the overview detections.
+        # the next aim.
         outcomes.append(AttemptOutcome(_xy(position), "rack_top"))
-        if search is None:
-            neighbors = np.array([
-                _project(config, overview, s.candidate.u, s.candidate.v)
-                for s in accepted_rack_candidates(scored, config.cnn.theta_rack)
-            ]).reshape(-1, 2)
-            width, height = compute_search_bounds(neighbors, target,
-                                                  config.rack.pitch)
-            search = make_search(target, width, height, config.search.spacing)
         _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover])
+    # The aims ran out: give the vial up where we are.
+    if scene.held_offset is not None:
+        return finish(None, release_at=scene.setpoint[:2])
+    return finish("dropped_on_table")
 
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,

@@ -6,6 +6,7 @@ The campaign criteria (7/8) share one 200-trial-per-modality experiment,
 and the golden test pins that campaign's first trials of each modality.
 """
 
+import itertools
 import json
 import math
 import time
@@ -27,7 +28,7 @@ from vialbench.perception import (cht_params_for, detect_circles,
                                   generate_labeled_dataset, save_weights)
 from vialbench.perception.cnn import forward, init_weights, loss_and_grads
 from vialbench.perception.hough import ChtParams
-from vialbench.search import make_search, next_trial_positions
+from vialbench.search import next_trial_positions
 from vialbench.simworld import render_topdown, reset_trial
 from vialbench.tactile import (_difference_sum, calibrate_mapping,
                                find_contact, polygon_area)
@@ -285,12 +286,11 @@ def test_criterion_6_search_matches_oracle(config):
         for r_h in grid:
             emitted: list[tuple[float, float]] = []
             by_ring: dict[int, set] = {}
-            state = make_search((0.0, 0.0), r_w, r_h, spacing)
-            while True:
-                batch = next_trial_positions(state)
+            for ring in itertools.count(1):
+                batch = next_trial_positions((0.0, 0.0), r_w, r_h, spacing,
+                                             ring)
                 if not batch:
                     break
-                ring = state.expansion - 1
                 cells = [(round(float(x), 12), round(float(y), 12))
                          for x, y in map(tuple, batch)]
                 by_ring.setdefault(ring, set()).update(cells)

@@ -160,6 +160,12 @@ _GOOD_RECORD = (b'{"attempts": 1, "final_offset": [0.0004, -0.0002], '
                  id="failure-contradicts-result"),
     pytest.param(_GOOD_RECORD.replace(b'"attempts": 1', b'"attempts": 0'),
                  "attempts must be at least 1", id="no-attempts"),
+    # The report writes a CSV row per attempt number, so an unchecked count
+    # would write rows until it ran out of time or disk.
+    pytest.param(_GOOD_RECORD.replace(b'"attempts": 1',
+                                      b'"attempts": ' + str(10**12).encode()),
+                 f"{10**12} attempts but only 1 outcomes",
+                 id="attempts-beyond-outcomes"),
     pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
                                       b'"result": "no_target"')
                  .replace(b'"success": true', b'"success": false'),

@@ -96,8 +96,9 @@ _outcome = st.builds(
 @st.composite
 def _record(draw):
     """A record that keeps ``check_record``'s rules; every other field is
-    drawn freely. No trial both finds no target and safety-stops, and one
-    that ends in a release has a final offset."""
+    drawn freely. No trial both finds no target and safety-stops, one that
+    ends in a release has a final offset, and none has more attempts than
+    outcomes."""
     outcomes = draw(st.lists(_outcome, min_size=1, max_size=6).map(tuple)
                     .filter(lambda os: not {"no_target", "safety_stop"}
                             <= {o.result for o in os}))
@@ -114,7 +115,7 @@ def _record(draw):
     return TrialRecord(
         modality=draw(st.sampled_from(MODALITIES)),
         trial_index=draw(st.integers(min_value=0, max_value=10 ** 6)),
-        attempts=draw(st.integers(min_value=1, max_value=50)),
+        attempts=draw(st.integers(min_value=1, max_value=len(outcomes))),
         success=results[-1] == "inserted",
         runtime_s=draw(non_negative),
         outcomes=outcomes,

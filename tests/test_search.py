@@ -2,28 +2,42 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vialbench.search import compute_search_bounds, make_search, next_trial_positions
+from vialbench.search import compute_search_bounds, next_trial_positions
 
 S = 0.0025
 
 
-def collect_all(state, max_rings=50):
-    """Drain the search; returns a list of (x, y) tuples."""
-    out = []
-    for _ in range(max_rings):
-        batch = next_trial_positions(state)
+def exhausted(width, height, spacing, ring):
+    """Oracle of the empty ring: ``spacing * ring`` reaches past both half
+    extents of the envelope."""
+    reach = spacing * ring
+    return reach > width / 2 + 1e-9 and reach > height / 2 + 1e-9
+
+
+def walk(target, width, height, spacing, max_rings=100):
+    """The search's rings up to, not including, the first empty one; fails
+    unless that ring comes within ``max_rings``."""
+    rings = []
+    for ring in range(1, max_rings + 1):
+        batch = next_trial_positions(target, width, height, spacing, ring)
         if not batch:
-            break
-        out.extend(tuple(p) for p in batch)
-    return out
+            return rings
+        rings.append(batch)
+    raise AssertionError(f"ring {max_rings} is still not empty")
+
+
+def collect_all(target, width, height, spacing):
+    """Every position the search tries, as (x, y) tuples."""
+    return [tuple(p) for batch in walk(target, width, height, spacing)
+            for p in batch]
 
 
 def test_first_ring_cells():
-    st = make_search((0.0, 0.0), 25.0, 25.0, 2.5)
-    batch = [tuple(p) for p in next_trial_positions(st)]
+    batch = [tuple(p) for p in next_trial_positions((0.0, 0.0), 25.0, 25.0,
+                                                    2.5, 1)]
     expected = {(2.5, 0.0), (2.5, -2.5), (0.0, -2.5), (-2.5, -2.5),
                 (-2.5, 0.0), (-2.5, 2.5), (0.0, 2.5), (2.5, 2.5)}
     assert set(batch) == expected
@@ -34,43 +48,39 @@ def test_first_ring_cells():
 
 
 def test_second_ring_is_the_16_cell_perimeter():
-    st = make_search((0.0, 0.0), 25.0, 25.0, 2.5)
-    next_trial_positions(st)
-    ring2 = [tuple(p) for p in next_trial_positions(st)]
+    ring2 = [tuple(p) for p in next_trial_positions((0.0, 0.0), 25.0, 25.0,
+                                                    2.5, 2)]
     assert len(ring2) == 16
     cheb = {max(abs(x), abs(y)) for x, y in ring2}
     assert cheb == {5.0}
 
 
 def test_center_cell_never_emitted():
-    st = make_search((0.3, -0.1), 0.02, 0.02, S)
-    for pos in collect_all(st):
+    for pos in collect_all((0.3, -0.1), 0.02, 0.02, S):
         assert pos != (0.3, -0.1)
 
 
 def test_bounds_clip_and_exhaust():
-    st = make_search((0.0, 0.0), 10.0, 10.0, 2.5)
-    seen = []
-    ring1 = next_trial_positions(st)
-    ring2 = next_trial_positions(st)
+    ring1 = next_trial_positions((0.0, 0.0), 10.0, 10.0, 2.5, 1)
+    ring2 = next_trial_positions((0.0, 0.0), 10.0, 10.0, 2.5, 2)
     seen = ring1 + ring2
     for x, y in (tuple(p) for p in seen):
         assert abs(x) <= 5.0 + 1e-9
         assert abs(y) <= 5.0 + 1e-9
-    assert next_trial_positions(st) == []
-    assert st.exhausted
+    assert next_trial_positions((0.0, 0.0), 10.0, 10.0, 2.5, 3) == []
+    assert exhausted(10.0, 10.0, 2.5, 3)
 
 
 def test_degenerate_width_limits_to_a_column():
-    st = make_search((0.0, 0.0), 0.0, 10.0 * S, S)
-    for x, y in collect_all(st):
-        assert x == 0.0
-    assert st.exhausted
+    rings = walk((0.0, 0.0), 0.0, 10.0 * S, S)
+    for batch in rings:
+        for x, y in batch:
+            assert x == 0.0
+    assert exhausted(0.0, 10.0 * S, S, len(rings) + 1)
 
 
 def test_no_duplicates_and_in_bounds():
-    st = make_search((0.4, 0.0), 0.011, 0.007, S)
-    cells = collect_all(st)
+    cells = collect_all((0.4, 0.0), 0.011, 0.007, S)
     assert len(cells) == len(set(cells))
     for x, y in cells:
         assert abs(x - 0.4) <= 0.0055 + 1e-9
@@ -79,8 +89,7 @@ def test_no_duplicates_and_in_bounds():
 
 def test_cell_count_bound():
     w, h = 0.012, 0.009
-    st = make_search((0.0, 0.0), w, h, S)
-    cells = collect_all(st)
+    cells = collect_all((0.0, 0.0), w, h, S)
     nx = 2 * int(np.floor(0.5 * w / S + 1e-9)) + 1
     ny = 2 * int(np.floor(0.5 * h / S + 1e-9)) + 1
     assert len(cells) == nx * ny - 1  # every lattice cell except the origin
@@ -88,9 +97,9 @@ def test_cell_count_bound():
 
 def test_invalid_construction():
     with pytest.raises(ValueError):
-        make_search((0, 0), 1.0, 1.0, 0.0)
+        next_trial_positions((0, 0), 1.0, 1.0, 0.0, 1)
     with pytest.raises(ValueError):
-        make_search((0, 0), -1.0, 1.0, S)
+        next_trial_positions((0, 0), -1.0, 1.0, S, 1)
 
 
 def brute_force_cells(width, height, spacing, max_e):
@@ -112,15 +121,14 @@ def brute_force_cells(width, height, spacing, max_e):
 
 
 def assert_matches_oracle(center, width, height, spacing):
-    """Drained to the end, the search emits every in-envelope lattice cell
-    but the origin exactly once, at ``center + spacing * (ex, ey)``, one
-    whole Chebyshev ring per batch, rings in increasing order."""
-    search = make_search(center, width, height, spacing)
+    """Walked to the first empty ring, the search emits every in-envelope
+    lattice cell but the origin exactly once, at ``center + spacing * (ex,
+    ey)``, one whole Chebyshev ring per batch, rings in increasing order."""
     max_e = int(max(width, height) / 2 / spacing) + 2
     oracle = brute_force_cells(width, height, spacing, max_e)
     rings = []
-    for _ in range(max_e + 2):
-        batch = next_trial_positions(search)
+    for e in range(1, max_e + 3):
+        batch = next_trial_positions(center, width, height, spacing, e)
         if not batch:
             break
         offsets = np.rint((np.array(batch) - center) / spacing).astype(int)
@@ -129,11 +137,11 @@ def assert_matches_oracle(center, width, height, spacing):
                  for ex, ey in offsets}
         assert len(cells) == len(batch)
         ring = {max(abs(ex), abs(ey)) for ex, ey in offsets}
-        assert len(ring) == 1
+        assert ring == {e}
         rings.append(ring.pop())
         assert cells == oracle[rings[-1]]
-    assert next_trial_positions(search) == []
-    assert search.exhausted
+    assert next_trial_positions(center, width, height, spacing, e + 1) == []
+    assert exhausted(width, height, spacing, e)
     assert rings == sorted(oracle)
 
 
@@ -154,9 +162,29 @@ def test_matches_brute_force_oracle_anywhere(center, width, height, spacing):
 def test_search_terminates_everywhere():
     for rw in np.linspace(0.0, 0.02, 6):
         for rh in np.linspace(0.0, 0.02, 6):
-            st = make_search((0.0, 0.0), rw, rh, S)
-            collect_all(st, max_rings=100)
-            assert st.exhausted or not next_trial_positions(st)
+            rings = walk((0.0, 0.0), rw, rh, S, max_rings=100)
+            assert exhausted(rw, rh, S, len(rings) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+       height=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+       spacing=st.floats(1e-4, 1e-2), ring=st.integers(1, 60),
+       later=st.integers(1, 60))
+# An 18 mm envelope (5.999999999999999 * 3 mm) at 3 mm spacing: 3 * 0.003
+# rounds to just past 0.009, and the 1e-9 slack keeps ring 3's (3, 0) cell.
+@example(width=5.999999999999999, height=0.0, spacing=0.003, ring=3, later=1)
+def test_a_ring_is_empty_exactly_when_the_reach_passes_both_half_extents(
+        width, height, spacing, ring, later):
+    """The walk's stop rule: ring ``ring`` is empty exactly when the old
+    search cursor's ``exhausted`` inequality holds, and then every later
+    ring is empty too. ``width`` and ``height`` are in lattice spacings."""
+    w, h = width * spacing, height * spacing
+    empty = next_trial_positions((0.0, 0.0), w, h, spacing, ring) == []
+    assert empty == exhausted(w, h, spacing, ring)
+    if empty:
+        assert next_trial_positions((0.0, 0.0), w, h, spacing,
+                                    ring + later) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,18 +193,20 @@ def test_search_terminates_everywhere():
        spacing=st.floats(1e-4, 1e-2))
 def test_every_ring_before_exhaustion_is_new_and_not_empty(target, width,
                                                            height, spacing):
-    """Each call before exhaustion returns at least one cell; over the whole
+    """Each ring before exhaustion has at least one cell; over the whole
     search no position repeats and none is the target. ``width`` and
     ``height`` are in lattice spacings."""
-    search = make_search(target, width * spacing, height * spacing, spacing)
+    w, h = width * spacing, height * spacing
     tried = []
-    while not search.exhausted:
-        batch = next_trial_positions(search)
+    ring = 1
+    while not exhausted(w, h, spacing, ring):
+        batch = next_trial_positions(target, w, h, spacing, ring)
         assert batch
         tried += [tuple(p) for p in batch]
-    assert next_trial_positions(search) == []
+        ring += 1
+    assert next_trial_positions(target, w, h, spacing, ring) == []
     assert len(tried) == len(set(tried))
-    assert tuple(search.target) not in tried
+    assert tuple(target) not in tried
 
 
 # --- neighbor-derived envelope bounds -------------------------------------
