@@ -136,13 +136,12 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     """Take a picture, run the full perception stack, pick a vacant slot.
 
     ``seen`` maps a camera pose to what its look left: the RNG state after
-    the render, the effective camera pose and the scored candidates. One
-    dict serves the trials of one index (one config, one set of weights),
-    whose scenes ``reset_trial`` builds from one stream with the same draws,
-    so at one pose they render one image. A hit skips the render, circle
-    detection and scoring, and restores that RNG state and camera pose, so
-    every later draw is the one a render would have left; a miss renders,
-    perceives and stores. The pick is always made.
+    the render and the scored candidates. One dict serves the trials of one
+    index (one config, one set of weights), whose scenes ``reset_trial``
+    builds from one stream with the same draws, so at one pose they render
+    one image. A hit skips the render, circle detection and scoring, and
+    restores that RNG state, so every later draw is the one a render would
+    have left; a miss renders, perceives and stores. The pick is always made.
 
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
@@ -151,15 +150,14 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     advance_clock(scene, cfg.timing.image_s)
     hit = seen.get(pose)
     if hit is None:
-        image = render_topdown(scene, pose)
+        image, _ = render_topdown(scene, pose)
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
         # A tuple, so that a result shared through ``seen`` cannot change.
         scored = tuple(score_candidates(image, candidates, weights,
                                         cfg.cnn.crop_size))
-        seen[pose] = (scene.rng.bit_generator.state, scene.last_render_cam,
-                      scored)
+        seen[pose] = (scene.rng.bit_generator.state, scored)
     else:
-        state, scene.last_render_cam, scored = hit
+        state, scored = hit
         scene.rng.bit_generator.state = state
     chosen = select_target(scored, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)

@@ -482,6 +482,8 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(frc.floor > 0, "force.floor", "must be positive")
     tac = config.tactile
     _require(tac.rate > 0, "tactile.rate", "must be positive")
+    _require(tac.rate <= frc.rate, "tactile.rate",
+             "must not exceed the force rate it is sampled in", "force.rate")
     _require(0.0 <= tac.threshold <= 1.0, "tactile.threshold", "must be in [0, 1]")
     _require(tac.min_area >= 0, "tactile.min_area", "must be >= 0")
     _require(tac.stop_px > 0, "tactile.stop_px", "must be positive")

@@ -125,11 +125,10 @@ def generate_labeled_dataset(config: WorkspaceConfig, stream: RngStream):
         else:
             pose = config.camera.pose()
             params = nominal_params
-        image = render_topdown(scene, pose)
+        image, eff = render_topdown(scene, pose)
         cands = detect_circles(image, params)
         if not cands:
             continue
-        eff = scene.last_render_cam
         su, sv = world_to_pixel(centers[:, 0], centers[:, 1], config.camera,
                                 eff, config.rack.height)
         pitch_px = config.rack.pitch * config.camera.fx / (eff.z - config.rack.height)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import KEY_RIG, Pose3, RngStream, WorkspaceConfig
-from .geometry import plane_grid, world_to_pixel
+from .geometry import plane_grid
 from .tactile import FINGERS
 
 
@@ -78,8 +78,8 @@ def make_rig(config: WorkspaceConfig, material: str) -> FingertipRig:
 
 @dataclass
 class SceneState:
-    """Mutable per-trial world state. Single-owner: mutate only via the
-    functions in this module (tick / release_and_evaluate / reset_trial)."""
+    """Mutable per-trial world state. Single-owner: only this module assigns
+    its fields; a render returns the camera pose it imaged from."""
 
     config: WorkspaceConfig
     rig: FingertipRig
@@ -97,7 +97,6 @@ class SceneState:
     pin_z: float | None = None
     inserted_slot: tuple[int, int] | None = None  # the slot a release fills
     sim_clock: float = 0.0
-    last_render_cam: Pose3 | None = None
     # The last ``_support`` answer and its key, (bx, by, occupancy bytes).
     _support_memo: tuple | None = None
     # Per finger, the last held-vial gel image before noise and its key,
@@ -408,6 +407,7 @@ _GAP_DARK = 55.0
 _CAP_GRAY = 140.0
 _CAP_DOT = 110.0
 _RIM_HALF = 0.0008  # rim line half-thickness, meters
+_DOT_R = 0.002  # cap centre dot radius, meters
 _SLACK = 1e-6  # meters added to each drawing box against rounding
 
 
@@ -419,13 +419,14 @@ def _span(coord: np.ndarray, centre: float, reach: float) -> slice | None:
     return slice(hit[0], hit[-1] + 1) if hit.size else None
 
 
-def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
+def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose3]:
     """Render the overhead camera view from the *requested* pose.
 
     The image is actually formed from the requested pose shifted by the trial's
     calibration bias (angular error scales with height) plus fresh per-shot
     jitter; controllers inverting pixels through the requested pose therefore
-    inherit exactly that bias. Returns a uint8 image of the camera's size.
+    inherit exactly that bias. Returns ``(image, pose)``: a uint8 image of the
+    camera's size and the effective pose it was formed from.
 
     On the nadir camera a plane's x depends only on the pixel column and y
     only on the row, so every shape is drawn from one row and one column of
@@ -435,13 +436,11 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     cam = cfg.camera
     if cam_pose.z <= cfg.rack.height:
         raise SimError("camera must be above the rack plane")
-    W, H = cam.width, cam.height
 
     depth = cam_pose.z - cfg.rack.height
     shift = (scene.bias_xy + scene.bias_angle * depth
              + scene.rng.normal(0.0, cfg.noise.sigma_detect, 2))
     eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z)
-    scene.last_render_cam = eff
 
     # Table plane: gradient, two straight seams, ring-shaped clutter.
     tx, ty = plane_grid(cam, eff, 0.0)
@@ -470,30 +469,25 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
         inside = in_rack_footprint(scene, rx[None, cols], ry[rows, None])
         img[rows, cols][inside] = _RACK_BODY
 
-    centers = scene.slots
-    occ = scene.occupancy.ravel()
     slot_r = rack.slot_radius
-    half = int(np.ceil((slot_r + 0.003) * cam.fx / depth)) + 2
-    us, vs = world_to_pixel(centers[:, 0], centers[:, 1], cam, eff, rack.height)
-    for idx in range(centers.shape[0]):
-        sx, sy = centers[idx]
-        u, v = int(us[idx]), int(vs[idx])
-        u0, u1 = max(u - half, 0), min(u + half + 1, W)
-        v0, v1 = max(v - half, 0), min(v + half + 1, H)
-        if u0 >= u1 or v0 >= v1:
+    # A slot's outermost mark is its rim, or a cap dot wider than the slot.
+    reach = max(slot_r + _RIM_HALF, _DOT_R) + _SLACK
+    for (sx, sy), occupied in zip(scene.slots, scene.occupancy.flat):
+        rows, cols = _span(ry, sy, reach), _span(rx, sx, reach)
+        if rows is None or cols is None:
             continue
-        d = np.hypot(rx[None, u0:u1] - sx, ry[v0:v1, None] - sy)
-        patch = img[v0:v1, u0:u1]
+        d = np.hypot(rx[None, cols] - sx, ry[rows, None] - sy)
+        patch = img[rows, cols]
         interior = d <= slot_r - _RIM_HALF
-        if occ[idx]:
+        if occupied:
             patch[interior] = _GAP_DARK
             patch[d <= cfg.vial.radius] = _CAP_GRAY
-            patch[d <= 0.002] = _CAP_DOT
+            patch[d <= _DOT_R] = _CAP_DOT
         else:
             patch[interior] = _VACANT_BRIGHT
         patch[np.abs(d - slot_r) <= _RIM_HALF] = _RIM_DARK
 
-    return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel)
+    return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel), eff
 
 
 def _noisy_bytes(img: np.ndarray, rng: np.random.Generator,

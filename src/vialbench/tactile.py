@@ -332,6 +332,8 @@ def load_calibration(path) -> dict[str, TactileCalibration]:
         head = lines[i].split()
         if len(head) != 2 or head[0] != "finger" or head[1] not in FINGERS:
             raise ValueError(f"{path}: bad finger header {lines[i]!r}")
+        if head[1] in cals:
+            raise ValueError(f"{path}: repeated calibration for {head[1]!r}")
         gain = _cal_numbers(path, lines, i + 1, "gain", 4)
         bias = _cal_numbers(path, lines, i + 2, "bias", 2)
         rms = _cal_numbers(path, lines, i + 3, "rms", 1)

@@ -1,8 +1,9 @@
 """The seed camera renderer and crop sampler, kept unchanged as the reference
 for tests.
 
-``vialbench.simworld.render_topdown`` must return exactly the bytes this
-full-frame version returns and leave ``scene.rng`` in the same state, and
+``vialbench.simworld.render_topdown`` must return exactly the bytes and the
+effective camera pose this full-frame version returns and leave
+``scene.rng`` in the same state, and
 ``vialbench.perception.pipeline.extract_crops`` must return, for each
 candidate, exactly the crop this per-candidate ``extract_crop`` returns. The
 renderer evaluates every plane coordinate, ring distance and rack mask on
@@ -34,13 +35,14 @@ def plane_grid(intrinsics, cam: Pose3, plane_z: float, width: int, height: int):
     return np.ascontiguousarray(x), np.ascontiguousarray(y)
 
 
-def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
+def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose3]:
     """Render the overhead camera view from the *requested* pose.
 
     The image is actually formed from the requested pose shifted by the trial's
     calibration bias (angular error scales with height) plus fresh per-shot
     jitter; controllers inverting pixels through the requested pose therefore
-    inherit exactly that bias. Returns a uint8 image of the camera's size.
+    inherit exactly that bias. Returns the uint8 image of the camera's size
+    and the effective pose it was formed from.
     """
     cfg = scene.config
     cam = cfg.camera
@@ -53,7 +55,6 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
     shift = (scene.bias_xy + scene.bias_angle * depth
              + scene.rng.normal(0.0, cfg.noise.sigma_detect, 2))
     eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z)
-    scene.last_render_cam = eff
 
     img = np.empty((H, W), dtype=float)
 
@@ -109,7 +110,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> np.ndarray:
         patch[np.abs(d - slot_r) <= _RIM_HALF] = _RIM_DARK
 
     img += scene.rng.normal(0.0, cfg.noise.sigma_pixel, (H, W))
-    return np.clip(img, 0.0, 255.0).astype(np.uint8)
+    return np.clip(img, 0.0, 255.0).astype(np.uint8), eff
 
 
 def extract_crop(image: np.ndarray, u: float, v: float, r: float,

@@ -130,12 +130,12 @@ def test_criterion_2_circle_detection(config):
     worst_slot = 0.0
     for seed in range(50):
         scene = reset_trial(config, RngStream(1000 + seed))
-        image = render_topdown(scene, config.camera.pose())
+        image, eff = render_topdown(scene, config.camera.pose())
         cands = detect_circles(image, rack_params)
         assert cands
         centers = scene.slots
         su, sv = world_to_pixel(centers[:, 0], centers[:, 1], config.camera,
-                                scene.last_render_cam, config.rack.height)
+                                eff, config.rack.height)
         cu = np.array([c.u for c in cands])
         cv = np.array([c.v for c in cands])
         gap = np.hypot(su[:, None] - cu[None, :],

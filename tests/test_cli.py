@@ -300,6 +300,13 @@ def _calibration_file(path, left_gain="1 0 0 1", left_bias="0 0"):
     return path
 
 
+def _left_twice(path):
+    """A calibration file that ends in a second, different left block."""
+    text = _calibration_file(path).read_text()
+    path.write_text(text + "finger left\ngain 2 0 0 2\nbias 0 0\nrms 0\n")
+    return path
+
+
 def _weights_file(path, good, tensor, value):
     """``good`` with the first number of ``tensor`` set to ``value``."""
     weights = load_weights(good)
@@ -326,6 +333,9 @@ def _weights_file(path, good, tensor, value):
     pytest.param(lambda tmp, w: ["--calibration", _calibration_file(
         tmp / "bad.cal", left_bias="0 -inf")],
         "bad.cal: non-finite bias in 'bias 0 -inf'", id="calibration-bias"),
+    pytest.param(lambda tmp, w: ["--calibration", _left_twice(tmp / "twice.cal")],
+                 "twice.cal: repeated calibration for 'left'",
+                 id="calibration-repeated-finger"),
     pytest.param(lambda tmp, w: ["--weights", _weights_file(
         tmp / "bad.weights", w, "fc3_b", np.nan)],
         "bad.weights: non-finite value in fc3_b", id="weights-nan"),

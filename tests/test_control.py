@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vialbench.core import RngStream, load_config
+from vialbench import control
+from vialbench.core import RngStream, load_config, split_rng
 from vialbench.control import (
     MODALITIES,
     _run_trial,
@@ -187,6 +188,30 @@ def test_sensor_loss_with_vial_in_hand_is_still_held(config, weights,
         assert [o.result for o in rec.outcomes] == ["lost_contact"]
         assert rec.placement == "still_held"
         assert rec.final_offset is not None
+
+
+@pytest.mark.parametrize("rate", [20, 60, 125])
+def test_tactile_check_reads_at_its_rate(weights, default_tactile, monkeypatch,
+                                         rate):
+    """The descent check reads a frame pair every ``1 / tactile.rate`` s of
+    the force ticks it runs in: over a trial, ``ticks * tactile.rate /
+    force.rate`` pairs, give or take one per descent."""
+    rig, cal = default_tactile
+    config = load_config("", [f"tactile.rate = {rate}"])
+    calls = {"tick": 0, "track_deviation": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(control, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(control, name, counted)
+    master = RngStream(config.seed)
+    for index in range(8):
+        calls.update(tick=0, track_deviation=0)
+        rec = run_tactile_trial(config, split_rng(master, index), weights,
+                                rig, cal, index, {})
+        expected = calls["tick"] * rate / config.force.rate
+        assert calls["tick"] > 0
+        assert abs(calls["track_deviation"] - expected) <= rec.attempts
 
 
 # ---------------------------------------------------------------- all three

@@ -144,6 +144,9 @@ _SWEEP = ("rack.height, rack.slot_radius, camera.fx, cht.r_lo_factor, "
      "rate * buffer_seconds must round to at least one sample "
      "(depends on force.rate)"),
     ("cnn.tie_eps = -1", "cnn.tie_eps: must be >= 0"),
+    # the tactile check reads at most one frame pair per 125 Hz force tick
+    ("tactile.rate = 250", "tactile.rate: must not exceed the force rate it "
+     "is sampled in (depends on force.rate)"),
     ("seed = -3", "seed: must be >= 0"),
     # a rule reading two keys names the one that broke it, or both
     ("cnn.batch_size = 0", "cnn.batch_size: must be >= 1"),

@@ -129,12 +129,12 @@ def test_rendered_rack_every_slot_recovered(config):
     params = cht_params_for(config, config.camera.z)
     for i in range(2):
         scene = reset_trial(config, stream.child(i))
-        image = render_topdown(scene, config.camera.pose())
+        image, eff = render_topdown(scene, config.camera.pose())
         cands = detect_circles(image, params)
         assert len(cands) >= scene.config.rack.rows * scene.config.rack.cols
         centers = scene.slots
         su, sv = world_to_pixel(centers[:, 0], centers[:, 1], config.camera,
-                                scene.last_render_cam, config.rack.height)
+                                eff, config.rack.height)
         cu = np.array([c.u for c in cands])
         cv = np.array([c.v for c in cands])
         d = np.hypot(su[:, None] - cu[None, :], sv[:, None] - cv[None, :])

@@ -29,7 +29,7 @@ def test_rendered_racks_match_reference(config):
     params = cht_params_for(config, config.camera.z)
     for seed in range(50):
         scene = reset_trial(config, RngStream(1000 + seed))
-        assert assert_same(render_topdown(scene, config.camera.pose()), params)
+        assert assert_same(render_topdown(scene, config.camera.pose())[0], params)
 
 
 def test_close_ups_match_reference(config):
@@ -40,7 +40,7 @@ def test_close_ups_match_reference(config):
         centers = scene.slots
         x, y = centers[seed % len(centers), :2]
         pose = Pose3(x=float(x), y=float(y), z=close_z)
-        assert assert_same(render_topdown(scene, pose), params)
+        assert assert_same(render_topdown(scene, pose)[0], params)
 
 
 def test_synthetic_circles_match_reference():

@@ -1,13 +1,16 @@
 """Every name a package exports resolves, every module uses what it
 imports, and every module-level definition is named somewhere, so a
 deletion cannot leave a stale entry in ``__all__``, a stale import or a
-dead definition behind."""
+dead definition behind. Only ``simworld`` assigns the scene's fields."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
+
+from vialbench.simworld import SceneState
 
 
 @pytest.mark.parametrize("package", ["vialbench", "vialbench.perception"])
@@ -74,3 +77,39 @@ def test_no_module_keeps_a_dead_definition():
     assert len(defined) > 100
     assert [f"{path.name}:{node.lineno} {node.name}" for path, node in defined
             if node.name not in used] == []
+
+
+def _targets(node: ast.AST):
+    """The assignment targets of ``node``, tuples and lists unpacked."""
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        else:
+            yield target
+
+
+def test_only_simworld_assigns_scene_fields():
+    """``SceneState`` has one owner: no module but ``simworld`` assigns
+    ``scene.<field>``. Assigning inside a field's value, such as the
+    generator state under ``scene.rng``, is not assigning the field."""
+    fields = {f.name for f in dataclasses.fields(SceneState)}
+    package = Path(importlib.import_module("vialbench").__file__).parent
+    modules = sorted(p for p in package.rglob("*.py") if p.name != "simworld.py")
+    assert len(modules) > 10
+    hits = [f"{path.name}:{target.lineno} scene.{target.attr}"
+            for path in modules
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for target in _targets(node)
+            if isinstance(target, ast.Attribute) and target.attr in fields
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "scene"]
+    assert hits == []

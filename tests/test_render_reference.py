@@ -22,19 +22,21 @@ def _pose(config, scene, close_up: bool, k: int) -> Pose3:
 
 def _render_both(config, seed: int, k: int, pose_of, edit=None):
     """Render trial ``k`` of ``seed`` with both renderers from identical
-    scenes; require equal bytes, equal camera and equal RNG state after."""
+    scenes; require equal bytes, equal camera and equal RNG state after.
+    Returns the image, the effective camera pose and the scene."""
     scenes = [reset_trial(config, RngStream(seed).child(k)) for _ in range(2)]
     for scene in scenes:
         if edit is not None:
             edit(scene)
-    got, scene = render_topdown(scenes[0], pose_of(scenes[0])), scenes[0]
-    want = render_reference.render_topdown(scenes[1], pose_of(scenes[1]))
+    scene = scenes[0]
+    got, eff = render_topdown(scene, pose_of(scene))
+    want, want_eff = render_reference.render_topdown(scenes[1], pose_of(scenes[1]))
     assert got.dtype == want.dtype == np.uint8
     assert got.tobytes() == want.tobytes()
-    assert scene.last_render_cam == scenes[1].last_render_cam
+    assert eff == want_eff
     assert scene.rng.bit_generator.state == scenes[1].rng.bit_generator.state
     assert scene.rng.random() == scenes[1].rng.random()
-    return got, scene
+    return got, eff, scene
 
 
 def _clipped(lo_u, hi_u, lo_v, hi_v, width, height) -> bool:
@@ -44,10 +46,11 @@ def _clipped(lo_u, hi_u, lo_v, hi_v, width, height) -> bool:
     return overlaps and not inside
 
 
-def _edges_clipped(scene) -> tuple[bool, bool]:
-    """Whether a distractor ring, and whether the rack, is cut by the frame."""
+def _edges_clipped(scene, eff: Pose3) -> tuple[bool, bool]:
+    """Whether a distractor ring, and whether the rack, is cut by the frame
+    of an image formed from ``eff``."""
     cfg = scene.config
-    cam, eff = cfg.camera, scene.last_render_cam
+    cam = cfg.camera
     ring = False
     for dx, dy, dr, _ in scene.distractors:
         u, v = world_to_pixel(dx, dy, cam, eff, 0.0)
@@ -69,9 +72,9 @@ def test_rendered_scenes_match_reference(seed, close_up):
     config = load_config("", [f"seed = {seed}"])
     rings = racks = 0
     for k in range(40):
-        _, scene = _render_both(config, seed, k,
-                                lambda s, k=k: _pose(config, s, close_up, k))
-        ring, rack = _edges_clipped(scene)
+        _, eff, scene = _render_both(config, seed, k,
+                                     lambda s, k=k: _pose(config, s, close_up, k))
+        ring, rack = _edges_clipped(scene, eff)
         rings += ring
         racks += rack
     # The overview holds every ring and the whole rack; close up, the frame
@@ -126,6 +129,16 @@ def test_turned_rack_matches_reference(config, turn):
     _render_both(config, 42, 1, lambda s: config.camera.pose(), edit)
 
 
+@pytest.mark.parametrize("close_up", [False, True], ids=["overview", "close-up"])
+def test_slot_narrower_than_its_cap_dot_matches_reference(close_up):
+    # A 1 mm slot: the 2 mm cap dot reaches past the rim, so the dot, not
+    # the rim, bounds what an occupied slot draws.
+    config = load_config("", ["rack.slot_radius = 0.001", "vial.radius = 0.0005",
+                              "cht.r_hi_factor = 3"])
+    for k in range(4):
+        _render_both(config, 42, k, lambda s, k=k: _pose(config, s, close_up, k))
+
+
 def _assert_crops_match(image, u, v, r, crop_size=32):
     got = extract_crops(image, u, v, r, crop_size)
     assert got.shape == (len(u), crop_size, crop_size)
@@ -140,15 +153,15 @@ def test_crops_of_detected_circles_match_reference(seed):
     config = load_config("", [f"seed = {seed}"])
     for k, close_up in ((0, False), (1, True), (2, False), (3, True)):
         pose_of = (lambda s, k=k, c=close_up: _pose(config, s, c, k))
-        image, scene = _render_both(config, seed, k, pose_of)
-        cands = detect_circles(image, cht_params_for(config, scene.last_render_cam.z))
+        image, eff, _ = _render_both(config, seed, k, pose_of)
+        cands = detect_circles(image, cht_params_for(config, eff.z))
         assert cands
         _assert_crops_match(image, [c.u for c in cands], [c.v for c in cands],
                             [c.r for c in cands], config.cnn.crop_size)
 
 
 def test_crops_at_the_border_match_reference(config):
-    image, _ = _render_both(config, 42, 0, lambda s: config.camera.pose())
+    image, _, _ = _render_both(config, 42, 0, lambda s: config.camera.pose())
     h, w = image.shape
     gen = np.random.default_rng(7)
     n = 200

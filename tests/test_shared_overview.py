@@ -3,8 +3,8 @@
 ``run_experiment`` runs one trial index at a time: trial ``i`` of every
 modality sees the same scene, so the trials of index ``i`` share one
 ``seen`` cache, keyed by the camera pose. A repeated overview skips the
-render, circle detection and scoring, restores the RNG state and camera
-pose a render leaves, and everything else draws as before. The premise of
+render, circle detection and scoring, restores the RNG state a render
+leaves, and everything else draws as before. The premise of
 the key, that the scenes of one index reach a pose with everything the
 render reads equal, is tested here with ``render_key`` as the oracle, at
 any grasp noise of either rig, and on whole trials.
@@ -143,7 +143,7 @@ def perceive(scene, weights, pose, seen):
 
 def test_repeated_overview_hits(config, weights, monkeypatch):
     """A hit serves the stored perception and leaves the scene as a render
-    would: the same RNG state (the next draws are equal) and camera pose."""
+    would: the same RNG state, so the next draws are equal."""
     render = counting(monkeypatch, "render_topdown")
     detect = counting(monkeypatch, "detect_circles")
     score = counting(monkeypatch, "score_candidates")
@@ -158,7 +158,6 @@ def test_repeated_overview_hits(config, weights, monkeypatch):
     assert first is not None
     assert again == first == perceive(reset_trial(config, RngStream(7)),
                                       weights, pose, {})
-    assert served.last_render_cam == rendered.last_render_cam
     assert served.rng.bit_generator.state == rendered.rng.bit_generator.state
     assert served.rng.random(8).tobytes() == rendered.rng.random(8).tobytes()
 
@@ -243,7 +242,7 @@ def test_equal_keys_render_equal_images(seed, index, overrides):
               for rig in (None, make_rig(config, "tactile"))]
     pose = config.camera.pose()
     rubber, tactile = [render_key(scene, pose) for scene in scenes]
-    images = [render_topdown(scene, pose).tobytes() for scene in scenes]
+    images = [render_topdown(scene, pose)[0].tobytes() for scene in scenes]
     assert rubber == tactile
     assert images[0] == images[1]
     assert (scenes[0].rng.bit_generator.state
@@ -266,11 +265,11 @@ def test_renders_with_one_key_are_one_image(weights, seed, index):
 
     def recording(scene, pose):
         key = render_key(scene, pose)
-        image = render(scene, pose)
+        image, eff = render(scene, pose)
         images.setdefault(key, []).append(image.tobytes())
         if pose == config.camera.pose():
             overviews.append(key)
-        return image
+        return image, eff
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(control, "render_topdown", recording)

@@ -354,11 +354,11 @@ def test_release_inserts_only_within_clearance_of_a_vacant_slot(
 
 def test_render_shape_and_slot_shading(config):
     scene = reset_trial(config, RngStream(19))
-    img = render_topdown(scene, config.camera.pose())
+    img, eff = render_topdown(scene, config.camera.pose())
     assert img.shape == (config.camera.height, config.camera.width)
     assert img.dtype == np.uint8
     vac, occ = vacant_and_occupied(scene)
-    cam, eff = config.camera, scene.last_render_cam
+    cam = config.camera
     uv, vv = world_to_pixel(vac[0], vac[1], cam, eff, config.rack.height)
     uo, vo = world_to_pixel(occ[0], occ[1], cam, eff, config.rack.height)
     vacant_px = float(img[int(round(vv)), int(round(uv))])
@@ -367,9 +367,11 @@ def test_render_shape_and_slot_shading(config):
 
 
 def test_render_reproducible_per_trial(config):
-    a = render_topdown(reset_trial(config, RngStream(19)), config.camera.pose())
-    b = render_topdown(reset_trial(config, RngStream(19)), config.camera.pose())
+    pose = config.camera.pose()
+    a, a_eff = render_topdown(reset_trial(config, RngStream(19)), pose)
+    b, b_eff = render_topdown(reset_trial(config, RngStream(19)), pose)
     np.testing.assert_array_equal(a, b)
+    assert a_eff == b_eff
 
 
 def test_render_rejects_camera_below_rack(config):
