@@ -343,11 +343,13 @@ def load_records(path) -> dict[str, list[TrialRecord]]:
     """Read a records.jsonl back into per-modality record lists.
 
     A byte that is not UTF-8, a ``NaN`` or ``Infinity`` token (not JSON),
-    or a line that does not hold a trial record that keeps
-    ``control.check_record``'s rules, raises ValueError naming the file and
-    the line.
+    a line that does not hold a trial record that keeps
+    ``control.check_record``'s rules, or a record whose modality and trial
+    index an earlier line already holds, raises ValueError naming the file
+    and the line.
     """
     records: dict[str, list[TrialRecord]] = {}
+    first_line: dict[tuple[str, int], int] = {}
     for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -358,6 +360,12 @@ def load_records(path) -> dict[str, list[TrialRecord]]:
                 OverflowError) as exc:
             raise ValueError(f"{path}: line {line_no}: not a trial record "
                              f"({type(exc).__name__}: {exc})") from None
+        key = (rec.modality, rec.trial_index)
+        if key in first_line:
+            raise ValueError(f"{path}: line {line_no}: {rec.modality} trial "
+                             f"index {rec.trial_index} repeats line "
+                             f"{first_line[key]}")
+        first_line[key] = line_no
         records.setdefault(rec.modality, []).append(rec)
     if not records:
         raise ValueError(f"{path}: no records found")

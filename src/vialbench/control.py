@@ -28,6 +28,7 @@ and stop latency play out sample by sample.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -42,9 +43,10 @@ from .perception import (CnnWeights, NoValidSlotError,
                          detect_circles, refined_camera_z, score_candidates,
                          select_target)
 from .search import compute_search_bounds, next_trial_positions
-from .simworld import (SceneState, SimError, advance_clock, impose_grasp,
-                       jump_setpoint, reference_frames, release_and_evaluate,
-                       render_topdown, reset_trial, sample_tactile, tick)
+from .simworld import (SceneState, SimError, advance_clock, draw_ahead,
+                       impose_grasp, jump_setpoint, reference_frames,
+                       release_and_evaluate, render_topdown, reset_trial,
+                       sample_tactile, tick)
 from .tactile import (FINGERS, CalibrationError, ContactRegion,
                       TactileCalibration, apply_calibration, calibrate_mapping,
                       find_contact, track_deviation)
@@ -212,6 +214,14 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     trials of one index of a campaign (trial ``i`` of every modality sees
     the same scene).
 
+    A tactile trial opens ``simworld.draw_ahead`` right after the overview
+    look and keeps it open to the end, since the scene generator takes no
+    draws once it closes. From there on its scene draws only standard
+    normals, most of them pixel noise for the fingertip frames, which a
+    second thread draws while this one traces contacts. Visual and force
+    trials draw a close-up's or a tick's worth at a time, too little to
+    overlap, so they draw in line.
+
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
     ``attempt_descent(scene, ctx, position)`` runs one descent aimed at
@@ -241,39 +251,43 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             final_offset=final_offset, placement=placement)
 
     overview = config.camera.pose()
-    try:
-        scored, first = _image_and_select(scene, overview, weights, sel_gen,
-                                          seen=seen)
-        advance_clock(scene, config.timing.grasp_s)
-        target = _project(config, overview, first.candidate.u, first.candidate.v)
-        ctx, target = prepare(scene, sel_gen, target)
-    except NoValidSlotError:
-        outcomes.append(AttemptOutcome((np.nan, np.nan), "no_target"))
-        return finish(None)
+    with contextlib.ExitStack() as after_overview:
+        try:
+            scored, first = _image_and_select(scene, overview, weights,
+                                              sel_gen, seen=seen)
+            if modality == "tactile":
+                after_overview.enter_context(draw_ahead(scene))
+            advance_clock(scene, config.timing.grasp_s)
+            target = _project(config, overview, first.candidate.u,
+                              first.candidate.v)
+            ctx, target = prepare(scene, sel_gen, target)
+        except NoValidSlotError:
+            outcomes.append(AttemptOutcome((np.nan, np.nan), "no_target"))
+            return finish(None)
 
-    for attempts, position in enumerate(
-            _aims(config, overview, scored, target), start=1):
-        _charged_move(scene, [position[0], position[1], hover])
-        verdict = attempt_descent(scene, ctx, position)
-        if verdict == "completed" and scene.held_offset is not None:
-            return finish(None, release_at=position)
-        if verdict != "stopped":
-            # Lost, or completed without the vial: report where it is.
-            outcomes.append(AttemptOutcome(_xy(position), "lost_contact"))
-            return finish("dropped_on_table" if scene.held_offset is None
-                          else "still_held")
-        # Stopped: classify by how deep the gripper got before the stop.
-        if safety_stop(scene.grip_z, config):
-            outcomes.append(AttemptOutcome(_xy(position), "safety_stop"))
-            return finish("still_held")
-        # Surface impact (or a spurious stop in free air): back off and try
-        # the next aim.
-        outcomes.append(AttemptOutcome(_xy(position), "rack_top"))
-        _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover])
-    # The aims ran out: give the vial up where we are.
-    if scene.held_offset is not None:
-        return finish(None, release_at=scene.setpoint[:2])
-    return finish("dropped_on_table")
+        for attempts, position in enumerate(
+                _aims(config, overview, scored, target), start=1):
+            _charged_move(scene, [position[0], position[1], hover])
+            verdict = attempt_descent(scene, ctx, position)
+            if verdict == "completed" and scene.held_offset is not None:
+                return finish(None, release_at=position)
+            if verdict != "stopped":
+                # Lost, or completed without the vial: report where it is.
+                outcomes.append(AttemptOutcome(_xy(position), "lost_contact"))
+                return finish("dropped_on_table" if scene.held_offset is None
+                              else "still_held")
+            # Stopped: classify by how deep the gripper got before the stop.
+            if safety_stop(scene.grip_z, config):
+                outcomes.append(AttemptOutcome(_xy(position), "safety_stop"))
+                return finish("still_held")
+            # Surface impact (or a spurious stop in free air): back off and
+            # try the next aim.
+            outcomes.append(AttemptOutcome(_xy(position), "rack_top"))
+            _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover])
+        # The aims ran out: give the vial up where we are.
+        if scene.held_offset is not None:
+            return finish(None, release_at=scene.setpoint[:2])
+        return finish("dropped_on_table")
 
 
 def run_visual_trial(config: WorkspaceConfig, stream: RngStream,

@@ -5,12 +5,21 @@ true rack pose, slot occupancy, the in-gripper vial offset, the visual
 calibration bias, and the fingertip material parameters. Controllers interact
 only through rendered images, force samples, tactile frames, and motion
 commands, mirroring how the physical workcell is driven.
+
+Every scene draws from one generator, ``scene.rng``. Inside
+:func:`draw_ahead` a second thread draws its standard normals ahead, in
+the order they are asked for, so a tactile trial's pixel noise overlaps
+the rest of its work and the bytes stay the same.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,8 +350,12 @@ def tick(scene: SceneState, target) -> np.ndarray:
     scene.sim_clock += dt
     x, y, _ = scene.setpoint.tolist()
     bx, by, bz = _static_bias(x, y, scene.grip_z, scene.held_offset is not None)
-    nx, ny, nz = scene.rng.normal(0.0, cfg.noise.sigma_force, 3).tolist()
-    return np.array([bx + nx, by + ny, bz + force_contact + nz])
+    # ``0 + sigma * z`` is ``rng.normal(0, sigma, 3)`` term for term, drawn
+    # as ``standard_normal``, the one draw ``draw_ahead`` serves.
+    sigma = cfg.noise.sigma_force
+    zx, zy, zz = scene.rng.standard_normal(3).tolist()
+    return np.array([bx + (0.0 + sigma * zx), by + (0.0 + sigma * zy),
+                     bz + force_contact + (0.0 + sigma * zz)])
 
 
 def jump_setpoint(scene: SceneState, target) -> None:
@@ -439,7 +452,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose
 
     depth = cam_pose.z - cfg.rack.height
     shift = (scene.bias_xy + scene.bias_angle * depth
-             + scene.rng.normal(0.0, cfg.noise.sigma_detect, 2))
+             + (0.0 + cfg.noise.sigma_detect * scene.rng.standard_normal(2)))
     eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z)
 
     # Table plane: gradient, two straight seams, ring-shaped clutter.
@@ -599,3 +612,111 @@ def reference_frames(scene: SceneState, finger: str) -> np.ndarray:
     """
     return np.stack([sample_tactile(scene, finger, open_gripper=True)
                      for _ in range(scene.config.tactile.n_reference)])
+
+
+# ---------------------------------------------------------------------------
+# drawing ahead
+
+DRAW_AHEAD_CHUNK = 65_536  # standard normals the thread draws at a time
+DRAW_AHEAD_DEPTH = 2  # chunks drawn ahead of the one being served, at most
+
+
+@contextmanager
+def draw_ahead(scene: SceneState):
+    """While open, ``scene.rng`` serves only ``standard_normal``, from chunks
+    a second thread draws ahead with the scene generator; any other use of
+    it raises AttributeError.
+
+    The chunks are consecutive draws, so each call gets the bits a plain
+    call would give. On exit, normal or by an exception, the thread is
+    stopped and joined and ``scene.rng`` stays the closed stand-in: the
+    generator has drawn past what was served, so any later draw raises
+    instead of going on from the wrong place.
+
+    With fewer than 2 CPUs in ``os.sched_getaffinity`` no thread starts
+    and the block changes nothing: on one CPU the thread would only add
+    hand-offs and chunks drawn for nothing. A cgroup CPU quota is not
+    seen there, so a container held to one CPU still starts the thread.
+    """
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    if len(cpus) < 2:
+        yield
+        return
+    ahead = _AheadNormals(scene.rng)
+    scene.rng = ahead
+    try:
+        yield
+    finally:
+        ahead.close()
+
+
+class _AheadNormals:
+    """``scene.rng`` inside :func:`draw_ahead`: standard normals served
+    from the chunks a producer thread draws, and nothing else."""
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        # One token per chunk the producer may draw ahead of the one being
+        # served: it takes one per chunk it draws, the consumer gives one
+        # back per chunk it starts to serve, and close() gives it None.
+        self._room = queue.SimpleQueue()
+        for _ in range(DRAW_AHEAD_DEPTH):
+            self._room.put(True)
+        self._ready = queue.SimpleQueue()
+        self._chunk = np.empty(0)  # the chunk being served
+        self._served = 0  # how much of it is served
+        self._closing = False
+        self._thread = threading.Thread(target=self._produce, daemon=True,
+                                        name="vialbench-draw-ahead")
+        self._thread.start()
+
+    def __getattr__(self, name):
+        raise AttributeError(f"inside draw_ahead the scene generator serves "
+                             f"only standard_normal, not {name!r}")
+
+    def _produce(self) -> None:
+        try:
+            while self._room.get() and not self._closing:
+                chunk = np.empty(DRAW_AHEAD_CHUNK)
+                self._gen.standard_normal(out=chunk)  # releases the GIL
+                self._ready.put(chunk)
+        except Exception as exc:  # for the consumer to raise
+            self._ready.put(exc)
+
+    def _next_chunk(self) -> None:
+        if self._closing:
+            raise RuntimeError("draw_ahead is closed: the scene generator "
+                               "has drawn past what it served")
+        item = self._ready.get()
+        if isinstance(item, Exception):
+            self._ready.put(item)  # for every later draw too
+            raise item
+        self._room.put(True)
+        self._chunk, self._served = item, 0
+
+    def standard_normal(self, size) -> np.ndarray:
+        """The next draws of ``Generator.standard_normal(size)``, float64."""
+        count = math.prod(size) if isinstance(size, tuple) else int(size)
+        start = self._served
+        if start + count <= self._chunk.size:  # a view of one chunk
+            self._served += count
+            return self._chunk[start:self._served].reshape(size)
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            if self._served == self._chunk.size:
+                self._next_chunk()
+            take = min(count - filled, self._chunk.size - self._served)
+            out[filled:filled + take] = \
+                self._chunk[self._served:self._served + take]
+            self._served += take
+            filled += take
+        return out.reshape(size)
+
+    def close(self) -> None:
+        """Stop and join the thread; every later draw raises."""
+        self._closing = True
+        self._chunk, self._served = np.empty(0), 0
+        self._room.put(None)
+        self._thread.join()

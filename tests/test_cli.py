@@ -234,6 +234,9 @@ _GOOD_RECORD = (b'{"attempts": 1, "final_offset": [0.0004, -0.0002], '
     pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'[0.0004, null]'),
                  "final_offset must be a number, got None",
                  id="final-offset-null-entry"),
+    # A repeated trial would count twice in every summary figure.
+    pytest.param(_GOOD_RECORD, "force trial index 0 repeats line 1",
+                 id="trial-repeated"),
 ])
 def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
                                                   fragment):

@@ -1,0 +1,205 @@
+"""``simworld.draw_ahead``: a second thread draws the scene generator's
+standard normals ahead, and nothing else may tell.
+
+Draws served inside the block have the bits of plain draws, an array once
+served keeps its values while later chunks are drawn, every draw after the
+block raises (the generator has drawn past what was served), the thread
+never outlives the block, and a failing draw reaches the caller instead of
+hanging it. With one CPU no thread starts and a trial is the same.
+"""
+
+import sys
+import threading
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vialbench import control, simworld
+from vialbench.bench import run_experiment
+from vialbench.core import RngStream, split_rng
+from vialbench.simworld import DRAW_AHEAD_CHUNK, draw_ahead, make_rig
+
+FRAME = (160, 160)  # one fingertip frame at the default tactile size
+SIZES = [1, 2, 3, FRAME, DRAW_AHEAD_CHUNK, DRAW_AHEAD_CHUNK - 1,
+         DRAW_AHEAD_CHUNK + 1, 3 * DRAW_AHEAD_CHUNK + 5]
+
+
+def two_cpus():
+    """Let ``draw_ahead`` start its thread on any host."""
+    return mock.patch.object(simworld.os, "sched_getaffinity",
+                             lambda pid: {0, 1}, create=True)
+
+
+def one_cpu():
+    return mock.patch.object(simworld.os, "sched_getaffinity",
+                             lambda pid: {0}, create=True)
+
+
+def holder(seed):
+    """What ``draw_ahead`` reads of a scene: its generator."""
+    return SimpleNamespace(rng=np.random.Generator(np.random.PCG64(seed)))
+
+
+class Stop(Exception):
+    pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=6),
+       keep=st.booleans(), raise_after=st.none() | st.integers(0, 5))
+def test_served_draws_match_plain_draws(seed, sizes, keep, raise_after):
+    """Every size, alone or straddling a chunk boundary, gets the float64
+    bits of a plain draw; a served array that is kept still holds them
+    after later chunks are drawn; and after the block, left normally or
+    by an exception, the thread is gone and every draw raises."""
+    scene, twin = holder(seed), np.random.Generator(np.random.PCG64(seed))
+    threads = threading.active_count()
+    drawn = sizes if raise_after is None else sizes[:raise_after]
+    kept = []
+    try:
+        with two_cpus(), draw_ahead(scene):
+            assert not isinstance(scene.rng, np.random.Generator)
+            for size in drawn:
+                got = scene.rng.standard_normal(size)
+                want = twin.standard_normal(size)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                if keep:
+                    kept.append((got, want))
+            if raise_after is not None:
+                raise Stop
+    except Stop:
+        pass
+    assert threading.active_count() == threads
+    assert all(got.tobytes() == want.tobytes() for got, want in kept)
+    with pytest.raises(RuntimeError, match="draw_ahead is closed"):
+        scene.rng.standard_normal(1)
+
+
+def test_concurrent_blocks_under_fast_switching():
+    """More blocks than cores at once, switching threads every 10 us:
+    every block still serves its own generator's sequence, within a time
+    bound."""
+    sizes = [3, FRAME, DRAW_AHEAD_CHUNK + 1, 1, FRAME, 2 * DRAW_AHEAD_CHUNK]
+    failures = []
+
+    def run(seed):
+        scene, twin = holder(seed), np.random.Generator(np.random.PCG64(seed))
+        try:
+            with draw_ahead(scene):
+                for size in sizes:
+                    if (scene.rng.standard_normal(size).tobytes()
+                            != twin.standard_normal(size).tobytes()):
+                        failures.append((seed, size))
+        except Exception as exc:  # a worker's error fails the test below
+            failures.append((seed, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with two_cpus():
+            workers = [threading.Thread(target=run, args=(seed,), daemon=True)
+                       for seed in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert failures == []
+
+
+def test_other_draws_fail_inside_the_block():
+    scene = holder(3)
+    with two_cpus(), draw_ahead(scene):
+        for name in ("integers", "random", "normal", "bit_generator"):
+            with pytest.raises(AttributeError, match="only standard_normal"):
+                getattr(scene.rng, name)
+
+
+class FailingChunks:
+    """A generator whose draws raise."""
+
+    def standard_normal(self, size=None, out=None):
+        raise RuntimeError("chunk draw failed")
+
+
+def test_a_failing_producer_raises_in_the_consumer():
+    scene = SimpleNamespace(rng=FailingChunks())
+    caught = []
+
+    def consume():
+        try:
+            with draw_ahead(scene):
+                scene.rng.standard_normal(3)
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    with two_cpus():
+        worker = threading.Thread(target=consume, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive(), "the consumer hung on a dead producer"
+    assert [str(exc) for exc in caught] == ["chunk draw failed"]
+
+
+@pytest.fixture(scope="module")
+def tactile_rig(config):
+    rig = make_rig(config, "tactile")
+    return rig, control.calibrate_rig(config, rig)
+
+
+def tactile_trial(config, weights, tactile_rig, index=0):
+    rig, calibration = tactile_rig
+    return control.run_tactile_trial(
+        config, split_rng(RngStream(config.seed), index), weights, rig,
+        calibration, trial_index=index, seen={})
+
+
+def test_no_thread_outlives_a_trial_or_a_campaign(config, weights,
+                                                  tactile_rig, monkeypatch):
+    started = []
+    stand_in = simworld._AheadNormals
+
+    def counted(gen):
+        started.append(gen)
+        return stand_in(gen)
+
+    monkeypatch.setattr(simworld, "_AheadNormals", counted)
+    threads = threading.active_count()
+    with two_cpus():
+        tactile_trial(config, weights, tactile_rig)
+        assert threading.active_count() == threads
+        run_experiment(config, 2, 1, weights=weights,
+                       modalities=("tactile",),
+                       calibration=tactile_rig[1])
+        assert threading.active_count() == threads
+        assert len(started) == 3  # one thread per tactile trial
+
+        def broken(*args):
+            raise Stop
+
+        monkeypatch.setattr(control, "find_contact", broken)
+        with pytest.raises(Stop):
+            tactile_trial(config, weights, tactile_rig)
+        assert threading.active_count() == threads
+
+
+def test_one_cpu_starts_no_thread_and_keeps_the_record(config, weights,
+                                                       tactile_rig,
+                                                       monkeypatch):
+    with two_cpus():
+        ahead = tactile_trial(config, weights, tactile_rig, index=1)
+
+    def no_thread(gen):
+        raise AssertionError("a thread started on one CPU")
+
+    monkeypatch.setattr(simworld, "_AheadNormals", no_thread)
+    with one_cpu():
+        assert tactile_trial(config, weights, tactile_rig, index=1) == ahead

@@ -7,8 +7,9 @@ checks both here."""
 import importlib.util
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
-from vialbench import bench
+from vialbench import bench, simworld
 from vialbench.control import MODALITIES
 
 TRACER = Path(__file__).resolve().parents[1] / "campaignbench" / "tracer.py"
@@ -41,3 +42,23 @@ def test_every_trial_loop_site_is_called(config, weights, tmp_path):
                   if {"control", "simworld", "tactile"} & set(modules)]
     assert "search.next_trial_positions" in loop_sites
     assert [name for name in loop_sites if not calls[name]] == []
+
+
+def test_drawing_ahead_keeps_the_span_tree(config, weights):
+    """The tracer keeps one span stack, so the thread that draws a tactile
+    trial's pixel noise ahead must never call a traced function: spans
+    nest, and each site is called as often as when every draw is made in
+    line (one CPU, no thread)."""
+    tracer = _load_tracer()
+    calls, records = [], []
+    for cpus in ({0, 1}, {0}):
+        with mock.patch.object(simworld.os, "sched_getaffinity",
+                               lambda pid, cpus=cpus: cpus, create=True), \
+                tracer.Tracer().installed(tracer.LAYER_SITES) as installed:
+            result = bench.run_experiment(config, 4, 1, weights=weights,
+                                          modalities=("tactile",))
+        assert tracer.nesting_problems(installed.spans()) == []
+        calls.append(Counter(installed.names[i] for i in installed.name_id))
+        records.append(result.records)
+    assert calls[0] == calls[1] and calls[0]["simworld.sample_tactile"] > 0
+    assert records[0] == records[1]
