@@ -110,17 +110,14 @@ class ExperimentResult:
 
 def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
                    weights: CnnWeights | None = None,
-                   modalities=MODALITIES, progress=None,
-                   calibration=None) -> ExperimentResult:
+                   modalities=MODALITIES, progress=None) -> ExperimentResult:
     """Run ``trials`` paired trials of each modality: trial i of every
     modality, in ``modalities`` order, then trial i + 1.
 
     Trains the slot classifier from the config seed when no weights are
     given, and checks given weights against the config's network first.
     The tactile rig and its calibration are built once and shared by
-    every tactile trial, mirroring a fixed physical gripper; a pre-computed
-    ``calibration`` mapping (finger name -> TactileCalibration) skips the
-    in-run calibration pass.
+    every tactile trial, mirroring a fixed physical gripper.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -129,6 +126,9 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
     unknown = set(modalities) - set(MODALITIES)
     if unknown:
         raise ValueError(f"unknown modalities: {sorted(unknown)}")
+    repeated = sorted({m for m in modalities if modalities.count(m) > 1})
+    if repeated:
+        raise ValueError(f"repeated modalities: {repeated}")
 
     def note(msg):
         if progress is not None:
@@ -143,11 +143,10 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
         check_weights(weights, config.cnn)
 
     master = RngStream(config.seed)
-    tactile_rig = None
+    tactile_rig = calibration = None
     if "tactile" in modalities:
         tactile_rig = make_rig(config, "tactile")
-        if calibration is None:
-            calibration = calibrate_rig(config, tactile_rig)
+        calibration = calibrate_rig(config, tactile_rig)
 
     t0 = time.perf_counter()
     records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}
@@ -265,12 +264,18 @@ def write_report(records: dict[str, list[TrialRecord]], batches: int,
     """Write summary/histogram/cumulative CSVs plus records and manifest.
 
     Returns the path of every file written. Output is deterministic for a
-    given record set.
+    given record set. A modality whose records cannot be summarized in
+    ``batches`` raises ValueError naming it before ``out_dir`` is made.
     """
+    modalities = list(records)
+    summaries = {}
+    for m in modalities:
+        try:
+            summaries[m] = summarize_modality(records[m], batches)
+        except ValueError as exc:
+            raise ValueError(f"{m}: {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    modalities = list(records)
-    summaries = {m: summarize_modality(records[m], batches) for m in modalities}
     paths: dict[str, Path] = {}
 
     paths["summary"] = out / "summary.csv"
@@ -342,6 +347,10 @@ def _not_json_number(token: str):
 def load_records(path) -> dict[str, list[TrialRecord]]:
     """Read a records.jsonl back into per-modality record lists.
 
+    Each modality's records come back in trial index order, and the
+    modalities in the order their first lines appear, so the lines of a
+    file may be shuffled without changing its report.
+
     A byte that is not UTF-8, a ``NaN`` or ``Infinity`` token (not JSON),
     a line that does not hold a trial record that keeps
     ``control.check_record``'s rules, or a record whose modality and trial
@@ -369,4 +378,6 @@ def load_records(path) -> dict[str, list[TrialRecord]]:
         records.setdefault(rec.modality, []).append(rec)
     if not records:
         raise ValueError(f"{path}: no records found")
+    for recs in records.values():
+        recs.sort(key=lambda r: r.trial_index)
     return records

@@ -15,7 +15,6 @@ from .perception import (check_weights, cht_params_for, detect_circles,
                          load_weights, save_weights, score_candidates,
                          train_discriminator)
 from .simworld import make_rig
-from .tactile import load_calibration, save_calibration
 
 
 _BATCHES = 3
@@ -58,9 +57,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--camera-z", type=float, default=None,
                    help="camera height used for the shot (default: config)")
 
-    p = sub.add_parser("calibrate", help="calibrate the tactile fingertips")
+    p = sub.add_parser("calibrate", help="print the tactile fingertip fit")
     add_config_args(p)
-    p.add_argument("--out", type=Path, default=Path("fingertips.cal"))
 
     p = sub.add_parser("run", help="run a benchmark campaign")
     add_config_args(p)
@@ -70,8 +68,6 @@ def _build_parser() -> _Parser:
                    default="all")
     p.add_argument("--weights", type=Path, default=None,
                    help="pre-trained weights (default: train first)")
-    p.add_argument("--calibration", type=Path, default=None,
-                   help="tactile calibration file (default: calibrate in-run)")
     p.add_argument("--out", type=Path, default=Path("results"))
 
     p = sub.add_parser("report", help="rebuild report CSVs from records.jsonl")
@@ -143,12 +139,9 @@ def _cmd_detect(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config_from(args)
-    _check_out("--out", args.out)
     cals = control.calibrate_rig(config, make_rig(config, "tactile"))
-    save_calibration(args.out, cals)
     for finger, cal in cals.items():
         print(f"{finger}: residual rms {cal.residual_rms * 1e6:.1f} um")
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -160,13 +153,9 @@ def _cmd_run(args) -> int:
     weights = None
     if args.weights is not None:
         weights = load_weights(args.weights)
-    calibration = None
-    if args.calibration is not None:
-        calibration = load_calibration(args.calibration)
     result = bench.run_experiment(config, args.trials, args.batches,
                                   weights=weights, modalities=modalities,
-                                  progress=lambda msg: print(msg, flush=True),
-                                  calibration=calibration)
+                                  progress=lambda msg: print(msg, flush=True))
     paths = bench.emit_report(result, args.out)
     print(f"campaign: {args.trials} trials x {len(modalities)} modalities "
           f"in {result.campaign_wall_s:.1f}s")

@@ -83,11 +83,13 @@ def check_record(record: TrialRecord) -> None:
 
     Its modality, results and placement come from ``MODALITIES``,
     ``RESULTS`` and ``PLACEMENTS`` (placement may be None); its trial index
-    is not negative; it spent at least one attempt and no more attempts
-    than it has outcomes; it succeeded exactly when its last result is
-    ``inserted``; a trial that released the vial (last result ``inserted``
-    or ``released_failed``) has a ``final_offset``; a ``no_target`` trial
-    has no placement, and a ``safety_stop`` leaves the vial ``still_held``.
+    is not negative; every result but the last is ``rack_top``; it spent at
+    least one attempt and has one outcome per attempt, plus one when it
+    released the vial (last result ``inserted`` or ``released_failed``)
+    after the aims ran out; it succeeded exactly when its last result is
+    ``inserted``; a trial that released the vial has a ``final_offset``; a
+    ``no_target`` trial has no placement, and a ``safety_stop`` leaves the
+    vial ``still_held``.
     """
     if record.modality not in MODALITIES:
         raise ValueError(f"unknown modality {record.modality!r}")
@@ -106,10 +108,17 @@ def check_record(record: TrialRecord) -> None:
             raise ValueError(f"unknown result {result!r}")
     if record.placement is not None and record.placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {record.placement!r}")
+    for i, result in enumerate(results[:-1], start=1):
+        if result != "rack_top":
+            raise ValueError(f"result {i} of {len(results)} is {result!r}, "
+                             f"but only the last may end the trial")
+    released = results[-1] in ("inserted", "released_failed")
+    if len(results) > record.attempts + released:
+        raise ValueError(f"{len(results)} outcomes for {record.attempts} "
+                         f"attempts ending in {results[-1]!r}")
     if record.success != (results[-1] == "inserted"):
         raise ValueError(f"success is {record.success} but the last result "
                          f"is {results[-1]!r}")
-    released = results[-1] in ("inserted", "released_failed")
     if released and record.final_offset is None:
         raise ValueError(f"{results[-1]} trial has no final_offset")
     if "no_target" in results and record.placement is not None:

@@ -100,18 +100,17 @@ def _dims(shape: tuple[int, ...]) -> str:
     return "x".join(str(d) for d in shape)
 
 
-def init_weights(gen: np.random.Generator, config: CnnConfig,
-                 dtype=np.float32) -> CnnWeights:
-    """He-initialized weights, zero biases."""
+def init_weights(gen: np.random.Generator, config: CnnConfig) -> CnnWeights:
+    """He-initialized float32 weights, zero biases."""
     tensors = {}
     for name, shape in tensor_shapes(config).items():
         if name.endswith("_b"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
+            tensors[name] = np.zeros(shape, dtype=np.float32)
         else:
             # Inputs per output unit: (in, out) for fc, (out, in, k, k) for conv.
             fan_in = shape[0] if name.startswith("fc") else int(np.prod(shape[1:]))
             tensors[name] = (gen.standard_normal(shape)
-                             * np.sqrt(2.0 / fan_in)).astype(dtype)
+                             * np.sqrt(2.0 / fan_in)).astype(np.float32)
     return CnnWeights(**tensors)
 
 

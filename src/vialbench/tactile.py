@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,6 @@ FINGERS = ("left", "right")
 # Moore neighborhood, clockwise from west, as (row, col) steps.
 _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1),
           (0, 1), (1, 1), (1, 0), (1, -1))
-
-_CAL_MAGIC = "VIALTAC1"
 
 
 class CalibrationError(RuntimeError):
@@ -305,65 +302,6 @@ def apply_calibration(cal: TactileCalibration, centroid_px: tuple[float, float],
     n = np.array([centroid_px[0] / (width - 1.0),
                   centroid_px[1] / (height - 1.0)])
     return cal.gain @ n + cal.bias
-
-
-def save_calibration(path, cals: dict[str, TactileCalibration]) -> None:
-    lines = [_CAL_MAGIC]
-    for finger in FINGERS:
-        cal = cals[finger]
-        g = [float(v) for v in cal.gain.ravel()]
-        b = [float(v) for v in cal.bias]
-        lines.append(f"finger {finger}")
-        lines.append(f"gain {g[0]!r} {g[1]!r} {g[2]!r} {g[3]!r}")
-        lines.append(f"bias {b[0]!r} {b[1]!r}")
-        lines.append(f"rms {float(cal.residual_rms)!r}")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_calibration(path) -> dict[str, TactileCalibration]:
-    with open(path, encoding="ascii", errors="replace") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != _CAL_MAGIC:
-        raise ValueError(f"{path}: not a calibration file")
-    cals: dict[str, TactileCalibration] = {}
-    i = 1
-    while i < len(lines):
-        head = lines[i].split()
-        if len(head) != 2 or head[0] != "finger" or head[1] not in FINGERS:
-            raise ValueError(f"{path}: bad finger header {lines[i]!r}")
-        if head[1] in cals:
-            raise ValueError(f"{path}: repeated calibration for {head[1]!r}")
-        gain = _cal_numbers(path, lines, i + 1, "gain", 4)
-        bias = _cal_numbers(path, lines, i + 2, "bias", 2)
-        rms = _cal_numbers(path, lines, i + 3, "rms", 1)
-        cals[head[1]] = TactileCalibration(
-            gain=np.array(gain).reshape(2, 2),
-            bias=np.array(bias),
-            residual_rms=rms[0],
-        )
-        i += 4
-    missing = set(FINGERS) - set(cals)
-    if missing:
-        raise ValueError(f"{path}: missing calibration for {sorted(missing)}")
-    return cals
-
-
-def _cal_numbers(path, lines: list[str], i: int, key: str,
-                 count: int) -> list[float]:
-    """The ``count`` finite numbers of calibration line ``i``, which must
-    read ``key n1 .. ncount``."""
-    parts = lines[i].split() if i < len(lines) else []
-    if parts[:1] != [key] or len(parts) != count + 1:
-        got = repr(lines[i]) if i < len(lines) else "end of file"
-        raise ValueError(f"{path}: expected {key!r} with {count} numbers, got {got}")
-    try:
-        values = [float(v) for v in parts[1:]]
-    except ValueError:
-        raise ValueError(f"{path}: bad number in {lines[i]!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{path}: non-finite {key} in {lines[i]!r}")
-    return values
 
 
 def track_deviation(regions: dict[str, ContactRegion | None],

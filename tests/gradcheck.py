@@ -3,6 +3,11 @@
 from vialbench.perception.cnn import CnnWeights, loss_and_grads
 
 
+def as_dtype(weights: CnnWeights, dtype) -> CnnWeights:
+    """A copy of ``weights`` with every tensor cast to ``dtype``."""
+    return CnnWeights(**{n: a.astype(dtype) for n, a in weights.tensors()})
+
+
 def numeric_gradient(weights: CnnWeights, x, targets, mask,
                      name: str, index: tuple, eps: float = 1e-3) -> float:
     """Central-difference derivative of the loss w.r.t. one parameter."""

@@ -209,3 +209,34 @@ def test_run_experiment_checks_batches_before_training(monkeypatch, trials,
     monkeypatch.setattr(bench, "train_discriminator", no_training)
     with pytest.raises(ValueError, match="batches"):
         bench.run_experiment(load_config(), trials, batches)
+
+
+def test_run_experiment_refuses_a_repeated_modality_before_training(
+        monkeypatch):
+    """A repeated modality would write its trial indices twice, and
+    ``load_records`` refuses such a file."""
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(bench, "train_discriminator", no_work)
+    monkeypatch.setattr(bench, "calibrate_rig", no_work)
+    with pytest.raises(ValueError, match=r"repeated modalities: \['force'\]"):
+        bench.run_experiment(load_config(), 2, 1,
+                             modalities=("force", "tactile", "force"))
+
+
+def test_shuffled_records_rebuild_the_same_report(tmp_path):
+    """Batches follow the trial index, not the line order of the file."""
+    records = {"visual": [rec(1, i % 4 == 0, modality="visual", idx=i)
+                          for i in range(12)],
+               "force": [rec((i % 3) + 1, i < 6, idx=i) for i in range(12)]}
+    ordered = write_report(records, 3, tmp_path / "a")
+    first, *rest = ordered["records"].read_text().splitlines()
+    np.random.default_rng(5).shuffle(rest)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("\n".join([first, *rest]) + "\n")
+    reloaded = load_records(shuffled)
+    assert list(reloaded) == ["visual", "force"]
+    rebuilt = write_report(reloaded, 3, tmp_path / "b")
+    for key in ("summary", "histogram", "cumulative", "records"):
+        assert rebuilt[key].read_bytes() == ordered[key].read_bytes(), key

@@ -8,7 +8,6 @@ import pytest
 from vialbench.cli import main
 from vialbench.pgm import write_pgm
 from vialbench.perception import CnnWeights, load_weights, save_weights
-from vialbench.tactile import load_calibration
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +37,8 @@ def test_version_exits_zero(capsys):
     ["detect"],                      # --image/--weights are required
     ["run", "--modality", "sonar"],
     ["run", "--trials", "many"],
+    ["run", "--calibration", "f.cal"],   # fingertips calibrate in every run
+    ["calibrate", "--out", "f.cal"],     # and the fit is only printed
 ])
 def test_usage_errors_exit_one(argv):
     with pytest.raises(SystemExit) as ex:
@@ -57,17 +58,13 @@ def test_runtime_errors_exit_two(tmp_path, weights_file, capsys):
 
 def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
                                                       capsys):
-    cal = tmp_path / "short.cal"
-    cal.write_text("VIALTAC1\nfinger left\ngain 1 2 3 4\n")
-    assert run_cli("run", "--trials", "1", "--modality", "tactile",
-                   "--weights", weights_file, "--calibration", cal) == 2
     magic, rest = weights_file.read_bytes().split(b"\n", 1)
     bad = tmp_path / "gap.weights"
     bad.write_bytes(magic + b"\n\n" + rest)
     assert run_cli("run", "--trials", "1", "--weights", bad) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 2
-    assert "short.cal" in lines[0] and "gap.weights" in lines[1]
+    assert len(lines) == 1
+    assert "gap.weights" in lines[0]
 
 
 @pytest.mark.parametrize("make_args, fragment", [
@@ -85,9 +82,6 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
     pytest.param(lambda tmp: ["train", "--dump-dataset", tmp / "file"],
                  "--dump-dataset {tmp}/file: {tmp}/file is not a writable "
                  "directory", id="train-dump-into-a-file"),
-    pytest.param(lambda tmp: ["calibrate", "--out", tmp / "no" / "f.cal"],
-                 "--out {tmp}/no/f.cal: {tmp}/no is not a writable directory",
-                 id="calibrate-missing-directory"),
 ])
 def test_bad_output_path_exits_two_before_any_work(tmp_path, capsys,
                                                    monkeypatch, make_args,
@@ -179,6 +173,29 @@ _GOOD_RECORD = (b'{"attempts": 1, "final_offset": [0.0004, -0.0002], '
     pytest.param(_GOOD_RECORD.replace(
         b'[{"position": [0.1, 0.2], "result": "inserted"}]', b'[]'),
         "no outcomes", id="no-outcomes"),
+    # Two outcomes the trial loop cannot produce: it ends at the first
+    # result that is not a rack-top stop.
+    pytest.param(_GOOD_RECORD.replace(b'"attempts": 1', b'"attempts": 2')
+                 .replace(b'[{"position": [0.1, 0.2], "result": "inserted"}]',
+                          b'[{"position": [0.1, 0.2], "result": "inserted"}, '
+                          b'{"position": [0.1, 0.2], "result": "inserted"}]'),
+                 "result 1 of 2 is 'inserted', but only the last may end "
+                 "the trial", id="inserted-twice"),
+    pytest.param(_GOOD_RECORD.replace(b'"success": true', b'"success": false')
+                 .replace(b'"placement": "inserted"', b'"placement": "still_held"')
+                 .replace(b'[{"position": [0.1, 0.2], "result": "inserted"}]',
+                          b'[{"position": [0.1, 0.2], "result": "safety_stop"}, '
+                          b'{"position": [0.1, 0.2], "result": "rack_top"}, '
+                          b'{"position": [0.1, 0.2], "result": "rack_top"}]'),
+                 "result 1 of 3 is 'safety_stop', but only the last may end "
+                 "the trial", id="rack-top-after-safety-stop"),
+    pytest.param(_GOOD_RECORD.replace(
+        b'[{"position": [0.1, 0.2], "result": "inserted"}]',
+        b'[{"position": [0.1, 0.2], "result": "rack_top"}, '
+        b'{"position": [0.1, 0.2], "result": "rack_top"}, '
+        b'{"position": [0.1, 0.2], "result": "inserted"}]'),
+        "3 outcomes for 1 attempts ending in 'inserted'",
+        id="outcomes-beyond-attempts"),
     pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'null'),
                  "inserted trial has no final_offset", id="inserted-no-offset"),
     pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'null')
@@ -255,6 +272,19 @@ def test_malformed_records_exit_two_with_one_line(tmp_path, capsys, line,
     assert "records.jsonl: line 3:" in lines[0] and fragment in lines[0]
 
 
+def test_report_too_few_trials_names_the_modality_and_makes_no_directory(
+        tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    second = _GOOD_RECORD.replace(b'"trial_index": 0', b'"trial_index": 1')
+    records.write_bytes(_GOOD_RECORD + b"\n" + second + b"\n")
+    out = tmp_path / "out"
+    assert run_cli("report", "--records", records, "--batches", 3,
+                   "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "vialbench: force: cannot split 2 trials into 3 batches"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("data, extra, fragment", [
     (b"seed = 42\n# two lines\n", ["--set", "rack.rows=x"],
      "override 'rack.rows=x': bad int value 'x' for key 'rack.rows'"),
@@ -294,22 +324,6 @@ _QUICK = ["--set", "cnn.train_scenes=4", "--set", "cnn.epochs=1",
           "--trials", "1", "--batches", "1"]
 
 
-def _calibration_file(path, left_gain="1 0 0 1", left_bias="0 0"):
-    """A calibration file for both fingers; only the left finger's lines
-    vary."""
-    path.write_text(f"VIALTAC1\nfinger left\ngain {left_gain}\n"
-                    f"bias {left_bias}\nrms 0\n"
-                    "finger right\ngain 1 0 0 1\nbias 0 0\nrms 0\n")
-    return path
-
-
-def _left_twice(path):
-    """A calibration file that ends in a second, different left block."""
-    text = _calibration_file(path).read_text()
-    path.write_text(text + "finger left\ngain 2 0 0 2\nbias 0 0\nrms 0\n")
-    return path
-
-
 def _weights_file(path, good, tensor, value):
     """``good`` with the first number of ``tensor`` set to ``value``."""
     weights = load_weights(good)
@@ -330,15 +344,6 @@ def _weights_file(path, good, tensor, value):
     pytest.param(lambda tmp, w: ["--set", "force.threshold=-inf"],
                  "bad float value '-inf' for key 'force.threshold'",
                  id="set-minus-inf"),
-    pytest.param(lambda tmp, w: ["--calibration", _calibration_file(
-        tmp / "bad.cal", left_gain="nan 0 0 nan")],
-        "bad.cal: non-finite gain in 'gain nan 0 0 nan'", id="calibration-gain"),
-    pytest.param(lambda tmp, w: ["--calibration", _calibration_file(
-        tmp / "bad.cal", left_bias="0 -inf")],
-        "bad.cal: non-finite bias in 'bias 0 -inf'", id="calibration-bias"),
-    pytest.param(lambda tmp, w: ["--calibration", _left_twice(tmp / "twice.cal")],
-                 "twice.cal: repeated calibration for 'left'",
-                 id="calibration-repeated-finger"),
     pytest.param(lambda tmp, w: ["--weights", _weights_file(
         tmp / "bad.weights", w, "fc3_b", np.nan)],
         "bad.weights: non-finite value in fc3_b", id="weights-nan"),
@@ -532,17 +537,19 @@ def test_train_writes_weights_and_dump(tmp_path, capsys):
 # ---------------------------------------------------------------- calibrate
 
 
-def test_calibrate_writes_parseable_file(tmp_path, capsys):
-    out = tmp_path / "fingertips.cal"
-    assert run_cli("calibrate", "--out", out) == 0
-    cal = load_calibration(out)
-    assert set(cal) == {"left", "right"}
-    assert "rms" in capsys.readouterr().out
+def test_calibrate_prints_both_residuals_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("calibrate") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["left", "right"]
+    assert all(" residual rms " in line and line.endswith(" um")
+               for line in lines)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("make_args", [
-    pytest.param(lambda tmp, w: ["calibrate", "--out", tmp / "fingertips.cal"],
-                 id="calibrate"),
+    pytest.param(lambda tmp, w: ["calibrate"], id="calibrate"),
     pytest.param(lambda tmp, w: ["run", "--trials", "1", "--batches", "1",
                                  "--modality", "tactile", "--weights", w,
                                  "--out", tmp / "out"], id="run"),

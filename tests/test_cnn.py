@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import numeric_gradient
+from gradcheck import as_dtype, numeric_gradient
 from vialbench.core import CnnConfig
 from vialbench.perception.cnn import (CnnWeights, TrainingDiverged,
                                       check_weights, forward, init_weights,
@@ -71,7 +71,7 @@ def test_gradient_check_against_central_differences():
     every probed point on the same linear piece.
     """
     gen = np.random.default_rng(7)
-    w = init_weights(gen, CFG, dtype=np.float64)
+    w = as_dtype(init_weights(gen, CFG), np.float64)
     x = gen.random((2, 1, CFG.crop_size, CFG.crop_size))
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
     mask = np.array([[1.0, 1.0], [1.0, 0.0]])

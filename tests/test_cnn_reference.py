@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnn_reference
+from gradcheck import as_dtype
 from vialbench.core import CnnConfig
 from vialbench.perception import cnn
 
@@ -31,7 +32,7 @@ def batches(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     kind = draw(st.sampled_from(["noise", "patches", "flat", "dead1", "dead2"]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = cnn.init_weights(gen, CFG, dtype=dtype)
+    weights = as_dtype(cnn.init_weights(gen, CFG), dtype)
     side = CFG.crop_size
     if kind == "patches":
         block = int(gen.choice([2, 4, 8]))

@@ -177,8 +177,7 @@ def test_no_thread_outlives_a_trial_or_a_campaign(config, weights,
         tactile_trial(config, weights, tactile_rig)
         assert threading.active_count() == threads
         run_experiment(config, 2, 1, weights=weights,
-                       modalities=("tactile",),
-                       calibration=tactile_rig[1])
+                       modalities=("tactile",))
         assert threading.active_count() == threads
         assert len(started) == 3  # one thread per tactile trial
 

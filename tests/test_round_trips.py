@@ -14,8 +14,6 @@ from vialbench.control import (MODALITIES, PLACEMENTS, RESULTS,
                                AttemptOutcome, TrialRecord)
 from vialbench.core import WorkspaceConfig, dump_config, load_config
 from vialbench.pgm import read_pgm, write_pgm
-from vialbench.tactile import (FINGERS, TactileCalibration, load_calibration,
-                               save_calibration)
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -63,60 +61,42 @@ def test_pgm_write_read_round_trip(scratch, image):
     np.testing.assert_array_equal(back, image)
 
 
-def _calibrations():
-    cal = st.builds(
-        lambda g, b, rms: TactileCalibration(np.array(g).reshape(2, 2),
-                                             np.array(b), rms),
-        st.lists(finite, min_size=4, max_size=4),
-        st.lists(finite, min_size=2, max_size=2),
-        non_negative)
-    return st.fixed_dictionaries({f: cal for f in FINGERS})
-
-
-@FEW
-@given(cals=_calibrations())
-def test_calibration_save_load_round_trip(scratch, cals):
-    path = scratch / "fingertips.cal"
-    save_calibration(path, cals)
-    back = load_calibration(path)
-    assert set(back) == set(FINGERS)
-    for finger, cal in cals.items():
-        np.testing.assert_array_equal(back[finger].gain, cal.gain)
-        np.testing.assert_array_equal(back[finger].bias, cal.bias)
-        assert back[finger].residual_rms == cal.residual_rms
-
-
 _position = st.floats(allow_infinity=False)  # NaN marks "no target"
-_outcome = st.builds(
-    AttemptOutcome,
-    position=st.tuples(_position, _position),
-    result=st.sampled_from(RESULTS))
+
+
+def _outcome(results):
+    return st.builds(AttemptOutcome, position=st.tuples(_position, _position),
+                     result=st.sampled_from(results))
 
 
 @st.composite
 def _record(draw):
     """A record that keeps ``check_record``'s rules; every other field is
-    drawn freely. No trial both finds no target and safety-stops, one that
-    ends in a release has a final offset, and none has more attempts than
-    outcomes."""
-    outcomes = draw(st.lists(_outcome, min_size=1, max_size=6).map(tuple)
-                    .filter(lambda os: not {"no_target", "safety_stop"}
-                            <= {o.result for o in os}))
-    results = [o.result for o in outcomes]
-    if "no_target" in results:
+    drawn freely. Every result but the last is ``rack_top``; a trial that
+    ends in a release has a final offset and may hold one outcome more
+    than its attempts (the release after the aims ran out); the others
+    hold one outcome per attempt."""
+    outcomes = (*draw(st.lists(_outcome(["rack_top"]), max_size=5)),
+                draw(_outcome(RESULTS)))
+    last = outcomes[-1].result
+    released = last in ("inserted", "released_failed")
+    if last == "no_target":
         placement = None
-    elif "safety_stop" in results:
+    elif last == "safety_stop":
         placement = "still_held"
     else:
         placement = draw(st.none() | st.sampled_from(PLACEMENTS))
     offset = st.tuples(finite, finite)
-    if results[-1] not in ("inserted", "released_failed"):
+    if not released:
         offset = st.none() | offset
+    attempts = len(outcomes)
+    if released and attempts > 1:
+        attempts -= draw(st.integers(min_value=0, max_value=1))
     return TrialRecord(
         modality=draw(st.sampled_from(MODALITIES)),
         trial_index=draw(st.integers(min_value=0, max_value=10 ** 6)),
-        attempts=draw(st.integers(min_value=1, max_value=len(outcomes))),
-        success=results[-1] == "inserted",
+        attempts=attempts,
+        success=last == "inserted",
         runtime_s=draw(non_negative),
         outcomes=outcomes,
         final_offset=draw(offset),
@@ -139,6 +119,8 @@ def test_record_dict_round_trip(record):
 
 _NOWHERE = AttemptOutcome((float("nan"), float("nan")), "no_target")
 _STOP = AttemptOutcome((0.4, 0.0), "safety_stop")
+_LOST = AttemptOutcome((0.4, 0.0), "lost_contact")
+_TOP = AttemptOutcome((0.4, 0.0), "rack_top")
 
 # Each breaks exactly one rule of a valid record.
 _BREAKS = {
@@ -158,6 +140,10 @@ _BREAKS = {
         r, outcomes=r.outcomes[:-1] + (AttemptOutcome(
             r.outcomes[-1].position, "released_failed"),), success=False,
         final_offset=None),
+    "trial ended before the last result": lambda r: dataclasses.replace(
+        r, outcomes=(_LOST,) + r.outcomes, attempts=r.attempts + 1),
+    "outcomes beyond attempts": lambda r: dataclasses.replace(
+        r, outcomes=(_TOP, _TOP) + r.outcomes),
 }
 
 

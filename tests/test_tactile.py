@@ -11,9 +11,8 @@ import pytest
 from vialbench.core import TactileConfig, load_config
 from vialbench.tactile import (CalibrationError, _difference_sum, _moore_trace,
                                apply_calibration, calibrate_mapping,
-                               extract_contacts, find_contact,
-                               load_calibration, polygon_area,
-                               save_calibration, track_deviation)
+                               extract_contacts, find_contact, polygon_area,
+                               track_deviation)
 
 
 def frame(values):
@@ -298,38 +297,6 @@ def test_apply_calibration_normalizes_first():
     cal = calibrate_mapping(pts * 159.0, pts * 0.01, 160, 160)
     out = apply_calibration(cal, (159.0, 0.0), 160, 160)
     assert out == pytest.approx([0.01, 0.0], abs=1e-9)
-
-
-def test_calibration_file_round_trip(tmp_path):
-    pts = _normalized_grid()
-    cal = calibrate_mapping(pts * 159.0, pts * 0.01 + 0.001, 160, 160)
-    path = tmp_path / "f.cal"
-    save_calibration(path, {"left": cal, "right": cal})
-    back = load_calibration(path)
-    assert set(back) == {"left", "right"}
-    assert np.array_equal(back["left"].gain, cal.gain)
-    assert np.array_equal(back["left"].bias, cal.bias)
-    assert back["left"].residual_rms == cal.residual_rms
-
-
-def test_calibration_file_bad_magic(tmp_path):
-    path = tmp_path / "junk.cal"
-    path.write_text("NOTACAL\n")
-    with pytest.raises(ValueError):
-        load_calibration(path)
-
-
-@pytest.mark.parametrize("body", [
-    "finger left\ngain 1 2 3 4\n",                                  # truncated
-    "finger left\ngain 1 2 3\nbias 0 0\nrms 0\n",                   # short gain
-    "finger left\ngain 1 2 3 4\nbias 0 x\nrms 0\n",                 # bad number
-    "finger l\xe9ft\n",                                             # not ASCII
-])
-def test_calibration_file_malformed_names_file(tmp_path, body):
-    path = tmp_path / "bad.cal"
-    path.write_bytes(("VIALTAC1\n" + body).encode("latin-1"))
-    with pytest.raises(ValueError, match="bad.cal"):
-        load_calibration(path)
 
 
 # --- full-frame pipeline and slip tracking --------------------------------
