@@ -114,10 +114,12 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
     """Run ``trials`` paired trials of each modality: trial i of every
     modality, in ``modalities`` order, then trial i + 1.
 
-    Trains the slot classifier from the config seed when no weights are
-    given, and checks given weights against the config's network first.
-    The tactile rig and its calibration are built once and shared by
-    every tactile trial, mirroring a fixed physical gripper.
+    Checks given weights against the config's network, then builds the
+    tactile rig and its calibration, then trains the slot classifier from
+    the config seed when no weights are given, so a calibration that
+    fails does so before training. The rig and its calibration are built
+    once and shared by every tactile trial, mirroring a fixed physical
+    gripper.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -134,19 +136,19 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
         if progress is not None:
             progress(msg)
 
+    if weights is not None:
+        check_weights(weights, config.cnn)
+    tactile_rig = calibration = None
+    if "tactile" in modalities:
+        tactile_rig = make_rig(config, "tactile")
+        calibration = calibrate_rig(config, tactile_rig)
     if weights is None:
         note("training slot classifier")
         t0 = time.perf_counter()
         weights, _, n_crops = train_discriminator(config)
         note(f"trained on {n_crops} crops in {time.perf_counter() - t0:.1f}s")
-    else:
-        check_weights(weights, config.cnn)
 
     master = RngStream(config.seed)
-    tactile_rig = calibration = None
-    if "tactile" in modalities:
-        tactile_rig = make_rig(config, "tactile")
-        calibration = calibrate_rig(config, tactile_rig)
 
     t0 = time.perf_counter()
     records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}

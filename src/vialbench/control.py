@@ -87,9 +87,9 @@ def check_record(record: TrialRecord) -> None:
     least one attempt and has one outcome per attempt, plus one when it
     released the vial (last result ``inserted`` or ``released_failed``)
     after the aims ran out; it succeeded exactly when its last result is
-    ``inserted``; a trial that released the vial has a ``final_offset``; a
-    ``no_target`` trial has no placement, and a ``safety_stop`` leaves the
-    vial ``still_held``.
+    ``inserted``; a trial that released the vial has a ``final_offset``;
+    ``no_target`` is only ever the one outcome; and the placement is one
+    the trial loop leaves after the last result.
     """
     if record.modality not in MODALITIES:
         raise ValueError(f"unknown modality {record.modality!r}")
@@ -112,6 +112,9 @@ def check_record(record: TrialRecord) -> None:
         if result != "rack_top":
             raise ValueError(f"result {i} of {len(results)} is {result!r}, "
                              f"but only the last may end the trial")
+    if results[-1] == "no_target" and len(results) > 1:
+        raise ValueError(f"result {len(results)} of {len(results)} is "
+                         f"'no_target', but it is only ever the one outcome")
     released = results[-1] in ("inserted", "released_failed")
     if len(results) > record.attempts + released:
         raise ValueError(f"{len(results)} outcomes for {record.attempts} "
@@ -121,11 +124,16 @@ def check_record(record: TrialRecord) -> None:
                          f"is {results[-1]!r}")
     if released and record.final_offset is None:
         raise ValueError(f"{results[-1]} trial has no final_offset")
-    if "no_target" in results and record.placement is not None:
-        raise ValueError(f"no_target trial has placement {record.placement!r}")
-    if "safety_stop" in results and record.placement != "still_held":
-        raise ValueError(f"safety_stop trial has placement "
-                         f"{record.placement!r}, not 'still_held'")
+    leaves = {"inserted": ("inserted",),
+              "released_failed": ("resting_on_rack", "dropped_on_table"),
+              "lost_contact": ("dropped_on_table", "still_held"),
+              "safety_stop": ("still_held",),
+              "rack_top": ("dropped_on_table",),  # aims ran out, no vial
+              "no_target": (None,)}[results[-1]]
+    if record.placement not in leaves:
+        raise ValueError(f"{results[-1]} trial has placement "
+                         f"{record.placement!r}, not "
+                         f"{' or '.join(map(repr, leaves))}")
 
 
 def _charged_move(scene: SceneState, target) -> None:
@@ -226,10 +234,10 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     A tactile trial opens ``simworld.draw_ahead`` right after the overview
     look and keeps it open to the end, since the scene generator takes no
     draws once it closes. From there on its scene draws only standard
-    normals, most of them pixel noise for the fingertip frames, which a
-    second thread draws while this one traces contacts. Visual and force
-    trials draw a close-up's or a tick's worth at a time, too little to
-    overlap, so they draw in line.
+    normals, most of them pixel noise for the fingertip frames, which the
+    one worker of a thread pool draws while this thread traces contacts.
+    Visual and force trials draw a close-up's or a tick's worth at a time,
+    too little to overlap, so they draw in line.
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
@@ -422,7 +430,8 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
 def calibrate_rig(config: WorkspaceConfig, rig) -> dict[str, TactileCalibration]:
     """Fit each finger's centroid-to-offset map on a grid of known grasps,
     drawn from the reserved calibration RNG stream of the config seed; a
-    finger with contact in fewer than three grasps raises CalibrationError."""
+    finger with contact in fewer than three grasps, or whose fit fails,
+    raises CalibrationError naming it."""
     if rig is None or not rig.has_tactile:
         raise ValueError("calibration needs a tactile-equipped rig")
     stream = RngStream(config.seed).child(KEY_CALIB)
@@ -440,11 +449,17 @@ def calibrate_rig(config: WorkspaceConfig, rig) -> dict[str, TactileCalibration]
             if region is not None:
                 cents[finger].append(region.centroid)
                 offs[finger].append((ox, oy))
+    fits = {}
     for f in FINGERS:
         if len(cents[f]) < 3:
             raise CalibrationError(
                 f"{f} finger: contact in {len(cents[f])} of {len(grasps)} "
                 f"calibration grasps, need 3")
-    return {f: calibrate_mapping(np.asarray(cents[f]), np.asarray(offs[f]),
-                                 config.tactile.width, config.tactile.height)
-            for f in FINGERS}
+        try:
+            fits[f] = calibrate_mapping(np.asarray(cents[f]),
+                                        np.asarray(offs[f]),
+                                        config.tactile.width,
+                                        config.tactile.height)
+        except CalibrationError as exc:
+            raise CalibrationError(f"{f} finger: {exc}") from None
+    return fits

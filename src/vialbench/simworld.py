@@ -7,9 +7,10 @@ only through rendered images, force samples, tactile frames, and motion
 commands, mirroring how the physical workcell is driven.
 
 Every scene draws from one generator, ``scene.rng``. Inside
-:func:`draw_ahead` a second thread draws its standard normals ahead, in
-the order they are asked for, so a tactile trial's pixel noise overlaps
-the rest of its work and the bytes stay the same.
+:func:`draw_ahead` the one worker of a ``concurrent.futures`` thread pool
+draws its standard normals ahead, in the order they are asked for, so a
+tactile trial's pixel noise overlaps the rest of its work and the bytes
+stay the same.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -617,21 +618,21 @@ def reference_frames(scene: SceneState, finger: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # drawing ahead
 
-DRAW_AHEAD_CHUNK = 65_536  # standard normals the thread draws at a time
+DRAW_AHEAD_CHUNK = 65_536  # standard normals the worker draws at a time
 DRAW_AHEAD_DEPTH = 2  # chunks drawn ahead of the one being served, at most
 
 
 @contextmanager
 def draw_ahead(scene: SceneState):
     """While open, ``scene.rng`` serves only ``standard_normal``, from chunks
-    a second thread draws ahead with the scene generator; any other use of
-    it raises AttributeError.
+    the one worker of a thread pool draws ahead with the scene generator;
+    any other use of it raises AttributeError.
 
     The chunks are consecutive draws, so each call gets the bits a plain
-    call would give. On exit, normal or by an exception, the thread is
-    stopped and joined and ``scene.rng`` stays the closed stand-in: the
-    generator has drawn past what was served, so any later draw raises
-    instead of going on from the wrong place.
+    call would give. On exit, normal or by an exception, the pool is shut
+    down and its thread joined, and ``scene.rng`` stays the closed
+    stand-in: the generator has drawn past what was served, so any later
+    draw raises instead of going on from the wrong place.
 
     With fewer than 2 CPUs in ``os.sched_getaffinity`` no thread starts
     and the block changes nothing: on one CPU the thread would only add
@@ -653,70 +654,51 @@ def draw_ahead(scene: SceneState):
 
 class _AheadNormals:
     """``scene.rng`` inside :func:`draw_ahead`: standard normals served
-    from the chunks a producer thread draws, and nothing else."""
+    from chunks that a one-worker thread pool draws in order, and nothing
+    else."""
 
     def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        # One token per chunk the producer may draw ahead of the one being
-        # served: it takes one per chunk it draws, the consumer gives one
-        # back per chunk it starts to serve, and close() gives it None.
-        self._room = queue.SimpleQueue()
-        for _ in range(DRAW_AHEAD_DEPTH):
-            self._room.put(True)
-        self._ready = queue.SimpleQueue()
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="vialbench-draw-ahead")
+        self._draw = functools.partial(gen.standard_normal, DRAW_AHEAD_CHUNK)
+        # The chunks drawn, or being drawn, ahead of the one being served.
+        # A failed draw stays at the head, so every later draw raises its
+        # error; close() empties it.
+        self._pending = deque(self._pool.submit(self._draw)
+                              for _ in range(DRAW_AHEAD_DEPTH))
         self._chunk = np.empty(0)  # the chunk being served
         self._served = 0  # how much of it is served
-        self._closing = False
-        self._thread = threading.Thread(target=self._produce, daemon=True,
-                                        name="vialbench-draw-ahead")
-        self._thread.start()
 
     def __getattr__(self, name):
         raise AttributeError(f"inside draw_ahead the scene generator serves "
                              f"only standard_normal, not {name!r}")
 
-    def _produce(self) -> None:
-        try:
-            while self._room.get() and not self._closing:
-                chunk = np.empty(DRAW_AHEAD_CHUNK)
-                self._gen.standard_normal(out=chunk)  # releases the GIL
-                self._ready.put(chunk)
-        except Exception as exc:  # for the consumer to raise
-            self._ready.put(exc)
-
     def _next_chunk(self) -> None:
-        if self._closing:
+        if not self._pending:
             raise RuntimeError("draw_ahead is closed: the scene generator "
                                "has drawn past what it served")
-        item = self._ready.get()
-        if isinstance(item, Exception):
-            self._ready.put(item)  # for every later draw too
-            raise item
-        self._room.put(True)
-        self._chunk, self._served = item, 0
+        self._chunk, self._served = self._pending[0].result(), 0
+        self._pending.popleft()
+        self._pending.append(self._pool.submit(self._draw))
 
     def standard_normal(self, size) -> np.ndarray:
-        """The next draws of ``Generator.standard_normal(size)``, float64."""
+        """The next draws of ``Generator.standard_normal(size)``, float64:
+        a view of one chunk, or the pieces of several joined."""
         count = math.prod(size) if isinstance(size, tuple) else int(size)
-        start = self._served
-        if start + count <= self._chunk.size:  # a view of one chunk
-            self._served += count
-            return self._chunk[start:self._served].reshape(size)
-        out = np.empty(count)
-        filled = 0
-        while filled < count:
+        pieces = []
+        while count or not pieces:
             if self._served == self._chunk.size:
                 self._next_chunk()
-            take = min(count - filled, self._chunk.size - self._served)
-            out[filled:filled + take] = \
-                self._chunk[self._served:self._served + take]
+            take = min(count, self._chunk.size - self._served)
+            pieces.append(self._chunk[self._served:self._served + take])
             self._served += take
-            filled += take
+            count -= take
+        out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         return out.reshape(size)
 
     def close(self) -> None:
-        """Stop and join the thread; every later draw raises."""
-        self._closing = True
+        """Cancel the chunks not yet drawn and join the worker; every later
+        draw raises."""
+        self._pending.clear()
         self._chunk, self._served = np.empty(0), 0
-        self._room.put(None)
-        self._thread.join()
+        self._pool.shutdown(wait=True, cancel_futures=True)

@@ -1,6 +1,12 @@
+import os
 import time
 
 import pytest
+
+# Before anything imports numpy, which reads it once: one OpenBLAS thread,
+# as the README advises, so BLAS threads do not contend with the tests and
+# the draw-ahead worker for a small host's CPUs.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from vialbench.core import load_config
 from vialbench.perception.pipeline import train_discriminator

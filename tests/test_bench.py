@@ -26,7 +26,8 @@ def rec(attempts, success, runtime=10.0, modality="force", idx=0):
         modality=modality, trial_index=idx, attempts=attempts, success=success,
         runtime_s=runtime,
         outcomes=tuple(AttemptOutcome((0.4, 0.0), r) for r in results),
-        final_offset=(0.0, 0.0), placement="inserted" if success else "still_held")
+        final_offset=(0.0, 0.0),
+        placement="inserted" if success else "resting_on_rack")
 
 
 # Worked example used throughout: three trials, one first-try insert, one

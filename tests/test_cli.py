@@ -196,6 +196,41 @@ _GOOD_RECORD = (b'{"attempts": 1, "final_offset": [0.0004, -0.0002], '
         b'{"position": [0.1, 0.2], "result": "inserted"}]'),
         "3 outcomes for 1 attempts ending in 'inserted'",
         id="outcomes-beyond-attempts"),
+    # Placements the last result cannot leave, and a no_target after an
+    # aim: the trial loop makes neither.
+    pytest.param(_GOOD_RECORD.replace(b'"placement": "inserted"',
+                                      b'"placement": "dropped_on_table"'),
+                 "inserted trial has placement 'dropped_on_table', "
+                 "not 'inserted'", id="inserted-on-the-table"),
+    pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
+                                      b'"result": "released_failed"')
+                 .replace(b'"success": true', b'"success": false'),
+                 "released_failed trial has placement 'inserted', "
+                 "not 'resting_on_rack' or 'dropped_on_table'",
+                 id="released-failed-inserted"),
+    pytest.param(_GOOD_RECORD.replace(b'"attempts": 1', b'"attempts": 2')
+                 .replace(b'"success": true', b'"success": false')
+                 .replace(b'"placement": "inserted"', b'"placement": null')
+                 .replace(b'[{"position": [0.1, 0.2], "result": "inserted"}]',
+                          b'[{"position": [0.1, 0.2], "result": "rack_top"}, '
+                          b'{"position": [null, null], "result": "no_target"}]'),
+                 "result 2 of 2 is 'no_target', but it is only ever the one "
+                 "outcome", id="no-target-after-rack-top"),
+    pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
+                                      b'"result": "lost_contact"')
+                 .replace(b'"success": true', b'"success": false')
+                 .replace(b'"placement": "inserted"',
+                          b'"placement": "resting_on_rack"'),
+                 "lost_contact trial has placement 'resting_on_rack', "
+                 "not 'dropped_on_table' or 'still_held'",
+                 id="lost-contact-on-the-rack"),
+    pytest.param(_GOOD_RECORD.replace(b'"result": "inserted"',
+                                      b'"result": "rack_top"')
+                 .replace(b'"success": true', b'"success": false')
+                 .replace(b'"placement": "inserted"',
+                          b'"placement": "still_held"'),
+                 "rack_top trial has placement 'still_held', "
+                 "not 'dropped_on_table'", id="last-rack-top-still-held"),
     pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'null'),
                  "inserted trial has no final_offset", id="inserted-no-offset"),
     pytest.param(_GOOD_RECORD.replace(b'[0.0004, -0.0002]', b'null')
@@ -565,6 +600,30 @@ def test_calibration_without_contacts_names_the_finger(tmp_path, weights_file,
         "vialbench: left finger: contact in 0 of 9 calibration grasps, need 3"]
     assert "Traceback" not in captured.err
     assert "campaign:" not in captured.out
+
+
+@pytest.mark.parametrize("make_args", [
+    pytest.param(lambda tmp: ["calibrate"], id="calibrate"),
+    pytest.param(lambda tmp: ["run", "--trials", "1", "--batches", "1",
+                              "--modality", "tactile", "--out", tmp / "out"],
+                 id="run"),
+])
+def test_collinear_calibration_names_the_finger_before_training(
+        tmp_path, capsys, monkeypatch, make_args):
+    # At threshold 0 every pixel is contact, so all nine centroids of a
+    # finger sit at the frame centre and its fit has no plane to pin.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    for name in ("vialbench.cli.train_discriminator",
+                 "vialbench.bench.train_discriminator"):
+        monkeypatch.setattr(name, no_training)
+    code = run_cli(*make_args(tmp_path), "--set", "tactile.threshold=0")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        "vialbench: left finger: calibration centroids are collinear"]
+    assert "training slot classifier" not in captured.out
 
 
 # ---------------------------------------------------------------- run/report

@@ -10,6 +10,7 @@ hanging it. With one CPU no thread starts and a trial is the same.
 
 import sys
 import threading
+import time
 from types import SimpleNamespace
 from unittest import mock
 
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from vialbench import control, simworld
 from vialbench.bench import run_experiment
 from vialbench.core import RngStream, split_rng
-from vialbench.simworld import DRAW_AHEAD_CHUNK, draw_ahead, make_rig
+from vialbench.simworld import (DRAW_AHEAD_CHUNK, DRAW_AHEAD_DEPTH,
+                                draw_ahead, make_rig)
 
 FRAME = (160, 160)  # one fingertip frame at the default tactile size
 SIZES = [1, 2, 3, FRAME, DRAW_AHEAD_CHUNK, DRAW_AHEAD_CHUNK - 1,
@@ -147,6 +149,44 @@ def test_a_failing_producer_raises_in_the_consumer():
         worker.join(timeout=10)
     assert not worker.is_alive(), "the consumer hung on a dead producer"
     assert [str(exc) for exc in caught] == ["chunk draw failed"]
+
+
+class CountingChunks:
+    """A generator that counts its chunk draws; chunk ``fail_at``, if
+    given, fails."""
+
+    def __init__(self, fail_at=None):
+        self.drawn, self.fail_at = 0, fail_at
+
+    def standard_normal(self, size=None, out=None):
+        self.drawn += 1
+        if self.drawn == self.fail_at:
+            raise RuntimeError(f"chunk {self.drawn} draw failed")
+        out = np.empty(size) if out is None else out
+        out[...] = self.drawn
+        return out
+
+
+@pytest.mark.parametrize("served", [0, 1, 3])
+def test_the_worker_draws_at_most_depth_chunks_ahead(served):
+    gen = CountingChunks()
+    scene = SimpleNamespace(rng=gen)
+    with two_cpus(), draw_ahead(scene):
+        for _ in range(served):
+            scene.rng.standard_normal(DRAW_AHEAD_CHUNK)
+        time.sleep(0.2)  # room for the worker to run ahead if it would
+        assert gen.drawn == served + DRAW_AHEAD_DEPTH
+
+
+def test_a_failed_chunk_fails_every_later_draw():
+    """The draw that reaches a failed chunk raises its error, and so does
+    every draw after it, instead of serving the chunk after."""
+    scene = SimpleNamespace(rng=CountingChunks(fail_at=2))
+    with two_cpus(), draw_ahead(scene):
+        assert (scene.rng.standard_normal(DRAW_AHEAD_CHUNK) == 1.0).all()
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="chunk 2 draw failed"):
+                scene.rng.standard_normal(1)
 
 
 @pytest.fixture(scope="module")

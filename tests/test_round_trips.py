@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from vialbench.bench import record_from_dict, record_to_dict
-from vialbench.control import (MODALITIES, PLACEMENTS, RESULTS,
+from vialbench.control import (MODALITIES, RESULTS,
                                AttemptOutcome, TrialRecord)
 from vialbench.core import WorkspaceConfig, dump_config, load_config
 from vialbench.pgm import read_pgm, write_pgm
@@ -69,23 +69,30 @@ def _outcome(results):
                      result=st.sampled_from(results))
 
 
+# The placements each last result leaves, as the trial loop makes them.
+_LEAVES = {"inserted": ("inserted",),
+           "released_failed": ("resting_on_rack", "dropped_on_table"),
+           "lost_contact": ("dropped_on_table", "still_held"),
+           "safety_stop": ("still_held",),
+           "rack_top": ("dropped_on_table",),
+           "no_target": (None,)}
+
+
 @st.composite
 def _record(draw):
     """A record that keeps ``check_record``'s rules; every other field is
-    drawn freely. Every result but the last is ``rack_top``; a trial that
-    ends in a release has a final offset and may hold one outcome more
-    than its attempts (the release after the aims ran out); the others
-    hold one outcome per attempt."""
-    outcomes = (*draw(st.lists(_outcome(["rack_top"]), max_size=5)),
-                draw(_outcome(RESULTS)))
-    last = outcomes[-1].result
+    drawn freely. Every result but the last is ``rack_top``, and
+    ``no_target`` comes alone; the placement is one the last result
+    leaves; a trial that ends in a release has a final offset and may
+    hold one outcome more than its attempts (the release after the aims
+    ran out); the others hold one outcome per attempt."""
+    end = draw(_outcome(RESULTS))
+    last = end.result
+    tops = [] if last == "no_target" else draw(
+        st.lists(_outcome(["rack_top"]), max_size=5))
+    outcomes = (*tops, end)
     released = last in ("inserted", "released_failed")
-    if last == "no_target":
-        placement = None
-    elif last == "safety_stop":
-        placement = "still_held"
-    else:
-        placement = draw(st.none() | st.sampled_from(PLACEMENTS))
+    placement = draw(st.sampled_from(_LEAVES[last]))
     offset = st.tuples(finite, finite)
     if not released:
         offset = st.none() | offset
@@ -144,6 +151,12 @@ _BREAKS = {
         r, outcomes=(_LOST,) + r.outcomes, attempts=r.attempts + 1),
     "outcomes beyond attempts": lambda r: dataclasses.replace(
         r, outcomes=(_TOP, _TOP) + r.outcomes),
+    "no_target after a rack_top": lambda r: dataclasses.replace(
+        r, outcomes=(_TOP, _NOWHERE), attempts=2, success=False,
+        placement=None),
+    "lost_contact on the rack": lambda r: dataclasses.replace(
+        r, outcomes=(_LOST,), attempts=1, success=False,
+        placement="resting_on_rack"),
 }
 
 
