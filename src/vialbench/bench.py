@@ -1,8 +1,9 @@
 """Benchmark campaigns: paired trials, metrics, and report files.
 
-A campaign runs one trial index at a time: trial i of every modality draws
-from one per-trial random stream, so they all see the same rack pose,
-occupancy, camera miscalibration and overview image at any grasp noise.
+A campaign runs one trial index at a time (``run_index``): trial i of every
+modality draws from one per-trial random stream, so they all see the same
+rack pose, occupancy, camera miscalibration and overview image at any grasp
+noise.
 Metrics follow two conventions side by side: attempt and runtime statistics
 pool the successful trials, while success and first-time percentages are
 computed per batch and summarized across batches.
@@ -17,6 +18,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -108,11 +110,26 @@ class ExperimentResult:
     campaign_wall_s: float
 
 
+def run_index(config: WorkspaceConfig, weights: CnnWeights, rig, calibration,
+              i: int, modalities) -> list[TrialRecord]:
+    """Trial ``i`` of each modality, in ``modalities`` order: all draw from
+    ``split_rng(seed, i)`` and share one ``seen`` cache, so the first
+    renders and perceives the overview and the others reuse it (see
+    control._image_and_select). ``rig`` and ``calibration`` are the tactile
+    trial's."""
+    trial = {"visual": run_visual_trial, "force": run_force_trial,
+             "tactile": partial(run_tactile_trial, rig=rig,
+                                calibration=calibration)}
+    stream, seen = split_rng(RngStream(config.seed), i), {}
+    return [trial[m](config, stream, weights, trial_index=i, seen=seen)
+            for m in modalities]
+
+
 def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
                    weights: CnnWeights | None = None,
                    modalities=MODALITIES, progress=None) -> ExperimentResult:
-    """Run ``trials`` paired trials of each modality: trial i of every
-    modality, in ``modalities`` order, then trial i + 1.
+    """Run ``trials`` paired trials of each modality: ``run_index`` at
+    i = 0, 1, ..., regrouped by modality.
 
     Checks given weights against the config's network, then builds the
     tactile rig and its calibration, then trains the slot classifier from
@@ -125,6 +142,8 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
         raise ValueError("need at least one trial")
     if not 1 <= batches <= trials:
         raise ValueError(f"cannot split {trials} trials into {batches} batches")
+    if not modalities:
+        raise ValueError("need at least one modality")
     unknown = set(modalities) - set(MODALITIES)
     if unknown:
         raise ValueError(f"unknown modalities: {sorted(unknown)}")
@@ -138,37 +157,21 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
 
     if weights is not None:
         check_weights(weights, config.cnn)
-    tactile_rig = calibration = None
+    rig = calibration = None
     if "tactile" in modalities:
-        tactile_rig = make_rig(config, "tactile")
-        calibration = calibrate_rig(config, tactile_rig)
+        rig = make_rig(config, "tactile")
+        calibration = calibrate_rig(config, rig)
     if weights is None:
         note("training slot classifier")
         t0 = time.perf_counter()
         weights, _, n_crops = train_discriminator(config)
         note(f"trained on {n_crops} crops in {time.perf_counter() - t0:.1f}s")
 
-    master = RngStream(config.seed)
-
     t0 = time.perf_counter()
     records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}
     for i in range(trials):
-        stream = split_rng(master, i)
-        # Every modality's trial i sees the same scene, so the first trial
-        # renders and perceives the overview and the others reuse it (see
-        # control._image_and_select).
-        seen: dict = {}
-        for modality in modalities:
-            if modality == "visual":
-                rec = run_visual_trial(config, stream, weights, trial_index=i,
-                                       seen=seen)
-            elif modality == "force":
-                rec = run_force_trial(config, stream, weights, trial_index=i,
-                                      seen=seen)
-            else:
-                rec = run_tactile_trial(config, stream, weights, tactile_rig,
-                                        calibration, trial_index=i, seen=seen)
-            records[modality].append(rec)
+        for rec in run_index(config, weights, rig, calibration, i, modalities):
+            records[rec.modality].append(rec)
         if (i + 1) % 25 == 0:
             note(f"{i + 1}/{trials} trials")
     return ExperimentResult(seed=config.seed, trials=trials, batches=batches,

@@ -29,16 +29,18 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
     fields: list[int] = []
     pos = 2
-    while len(fields) < 3:
+    while True:
         if pos >= len(data):
             raise ValueError(f"{path}: truncated PGM header")
         ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
+        if ch == b"#":
             # an unterminated comment runs to the end: truncated header
             pos = data.find(b"\n", pos) + 1 or len(data)
-        elif ch.isdigit():
+        elif len(fields) == 3:
+            break
+        elif ch.isspace():
+            pos += 1
+        elif ch.isdigit() and pos > 2:  # a field never touches the magic
             end = pos
             while data[end:end + 1].isdigit():
                 end += 1
@@ -49,7 +51,9 @@ def read_pgm(path) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise ValueError(f"{path}: unsupported PGM maxval {maxval}")
-    pos += 1  # single whitespace after maxval
+    if not ch.isspace():  # exactly one whitespace byte ends the header
+        raise ValueError(f"{path}: bad PGM header byte {ch!r}")
+    pos += 1
     raster = data[pos:pos + w * h]
     if len(raster) != w * h:
         raise ValueError(f"{path}: truncated PGM raster")

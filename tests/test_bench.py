@@ -1,11 +1,12 @@
 """Metrics bookkeeping and report serialization."""
 
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from vialbench import bench
+from vialbench import bench, control
 from vialbench.bench import (
     Stat,
     _stat,
@@ -15,8 +16,9 @@ from vialbench.bench import (
     summarize_modality,
     write_report,
 )
-from vialbench.control import AttemptOutcome, TrialRecord
-from vialbench.core import load_config
+from vialbench.control import MODALITIES, AttemptOutcome, TrialRecord
+from vialbench.core import RngStream, load_config, split_rng
+from vialbench.simworld import make_rig
 
 
 def rec(attempts, success, runtime=10.0, modality="force", idx=0):
@@ -224,6 +226,39 @@ def test_run_experiment_refuses_a_repeated_modality_before_training(
     with pytest.raises(ValueError, match=r"repeated modalities: \['force'\]"):
         bench.run_experiment(load_config(), 2, 1,
                              modalities=("force", "tactile", "force"))
+
+
+def test_run_experiment_refuses_no_modality_before_training(monkeypatch):
+    """A campaign of no modality would write a report that ``vialbench
+    report`` refuses as holding no records."""
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(bench, "train_discriminator", no_work)
+    monkeypatch.setattr(bench, "calibrate_rig", no_work)
+    with pytest.raises(ValueError, match="need at least one modality"):
+        bench.run_experiment(load_config(), 3, 1, modalities=())
+
+
+def test_index_records_do_not_depend_on_modality_order(config, weights):
+    """Whichever modality runs first takes the index's overview miss and the
+    later ones hit the shared cache; in each of the six orders every record
+    equals a fresh trial's."""
+    rig = make_rig(config, "tactile")
+    calibration = control.calibrate_rig(config, rig)
+    for i in range(2):
+        stream = split_rng(RngStream(config.seed), i)
+        fresh = {
+            "visual": control.run_visual_trial(config, stream, weights,
+                                               trial_index=i, seen={}),
+            "force": control.run_force_trial(config, stream, weights,
+                                             trial_index=i, seen={}),
+            "tactile": control.run_tactile_trial(
+                config, stream, weights, rig, calibration, trial_index=i,
+                seen={})}
+        for order in permutations(MODALITIES):
+            assert bench.run_index(config, weights, rig, calibration, i,
+                                   order) == [fresh[m] for m in order], order
 
 
 def test_shuffled_records_rebuild_the_same_report(tmp_path):

@@ -2,7 +2,7 @@
 
 import importlib.util
 import json
-import subprocess
+import os
 import sys
 from pathlib import Path
 
@@ -101,13 +101,23 @@ def test_runs_of_other_source_are_refused(tool, tmp_path, capsys):
     assert "runs are of source aaaaaaaaaaaaaaaa, not this tree's" in lines[0]
 
 
-def test_source_digest_is_campaignbench_stamp(tool):
-    """The digest the benchmark stamps, read in a child process so that
-    importing run.py leaves this one as it is."""
+def test_source_digest_is_campaignbench_stamp(tool, monkeypatch):
+    """The tool keeps its own copy of the digest the benchmark stamps, so
+    that it does not import the benchmark; the two must agree. run.py is
+    loaded by path with its directory on sys.path (it imports its
+    neighbours) and itself in sys.modules (its dataclasses look their
+    module up there); what loading it sets is undone afterwards."""
     bench = TOOL.parents[1] / "campaignbench"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import run; "
-            "print(run.source_digest())")
-    out = subprocess.run([sys.executable, "-c", code, str(bench)],
-                         capture_output=True, text=True, check=True,
-                         timeout=120).stdout
-    assert out.strip() == tool.source_digest()
+    monkeypatch.syspath_prepend(str(bench))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("campaign_run",
+                                                  bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "campaign_run", run)
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        for name in ("hostspeed", "tracer"):
+            sys.modules.pop(name, None)
+    assert run.source_digest() == tool.source_digest()

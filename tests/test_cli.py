@@ -343,6 +343,8 @@ def test_config_errors_name_their_source(tmp_path, capsys, data, extra,
     (b"P5\n4 4\n255\n", "truncated PGM raster"),
     (b"P5\n# no end", "truncated PGM header"),
     (b"P2\n4 4\n255\n", "missing P5 magic"),
+    (b"P512 1 255\n" + bytes(12), "bad PGM header byte b'1'"),
+    (b"P5\n2 1\n255\x07\x02\x03", "bad PGM header byte b'\\x07'"),
 ])
 def test_malformed_pgm_exits_two_naming_the_file(tmp_path, weights_file,
                                                  capsys, data, fragment):

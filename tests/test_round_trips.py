@@ -61,6 +61,14 @@ def test_pgm_write_read_round_trip(scratch, image):
     np.testing.assert_array_equal(back, image)
 
 
+def test_pgm_comment_may_precede_the_raster_delimiter(scratch):
+    """A comment may follow maxval; the one whitespace byte after it, not
+    the comment's own newline, starts the raster."""
+    path = scratch / "comment.pgm"
+    path.write_bytes(b"P5\n2 1\n255#c\n\n\x02\x03")
+    assert read_pgm(path).tolist() == [[2, 3]]
+
+
 _position = st.floats(allow_infinity=False)  # NaN marks "no target"
 
 
