@@ -151,7 +151,7 @@ def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.nda
 def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
                       gen: np.random.Generator,
                       ref_uv: tuple[float, float] | None = None, *,
-                      seen: dict):
+                      seen: dict, ahead: contextlib.ExitStack | None = None):
     """Take a picture, run the full perception stack, pick a vacant slot.
 
     ``seen`` maps a camera pose to what its look left: the RNG state after
@@ -162,6 +162,11 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     restores that RNG state, so every later draw is the one a render would
     have left; a miss renders, perceives and stores. The pick is always made.
 
+    Given ``ahead``, ``draw_ahead(scene)`` is entered on it as soon as the
+    scene generator is where the render leaves it: after the render on a
+    miss, after the restore on a hit. Circle detection, scoring and the
+    pick draw nothing from it, so the worker draws ahead while they run.
+
     Returns (scored candidates, selected candidate). Raises
     NoValidSlotError when nothing classifies as a vacant slot.
     """
@@ -170,14 +175,18 @@ def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
     hit = seen.get(pose)
     if hit is None:
         image, _ = render_topdown(scene, pose)
+        state = scene.rng.bit_generator.state
+    else:
+        state, scored = hit
+        scene.rng.bit_generator.state = state
+    if ahead is not None:
+        ahead.enter_context(draw_ahead(scene))
+    if hit is None:
         candidates = detect_circles(image, cht_params_for(cfg, pose.z))
         # A tuple, so that a result shared through ``seen`` cannot change.
         scored = tuple(score_candidates(image, candidates, weights,
                                         cfg.cnn.crop_size))
-        seen[pose] = (scene.rng.bit_generator.state, scored)
-    else:
-        state, scored = hit
-        scene.rng.bit_generator.state = state
+        seen[pose] = (state, scored)
     chosen = select_target(scored, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
                            cfg.cnn.tie_eps, gen, ref_uv)
     return scored, chosen
@@ -232,10 +241,12 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     the same scene).
 
     A tactile trial opens ``simworld.draw_ahead`` right after the overview
-    look and keeps it open to the end, since the scene generator takes no
-    draws once it closes. From there on its scene draws only standard
-    normals, most of them pixel noise for the fingertip frames, which the
-    one worker of a thread pool draws while this thread traces contacts.
+    render (or the restore of its RNG state on a ``seen`` hit) and keeps
+    it open to the end, since the scene generator takes no draws once it
+    closes. From there on its scene draws only standard normals, most of
+    them pixel noise for the fingertip frames. The one worker of a thread
+    pool starts drawing them while this thread detects and scores the
+    overview's circles, and keeps drawing while it traces contacts.
     Visual and force trials draw a close-up's or a tick's worth at a time,
     too little to overlap, so they draw in line.
 
@@ -268,12 +279,11 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             final_offset=final_offset, placement=placement)
 
     overview = config.camera.pose()
-    with contextlib.ExitStack() as after_overview:
+    with contextlib.ExitStack() as ahead:
         try:
-            scored, first = _image_and_select(scene, overview, weights,
-                                              sel_gen, seen=seen)
-            if modality == "tactile":
-                after_overview.enter_context(draw_ahead(scene))
+            scored, first = _image_and_select(
+                scene, overview, weights, sel_gen, seen=seen,
+                ahead=ahead if modality == "tactile" else None)
             advance_clock(scene, config.timing.grasp_s)
             target = _project(config, overview, first.candidate.u,
                               first.candidate.v)
@@ -431,24 +441,30 @@ def calibrate_rig(config: WorkspaceConfig, rig) -> dict[str, TactileCalibration]
     """Fit each finger's centroid-to-offset map on a grid of known grasps,
     drawn from the reserved calibration RNG stream of the config seed; a
     finger with contact in fewer than three grasps, or whose fit fails,
-    raises CalibrationError naming it."""
+    raises CalibrationError naming it.
+
+    After ``reset_trial`` the scene draws only the pixel noise of its
+    tactile frames (the reference stacks, then both fingers at each
+    grasp), so those run inside ``simworld.draw_ahead``, as a tactile
+    trial's frames do."""
     if rig is None or not rig.has_tactile:
         raise ValueError("calibration needs a tactile-equipped rig")
     stream = RngStream(config.seed).child(KEY_CALIB)
     scene = reset_trial(config, stream.child(0), rig)
-    refs = {f: reference_frames(scene, f) for f in FINGERS}
     reach = 3.0e-3
     grasps = [(ox, oy) for ox in (-reach, 0.0, reach)
               for oy in (-reach, 0.0, reach)]
     cents: dict[str, list] = {f: [] for f in FINGERS}
     offs: dict[str, list] = {f: [] for f in FINGERS}
-    for ox, oy in grasps:
-        impose_grasp(scene, [ox, oy])
-        contacts = _finger_contacts(scene, refs, config.tactile)
-        for finger, region in contacts.items():
-            if region is not None:
-                cents[finger].append(region.centroid)
-                offs[finger].append((ox, oy))
+    with draw_ahead(scene):
+        refs = {f: reference_frames(scene, f) for f in FINGERS}
+        for ox, oy in grasps:
+            impose_grasp(scene, [ox, oy])
+            contacts = _finger_contacts(scene, refs, config.tactile)
+            for finger, region in contacts.items():
+                if region is not None:
+                    cents[finger].append(region.centroid)
+                    offs[finger].append((ox, oy))
     fits = {}
     for f in FINGERS:
         if len(cents[f]) < 3:

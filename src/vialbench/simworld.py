@@ -8,9 +8,11 @@ commands, mirroring how the physical workcell is driven.
 
 Every scene draws from one generator, ``scene.rng``. Inside
 :func:`draw_ahead` the one worker of a ``concurrent.futures`` thread pool
-draws its standard normals ahead, in the order they are asked for, so a
-tactile trial's pixel noise overlaps the rest of its work and the bytes
-stay the same.
+draws its standard normals ahead, in the order they are asked for, so the
+pixel noise of tactile frames overlaps the rest of the work and the bytes
+stay the same. A tactile trial opens it right after its overview render,
+so the worker banks chunks while the overview's circles are detected and
+scored; the fingertip calibration opens it right after ``reset_trial``.
 """
 
 from __future__ import annotations
@@ -619,14 +621,23 @@ def reference_frames(scene: SceneState, finger: str) -> np.ndarray:
 # drawing ahead
 
 DRAW_AHEAD_CHUNK = 65_536  # standard normals the worker draws at a time
-DRAW_AHEAD_DEPTH = 2  # chunks drawn ahead of the one being served, at most
+# Chunks drawn ahead of the one being served, at most. A chunk takes about
+# 0.9 ms to draw, so 24 cover the 17-20 ms in which a tactile trial detects
+# and scores its overview before its first frame; the bank then feeds the
+# frame loop, which asks for normals faster than one thread draws them.
+# The bank holds at most 24 * 65,536 float64s, about 12.6 MB.
+DRAW_AHEAD_DEPTH = 24
 
 
 @contextmanager
 def draw_ahead(scene: SceneState):
     """While open, ``scene.rng`` serves only ``standard_normal``, from chunks
-    the one worker of a thread pool draws ahead with the scene generator;
-    any other use of it raises AttributeError.
+    the one worker of a thread pool draws ahead with the scene generator,
+    up to ``DRAW_AHEAD_DEPTH`` chunks ahead; any other use of it raises
+    AttributeError. Open it where the scene will draw nothing but standard
+    normals from then on, as early as that holds: the worker starts
+    drawing at once, so work that draws nothing, run inside the block
+    before the first draw, fills the bank.
 
     The chunks are consecutive draws, so each call gets the bits a plain
     call would give. On exit, normal or by an exception, the pool is shut

@@ -5,12 +5,16 @@ Draws served inside the block have the bits of plain draws, an array once
 served keeps its values while later chunks are drawn, every draw after the
 block raises (the generator has drawn past what was served), the thread
 never outlives the block, and a failing draw reaches the caller instead of
-hanging it. With one CPU no thread starts and a trial is the same.
+hanging it. A tactile trial enters the block as soon as its overview
+image is drawn, before perceiving it, and the calibration right after its
+scene is reset. With one CPU no thread starts, and trials, calibration
+and the overview cache are the same.
 """
 
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
 
@@ -20,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vialbench import control, simworld
-from vialbench.bench import run_experiment
+from vialbench.bench import run_experiment, run_index
+from vialbench.cli import main
 from vialbench.core import RngStream, split_rng
 from vialbench.simworld import (DRAW_AHEAD_CHUNK, DRAW_AHEAD_DEPTH,
                                 draw_ahead, make_rig)
@@ -195,11 +200,11 @@ def tactile_rig(config):
     return rig, control.calibrate_rig(config, rig)
 
 
-def tactile_trial(config, weights, tactile_rig, index=0):
+def tactile_trial(config, weights, tactile_rig, index=0, seen=None):
     rig, calibration = tactile_rig
     return control.run_tactile_trial(
         config, split_rng(RngStream(config.seed), index), weights, rig,
-        calibration, trial_index=index, seen={})
+        calibration, trial_index=index, seen={} if seen is None else seen)
 
 
 def test_no_thread_outlives_a_trial_or_a_campaign(config, weights,
@@ -214,12 +219,16 @@ def test_no_thread_outlives_a_trial_or_a_campaign(config, weights,
     monkeypatch.setattr(simworld, "_AheadNormals", counted)
     threads = threading.active_count()
     with two_cpus():
+        control.calibrate_rig(config, tactile_rig[0])
+        assert threading.active_count() == threads
+        assert len(started) == 1
         tactile_trial(config, weights, tactile_rig)
         assert threading.active_count() == threads
         run_experiment(config, 2, 1, weights=weights,
                        modalities=("tactile",))
         assert threading.active_count() == threads
-        assert len(started) == 3  # one thread per tactile trial
+        # One thread for the calibration, one per tactile trial.
+        assert len(started) == 1 + 1 + (1 + 2)
 
         def broken(*args):
             raise Stop
@@ -230,15 +239,101 @@ def test_no_thread_outlives_a_trial_or_a_campaign(config, weights,
         assert threading.active_count() == threads
 
 
+def no_thread(gen):
+    raise AssertionError("a thread started on one CPU")
+
+
 def test_one_cpu_starts_no_thread_and_keeps_the_record(config, weights,
                                                        tactile_rig,
                                                        monkeypatch):
     with two_cpus():
         ahead = tactile_trial(config, weights, tactile_rig, index=1)
 
-    def no_thread(gen):
-        raise AssertionError("a thread started on one CPU")
-
     monkeypatch.setattr(simworld, "_AheadNormals", no_thread)
     with one_cpu():
         assert tactile_trial(config, weights, tactile_rig, index=1) == ahead
+
+
+def test_calibration_is_the_same_at_one_and_two_cpus(config, monkeypatch,
+                                                     capsys):
+    rig = make_rig(config, "tactile")
+    with two_cpus():
+        ahead = control.calibrate_rig(config, rig)
+        assert main(["calibrate"]) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(simworld, "_AheadNormals", no_thread)
+    with one_cpu():
+        inline = control.calibrate_rig(config, rig)
+        assert main(["calibrate"]) == 0
+    assert capsys.readouterr().out == printed
+    assert list(ahead) == list(inline) == ["left", "right"]
+    for finger, fit in ahead.items():
+        assert fit.gain.tobytes() == inline[finger].gain.tobytes()
+        assert fit.bias.tobytes() == inline[finger].bias.tobytes()
+        assert fit.residual_rms == inline[finger].residual_rms
+
+
+def log_calls(monkeypatch, log):
+    """Log entry to ``draw_ahead`` with the scene generator's state then,
+    and entry to and return from the overview's render and detection, as
+    ``control`` calls them."""
+    for name in ("render_topdown", "detect_circles"):
+        def logged(*args, _name=name, _fn=getattr(control, name), **kwargs):
+            log.append(_name)
+            out = _fn(*args, **kwargs)
+            log.append(f"{_name} returned")
+            return out
+
+        monkeypatch.setattr(control, name, logged)
+    real = control.draw_ahead
+
+    @contextmanager
+    def entered(scene):
+        log.append(("draw_ahead", scene.rng.bit_generator.state))
+        with real(scene):
+            yield
+
+    monkeypatch.setattr(control, "draw_ahead", entered)
+
+
+def test_a_tactile_trial_draws_ahead_while_it_perceives(config, weights,
+                                                        tactile_rig,
+                                                        monkeypatch):
+    """On an overview miss ``draw_ahead`` is entered after the render
+    returns and before circle detection; on a hit, right after the state
+    restore. Either way the generator is then where the render leaves it,
+    the state the ``seen`` entry holds."""
+    log, seen = [], {}
+    log_calls(monkeypatch, log)
+    with two_cpus():
+        tactile_trial(config, weights, tactile_rig, seen=seen)
+        state = seen[config.camera.pose()][0]
+        assert log == ["render_topdown", "render_topdown returned",
+                       ("draw_ahead", state),
+                       "detect_circles", "detect_circles returned"]
+        log.clear()
+        tactile_trial(config, weights, tactile_rig, seen=seen)
+        assert log == [("draw_ahead", state)]
+
+
+def test_a_tactile_trial_leads_its_index_unchanged(config, weights,
+                                                   tactile_rig, monkeypatch):
+    """With the tactile trial first, so that its miss fills ``seen`` from
+    inside ``draw_ahead``, an index at two CPUs equals one at one CPU,
+    record for record, and the entry a tactile miss leaves equals the one
+    a visual miss leaves."""
+    rig, calibration = tactile_rig
+    order = ("tactile", "visual", "force")
+    with two_cpus():
+        ahead = run_index(config, weights, rig, calibration, 0, order)
+        seen_tactile, seen_visual = {}, {}
+        tactile_trial(config, weights, tactile_rig, seen=seen_tactile)
+        control.run_visual_trial(config, split_rng(RngStream(config.seed), 0),
+                                 weights, trial_index=0, seen=seen_visual)
+    assert seen_tactile == seen_visual
+    assert list(seen_tactile) == [config.camera.pose()]
+    monkeypatch.setattr(simworld, "_AheadNormals", no_thread)
+    with one_cpu():
+        inline = run_index(config, weights, rig, calibration, 0, order)
+    assert [r.modality for r in ahead] == list(order)
+    assert ahead == inline
