@@ -45,12 +45,14 @@ def _build_parser() -> _Parser:
                        help="override the config seed")
 
     p = sub.add_parser("train", help="train the slot classifier")
+    p.set_defaults(handler=_cmd_train)
     add_config_args(p)
     p.add_argument("--out", type=Path, default=Path("slot_cnn.weights"))
     p.add_argument("--dump-dataset", type=Path, default=None, metavar="DIR",
                    help="also write the training crops as PGMs plus an index")
 
     p = sub.add_parser("detect", help="run slot detection on a PGM image")
+    p.set_defaults(handler=_cmd_detect)
     add_config_args(p)
     p.add_argument("--image", type=Path, required=True)
     p.add_argument("--weights", type=Path, required=True)
@@ -58,9 +60,11 @@ def _build_parser() -> _Parser:
                    help="camera height used for the shot (default: config)")
 
     p = sub.add_parser("calibrate", help="print the tactile fingertip fit")
+    p.set_defaults(handler=_cmd_calibrate)
     add_config_args(p)
 
     p = sub.add_parser("run", help="run a benchmark campaign")
+    p.set_defaults(handler=_cmd_run)
     add_config_args(p)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--batches", type=int, default=_BATCHES)
@@ -71,6 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", type=Path, default=Path("results"))
 
     p = sub.add_parser("report", help="rebuild report CSVs from records.jsonl")
+    p.set_defaults(handler=_cmd_report)
     p.add_argument("--records", type=Path, required=True)
     p.add_argument("--batches", type=int, default=_BATCHES)
     p.add_argument("--out", type=Path, default=Path("results"))
@@ -177,19 +182,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "detect": _cmd_detect,
-    "calibrate": _cmd_calibrate,
-    "run": _cmd_run,
-    "report": _cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"vialbench: {exc}", file=sys.stderr)
         return 2

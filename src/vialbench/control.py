@@ -21,9 +21,9 @@ completed descent releases the vial; a lost one ends the trial. One release
 step sets ``final_offset``, the in-gripper offset at release (or at the end
 of a trial that releases nothing).
 
-Travel legs that cannot touch anything are charged for their duration and
-jumped; descents are integrated at the force sensor rate so contact, slip,
-and stop latency play out sample by sample.
+Travel legs that cannot touch anything are jumped, and ``jump_setpoint``
+charges their duration; descents are integrated at the force sensor rate
+so contact, slip, and stop latency play out sample by sample.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .simworld import (SceneState, SimError, advance_clock, draw_ahead,
                        impose_grasp, jump_setpoint, reference_frames,
                        release_and_evaluate, render_topdown, reset_trial,
                        sample_tactile, tick)
-from .tactile import (FINGERS, CalibrationError, ContactRegion,
-                      TactileCalibration, apply_calibration, calibrate_mapping,
-                      find_contact, track_deviation)
+from .tactile import (FINGERS, CalibrationError, TactileCalibration,
+                      apply_calibration, calibrate_mapping, find_contact,
+                      track_deviation)
 
 MODALITIES = ("visual", "force", "tactile")
 RESULTS = ("inserted", "rack_top", "safety_stop", "released_failed",
@@ -134,14 +134,6 @@ def check_record(record: TrialRecord) -> None:
         raise ValueError(f"{results[-1]} trial has placement "
                          f"{record.placement!r}, not "
                          f"{' or '.join(map(repr, leaves))}")
-
-
-def _charged_move(scene: SceneState, target) -> None:
-    """Jump to ``target``, charging the travel time at ``motion.speed``."""
-    target = np.asarray(target, dtype=float)
-    dist = float(np.linalg.norm(target - scene.setpoint))
-    jump_setpoint(scene, target)
-    advance_clock(scene, dist / scene.config.motion.speed)
 
 
 def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.ndarray:
@@ -240,15 +232,16 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     trials of one index of a campaign (trial ``i`` of every modality sees
     the same scene).
 
-    A tactile trial opens ``simworld.draw_ahead`` right after the overview
-    render (or the restore of its RNG state on a ``seen`` hit) and keeps
-    it open to the end, since the scene generator takes no draws once it
-    closes. From there on its scene draws only standard normals, most of
-    them pixel noise for the fingertip frames. The one worker of a thread
-    pool starts drawing them while this thread detects and scores the
-    overview's circles, and keeps drawing while it traces contacts.
-    Visual and force trials draw a close-up's or a tick's worth at a time,
-    too little to overlap, so they draw in line.
+    A trial whose rig has fingertip sensors (``rig.has_tactile``) opens
+    ``simworld.draw_ahead`` right after the overview render (or the restore
+    of its RNG state on a ``seen`` hit) and keeps it open to the end, since
+    the scene generator takes no draws once it closes. From there on its
+    scene draws only standard normals, most of them pixel noise for the
+    fingertip frames. The one worker of a thread pool starts drawing them
+    while this thread detects and scores the overview's circles, and keeps
+    drawing while it traces contacts. A rig without fingertip sensors
+    (the visual and force trials' rubber pads) draws a close-up's or a
+    tick's worth at a time, too little to overlap, so it draws in line.
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
@@ -283,7 +276,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
         try:
             scored, first = _image_and_select(
                 scene, overview, weights, sel_gen, seen=seen,
-                ahead=ahead if modality == "tactile" else None)
+                ahead=ahead if scene.rig.has_tactile else None)
             advance_clock(scene, config.timing.grasp_s)
             target = _project(config, overview, first.candidate.u,
                               first.candidate.v)
@@ -294,7 +287,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
 
         for attempts, position in enumerate(
                 _aims(config, overview, scored, target), start=1):
-            _charged_move(scene, [position[0], position[1], hover])
+            jump_setpoint(scene, [position[0], position[1], hover])
             verdict = attempt_descent(scene, ctx, position)
             if verdict == "completed" and scene.held_offset is not None:
                 return finish(None, release_at=position)
@@ -310,7 +303,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             # Surface impact (or a spurious stop in free air): back off and
             # try the next aim.
             outcomes.append(AttemptOutcome(_xy(position), "rack_top"))
-            _charged_move(scene, [scene.setpoint[0], scene.setpoint[1], hover])
+            jump_setpoint(scene, [scene.setpoint[0], scene.setpoint[1], hover])
         # The aims ran out: give the vial up where we are.
         if scene.held_offset is not None:
             return finish(None, release_at=scene.setpoint[:2])
@@ -372,12 +365,14 @@ def run_force_trial(config: WorkspaceConfig, stream: RngStream,
                       prepare, attempt_descent, seen)
 
 
-def _finger_contacts(scene: SceneState, refs: dict[str, np.ndarray],
-                     tac: TactileConfig) -> dict[str, ContactRegion | None]:
+def _finger_centroids(scene: SceneState, refs: dict[str, np.ndarray],
+                      tac: TactileConfig) -> dict[str, tuple[float, float]]:
     """One frame per finger, in ``FINGERS`` order (so the scene RNG is drawn
-    left then right), reduced to its dominant contact patch or None."""
-    return {f: find_contact(sample_tactile(scene, f), refs[f], tac)
-            for f in FINGERS}
+    left then right); returns the centroid of each finger's dominant
+    contact patch, leaving out a finger with none."""
+    regions = {f: find_contact(sample_tactile(scene, f), refs[f], tac)
+               for f in FINGERS}
+    return {f: r.centroid for f, r in regions.items() if r is not None}
 
 
 def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
@@ -396,9 +391,7 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
     def measure(scene, refs):
         """Settle, read both fingers, return (offset estimate, centroids)."""
         advance_clock(scene, config.timing.tactile_settle_s)
-        centroids = {f: region.centroid for f, region
-                     in _finger_contacts(scene, refs, tac).items()
-                     if region is not None}
+        centroids = _finger_centroids(scene, refs, tac)
         if not centroids:
             return None, centroids
         estimates = [apply_calibration(calibration[f], c, tac.width, tac.height)
@@ -413,7 +406,7 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
         # Apply the compensation while still at hover height so the descent
         # itself is vertical; folding it into the descent would leave most of
         # the lateral move unexecuted at the moment the vial meets the rack.
-        _charged_move(scene, [corrected[0], corrected[1], config.hover_z()])
+        jump_setpoint(scene, [corrected[0], corrected[1], config.hover_z()])
         period = 1.0 / tac.rate
         next_sample = scene.sim_clock + period
 
@@ -424,7 +417,7 @@ def run_tactile_trial(config: WorkspaceConfig, stream: RngStream,
             if scene.sim_clock + 1e-12 < next_sample:
                 return None
             next_sample += period
-            stop, travel = track_deviation(_finger_contacts(scene, refs, tac),
+            stop, travel = track_deviation(_finger_centroids(scene, refs, tac),
                                            centroids, tac)
             if travel is None:
                 return "lost"
@@ -460,11 +453,10 @@ def calibrate_rig(config: WorkspaceConfig, rig) -> dict[str, TactileCalibration]
         refs = {f: reference_frames(scene, f) for f in FINGERS}
         for ox, oy in grasps:
             impose_grasp(scene, [ox, oy])
-            contacts = _finger_contacts(scene, refs, config.tactile)
-            for finger, region in contacts.items():
-                if region is not None:
-                    cents[finger].append(region.centroid)
-                    offs[finger].append((ox, oy))
+            for finger, c in _finger_centroids(scene, refs,
+                                               config.tactile).items():
+                cents[finger].append(c)
+                offs[finger].append((ox, oy))
     fits = {}
     for f in FINGERS:
         if len(cents[f]) < 3:

@@ -270,6 +270,8 @@ def _field_types(cls: type) -> dict[str, type]:
 def _parse_value(raw: str, target: type, key: str, where: str):
     raw = raw.strip()
     try:
+        if not raw.isascii() or "_" in raw:  # only the digits dump_config writes
+            raise ValueError(raw)
         if target is int:
             if "." in raw or "e" in raw.lower():
                 raise ValueError(raw)
@@ -308,13 +310,16 @@ def load_config(text: str = "", overrides: list[str] | None = None,
     Unknown keys and malformed lines raise ConfigError naming where the line
     came from: ``<source>: line N`` for the text (``line N`` without a
     source), ``override '<line>'`` for an override. Later assignments win,
-    so ``overrides`` apply after the text.
+    so ``overrides`` apply after the text. One leading byte-order mark
+    (U+FEFF) of the text is skipped. Numbers are plain ASCII, as
+    ``dump_config`` writes them: no ``_`` and no other script's digits.
     """
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     seed = WorkspaceConfig.seed
     prefix = "" if source is None else f"{source}: "
     lines = [(f"{prefix}line {n}", line)
-             for n, line in enumerate(text.splitlines(), start=1)]
+             for n, line in enumerate(text.removeprefix("\ufeff").splitlines(),
+                                      start=1)]
     lines += [(f"override {line!r}", line) for line in overrides or ()]
     for where, line in lines:
         body = line.split("#", 1)[0].strip()

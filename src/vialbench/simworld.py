@@ -10,9 +10,10 @@ Every scene draws from one generator, ``scene.rng``. Inside
 :func:`draw_ahead` the one worker of a ``concurrent.futures`` thread pool
 draws its standard normals ahead, in the order they are asked for, so the
 pixel noise of tactile frames overlaps the rest of the work and the bytes
-stay the same. A tactile trial opens it right after its overview render,
-so the worker banks chunks while the overview's circles are detected and
-scored; the fingertip calibration opens it right after ``reset_trial``.
+stay the same. A trial whose rig has fingertip sensors opens it right
+after its overview render, so the worker banks chunks while the
+overview's circles are detected and scored; the fingertip calibration
+opens it right after ``reset_trial``.
 """
 
 from __future__ import annotations
@@ -362,14 +363,15 @@ def tick(scene: SceneState, target) -> np.ndarray:
 
 
 def jump_setpoint(scene: SceneState, target) -> None:
-    """Instantly reposition the setpoint (unmonitored transit shortcut).
-
-    Valid only for legs that stay clear of contact; callers are expected to
-    account for travel time separately via :func:`advance_clock`.
-    """
-    scene.setpoint = np.asarray(target, dtype=float).copy()
+    """Instantly reposition the setpoint (unmonitored transit shortcut),
+    charging the travel time, the straight-line distance at
+    ``motion.speed``. Valid only for legs that stay clear of contact."""
+    target = np.asarray(target, dtype=float)
+    dist = float(np.linalg.norm(target - scene.setpoint))
+    scene.setpoint = target.copy()
     scene.speed = 0.0
     _resolve_contact(scene, 0.0)
+    advance_clock(scene, dist / scene.config.motion.speed)
 
 
 def advance_clock(scene: SceneState, seconds: float) -> None:

@@ -304,26 +304,23 @@ def apply_calibration(cal: TactileCalibration, centroid_px: tuple[float, float],
     return cal.gain @ n + cal.bias
 
 
-def track_deviation(regions: dict[str, ContactRegion | None],
+def track_deviation(centroids: dict[str, tuple[float, float]],
                     grasp_centroids: dict[str, tuple[float, float]],
                     config: TactileConfig) -> tuple[bool, float | None]:
     """Slip check for one sampling instant during a monitored descent:
     ``(stop, travel)``, as ``force.update_and_check`` returns its verdict.
 
-    ``regions`` holds each finger's dominant contact (``find_contact``), or
-    None. A finger's centroid is compared with the one captured right after
-    the grasp; a finger with no grasp centroid has no baseline and is
-    skipped. ``travel`` is the usable fingers' mean pixel travel, or None
-    when no finger is usable: the vial is gone. The stop fires only when
-    the mean travel strictly exceeds ``stop_px``.
+    ``centroids`` holds the dominant contact's centroid of each finger in
+    contact; a finger left out has none. Each is compared with the finger's
+    centroid captured right after the grasp; a finger with no grasp
+    centroid has no baseline and is skipped. ``travel`` is the usable
+    fingers' mean pixel travel, or None when no finger is usable: the vial
+    is gone. The stop fires only when the mean travel strictly exceeds
+    ``stop_px``.
     """
-    travel = []
-    for finger, region in regions.items():
-        if region is None or finger not in grasp_centroids:
-            continue
-        gx, gy = grasp_centroids[finger]
-        travel.append(float(np.hypot(region.centroid[0] - gx,
-                                     region.centroid[1] - gy)))
+    travel = [float(np.hypot(x - grasp_centroids[f][0],
+                             y - grasp_centroids[f][1]))
+              for f, (x, y) in centroids.items() if f in grasp_centroids]
     if not travel:
         return False, None
     mean_travel = sum(travel) / len(travel)

@@ -328,6 +328,11 @@ def test_report_too_few_trials_names_the_modality_and_makes_no_directory(
     (b"seed = 42\nnosuch.key = 1\n", ["--set", "rack.rows=8"],
      "ok.cfg: line 2: unknown section 'nosuch'"),
     (b"seed = 42\n\xff\n", [], "ok.cfg: line 2: not UTF-8 text"),
+    # numbers are plain ASCII, as dump_config writes them
+    (b"cnn.epochs = 1_0\n", [],
+     "ok.cfg: line 1: bad int value '1_0' for key 'cnn.epochs'"),
+    ("seed = \u0663\n".encode(), [],  # an Arabic-Indic three
+     "ok.cfg: line 1: bad int value '\u0663' for key 'seed'"),
 ])
 def test_config_errors_name_their_source(tmp_path, capsys, data, extra,
                                          fragment):
@@ -337,6 +342,16 @@ def test_config_errors_name_their_source(tmp_path, capsys, data, extra,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert fragment in lines[0]
+
+
+def test_calibrate_reads_past_a_byte_order_mark(tmp_path, capsys):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes("\ufeffseed = 3\n".encode())
+    assert run_cli("calibrate", "--config", config) == 0
+    with_mark = capsys.readouterr().out
+    config.write_bytes(b"seed = 3\n")
+    assert run_cli("calibrate", "--config", config) == 0
+    assert capsys.readouterr().out == with_mark
 
 
 @pytest.mark.parametrize("data, fragment", [

@@ -14,7 +14,9 @@ from vialbench.control import (
     run_tactile_trial,
     run_visual_trial,
 )
-from vialbench.simworld import make_rig
+from vialbench.simworld import (make_rig, reference_frames, reset_trial,
+                                sample_tactile)
+from vialbench.tactile import find_contact
 
 # Calibration error sources silenced; sensor and grasp noise untouched.
 NO_CAMERA_BIAS = """
@@ -188,6 +190,25 @@ def test_sensor_loss_with_vial_in_hand_is_still_held(config, weights,
         assert [o.result for o in rec.outcomes] == ["lost_contact"]
         assert rec.placement == "still_held"
         assert rec.final_offset is not None
+
+
+def test_finger_centroids_leave_out_a_finger_but_draw_its_frame(config):
+    """A left reference stack captured with the vial in contact leaves the
+    left finger no contact, so only the right centroid comes back; yet both
+    frames are drawn, left then right, as two ``sample_tactile`` calls."""
+    scene = reset_trial(config, RngStream(3), make_rig(config, "tactile"))
+    refs = {"left": np.stack([sample_tactile(scene, "left")
+                              for _ in range(config.tactile.n_reference)]),
+            "right": reference_frames(scene, "right")}
+    before = scene.rng.bit_generator.state
+    centroids = control._finger_centroids(scene, refs, config.tactile)
+    after = scene.rng.bit_generator.state
+    scene.rng.bit_generator.state = before
+    frames = [sample_tactile(scene, f) for f in ("left", "right")]
+    assert scene.rng.bit_generator.state == after
+    assert find_contact(frames[0], refs["left"], config.tactile) is None
+    assert centroids == {
+        "right": find_contact(frames[1], refs["right"], config.tactile).centroid}
 
 
 @pytest.mark.parametrize("rate", [20, 60, 125])

@@ -63,6 +63,12 @@ def test_comments_and_blank_lines():
     ("search.spacing = banana", "bad float"),
     ("force.rate = 1.5", "bad int"),
     ("force.rate = 1" + "0" * 309, "bad int"),  # no float holds it
+    # only the plain ASCII numbers dump_config writes
+    ("cnn.epochs = 1_0", "bad int value '1_0' for key 'cnn.epochs'"),
+    ("seed = \u0663", "bad int value '\u0663' for key 'seed'"),
+    ("seed = \uff13", "bad int value '\uff13' for key 'seed'"),
+    ("search.spacing = 0.00_2", "bad float value '0.00_2'"),
+    ("search.spacing = \u0660.\u0660\u0660\u0662", "bad float value"),
 ])
 def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -91,6 +97,18 @@ def test_error_reports_line_number():
     with pytest.raises(ConfigError) as err:
         load_config("search.spacing = 0.002\nforce.rate = x\n")
     assert "line 2" in str(err.value)
+
+
+def test_leading_byte_order_mark_is_skipped():
+    text = "seed = 3\nsearch.spacing = 0.002\n"
+    assert load_config("\ufeff" + text) == load_config(text)
+    with pytest.raises(ConfigError, match="^line 2: bad int value 'x'"):
+        load_config("\ufeffseed = 3\nforce.rate = x\n")
+    # only one mark, and only at the start of the text
+    with pytest.raises(ConfigError, match=r"^line 1: key '\\ufeffseed'"):
+        load_config("\ufeff\ufeffseed = 3\n")
+    with pytest.raises(ConfigError, match=r"^line 2: key '\\ufeffseed'"):
+        load_config("\n\ufeffseed = 3\n")
 
 
 def test_overrides_win_over_document():

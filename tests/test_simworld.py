@@ -277,6 +277,20 @@ def test_clock_bookkeeping(config):
         advance_clock(scene, -0.1)
 
 
+def test_jump_charges_its_travel_time(config):
+    """A jump charges the straight-line distance at ``motion.speed``, and a
+    zero-length jump charges nothing."""
+    scene = reset_trial(config, RngStream(5))
+    advance_clock(scene, 2.5)
+    target = scene.setpoint + np.array([0.03, -0.04, 0.012])
+    dist = float(np.linalg.norm(target - scene.setpoint))
+    jump_setpoint(scene, target)
+    np.testing.assert_array_equal(scene.setpoint, target)
+    assert scene.sim_clock == 2.5 + dist / config.motion.speed
+    jump_setpoint(scene, target)
+    assert scene.sim_clock == 2.5 + dist / config.motion.speed
+
+
 # ---------------------------------------------------------------- release
 
 

@@ -339,25 +339,27 @@ def test_find_contact_rejects_noise_only_frames():
     assert find_contact(cur, refs, CFG) is None
 
 
-def _contacts(frames, refs, cfg=CFG):
-    return {f: find_contact(frames[f], refs[f], cfg) for f in frames}
+def _centroids(frames, refs, cfg=CFG):
+    """Each finger's dominant contact centroid, a finger with none left
+    out, as the trial loop hands them to ``track_deviation``."""
+    regions = {f: find_contact(frames[f], refs[f], cfg) for f in frames}
+    return {f: r.centroid for f, r in regions.items() if r is not None}
 
 
 def test_track_neutral_continue():
     refs = {f: [GEL] for f in ("left", "right")}
-    regions = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
-    neutral = {f: r.centroid for f, r in regions.items()}
-    stop, travel = track_deviation(regions, neutral, CFG)
+    neutral = _centroids({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
+    assert set(neutral) == {"left", "right"}
+    stop, travel = track_deviation(neutral, neutral, CFG)
     assert stop is False
     assert travel == pytest.approx(0.0, abs=1e-9)
 
 
 def test_track_shift_past_threshold_stops():
     refs = {f: [GEL] for f in ("left", "right")}
-    start = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
-    neutral = {f: r.centroid for f, r in start.items()}
+    neutral = _centroids({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
     shift = CFG.stop_px + 1.0
-    moved = _contacts({f: _blob_frame(80.0 + shift, 80.0) for f in refs}, refs)
+    moved = _centroids({f: _blob_frame(80.0 + shift, 80.0) for f in refs}, refs)
     stop, travel = track_deviation(moved, neutral, CFG)
     assert stop is True
     assert travel > CFG.stop_px
@@ -365,8 +367,8 @@ def test_track_shift_past_threshold_stops():
 
 def test_track_lost_contact():
     refs = {f: [GEL] for f in ("left", "right")}
-    gone = _contacts({f: GEL for f in refs}, refs)
-    assert gone == {"left": None, "right": None}
+    gone = _centroids({f: GEL for f in refs}, refs)
+    assert gone == {}
     stop, travel = track_deviation(gone, {"left": (0, 0), "right": (0, 0)}, CFG)
     assert stop is False
     assert travel is None
@@ -379,20 +381,27 @@ def test_track_skips_finger_without_grasp_centroid():
     neutral = {"left": find_contact(_blob_frame(80.0, 80.0), refs["left"],
                                     CFG).centroid}
     shift = CFG.stop_px - 2.0
-    moved = _contacts({"left": _blob_frame(80.0 + shift, 80.0),
-                       "right": _blob_frame(40.0, 40.0)}, refs)
-    assert moved["right"] is not None
+    moved = _centroids({"left": _blob_frame(80.0 + shift, 80.0),
+                        "right": _blob_frame(40.0, 40.0)}, refs)
+    assert "right" in moved
     stop, travel = track_deviation(moved, neutral, CFG)
     assert stop is False
     assert travel == pytest.approx(shift, abs=1.0)
 
 
+def test_track_skips_finger_out_of_contact():
+    # the left finger lost contact, so it is missing from the read: only
+    # the right finger's travel counts
+    neutral = {"left": (10.0, 10.0), "right": (20.0, 20.0)}
+    assert track_deviation({"right": (23.0, 24.0)}, neutral,
+                           CFG) == (False, 5.0)
+
+
 def test_track_sub_threshold_shift_continues():
     refs = {f: [GEL] for f in ("left", "right")}
-    start = _contacts({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
-    neutral = {f: r.centroid for f, r in start.items()}
-    moved = _contacts({f: _blob_frame(80.0 + CFG.stop_px - 2.0, 80.0)
-                       for f in refs}, refs)
+    neutral = _centroids({f: _blob_frame(80.0, 80.0) for f in refs}, refs)
+    moved = _centroids({f: _blob_frame(80.0 + CFG.stop_px - 2.0, 80.0)
+                        for f in refs}, refs)
     stop, travel = track_deviation(moved, neutral, CFG)
     assert stop is False and travel is not None
 
@@ -407,11 +416,10 @@ def test_default_noise_never_false_stops():
             for f in ("left", "right")}
     start = {f: _noisy(_blob_frame(80.0, 80.0), gen, sigma)
              for f in ("left", "right")}
-    neutral = {f: r.centroid
-               for f, r in _contacts(start, refs, cfg.tactile).items()}
+    neutral = _centroids(start, refs, cfg.tactile)
     for _ in range(25):
         frames = {f: _noisy(_blob_frame(80.0, 80.0), gen, sigma)
                   for f in ("left", "right")}
-        stop, travel = track_deviation(_contacts(frames, refs, cfg.tactile),
+        stop, travel = track_deviation(_centroids(frames, refs, cfg.tactile),
                                        neutral, cfg.tactile)
         assert stop is False and travel is not None
