@@ -115,7 +115,7 @@ def run_index(config: WorkspaceConfig, weights: CnnWeights, rig, calibration,
     """Trial ``i`` of each modality, in ``modalities`` order: all draw from
     ``split_rng(seed, i)`` and share one ``seen`` cache, so the first
     renders and perceives the overview and the others reuse it (see
-    control._image_and_select). ``rig`` and ``calibration`` are the tactile
+    control._run_trial). ``rig`` and ``calibration`` are the tactile
     trial's."""
     trial = {"visual": run_visual_trial, "force": run_force_trial,
              "tactile": partial(run_tactile_trial, rig=rig,

@@ -140,56 +140,34 @@ def _project(config: WorkspaceConfig, pose: Pose3, u: float, v: float) -> np.nda
     return np.array(pixel_to_world(u, v, config.camera, pose, config.rack.height))
 
 
-def _image_and_select(scene: SceneState, pose: Pose3, weights: CnnWeights,
-                      gen: np.random.Generator,
-                      ref_uv: tuple[float, float] | None = None, *,
-                      seen: dict, ahead: contextlib.ExitStack | None = None):
-    """Take a picture, run the full perception stack, pick a vacant slot.
+def _perceive(config: WorkspaceConfig, image: np.ndarray, pose: Pose3,
+              weights: CnnWeights) -> tuple:
+    """The scored circle detections of an image taken from ``pose``, as a
+    tuple, so that one shared through a ``seen`` cache cannot change."""
+    candidates = detect_circles(image, cht_params_for(config, pose.z))
+    return tuple(score_candidates(image, candidates, weights,
+                                  config.cnn.crop_size))
 
-    ``seen`` maps a camera pose to what its look left: the RNG state after
-    the render and the scored candidates. One dict serves the trials of one
-    index (one config, one set of weights), whose scenes ``reset_trial``
-    builds from one stream with the same draws, so at one pose they render
-    one image. A hit skips the render, circle detection and scoring, and
-    restores that RNG state, so every later draw is the one a render would
-    have left; a miss renders, perceives and stores. The pick is always made.
 
-    Given ``ahead``, ``draw_ahead(scene)`` is entered on it as soon as the
-    scene generator is where the render leaves it: after the render on a
-    miss, after the restore on a hit. Circle detection, scoring and the
-    pick draw nothing from it, so the worker draws ahead while they run.
-
-    Returns (scored candidates, selected candidate). Raises
-    NoValidSlotError when nothing classifies as a vacant slot.
-    """
-    cfg = scene.config
-    advance_clock(scene, cfg.timing.image_s)
-    hit = seen.get(pose)
-    if hit is None:
-        image, _ = render_topdown(scene, pose)
-        state = scene.rng.bit_generator.state
-    else:
-        state, scored = hit
-        scene.rng.bit_generator.state = state
-    if ahead is not None:
-        ahead.enter_context(draw_ahead(scene))
-    if hit is None:
-        candidates = detect_circles(image, cht_params_for(cfg, pose.z))
-        # A tuple, so that a result shared through ``seen`` cannot change.
-        scored = tuple(score_candidates(image, candidates, weights,
-                                        cfg.cnn.crop_size))
-        seen[pose] = (state, scored)
-    chosen = select_target(scored, cfg.cnn.theta_rack, cfg.cnn.theta_occ,
-                           cfg.cnn.tie_eps, gen, ref_uv)
-    return scored, chosen
+def _pick(config: WorkspaceConfig, pose: Pose3, scored, gen: np.random.Generator,
+          ref_uv: tuple[float, float] | None = None) -> np.ndarray:
+    """Where the vacant slot ``select_target`` picks among ``scored`` sits in
+    the world, for an image taken from ``pose``. Raises NoValidSlotError
+    when nothing classifies as a vacant slot."""
+    chosen = select_target(scored, config.cnn.theta_rack, config.cnn.theta_occ,
+                           config.cnn.tie_eps, gen, ref_uv)
+    return _project(config, pose, chosen.candidate.u, chosen.candidate.v)
 
 
 def _descend_to_floor(scene: SceneState, xy, floor_z: float, check) -> str:
     """Shared descent loop; ``check`` is called after every tick and may
-    return a terminal string ("stopped" / "lost") or None to continue."""
+    return a terminal string ("stopped" / "lost") or None to continue.
+    The time budget bounds the ramp from rest by ``descent_speed / accel``
+    and adds 10 s of slack."""
     cfg = scene.config
     target = np.array([xy[0], xy[1], floor_z])
-    budget = (scene.setpoint[2] - floor_z) / cfg.motion.descent_speed + 10.0
+    budget = ((scene.setpoint[2] - floor_z) / cfg.motion.descent_speed
+              + cfg.motion.descent_speed / cfg.motion.accel + 10.0)
     for _ in range(int(budget * cfg.force.rate) + 1):
         sample = tick(scene, target)
         verdict = check(sample)
@@ -228,9 +206,13 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     """The one trial loop: pick and grasp, prepare, then descend at each of
     ``_aims`` in turn until the vial is released, lost or given up.
 
-    ``seen`` is the overview cache of ``_image_and_select``, shared by the
-    trials of one index of a campaign (trial ``i`` of every modality sees
-    the same scene).
+    ``seen`` maps the overview pose to the scene generator's state after
+    the render and the scored candidates. It is shared by the trials of one
+    index of a campaign, whose scenes ``reset_trial`` builds from one
+    stream with the same draws, so they render one overview image. A hit
+    skips the render, circle detection and scoring, and restores that
+    state, so every later draw is the one a render would have left. The
+    pick is always made.
 
     A trial whose rig has fingertip sensors (``rig.has_tactile``) opens
     ``simworld.draw_ahead`` right after the overview render (or the restore
@@ -272,14 +254,22 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
             final_offset=final_offset, placement=placement)
 
     overview = config.camera.pose()
-    with contextlib.ExitStack() as ahead:
+    advance_clock(scene, config.timing.image_s)
+    hit = seen.get(overview)
+    if hit is None:
+        image, _ = render_topdown(scene, overview)
+        state = scene.rng.bit_generator.state
+    else:
+        state, scored = hit
+        scene.rng.bit_generator.state = state
+    with (draw_ahead(scene) if scene.rig.has_tactile
+          else contextlib.nullcontext()):
+        if hit is None:
+            scored = _perceive(config, image, overview, weights)
+            seen[overview] = (state, scored)
         try:
-            scored, first = _image_and_select(
-                scene, overview, weights, sel_gen, seen=seen,
-                ahead=ahead if scene.rig.has_tactile else None)
+            target = _pick(config, overview, scored, sel_gen)
             advance_clock(scene, config.timing.grasp_s)
-            target = _project(config, overview, first.candidate.u,
-                              first.candidate.v)
             ctx, target = prepare(scene, sel_gen, target)
         except NoValidSlotError:
             outcomes.append(AttemptOutcome((np.nan, np.nan), "no_target"))
@@ -323,11 +313,10 @@ def run_visual_trial(config: WorkspaceConfig, stream: RngStream,
         close_z = refined_camera_z(config)
         advance_clock(scene, (cam.z - close_z) / config.motion.speed)
         pose = Pose3(x=float(coarse[0]), y=float(coarse[1]), z=close_z)
-        # A close-up is taken once per index, so it gets a cache of its own.
-        _, refined = _image_and_select(scene, pose, weights, sel_gen,
-                                       ref_uv=(cam.cx, cam.cy), seen={})
-        return None, _project(config, pose, refined.candidate.u,
-                              refined.candidate.v)
+        advance_clock(scene, config.timing.image_s)
+        image, _ = render_topdown(scene, pose)
+        return None, _pick(config, pose, _perceive(config, image, pose, weights),
+                           sel_gen, ref_uv=(cam.cx, cam.cy))
 
     def attempt_descent(scene, ctx, position):
         return _descend_to_floor(scene, position, depth_z, lambda sample: None)

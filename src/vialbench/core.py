@@ -425,6 +425,9 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(0 < cam.refine_factor <= 1.0, "camera.refine_factor", "must be in (0, 1]")
     _require(rack.rows >= 1, "rack.rows", "rack needs at least one slot")
     _require(rack.cols >= 1, "rack.cols", "rack needs at least one slot")
+    # A trial's scene needs one vacant slot and one occupied one.
+    _require(rack.rows * rack.cols >= 2, "rack.rows",
+             "rack needs at least two slots", "rack.cols")
     _require(rack.pitch > 2 * rack.slot_radius, "rack.pitch",
              "slots overlap: pitch <= 2*slot_radius", "rack.slot_radius")
     _require(rack.height > 0, "rack.height", "must be positive")
@@ -505,6 +508,8 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(mot.accel > 0, "motion.accel", "must be positive")
     _require(mot.lift_clearance > 0, "motion.lift_clearance", "must be positive")
     _require(mot.floor_margin > 0, "motion.floor_margin", "must be positive")
+    _require(mot.floor_margin < rack.height, "motion.floor_margin",
+             "must be below the rack top", "rack.height")
     _require(mot.visual_floor > 0, "motion.visual_floor", "must be positive")
     _require(mot.visual_floor < rack.height, "motion.visual_floor",
              "must be below the rack top", "rack.height")

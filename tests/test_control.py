@@ -14,8 +14,8 @@ from vialbench.control import (
     run_tactile_trial,
     run_visual_trial,
 )
-from vialbench.simworld import (make_rig, reference_frames, reset_trial,
-                                sample_tactile)
+from vialbench.simworld import (SimError, make_rig, reference_frames,
+                                reset_trial, sample_tactile)
 from vialbench.tactile import find_contact
 
 # Calibration error sources silenced; sensor and grasp noise untouched.
@@ -96,6 +96,24 @@ def test_force_trial_deterministic(config, weights):
     a = run_force_trial(config, RngStream(31), weights, 0, {})
     b = run_force_trial(config, RngStream(31), weights, 0, {})
     assert a == b
+
+
+def test_a_slow_ramp_fits_the_descent_budget(weights):
+    """At ``motion.accel = 2e-4`` the ramp to descent speed alone adds
+    about 20 s to a descent from hover, twice the budget's 10 s of slack."""
+    cfg = load_config("motion.accel = 2e-4\n")
+    rec = run_force_trial(cfg, RngStream(0), weights, 0, {})
+    check_record(rec)
+    assert rec.outcomes[0].result != "no_target"
+
+
+def test_a_descent_that_never_moves_runs_out_of_time(config, monkeypatch):
+    scene = reset_trial(config, RngStream(0))
+    monkeypatch.setattr(control, "tick", lambda scene, target: np.zeros(3))
+    with pytest.raises(SimError, match="time budget"):
+        control._descend_to_floor(scene, scene.setpoint[:2],
+                                  config.descent_floor_z(),
+                                  lambda sample: None)
 
 
 def test_exhausted_search_releases_in_place(biased_config, weights):

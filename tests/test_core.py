@@ -166,6 +166,12 @@ _SWEEP = ("rack.height, rack.slot_radius, camera.fx, cht.r_lo_factor, "
     ("tactile.rate = 250", "tactile.rate: must not exceed the force rate it "
      "is sampled in (depends on force.rate)"),
     ("seed = -3", "seed: must be >= 0"),
+    # one slot cannot be both the vacant target and an occupied neighbour
+    ("rack.rows = 1\nrack.cols = 1", "rack.rows: rack needs at least two "
+     "slots (depends on rack.cols)"),
+    # a vial counts as inserted only below the rack top
+    ("motion.floor_margin = 0.03", "motion.floor_margin: must be below the "
+     "rack top (depends on rack.height)"),
     # a rule reading two keys names the one that broke it, or both
     ("cnn.batch_size = 0", "cnn.batch_size: must be >= 1"),
     ("camera.fy = 0", "camera.fy: focal length must be positive"),

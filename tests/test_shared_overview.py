@@ -11,9 +11,7 @@ any grasp noise of either rig, and on whole trials.
 """
 
 from collections import Counter
-from contextlib import suppress
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +19,8 @@ from hypothesis import strategies as st
 from vialbench import bench, control
 from vialbench.bench import run_experiment
 from vialbench.cli import main
-from vialbench.core import Pose3, RngStream, load_config, split_rng
-from vialbench.perception import NoValidSlotError, save_weights
+from vialbench.core import RngStream, load_config, split_rng
+from vialbench.perception import save_weights
 from vialbench.simworld import make_rig, render_topdown, reset_trial
 
 TRIALS = 3
@@ -133,52 +131,51 @@ def test_force_overview_reuses_visual_detection(config, weights, monkeypatch):
     assert len(score) == 2 * TRIALS
 
 
-def perceive(scene, weights, pose, seen):
-    """(scored, chosen) of one look at ``scene``, None if no pick."""
-    with suppress(NoValidSlotError):
-        return control._image_and_select(scene, pose, weights,
-                                         np.random.default_rng(0), seen=seen)
-    return None
+def force_trial(config, weights, seen):
+    """Force trial 0 of a ``config`` campaign, whose one look is the
+    overview, with ``seen`` as its cache."""
+    stream = split_rng(RngStream(config.seed), 0)
+    return control.run_force_trial(config, stream, weights, 0, seen)
 
 
 def test_repeated_overview_hits(config, weights, monkeypatch):
     """A hit serves the stored perception and leaves the scene as a render
     would: the same RNG state, so the next draws are equal."""
+    fresh = force_trial(config, weights, {})
+    assert fresh.outcomes[0].result != "no_target"
+    scenes, reset = [], control.reset_trial
+
+    def kept(*args):
+        scenes.append(reset(*args))
+        return scenes[-1]
+
+    monkeypatch.setattr(control, "reset_trial", kept)
     render = counting(monkeypatch, "render_topdown")
     detect = counting(monkeypatch, "detect_circles")
     score = counting(monkeypatch, "score_candidates")
     seen = {}
-    pose = config.camera.pose()
-    rendered = reset_trial(config, RngStream(7))
-    first = perceive(rendered, weights, pose, seen)
-    served = reset_trial(config, RngStream(7))
-    again = perceive(served, weights, pose, seen)
+    rendered = force_trial(config, weights, seen)
+    served = force_trial(config, weights, seen)
     assert len(render) == len(detect) == len(score) == 1
-    assert len(seen) == 1
-    assert first is not None
-    assert again == first == perceive(reset_trial(config, RngStream(7)),
-                                      weights, pose, {})
-    assert served.rng.bit_generator.state == rendered.rng.bit_generator.state
-    assert served.rng.random(8).tobytes() == rendered.rng.random(8).tobytes()
+    assert list(seen) == [config.camera.pose()]
+    assert served == rendered == fresh
+    rendered, served = (scene.rng for scene in scenes)
+    assert served.bit_generator.state == rendered.bit_generator.state
+    assert served.random(8).tobytes() == rendered.random(8).tobytes()
 
 
 def test_another_pose_misses(config, weights, monkeypatch):
-    """The same scene seen from another pose is a miss, and each miss
-    perceives what an empty cache would."""
-    pose = config.camera.pose()
-    moved = Pose3(pose.x + 1e-3, pose.y, pose.z)
-
-    def looks():
-        return [(reset_trial(config, RngStream(7)), at) for at in (pose, moved)]
-
-    fresh = [perceive(scene, weights, at, {}) for scene, at in looks()]
-    assert None not in fresh
+    """The same scene seen from another camera pose is a miss, and each
+    miss perceives what an empty cache would."""
+    moved = load_config("", [f"camera.x = {config.camera.x + 1e-3!r}"])
+    assert moved.camera.pose() != config.camera.pose()
+    fresh = [force_trial(c, weights, {}) for c in (config, moved)]
+    assert all(r.outcomes[0].result != "no_target" for r in fresh)
     detect = counting(monkeypatch, "detect_circles")
     seen = {}
-    assert [perceive(scene, weights, at, seen)
-            for scene, at in looks()] == fresh
+    assert [force_trial(c, weights, seen) for c in (config, moved)] == fresh
     assert len(detect) == 2
-    assert len(seen) == 2
+    assert list(seen) == [config.camera.pose(), moved.camera.pose()]
 
 
 class Rendered(Exception):
