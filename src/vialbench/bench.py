@@ -283,42 +283,33 @@ def write_report(records: dict[str, list[TrialRecord]], batches: int,
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    paths["summary"] = out / "summary.csv"
-    with open(paths["summary"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["modality", "attempts_mean", "attempts_std",
-                    "runtime_s_mean", "runtime_s_std",
-                    "success_pct_mean", "success_pct_std",
-                    "first_time_pct_mean", "first_time_pct_std"])
-        for m in modalities:
-            s = summaries[m]
-            w.writerow([m,
-                        _fmt(s.attempts.mean), _fmt(s.attempts.std),
-                        _fmt(s.runtime_s.mean), _fmt(s.runtime_s.std),
-                        _fmt(s.success_pct.mean), _fmt(s.success_pct.std),
-                        _fmt(s.first_time_pct.mean), _fmt(s.first_time_pct.std)])
+    def table(name, header, rows):
+        paths[name] = out / f"{name}.csv"
+        with open(paths[name], "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
 
-    max_n = max((r.attempts for recs in records.values() for r in recs),
-                default=1)
-    paths["histogram"] = out / "histogram.csv"
-    with open(paths["histogram"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["modality", "attempt_n", "success_count"])
-        for m in modalities:
-            hist = summaries[m].histogram
-            for k in range(1, max_n + 1):
-                w.writerow([m, k, hist.get(k, 0)])
-
-    paths["cumulative"] = out / "cumulative.csv"
-    with open(paths["cumulative"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["modality", "attempt_n", "cumulative_probability"])
-        for m in modalities:
-            cum = summaries[m].cumulative
-            level = 0.0
-            for k in range(1, max_n + 1):
-                level = cum.get(k, level)
-                w.writerow([m, k, f"{level:.6f}"])
+    table("summary",
+          ["modality", "attempts_mean", "attempts_std",
+           "runtime_s_mean", "runtime_s_std",
+           "success_pct_mean", "success_pct_std",
+           "first_time_pct_mean", "first_time_pct_std"],
+          [[m, _fmt(s.attempts.mean), _fmt(s.attempts.std),
+            _fmt(s.runtime_s.mean), _fmt(s.runtime_s.std),
+            _fmt(s.success_pct.mean), _fmt(s.success_pct.std),
+            _fmt(s.first_time_pct.mean), _fmt(s.first_time_pct.std)]
+           for m, s in summaries.items()])
+    # A modality's cumulative has a key for each attempt number up to its
+    # own last one; past it, the probability is its success rate.
+    attempt_ns = range(1, max((r.attempts for recs in records.values()
+                               for r in recs), default=1) + 1)
+    table("histogram", ["modality", "attempt_n", "success_count"],
+          [[m, k, s.histogram.get(k, 0)]
+           for m, s in summaries.items() for k in attempt_ns])
+    table("cumulative", ["modality", "attempt_n", "cumulative_probability"],
+          [[m, k, f"{s.cumulative.get(k, s.success_rate):.6f}"]
+           for m, s in summaries.items() for k in attempt_ns])
 
     paths["records"] = out / "records.jsonl"
     with open(paths["records"], "w") as f:

@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
+    except (ConfigError, ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"vialbench: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,7 @@
 """Exercises the command-line surface end to end (in-process)."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert "gap.weights" in lines[0]
+
+
+def test_out_of_memory_size_exits_two_with_one_line(capsys):
+    """A million-pixel-square fingertip frame asks numpy for 7.3 TiB, which
+    it refuses before touching any memory; the refusal is one line, and the
+    calibration's draw-ahead thread is joined on the way out."""
+    assert run_cli("calibrate", "--set", "tactile.width=1000000",
+                   "--set", "tactile.height=1000000") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("vialbench: ")
+    assert "Traceback" not in lines[0]
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("vialbench-draw-ahead")]
 
 
 @pytest.mark.parametrize("make_args, fragment", [

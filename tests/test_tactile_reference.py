@@ -376,6 +376,24 @@ def test_row_run_proof_examples(mask, start, components):
     assert got == tactile_reference.extract_contacts(mask, 0.0)
 
 
+def test_trace_stops_at_its_first_return_to_the_start():
+    """Both walks stop the first time they step back onto the start pixel.
+    When that pixel is a one-pixel diagonal neck, the walk has not yet
+    reached the rest of the component: here it never visits (1, 0), so the
+    proven component reads as its row-0 run alone, with area 0."""
+    mask = _rows(".###",
+                 "#...")
+    assert _single_component_start(mask) == 1
+    assert _label_count(mask) == 1
+    want = [(0, 1), (0, 2), (0, 3), (0, 2)]
+    rows, cols = _moore_trace(mask, (0, 1))
+    assert list(zip(rows.tolist(), cols.tolist())) == want
+    assert tactile_reference._moore_trace(mask, (0, 1)) == want
+    for extract in (extract_contacts, tactile_reference.extract_contacts):
+        assert ([(r.centroid, r.area) for r in extract(mask, 0.0)]
+                == [((2.0, 0.0), 0.0)])
+
+
 # --- rendering -------------------------------------------------------------
 
 _SIZES = {
