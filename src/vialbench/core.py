@@ -24,6 +24,13 @@ KEY_RIG = 1
 KEY_TRAIN = 2
 KEY_CALIB = 3
 
+# The largest frame sides and crop side a config may ask for, in pixels.
+# Frames, Hough slices and crops are allocated at these sizes, so a typo
+# such as ``tactile.width = 100000`` is refused before anything is allocated.
+MAX_CAMERA_SIDE = 4096
+MAX_TACTILE_SIDE = 1024
+MAX_CROP_SIZE = 128
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -416,6 +423,10 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(cam.fy > 0, "camera.fy", "focal length must be positive")
     _require(cam.width >= 16, "camera.width", "image too small")
     _require(cam.height >= 16, "camera.height", "image too small")
+    _require(cam.width <= MAX_CAMERA_SIDE, "camera.width",
+             f"image too large, at most {MAX_CAMERA_SIDE} px")
+    _require(cam.height <= MAX_CAMERA_SIDE, "camera.height",
+             f"image too large, at most {MAX_CAMERA_SIDE} px")
     _require(0 <= cam.cx < cam.width, "camera.cx", "principal point outside image",
              "camera.width")
     _require(0 <= cam.cy < cam.height, "camera.cy", "principal point outside image",
@@ -497,6 +508,10 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(tac.stop_px > 0, "tactile.stop_px", "must be positive")
     _require(tac.width >= 16, "tactile.width", "frame too small")
     _require(tac.height >= 16, "tactile.height", "frame too small")
+    _require(tac.width <= MAX_TACTILE_SIDE, "tactile.width",
+             f"frame too large, at most {MAX_TACTILE_SIDE} px")
+    _require(tac.height <= MAX_TACTILE_SIDE, "tactile.height",
+             f"frame too large, at most {MAX_TACTILE_SIDE} px")
     _require(tac.span > 0, "tactile.span", "must be positive")
     _require(tac.blob_diameter > 0, "tactile.blob_diameter", "must be positive")
     _require(tac.n_reference >= 1, "tactile.n_reference", "need at least one reference frame")
@@ -539,5 +554,7 @@ def validate_config(config: WorkspaceConfig) -> None:
     _require(cnn.k2 >= 1, "cnn.k2", "channel count must be >= 1")
     _require(cnn.crop_size >= 16 and cnn.crop_size % 16 == 0, "cnn.crop_size",
              "must be a multiple of 16")
+    _require(cnn.crop_size <= MAX_CROP_SIZE, "cnn.crop_size",
+             f"crop too large, at most {MAX_CROP_SIZE} px")
     _require(cnn.train_scenes >= 1, "cnn.train_scenes", "must be >= 1")
     _require(config.render.distractors >= 0, "render.distractors", "must be >= 0")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,32 +74,31 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     cells; see ``_box_lines``.
 
     The radii stream through a two-slice window. Each slice's votes are
-    counted in place (``np.add.at``) into one reused integer array, and
-    only the slice's vertical 3-sums and the rows of its above-threshold
-    cells outlive it. The lines of slice i are the 3x3 dilation of those
-    rows over (radius, row), so they are known, and made from the kept
-    vertical sums, as soon as slice i + 1 is thresholded. The integer
-    scratch is a few slices of the image's size whatever the sweep's
-    length. The float lines are written in (radius, row) order into one
-    buffer with room for every line, of which only the built rows are
-    touched.
+    counted in place (``np.add.at``) into one reused integer accumulator,
+    padded by ``r_max + 1`` cells on every side so that no vote needs
+    clipping; the one-cell halo around the image is zeroed after the count,
+    and the cells beyond it are never read. A radius forms ``r * ux`` and
+    ``r * uy`` once and votes at the sum and the difference with the edge
+    pixel: negating a product is exact, so these are the seed's
+    ``(+-r) * ux + ex``. Only the slice's vertical 3-sums and the rows of
+    its above-threshold cells outlive it. The lines of slice i are the 3x3
+    dilation of those rows over (radius, row), so they are known, and made
+    from the kept vertical sums, as soon as slice i + 1 is thresholded. The
+    integer scratch is a few slices of the padded image's size whatever the
+    sweep's length. The float lines are written in (radius, row) order into
+    one buffer with room for every line, of which only the built rows are
+    touched. The merge runs on the peaks' integer cells, and then one
+    batched centre of mass refines every kept peak; see ``_refine``.
     """
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError(f"expected 2-D grayscale image, got shape {img.shape}")
     h, w = img.shape
-    gx, gy = _sobel(img)
-    # hypot only where the squared magnitude can reach the threshold
-    ey, ex = np.nonzero(gx * gx + gy * gy >= (params.edge_thresh * (1.0 - 1e-9)) ** 2)
-    gx = gx[ey, ex].astype(float, copy=False)
-    gy = gy[ey, ex].astype(float, copy=False)
-    mag = np.hypot(gx, gy)
-    edge = mag >= params.edge_thresh
-    if not edge.any():
+    ey, ex, ux, uy = _edges(img, params.edge_thresh)
+    if ex.size == 0:
         return []
-    ey, ex, mag = ey[edge], ex[edge], mag[edge]
-    ux = gx[edge] / mag
-    uy = gy[edge] / mag
+    # float coordinates, so that each vote adds two float arrays
+    ey, ex = ey.astype(float), ex.astype(float)
 
     radii = np.arange(params.r_min, params.r_max + 1)
     n = len(radii)
@@ -109,13 +109,22 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     # drift, far below 0.5, so ``hit`` keeps every cell whose score can
     # reach ``thresh``.
     floor = np.ceil(thresh - 0.5).astype(dtype)
-    # Scratch for one radius slice: the vote counts, with a one-cell border
-    # that catches votes outside the image and is then zeroed, their 3x3
-    # box sums and the threshold mask. A slice's vertical 3-sums (column
-    # u + 1 is image column u) wait in ``ring`` for one more slice.
-    # ``hit_rows[i + 1, v + 1]`` marks a row v of slice i with a cell in
-    # ``hit``; the zero border stands for the rows and radii outside.
-    acc = np.empty((h + 2, w + 2), dtype)
+    # Scratch for one radius slice: the vote counts, whose window ``win``
+    # is the image with a one-cell halo, their 3x3 box sums and the
+    # threshold mask. A vote lands at most r_max cells off the image, so
+    # inside the padding; ``origin`` is the flat index of image cell
+    # (0, 0). A slice's vertical 3-sums (column u + 1 is image column u)
+    # wait in ``ring`` for one more slice. ``hit_rows[i + 1, v + 1]``
+    # marks a row v of slice i with a cell in ``hit``; the zero border
+    # stands for the rows and radii outside.
+    pad = params.r_max + 1
+    acc = np.zeros((h + 2 * pad, w + 2 * pad), dtype)
+    win = acc[pad - 1:pad + h + 1, pad - 1:pad + w + 1]
+    origin = pad * acc.shape[1] + pad
+    # Row 0 of each holds the votes along +gradient, row 1 along -.
+    vote_u = np.empty((2, ex.size))
+    vote_v = np.empty((2, ex.size))
+    cell = np.empty((2, ex.size), dtype=np.intp)
     box = np.empty((h, w), dtype)
     hit = np.empty((h, w), dtype=bool)
     ring = np.empty((2, h, w + 2), dtype)
@@ -130,26 +139,21 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     # Pass i counts slice i and then builds the lines of slice i - 1.
     for i in range(n + 1):
         if i < n:
-            # Row 0 votes along +gradient, row 1 along -.
-            step = np.array([[1.0 * radii[i]], [-1.0 * radii[i]]])
-            vote_u = step * ux
-            vote_u += ex
-            np.rint(vote_u, out=vote_u)
-            np.clip(vote_u, -1, w, out=vote_u)
-            vote_v = step * uy
-            vote_v += ey
-            np.rint(vote_v, out=vote_v)
-            np.clip(vote_v, -1, h, out=vote_v)
-            cell = vote_v + 1
-            cell *= w + 2
-            cell += vote_u + 1
-            acc.fill(0)
-            np.add.at(acc.reshape(-1), cell.astype(np.intp).ravel(), dtype(1))
-            acc[[0, -1]] = 0
-            acc[:, [0, -1]] = 0
+            for vote, e, unit in ((vote_u, ex, ux), (vote_v, ey, uy)):
+                step = radii[i] * unit
+                np.add(e, step, out=vote[0])
+                np.subtract(e, step, out=vote[1])
+                np.rint(vote, out=vote)
+            vote_v *= acc.shape[1]
+            vote_v += vote_u
+            np.add(vote_v, origin, out=cell, casting="unsafe")
+            win.fill(0)
+            np.add.at(acc.reshape(-1), cell.reshape(-1), dtype(1))
+            win[[0, -1]] = 0
+            win[:, [0, -1]] = 0
             col = ring[i % 2]
-            np.add(acc[:-2], acc[1:-1], out=col)
-            col += acc[2:]
+            np.add(win[:-2], win[1:-1], out=col)
+            col += win[2:]
             np.add(col[:, :-2], col[:, 1:-1], out=box)
             box += col[:, 2:]
             np.greater_equal(box, floor[i], out=hit)
@@ -177,27 +181,55 @@ def detect_circles(image: np.ndarray, params: ChtParams) -> list[Candidate]:
     peak = votes >= thresh[ci]
     for dv, du in _NEIGHBOURS:
         peak &= votes >= scores[at_row[dv], at_col[du]]
-    votes = votes[peak]
-    u = cu[peak].astype(float)
-    v = cv[peak].astype(float)
-    r = radii[ci[peak]].astype(float)
-    if votes.size == 0:
+    if not peak.any():
         return []
-    order = np.lexsort((r, v, u, -votes))
-    votes, u, v, r = votes[order], u[order], v[order], r[order]
+    votes, ci, cv, cu = votes[peak], ci[peak], cv[peak], cu[peak]
+    order = np.lexsort((ci, cv, cu, -votes))
+    votes, ci, cv, cu = votes[order], ci[order], cv[order], cu[order]
 
     # Strongest-first greedy merge across radii.
     alive = np.ones(votes.size, dtype=bool)
-    out = []
+    kept = []
     k = 0
     while True:
-        ru, rv, rr = _refine(scores, line, radii, float(u[k]), float(v[k]), float(r[k]))
-        out.append(Candidate(u=ru, v=rv, r=rr, votes=float(votes[k])))
-        alive &= (u - u[k]) ** 2 + (v - v[k]) ** 2 >= params.r_min ** 2
+        kept.append(k)
+        alive &= (cu - cu[k]) ** 2 + (cv - cv[k]) ** 2 >= params.r_min ** 2
         rest = np.flatnonzero(alive[k + 1:])
         if rest.size == 0:
-            return out
+            break
         k += 1 + int(rest[0])
+    u, v, r = _refine(scores, line, radii, ci[kept], cv[kept], cu[kept])
+    return [Candidate(u=float(a), v=float(b), r=float(c), votes=float(s))
+            for a, b, c, s in zip(u, v, r, votes[kept])]
+
+
+def _edges(img: np.ndarray, edge_thresh: float) -> tuple[np.ndarray, ...]:
+    """Edge pixels ``(ey, ex)`` and their unit gradients ``(ux, uy)``.
+
+    An edge pixel is one whose ``np.hypot(gx, gy)`` of the Sobel gradients
+    reaches ``edge_thresh``. hypot runs only where the squared magnitude
+    can: a byte image's ``gx*gx + gy*gy``, squared from its int16
+    gradients, is an exact int32 (at most 2 * 1020**2), and an integer
+    reaches a float exactly when it reaches that float's ceiling, which is
+    passed as a Python int so that the comparison stays in int32 (NEP 50).
+    """
+    gx, gy = _sobel(img)
+    wide = np.int32 if gx.dtype == np.int16 else gx.dtype
+    mag2 = np.multiply(gx, gx, dtype=wide)
+    mag2 += np.multiply(gy, gy, dtype=wide)
+    # a product, not ``** 2``: a huge threshold squares to inf, not an error
+    gate = edge_thresh * (1.0 - 1e-9)
+    gate *= gate
+    if mag2.dtype == np.int32:
+        # NaN and anything past int32 gate out every pixel, as the float would
+        gate = math.ceil(gate) if gate < 2 ** 31 else 2 ** 31 - 1
+    ey, ex = np.nonzero(mag2 >= gate)
+    gx = gx[ey, ex].astype(float, copy=False)
+    gy = gy[ey, ex].astype(float, copy=False)
+    mag = np.hypot(gx, gy)
+    edge = mag >= edge_thresh
+    mag = mag[edge]
+    return ey[edge], ex[edge], gx[edge] / mag, gy[edge] / mag
 
 
 def _sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +242,16 @@ def _sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     images; scipy's extra ``0 * x[i]`` term can only turn a +0.0 into -0.0
     at a pixel whose sign bit is set (a negative one or -0.0), and the sign
     of a zero gradient reaches no candidate. Byte images are differenced
-    exactly in int32, everything else in float64.
+    exactly in int16 (a gradient is at most 4 * 255), everything else in
+    float64. The edge padding is written by slicing into one buffer.
     """
-    dtype = np.int32 if img.dtype.kind in "iu" and img.dtype.itemsize == 1 else float
-    p = np.pad(img.astype(dtype, copy=False), 1, mode="edge")
+    dtype = np.int16 if img.dtype.kind in "iu" and img.dtype.itemsize == 1 else float
+    p = np.empty((img.shape[0] + 2, img.shape[1] + 2), dtype)
+    p[1:-1, 1:-1] = img
+    p[0, 1:-1] = img[0]
+    p[-1, 1:-1] = img[-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
     d = p[:, 2:] - p[:, :-2]
     gx = d[1:-1] * 2
     gx += d[:-2] + d[2:]
@@ -243,22 +281,31 @@ def _box_lines(col: np.ndarray, lines: tuple[np.ndarray, np.ndarray],
 
 
 def _refine(scores: np.ndarray, line: np.ndarray, radii: np.ndarray,
-            u: float, v: float, r: float):
-    """Sub-pixel center and radius by center-of-mass over the peak's 3x3x3.
+            ci: np.ndarray, cv: np.ndarray, cu: np.ndarray):
+    """Sub-pixel centers and radii by center-of-mass over each peak's 3x3x3.
 
-    The block's lines are gathered into a (radii, rows, w) buffer and then
-    sliced on columns: the stride layout of the dense (radii, h, w) stack
-    the seed detector summed, so numpy adds the cells in the same order.
+    Peak k sits at radius index ``ci[k]``, row ``cv[k]`` and column
+    ``cu[k]``; its block is clipped to the sweep and the image, so it has
+    1 to 3 radii, rows and columns. The peaks are refined together, one
+    group per block shape: each group's blocks are gathered into one
+    contiguous (K, radii, rows, columns) array and summed over its last
+    three axes, which adds each block's cells in the order numpy sums the
+    seed's strided view of the dense (radii, h, w) stack. A peak whose
+    block sums to at most zero keeps its integer cell. Returns the centers'
+    columns and rows and the radii, as float arrays.
     """
-    i = int(np.searchsorted(radii, r))
-    ui, vi = int(u), int(v)
-    i0, i1 = max(i - 1, 0), min(i + 2, len(radii))
-    u0, u1 = max(ui - 1, 0), min(ui + 2, scores.shape[1])
-    v0, v1 = max(vi - 1, 0), min(vi + 2, line.shape[1])
-    block = scores[line[i0:i1, v0:v1]][:, :, u0:u1]
-    total = block.sum()
-    if total <= 0:
-        return u, v, r
-    return (float((np.arange(u0, u1) * block).sum() / total),
-            float((np.arange(v0, v1)[:, None] * block).sum() / total),
-            float((radii[i0:i1, None, None] * block).sum() / total))
+    idx = np.stack([ci, cv, cu])
+    lo = np.maximum(idx - 1, 0)
+    size = np.minimum(idx + 2, [[line.shape[0]], [line.shape[1]], [scores.shape[1]]]) - lo
+    out = np.stack([cu, cv, radii[ci]]).astype(float)
+    shapes, group = np.unique(size, axis=1, return_inverse=True)
+    for g, shape in enumerate(shapes.T):
+        k = np.flatnonzero(group == g)
+        i, v, u = (lo[a, k, None] + np.arange(shape[a]) for a in range(3))
+        block = scores[line[i[:, :, None], v[:, None, :]][..., None], u[:, None, None, :]]
+        total = block.sum(axis=(1, 2, 3))
+        ok = total > 0
+        for a, weight in enumerate((u[:, None, None, :], v[:, None, :, None],
+                                    radii[i][:, :, None, None])):
+            out[a, k[ok]] = (weight * block).sum(axis=(1, 2, 3))[ok] / total[ok]
+    return out

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from vialbench import control
 from vialbench.cli import main
 from vialbench.pgm import write_pgm
 from vialbench.perception import CnnWeights, load_weights, save_weights
@@ -69,15 +70,37 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
 
 
 def test_out_of_memory_size_exits_two_with_one_line(capsys):
-    """A million-pixel-square fingertip frame asks numpy for 7.3 TiB, which
-    it refuses before touching any memory; the refusal is one line, and the
-    calibration's draw-ahead thread is joined on the way out."""
+    """A million-pixel-square fingertip frame would ask numpy for 7.3 TiB;
+    the config rules refuse it in one line naming the key, before anything
+    is allocated or any thread starts."""
     assert run_cli("calibrate", "--set", "tactile.width=1000000",
                    "--set", "tactile.height=1000000") == 2
     lines = capsys.readouterr().err.splitlines()
+    assert lines == ["vialbench: tactile.width: frame too large, at most 1024 px"]
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("vialbench-draw-ahead")]
+
+
+@pytest.mark.parametrize("key, size", [
+    ("camera.width", 4112), ("camera.height", 4112), ("tactile.width", 1040),
+    ("tactile.height", 1040), ("cnn.crop_size", 144)])
+def test_oversized_sizes_exit_two_naming_the_key(capsys, key, size):
+    assert run_cli("run", "--trials", "1", "--set", f"{key}={size}") == 2
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("vialbench: ")
-    assert "Traceback" not in lines[0]
+    assert lines[0].startswith(f"vialbench: {key}: ")
+
+
+def test_memory_error_exits_two_with_one_line(capsys, monkeypatch):
+    """An allocation numpy refuses mid-calibration is one line, and the
+    calibration's draw-ahead thread is joined on the way out."""
+    def refuse(scene, finger):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(control, "reference_frames", refuse)
+    assert run_cli("calibrate") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["vialbench: Unable to allocate 7.28 TiB for an array"]
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("vialbench-draw-ahead")]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vialbench.core import (_SECTIONS, ConfigError, RngStream,
+from vialbench.core import (_SECTIONS, MAX_CAMERA_SIDE, MAX_CROP_SIZE,
+                            MAX_TACTILE_SIDE, ConfigError, RngStream,
                             WorkspaceConfig, _field_types, dump_config,
                             load_config, split_rng)
 from vialbench.force import (ForceBuffer, buffer_capacity, init_baseline,
@@ -190,6 +191,24 @@ def test_cross_key_rules_name_their_key(text, message):
     with pytest.raises(ConfigError) as err:
         load_config(text)
     assert str(err.value) == message
+
+
+_SIZE_CAPS = [("camera.width", MAX_CAMERA_SIDE, "image"),
+               ("camera.height", MAX_CAMERA_SIDE, "image"),
+               ("tactile.width", MAX_TACTILE_SIDE, "frame"),
+               ("tactile.height", MAX_TACTILE_SIDE, "frame"),
+               ("cnn.crop_size", MAX_CROP_SIZE, "crop")]
+
+
+@pytest.mark.parametrize("key, cap, what", _SIZE_CAPS)
+def test_oversized_frames_and_crops_are_refused(key, cap, what):
+    """A size up to its cap loads; one step past it is refused naming the
+    key, before anything of that size exists."""
+    section, name = key.split(".")
+    assert getattr(getattr(load_config(f"{key} = {cap}"), section), name) == cap
+    with pytest.raises(ConfigError) as err:
+        load_config(f"{key} = {cap + 16}")
+    assert str(err.value) == f"{key}: {what} too large, at most {cap} px"
 
 
 @settings(max_examples=60, deadline=None)

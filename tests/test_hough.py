@@ -1,5 +1,8 @@
 """Circle detector tests against synthetic disks and rendered scenes."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from vialbench.perception.hough import (
     ChtParams,
     cht_params_for,
     _box_lines,
+    _edges,
     _refine,
     _sobel,
     detect_circles,
@@ -36,6 +40,16 @@ def draw_disk(h, w, cu, cv, r, fg=200.0, bg=20.0):
 CHT = ChtConfig()
 PARAMS = ChtParams(r_min=6, r_max=14, vote_frac=CHT.vote_frac,
                    edge_thresh=CHT.edge_thresh)
+
+
+@pytest.mark.parametrize("edge_thresh", [1e300, np.inf])
+def test_a_threshold_past_every_gradient_finds_nothing(edge_thresh):
+    """The config takes any positive ``cht.edge_thresh``; one whose square
+    overflows a float gates out every pixel instead of raising."""
+    img = draw_disk(64, 64, 32.0, 32.0, 10.0).astype(np.uint8)
+    for image in (img, img.astype(float)):
+        assert detect_circles(image, dataclasses.replace(
+            PARAMS, edge_thresh=edge_thresh)) == []
 
 
 def test_blank_image_no_candidates():
@@ -201,29 +215,86 @@ def test_radius_window_edges_match_reference(r_min, extra, last, off, ring,
 
 
 def test_refine_sums_like_the_dense_stack():
-    """``_refine`` on gathered lines equals the seed's on the dense stack."""
+    """The batched ``_refine`` on gathered lines equals the seed's per-peak
+    one on the dense stack, with every cell of the stack a peak.
+
+    Axes of length 1, 2 and 4 clip the blocks to 1, 2 and 3 cells, so the
+    27 stacks hold every block shape between them.
+    """
     gen = np.random.default_rng(3)
-    n, h, w = 4, 9, 11
-    dense = gen.random((n, h, w)) * 10.0 ** gen.integers(0, 9, (n, h, w))
-    order = gen.permutation(n * h)
-    scores = dense.reshape(n * h, w)[order]
-    line = np.empty(n * h, dtype=np.intp)
-    line[order] = np.arange(n * h)
-    line = line.reshape(n, h)
-    radii = np.arange(5, 5 + n)
-    drift = 0
-    for i in range(n):
-        for v in range(h):
-            for u in range(w):
-                want = hough_reference._refine(dense, radii, float(u), float(v),
-                                               float(radii[i]))
-                assert _refine(scores, line, radii, float(u), float(v),
-                               float(radii[i])) == want
-                block = dense[max(i - 1, 0):i + 2, max(v - 1, 0):v + 2,
-                              max(u - 1, 0):u + 2]
-                drift += block.sum(axis=2).sum(axis=1).sum() != block.sum()
-    # summing in another order changes the floats, so this check has teeth
-    assert drift > 0
+    for n, h, w in itertools.product((1, 2, 4), repeat=3):
+        dense = gen.random((n, h, w)) * 10.0 ** gen.integers(0, 9, (n, h, w))
+        order = gen.permutation(n * h)
+        scores = dense.reshape(n * h, w)[order]
+        line = np.empty(n * h, dtype=np.intp)
+        line[order] = np.arange(n * h)
+        line = line.reshape(n, h)
+        radii = np.arange(5, 5 + n)
+        ci, cv, cu = (a.ravel() for a in np.indices((n, h, w)))
+        got = _refine(scores, line, radii, ci, cv, cu)
+        want = [hough_reference._refine(dense, radii, float(u), float(v),
+                                        float(radii[i]))
+                for i, v, u in zip(ci, cv, cu)]
+        assert [tuple(col) for col in got.T.tolist()] == want
+
+
+def test_refine_sums_in_the_seed_order():
+    """Summing a block in another order changes the floats, so the test
+    above has teeth."""
+    gen = np.random.default_rng(3)
+    dense = gen.random((4, 9, 11)) * 10.0 ** gen.integers(0, 9, (4, 9, 11))
+    blocks = [dense[i:i + 3, v:v + 3, u:u + 3]
+              for i in range(2) for v in range(7) for u in range(9)]
+    assert any(b.sum(axis=2).sum(axis=1).sum() != b.sum() for b in blocks)
+
+
+def test_refine_keeps_a_peak_whose_block_sums_to_zero():
+    scores = np.zeros((3, 4))
+    line = np.arange(3).reshape(1, 3)
+    got = _refine(scores, line, np.array([9]), np.array([0]), np.array([1]),
+                  np.array([2]))
+    assert got.tolist() == [[2.0], [1.0], [9.0]]
+
+
+def _reference_edges(image, edge_thresh):
+    img = image.astype(float)
+    gx = ndimage.sobel(img, axis=1, mode="nearest")
+    gy = ndimage.sobel(img, axis=0, mode="nearest")
+    mag = np.hypot(gx, gy)
+    ey, ex = np.nonzero(mag >= edge_thresh)
+    return ey, ex, gx[ey, ex] / mag[ey, ex], gy[ey, ex] / mag[ey, ex]
+
+
+def _gates_at(mag):
+    """Thresholds that sit on, just under and just over magnitudes of
+    ``mag``, and thresholds below every magnitude or past them all."""
+    levels = np.unique(mag[mag > 0])
+    levels = levels[np.linspace(0, levels.size - 1, 12).astype(int)]
+    return ([float(t) for t in levels]
+            + [float(np.nextafter(t, 0.0)) for t in levels]
+            + [float(np.nextafter(t, np.inf)) for t in levels]
+            + [1e-300, 2.0 ** 15.5, 2.0 ** 16, 1e150, 1e300, np.inf, np.nan])
+
+
+@pytest.mark.parametrize("kind", ["uint8", "float"])
+def test_edge_gate_keeps_the_hypot_pixels(kind):
+    """The squared-magnitude gate (exact int32 for byte images) keeps
+    exactly the pixels whose ``hypot(gx, gy)`` reaches the threshold, with
+    thresholds on the magnitudes themselves and one float step off them."""
+    gen = np.random.default_rng(21)
+    image = gen.integers(0, 256, (24, 31)).astype(np.uint8)
+    if kind == "float":
+        image = image + gen.choice([0.0, 0.25, 0.5, 1e-7], image.shape)
+    mag = np.hypot(ndimage.sobel(image.astype(float), axis=1, mode="nearest"),
+                   ndimage.sobel(image.astype(float), axis=0, mode="nearest"))
+    kept = 0
+    for gate in _gates_at(mag):
+        got = _edges(image, gate)
+        want = _reference_edges(image, gate)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        kept += got[0].size
+    assert 0 < kept < len(_gates_at(mag)) * image.size
 
 
 def test_box_lines_into_out_equal_uniform_filter():

@@ -6,6 +6,7 @@ from scipy import ndimage
 
 import hough_reference
 from vialbench.core import ChtConfig, Pose3, RngStream
+from vialbench.perception import hough
 from vialbench.perception.hough import (ChtParams, _box_lines, cht_params_for,
                                         detect_circles)
 from vialbench.perception.pipeline import refined_camera_z
@@ -85,3 +86,81 @@ def test_box_lines_equal_uniform_filter(rate):
     # the float sums do drift from the integer ones, so this check has teeth
     exact = col[:, :, :-2] + col[:, :, 1:-1] + col[:, :, 2:]
     assert rate < 0.5 or np.any(dense != exact)
+
+
+def disk(h, w, cu, cv, r):
+    yy, xx = np.mgrid[0:h, 0:w]
+    return 20.0 + np.clip(r - np.hypot(xx - cu, yy - cv) + 0.5, 0.0, 1.0) * 180.0
+
+
+# A disk cut by each edge: centred a pixel inside it, on it and beyond it.
+EDGE_CENTRES = {"left": lambda c: (c, 30.0), "right": lambda c: (63.0 - c, 34.0),
+                "top": lambda c: (29.0, c), "bottom": lambda c: (35.0, 63.0 - c)}
+
+
+@pytest.fixture
+def block_shapes(monkeypatch):
+    """The (radii, rows, columns) shape of every block the detector
+    refines, as the batched ``_refine`` groups them. Blocks clipped to one
+    row or column need an image one pixel high or wide;
+    ``test_refine_sums_like_the_dense_stack`` covers every shape."""
+    shapes = set()
+
+    def spy(scores, line, radii, ci, cv, cu):
+        bounds = [(line.shape[0], ci), (line.shape[1], cv), (scores.shape[1], cu)]
+        size = [np.minimum(x + 2, n) - np.maximum(x - 1, 0) for n, x in bounds]
+        shapes.update(zip(*(s.tolist() for s in size)))
+        return refine(scores, line, radii, ci, cv, cu)
+
+    refine = hough._refine
+    monkeypatch.setattr(hough, "_refine", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_CENTRES))
+def test_circles_cut_by_an_edge_match_reference(edge):
+    gen = np.random.default_rng(7)
+    for c in (1.0, 0.0, -2.0):
+        cu, cv = EDGE_CENTRES[edge](c)
+        img = disk(64, 64, cu, cv, 9.0) + gen.normal(0.0, 2.0, (64, 64))
+        assert assert_same(img, PARAMS)
+
+
+def test_peaks_on_the_image_edges_match_reference(block_shapes):
+    """A bright square r + 1 pixels in from every side: its top and left
+    edges vote into the image's first two rows and columns only, so peaks
+    tie there and the first row and column win, with blocks clipped to two
+    rows or two columns at every radius position of the sweep. Moved one
+    pixel out, each side casts one line of its votes just off the image,
+    which must count for nothing."""
+    r = 7
+    for inset in (r + 1, r):
+        img = np.full((40, 40), 20.0)
+        img[inset:-inset, inset:-inset] = 200.0
+        for r_min, r_max in ((7, 7), (6, 7), (7, 8), (6, 8)):
+            params = ChtParams(r_min=r_min, r_max=r_max, vote_frac=0.05,
+                               edge_thresh=CHT.edge_thresh)
+            assert assert_same(img, params)
+    assert {(a, 2, 3) for a in (1, 2, 3)} <= block_shapes
+    assert {(a, 3, 2) for a in (1, 2, 3)} <= block_shapes
+
+
+@pytest.mark.parametrize("end", ["r_min", "r_max"])
+def test_circles_at_the_sweep_ends_match_reference(end, block_shapes):
+    r = getattr(PARAMS, end)
+    gen = np.random.default_rng(8)
+    for cu, cv in ((40.3, 38.6), (47.0, 41.5)):
+        img = disk(96, 96, cu, cv, r) + gen.normal(0.0, 2.0, (96, 96))
+        got = assert_same(img, PARAMS)
+        assert got and abs(got[0].r - r) <= 1.0
+    assert any(s[0] == 2 for s in block_shapes)
+
+
+def test_one_radius_sweep_matches_reference(block_shapes):
+    gen = np.random.default_rng(9)
+    for r in (6, 10, 13):
+        params = ChtParams(r_min=r, r_max=r, vote_frac=CHT.vote_frac,
+                           edge_thresh=CHT.edge_thresh)
+        img = disk(64, 64, 31.4, 33.2, r) + gen.normal(0.0, 2.0, (64, 64))
+        assert assert_same(img, params)
+    assert {s[0] for s in block_shapes} == {1}
