@@ -6,14 +6,18 @@ calibration bias, and the fingertip material parameters. Controllers interact
 only through rendered images, force samples, tactile frames, and motion
 commands, mirroring how the physical workcell is driven.
 
-Every scene draws from one generator, ``scene.rng``. Inside
-:func:`draw_ahead` the one worker of a ``concurrent.futures`` thread pool
-draws its standard normals ahead, in the order they are asked for, so the
-pixel noise of tactile frames overlaps the rest of the work and the bytes
-stay the same. A trial whose rig has fingertip sensors opens it right
-after its overview render, so the worker banks chunks while the
-overview's circles are detected and scored; the fingertip calibration
-opens it right after ``reset_trial``.
+Every scene draws from one generator, ``scene.rng``. A process keeps one
+draw worker, a one-thread ``concurrent.futures`` pool started on its first
+draw when 2 CPUs are free, and it draws standard normals from that
+generator beside the rest of the work, in the order they are asked for,
+so the bytes stay the same. Each camera image's pixel noise is drawn
+there while :func:`render_topdown` draws the scene. Inside
+:func:`draw_ahead` it draws the tactile frames' noise ahead: a trial whose
+rig has fingertip sensors opens it right after its overview render, so
+the worker banks chunks while the overview's circles are detected and
+scored, and the fingertip calibration opens it right after
+``reset_trial``. Between trials the worker is idle; a forked child starts
+its own. With one CPU everything draws in line.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -446,9 +451,11 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose
     inherit exactly that bias. Returns ``(image, pose)``: a uint8 image of the
     camera's size and the effective pose it was formed from.
 
-    On the nadir camera a plane's x depends only on the pixel column and y
-    only on the row, so every shape is drawn from one row and one column of
-    plane coordinates, inside the box that can hold it.
+    The pixel noise is the draw after the jitter's. The draw worker makes
+    it while this thread draws the scene, which takes no draw, and the
+    render returns or raises only once that draw has ended. Inside
+    :func:`draw_ahead`, or with no worker, it is drawn in line. Either way
+    the bits and the generator state after are the same.
     """
     cfg = scene.config
     cam = cfg.camera
@@ -459,6 +466,32 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose
     shift = (scene.bias_xy + scene.bias_angle * depth
              + (0.0 + cfg.noise.sigma_detect * scene.rng.standard_normal(2)))
     eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z)
+
+    draw = functools.partial(scene.rng.standard_normal, (cam.height, cam.width))
+    # The stand-in serves from chunks the worker draws; made on the worker,
+    # its draw could wait for chunks queued behind it.
+    worker = None if isinstance(scene.rng, _AheadNormals) else _draw_worker()
+    if worker is None:
+        img, noise = _scene_image(scene, eff), draw()
+    else:
+        drawn = worker.submit(draw)
+        try:
+            img = _scene_image(scene, eff)
+        finally:
+            wait((drawn,))
+        noise = drawn.result()
+    return _noisy_bytes(img, noise, cfg.noise.sigma_pixel), eff
+
+
+def _scene_image(scene: SceneState, eff: Pose3) -> np.ndarray:
+    """The float image of the scene seen from ``eff``, before noise.
+
+    On the nadir camera a plane's x depends only on the pixel column and y
+    only on the row, so every shape is drawn from one row and one column of
+    plane coordinates, inside the box that can hold it.
+    """
+    cfg = scene.config
+    cam = cfg.camera
 
     # Table plane: gradient, two straight seams, ring-shaped clutter.
     tx, ty = plane_grid(cam, eff, 0.0)
@@ -505,24 +538,24 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose
             patch[interior] = _VACANT_BRIGHT
         patch[np.abs(d - slot_r) <= _RIM_HALF] = _RIM_DARK
 
-    return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel), eff
+    return img
 
 
-def _noisy_bytes(img: np.ndarray, rng: np.random.Generator,
+def _noisy_bytes(img: np.ndarray, noise: np.ndarray,
                  sigma: float) -> np.ndarray:
-    """``img`` plus Gaussian pixel noise, clipped and cast to uint8; ``img``
-    itself is left as it is.
+    """``img`` plus ``sigma`` times ``noise``, standard normals of its
+    shape, clipped and cast to uint8; ``noise`` is scaled in place and
+    ``img`` left as it is.
 
     ``rng.normal(0, sigma)`` is ``0 + sigma * z`` over the same standard
-    normal draws, so scaling ``standard_normal`` gives the same bits and
-    leaves the generator in the same state, without the loc and scale
+    normal draws, so scaling a ``standard_normal`` draw gives the same bits
+    and leaves the generator in the same state, without the loc and scale
     broadcast.
     """
-    noisy = rng.standard_normal(img.shape)
-    noisy *= sigma
-    noisy += img  # the same sum as ``img + noise``
-    np.clip(noisy, 0.0, 255.0, out=noisy)
-    return noisy.astype(np.uint8)
+    noise *= sigma
+    noise += img  # the same sum as ``img + noise``
+    np.clip(noise, 0.0, 255.0, out=noise)
+    return noise.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +612,8 @@ def sample_tactile(scene: SceneState, finger: str,
         else:
             img = _held_image(scene, finger, W, H)
             scene._held_images[finger] = (key, img)
-    return _noisy_bytes(img, scene.rng, cfg.noise.sigma_pixel)
+    return _noisy_bytes(img, scene.rng.standard_normal(img.shape),
+                        cfg.noise.sigma_pixel)
 
 
 def _held_image(scene: SceneState, finger: str, W: int, H: int) -> np.ndarray:
@@ -620,6 +654,44 @@ def reference_frames(scene: SceneState, finger: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the draw worker
+
+# The process's one draw worker, made by ``_draw_worker`` on first use.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _draw_worker() -> ThreadPoolExecutor | None:
+    """The process's one draw worker, a one-thread pool named
+    ``vialbench-draw`` that starts on first use; None with fewer than 2
+    CPUs in ``os.sched_getaffinity``, where everything draws in line: on
+    one CPU the thread would only add hand-offs. A cgroup CPU quota is not
+    seen there, so a container held to one CPU still starts it."""
+    global _worker
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    if len(cpus) < 2:
+        return None
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="vialbench-draw")
+    return _worker
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread does not run here,
+    so a draw submitted to its pool would never be made. The child starts
+    its own worker on its first draw."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+# ---------------------------------------------------------------------------
 # drawing ahead
 
 DRAW_AHEAD_CHUNK = 65_536  # standard normals the worker draws at a time
@@ -634,30 +706,27 @@ DRAW_AHEAD_DEPTH = 24
 @contextmanager
 def draw_ahead(scene: SceneState):
     """While open, ``scene.rng`` serves only ``standard_normal``, from chunks
-    the one worker of a thread pool draws ahead with the scene generator,
-    up to ``DRAW_AHEAD_DEPTH`` chunks ahead; any other use of it raises
+    the draw worker draws ahead with the scene generator, up to
+    ``DRAW_AHEAD_DEPTH`` chunks ahead; any other use of it raises
     AttributeError. Open it where the scene will draw nothing but standard
     normals from then on, as early as that holds: the worker starts
     drawing at once, so work that draws nothing, run inside the block
     before the first draw, fills the bank.
 
     The chunks are consecutive draws, so each call gets the bits a plain
-    call would give. On exit, normal or by an exception, the pool is shut
-    down and its thread joined, and ``scene.rng`` stays the closed
+    call would give. On exit, normal or by an exception, the chunks not
+    yet begun are cancelled, without waiting for one being drawn, and the
+    worker stays for the next draw. ``scene.rng`` stays the closed
     stand-in: the generator has drawn past what was served, so any later
     draw raises instead of going on from the wrong place.
 
-    With fewer than 2 CPUs in ``os.sched_getaffinity`` no thread starts
-    and the block changes nothing: on one CPU the thread would only add
-    hand-offs and chunks drawn for nothing. A cgroup CPU quota is not
-    seen there, so a container held to one CPU still starts the thread.
+    With no draw worker (fewer than 2 CPUs) the block changes nothing.
     """
-    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else range(os.cpu_count() or 1))
-    if len(cpus) < 2:
+    worker = _draw_worker()
+    if worker is None:
         yield
         return
-    ahead = _AheadNormals(scene.rng)
+    ahead = _AheadNormals(scene.rng, worker)
     scene.rng = ahead
     try:
         yield
@@ -667,18 +736,15 @@ def draw_ahead(scene: SceneState):
 
 class _AheadNormals:
     """``scene.rng`` inside :func:`draw_ahead`: standard normals served
-    from chunks that a one-worker thread pool draws in order, and nothing
-    else."""
+    from chunks that the draw worker draws in order, and nothing else."""
 
-    def __init__(self, gen: np.random.Generator):
-        self._pool = ThreadPoolExecutor(max_workers=1,
-                                        thread_name_prefix="vialbench-draw-ahead")
-        self._draw = functools.partial(gen.standard_normal, DRAW_AHEAD_CHUNK)
+    def __init__(self, gen: np.random.Generator, worker: ThreadPoolExecutor):
+        self._submit = functools.partial(worker.submit, gen.standard_normal,
+                                         DRAW_AHEAD_CHUNK)
         # The chunks drawn, or being drawn, ahead of the one being served.
         # A failed draw stays at the head, so every later draw raises its
         # error; close() empties it.
-        self._pending = deque(self._pool.submit(self._draw)
-                              for _ in range(DRAW_AHEAD_DEPTH))
+        self._pending = deque(self._submit() for _ in range(DRAW_AHEAD_DEPTH))
         self._chunk = np.empty(0)  # the chunk being served
         self._served = 0  # how much of it is served
 
@@ -692,7 +758,7 @@ class _AheadNormals:
                                "has drawn past what it served")
         self._chunk, self._served = self._pending[0].result(), 0
         self._pending.popleft()
-        self._pending.append(self._pool.submit(self._draw))
+        self._pending.append(self._submit())
 
     def standard_normal(self, size) -> np.ndarray:
         """The next draws of ``Generator.standard_normal(size)``, float64:
@@ -710,8 +776,9 @@ class _AheadNormals:
         return out.reshape(size)
 
     def close(self) -> None:
-        """Cancel the chunks not yet drawn and join the worker; every later
-        draw raises."""
+        """Cancel the chunks not yet begun, without waiting for one being
+        drawn; every later draw raises."""
+        for chunk in self._pending:
+            chunk.cancel()
         self._pending.clear()
         self._chunk, self._served = np.empty(0), 0
-        self._pool.shutdown(wait=True, cancel_futures=True)

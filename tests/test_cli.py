@@ -1,11 +1,11 @@
 """Exercises the command-line surface end to end (in-process)."""
 
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
 
+from draw_worker import assert_settled, recorded_draws
 from vialbench import control
 from vialbench.cli import main
 from vialbench.pgm import write_pgm
@@ -72,13 +72,13 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, weights_file,
 def test_out_of_memory_size_exits_two_with_one_line(capsys):
     """A million-pixel-square fingertip frame would ask numpy for 7.3 TiB;
     the config rules refuse it in one line naming the key, before anything
-    is allocated or any thread starts."""
-    assert run_cli("calibrate", "--set", "tactile.width=1000000",
-                   "--set", "tactile.height=1000000") == 2
+    is allocated or drawn."""
+    with recorded_draws() as draws:
+        assert run_cli("calibrate", "--set", "tactile.width=1000000",
+                       "--set", "tactile.height=1000000") == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["vialbench: tactile.width: frame too large, at most 1024 px"]
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("vialbench-draw-ahead")]
+    assert draws == []
 
 
 @pytest.mark.parametrize("key, size", [
@@ -93,16 +93,17 @@ def test_oversized_sizes_exit_two_naming_the_key(capsys, key, size):
 
 def test_memory_error_exits_two_with_one_line(capsys, monkeypatch):
     """An allocation numpy refuses mid-calibration is one line, and the
-    calibration's draw-ahead thread is joined on the way out."""
+    calibration's chunks still waiting to be drawn are cancelled on the
+    way out."""
     def refuse(scene, finger):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
     monkeypatch.setattr(control, "reference_frames", refuse)
-    assert run_cli("calibrate") == 2
+    with recorded_draws() as draws:
+        assert run_cli("calibrate") == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["vialbench: Unable to allocate 7.28 TiB for an array"]
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("vialbench-draw-ahead")]
+    assert_settled(draws)
 
 
 @pytest.mark.parametrize("make_args, fragment", [

@@ -1,49 +1,43 @@
-"""``simworld.draw_ahead``: a second thread draws the scene generator's
-standard normals ahead, and nothing else may tell.
+"""``simworld.draw_ahead``: the process's draw worker draws the scene
+generator's standard normals ahead, and nothing else may tell.
 
 Draws served inside the block have the bits of plain draws, an array once
 served keeps its values while later chunks are drawn, every draw after the
-block raises (the generator has drawn past what was served), the thread
-never outlives the block, and a failing draw reaches the caller instead of
-hanging it. A tactile trial enters the block as soon as its overview
-image is drawn, before perceiving it, and the calibration right after its
-scene is reset. With one CPU no thread starts, and trials, calibration
-and the overview cache are the same.
+block raises (the generator has drawn past what was served), no draw is
+left waiting once the block closes, one worker thread serves every block
+of a process, and a failing draw reaches the caller instead of hanging it.
+A tactile trial enters the block as soon as its overview image is drawn,
+before perceiving it, and the calibration right after its scene is reset.
+With one CPU no thread starts, and trials, calibration and the overview
+cache are the same. A forked child starts its own worker.
 """
 
+import math
+import multiprocessing
 import sys
 import threading
 import time
 from contextlib import contextmanager
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draw_worker import (assert_settled, draw_threads, one_cpu,
+                         recorded_draws, two_cpus)
 from vialbench import control, simworld
 from vialbench.bench import run_experiment, run_index
 from vialbench.cli import main
 from vialbench.core import RngStream, split_rng
 from vialbench.simworld import (DRAW_AHEAD_CHUNK, DRAW_AHEAD_DEPTH,
-                                draw_ahead, make_rig)
+                                draw_ahead, make_rig, render_topdown,
+                                reset_trial)
 
 FRAME = (160, 160)  # one fingertip frame at the default tactile size
 SIZES = [1, 2, 3, FRAME, DRAW_AHEAD_CHUNK, DRAW_AHEAD_CHUNK - 1,
          DRAW_AHEAD_CHUNK + 1, 3 * DRAW_AHEAD_CHUNK + 5]
-
-
-def two_cpus():
-    """Let ``draw_ahead`` start its thread on any host."""
-    return mock.patch.object(simworld.os, "sched_getaffinity",
-                             lambda pid: {0, 1}, create=True)
-
-
-def one_cpu():
-    return mock.patch.object(simworld.os, "sched_getaffinity",
-                             lambda pid: {0}, create=True)
 
 
 def holder(seed):
@@ -63,13 +57,13 @@ def test_served_draws_match_plain_draws(seed, sizes, keep, raise_after):
     """Every size, alone or straddling a chunk boundary, gets the float64
     bits of a plain draw; a served array that is kept still holds them
     after later chunks are drawn; and after the block, left normally or
-    by an exception, the thread is gone and every draw raises."""
+    by an exception, no draw is left waiting, one worker thread at most
+    is alive, and every draw raises."""
     scene, twin = holder(seed), np.random.Generator(np.random.PCG64(seed))
-    threads = threading.active_count()
     drawn = sizes if raise_after is None else sizes[:raise_after]
     kept = []
     try:
-        with two_cpus(), draw_ahead(scene):
+        with two_cpus(), recorded_draws() as draws, draw_ahead(scene):
             assert not isinstance(scene.rng, np.random.Generator)
             for size in drawn:
                 got = scene.rng.standard_normal(size)
@@ -82,16 +76,18 @@ def test_served_draws_match_plain_draws(seed, sizes, keep, raise_after):
                 raise Stop
     except Stop:
         pass
-    assert threading.active_count() == threads
+    assert len(draws) >= DRAW_AHEAD_DEPTH
+    assert_settled(draws)
     assert all(got.tobytes() == want.tobytes() for got, want in kept)
     with pytest.raises(RuntimeError, match="draw_ahead is closed"):
         scene.rng.standard_normal(1)
 
 
-def test_concurrent_blocks_under_fast_switching():
-    """More blocks than cores at once, switching threads every 10 us:
-    every block still serves its own generator's sequence, within a time
-    bound."""
+def test_concurrent_blocks_under_fast_switching(monkeypatch):
+    """More blocks than cores at once, switching threads every 10 us, all
+    asking for the draw worker before it exists: every block still serves
+    its own generator's sequence, within a time bound, and they share one
+    worker."""
     sizes = [3, FRAME, DRAW_AHEAD_CHUNK + 1, 1, FRAME, 2 * DRAW_AHEAD_CHUNK]
     failures = []
 
@@ -106,6 +102,8 @@ def test_concurrent_blocks_under_fast_switching():
         except Exception as exc:  # a worker's error fails the test below
             failures.append((seed, repr(exc)))
 
+    monkeypatch.setattr(simworld, "_worker", None)
+    before = draw_threads()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -116,10 +114,14 @@ def test_concurrent_blocks_under_fast_switching():
                 worker.start()
             for worker in workers:
                 worker.join(timeout=30)
+        started = [t for t in draw_threads() if t not in before]
     finally:
         sys.setswitchinterval(interval)
+        if simworld._worker is not None:  # this test's worker
+            simworld._worker.shutdown()
     assert not any(worker.is_alive() for worker in workers)
     assert failures == []
+    assert len(started) == 1
 
 
 def test_other_draws_fail_inside_the_block():
@@ -207,27 +209,29 @@ def tactile_trial(config, weights, tactile_rig, index=0, seen=None):
         calibration, trial_index=index, seen={} if seen is None else seen)
 
 
-def test_no_thread_outlives_a_trial_or_a_campaign(config, weights,
-                                                  tactile_rig, monkeypatch):
+def test_no_draw_outlives_a_trial_or_a_campaign(config, weights,
+                                                tactile_rig, monkeypatch):
+    """A calibration, a trial (also one that raises) and a campaign of
+    every modality each leave no draw waiting and at most one draw worker
+    thread. The calibration and each tactile trial make one stand-in."""
     started = []
-    stand_in = simworld._AheadNormals
 
-    def counted(gen):
-        started.append(gen)
-        return stand_in(gen)
+    class Counted(simworld._AheadNormals):
+        def __init__(self, *args):
+            started.append(self)
+            super().__init__(*args)
 
-    monkeypatch.setattr(simworld, "_AheadNormals", counted)
-    threads = threading.active_count()
-    with two_cpus():
+    monkeypatch.setattr(simworld, "_AheadNormals", Counted)
+    with two_cpus(), recorded_draws() as draws:
         control.calibrate_rig(config, tactile_rig[0])
-        assert threading.active_count() == threads
+        assert_settled(draws)
         assert len(started) == 1
         tactile_trial(config, weights, tactile_rig)
-        assert threading.active_count() == threads
+        assert_settled(draws)
         run_experiment(config, 2, 1, weights=weights,
-                       modalities=("tactile",))
-        assert threading.active_count() == threads
-        # One thread for the calibration, one per tactile trial.
+                       modalities=("visual", "force", "tactile"))
+        assert_settled(draws)
+        # One stand-in for the calibration, one per tactile trial.
         assert len(started) == 1 + 1 + (1 + 2)
 
         def broken(*args):
@@ -236,11 +240,8 @@ def test_no_thread_outlives_a_trial_or_a_campaign(config, weights,
         monkeypatch.setattr(control, "find_contact", broken)
         with pytest.raises(Stop):
             tactile_trial(config, weights, tactile_rig)
-        assert threading.active_count() == threads
-
-
-def no_thread(gen):
-    raise AssertionError("a thread started on one CPU")
+        assert_settled(draws)
+    assert len(draw_threads()) == 1
 
 
 def test_one_cpu_starts_no_thread_and_keeps_the_record(config, weights,
@@ -249,9 +250,10 @@ def test_one_cpu_starts_no_thread_and_keeps_the_record(config, weights,
     with two_cpus():
         ahead = tactile_trial(config, weights, tactile_rig, index=1)
 
-    monkeypatch.setattr(simworld, "_AheadNormals", no_thread)
+    monkeypatch.setattr(simworld, "_worker", None)
     with one_cpu():
         assert tactile_trial(config, weights, tactile_rig, index=1) == ahead
+    assert simworld._worker is None
 
 
 def test_calibration_is_the_same_at_one_and_two_cpus(config, monkeypatch,
@@ -261,10 +263,11 @@ def test_calibration_is_the_same_at_one_and_two_cpus(config, monkeypatch,
         ahead = control.calibrate_rig(config, rig)
         assert main(["calibrate"]) == 0
     printed = capsys.readouterr().out
-    monkeypatch.setattr(simworld, "_AheadNormals", no_thread)
+    monkeypatch.setattr(simworld, "_worker", None)
     with one_cpu():
         inline = control.calibrate_rig(config, rig)
         assert main(["calibrate"]) == 0
+    assert simworld._worker is None
     assert capsys.readouterr().out == printed
     assert list(ahead) == list(inline) == ["left", "right"]
     for finger, fit in ahead.items():
@@ -332,8 +335,72 @@ def test_a_tactile_trial_leads_its_index_unchanged(config, weights,
                                  weights, trial_index=0, seen=seen_visual)
     assert seen_tactile == seen_visual
     assert list(seen_tactile) == [config.camera.pose()]
-    monkeypatch.setattr(simworld, "_AheadNormals", no_thread)
+    monkeypatch.setattr(simworld, "_worker", None)
     with one_cpu():
         inline = run_index(config, weights, rig, calibration, 0, order)
+    assert simworld._worker is None
     assert [r.modality for r in ahead] == list(order)
     assert ahead == inline
+
+
+def test_a_render_inside_the_block_draws_in_line(config):
+    """A render whose generator is the stand-in draws its pixel noise from
+    the stand-in's chunks in line (on the worker, a large image could wait
+    for chunks queued behind its own draw), ends in time, and gives the
+    bytes, pose and later draws of a render on the plain generator."""
+    scenes = [reset_trial(config, RngStream(7).child(k)) for k in (0, 0)]
+    with one_cpu():
+        want, want_eff = render_topdown(scenes[1], config.camera.pose())
+    done = []
+
+    def render():
+        with draw_ahead(scenes[0]):
+            done.append(render_topdown(scenes[0], config.camera.pose()))
+            done.append(scenes[0].rng.standard_normal(5))
+
+    with two_cpus(), recorded_draws() as draws:
+        thread = threading.Thread(target=render, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+    assert not thread.is_alive(), "the render waited on its own chunks"
+    (got, eff), after = done
+    assert got.tobytes() == want.tobytes() and eff == want_eff
+    assert after.tobytes() == scenes[1].rng.standard_normal(5).tobytes()
+    # Only chunks were submitted: the bank, then one per chunk served.
+    served = 2 + config.camera.height * config.camera.width + 5
+    assert len(draws) == DRAW_AHEAD_DEPTH + math.ceil(served / DRAW_AHEAD_CHUNK)
+    assert_settled(draws)
+
+
+def _render_in_child(config, conn):
+    image, _ = render_topdown(reset_trial(config, RngStream(5).child(0)),
+                              config.camera.pose())
+    conn.send_bytes(image.tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_forked_child_renders_with_its_own_worker(config):
+    """A child forked once the parent's worker runs holds a pool with no
+    thread; it drops it and starts its own worker, so it renders the
+    in-line bytes instead of waiting forever for its noise."""
+    with one_cpu():
+        want, _ = render_topdown(reset_trial(config, RngStream(5).child(0)),
+                                 config.camera.pose())
+    fork = multiprocessing.get_context("fork")
+    with two_cpus():
+        render_topdown(reset_trial(config, RngStream(5).child(1)),
+                       config.camera.pose())
+        assert draw_threads()
+        receive, send = fork.Pipe(duplex=False)
+        child = fork.Process(target=_render_in_child, args=(config, send))
+        child.start()
+        send.close()
+        got = receive.recv_bytes() if receive.poll(60) else None
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert got == want.tobytes()

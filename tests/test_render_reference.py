@@ -1,10 +1,15 @@
 """The boxed renderer and the batched crop sampler against the seed
-full-frame versions, byte for byte."""
+full-frame versions, byte for byte; the render's noise drawn on the draw
+worker against the same draw in line."""
+
+import time
 
 import numpy as np
 import pytest
 
 import render_reference
+from draw_worker import assert_settled, one_cpu, recorded_draws, two_cpus
+from vialbench import simworld
 from vialbench.core import Pose3, RngStream, load_config
 from vialbench.geometry import world_to_pixel
 from vialbench.perception.hough import cht_params_for, detect_circles
@@ -137,6 +142,69 @@ def test_slot_narrower_than_its_cap_dot_matches_reference(close_up):
                               "cht.r_hi_factor = 3"])
     for k in range(4):
         _render_both(config, 42, k, lambda s, k=k: _pose(config, s, close_up, k))
+
+
+@pytest.mark.parametrize("close_up", [False, True], ids=["overview", "close-up"])
+def test_the_worker_renders_the_in_line_bytes(close_up):
+    """With the noise drawn on the worker, a render gives the bytes, the
+    pose and the generator state after of one drawn in line."""
+    for seed in (42, 977, 3):
+        config = load_config("", [f"seed = {seed}"])
+        for k in range(5):
+            out = []
+            for cpus in (two_cpus, one_cpu):
+                scene = reset_trial(config, RngStream(seed).child(k))
+                with cpus(), recorded_draws() as draws:
+                    image, eff = render_topdown(
+                        scene, _pose(config, scene, close_up, k))
+                out.append((image.tobytes(), eff,
+                            scene.rng.bit_generator.state, len(draws)))
+            assert out[0][:3] == out[1][:3]
+            assert (out[0][3], out[1][3]) == (1, 0)
+
+
+class SlowNoise:
+    """The scene generator, but its pixel-noise draw (the one whose size
+    is a shape) takes 0.2 s and then fails if ``fail``."""
+
+    def __init__(self, gen, fail):
+        self.gen, self.fail = gen, fail
+
+    def standard_normal(self, size):
+        if isinstance(size, tuple):
+            time.sleep(0.2)
+            if self.fail:
+                raise RuntimeError("noise draw failed")
+        return self.gen.standard_normal(size)
+
+
+def _slow_scene(config, fail):
+    scene = reset_trial(config, RngStream(42).child(0))
+    scene.rng = SlowNoise(scene.rng, fail)
+    return scene
+
+
+def test_a_failed_noise_draw_raises_from_the_render(config):
+    scene = _slow_scene(config, fail=True)
+    with two_cpus(), recorded_draws() as draws:
+        with pytest.raises(RuntimeError, match="noise draw failed"):
+            render_topdown(scene, config.camera.pose())
+    assert len(draws) == 1 and draws[0].done()
+    assert_settled(draws)
+
+
+def test_a_failed_scene_waits_for_its_noise_draw(config, monkeypatch):
+    """The render raises the scene's error only once its noise draw has
+    ended, so nothing draws from the generator after the render."""
+    def broken(scene, eff):
+        raise MemoryError("scene image")
+
+    monkeypatch.setattr(simworld, "_scene_image", broken)
+    scene = _slow_scene(config, fail=False)
+    with two_cpus(), recorded_draws() as draws:
+        with pytest.raises(MemoryError, match="scene image"):
+            render_topdown(scene, config.camera.pose())
+    assert len(draws) == 1 and draws[0].done()
 
 
 def _assert_crops_match(image, u, v, r, crop_size=32):
