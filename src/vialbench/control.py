@@ -28,7 +28,6 @@ so contact, slip, and stop latency play out sample by sample.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -214,16 +213,9 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     state, so every later draw is the one a render would have left. The
     pick is always made.
 
-    A trial whose rig has fingertip sensors (``rig.has_tactile``) opens
-    ``simworld.draw_ahead`` right after the overview render (or the restore
-    of its RNG state on a ``seen`` hit) and keeps it open to the end, since
-    the scene generator takes no draws once it closes. From there on its
-    scene draws only standard normals, most of them pixel noise for the
-    fingertip frames. The one worker of a thread pool starts drawing them
-    while this thread detects and scores the overview's circles, and keeps
-    drawing while it traces contacts. A rig without fingertip sensors
-    (the visual and force trials' rubber pads) draws a close-up's or a
-    tick's worth at a time, too little to overlap, so it draws in line.
+    Right after the overview render (or the restore of its RNG state on a
+    ``seen`` hit) the trial opens ``simworld.draw_ahead`` and keeps it open
+    to the end: from there on its scene draws only standard normals.
 
     ``prepare(scene, sel_gen, target)`` runs after the overview pick and the
     grasp and returns ``(ctx, target)``; it may raise NoValidSlotError.
@@ -262,8 +254,7 @@ def _run_trial(modality: str, config: WorkspaceConfig, stream: RngStream,
     else:
         state, scored = hit
         scene.rng.bit_generator.state = state
-    with (draw_ahead(scene) if scene.rig.has_tactile
-          else contextlib.nullcontext()):
+    with draw_ahead(scene):
         if hit is None:
             scored = _perceive(config, image, overview, weights)
             seen[overview] = (state, scored)
@@ -427,8 +418,7 @@ def calibrate_rig(config: WorkspaceConfig, rig) -> dict[str, TactileCalibration]
 
     After ``reset_trial`` the scene draws only the pixel noise of its
     tactile frames (the reference stacks, then both fingers at each
-    grasp), so those run inside ``simworld.draw_ahead``, as a tactile
-    trial's frames do."""
+    grasp), so those run inside ``simworld.draw_ahead``."""
     if rig is None or not rig.has_tactile:
         raise ValueError("calibration needs a tactile-equipped rig")
     stream = RngStream(config.seed).child(KEY_CALIB)

@@ -7,17 +7,20 @@ only through rendered images, force samples, tactile frames, and motion
 commands, mirroring how the physical workcell is driven.
 
 Every scene draws from one generator, ``scene.rng``. A process keeps one
-draw worker, a one-thread ``concurrent.futures`` pool started on its first
-draw when 2 CPUs are free, and it draws standard normals from that
+draw worker, a one-thread ``concurrent.futures`` pool named
+``vialbench-draw`` whose thread starts on the first draw made there; a
+forked child makes its own. It draws standard normals from the scene
 generator beside the rest of the work, in the order they are asked for,
-so the bytes stay the same. Each camera image's pixel noise is drawn
-there while :func:`render_topdown` draws the scene. Inside
-:func:`draw_ahead` it draws the tactile frames' noise ahead: a trial whose
-rig has fingertip sensors opens it right after its overview render, so
-the worker banks chunks while the overview's circles are detected and
-scored, and the fingertip calibration opens it right after
-``reset_trial``. Between trials the worker is idle; a forked child starts
-its own. With one CPU everything draws in line.
+so the bytes are the same wherever a draw is made, and
+:func:`_draw_worker` alone decides where. The worker draws each camera
+image's pixel noise while :func:`render_topdown` draws the scene, and,
+inside :func:`draw_ahead` on a scene whose rig has fingertip sensors, the
+chunks that every later draw is served from: a trial opens the block
+right after its overview look, so the bank fills while the overview's
+circles are detected and scored, and the fingertip calibration right
+after ``reset_trial``. Everything else draws in line: the scene set-up
+and the camera jitter, the ticks of a scene without fingertip sensors,
+and every draw on one CPU. Between draws the worker is idle.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -451,11 +453,9 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose
     inherit exactly that bias. Returns ``(image, pose)``: a uint8 image of the
     camera's size and the effective pose it was formed from.
 
-    The pixel noise is the draw after the jitter's. The draw worker makes
-    it while this thread draws the scene, which takes no draw, and the
-    render returns or raises only once that draw has ended. Inside
-    :func:`draw_ahead`, or with no worker, it is drawn in line. Either way
-    the bits and the generator state after are the same.
+    The pixel noise is the draw after the jitter's. Made on the draw
+    worker, it is drawn while this thread draws the scene, which takes no
+    draw, and the render returns or raises only once that draw has ended.
     """
     cfg = scene.config
     cam = cfg.camera
@@ -468,9 +468,7 @@ def render_topdown(scene: SceneState, cam_pose: Pose3) -> tuple[np.ndarray, Pose
     eff = Pose3(cam_pose.x + shift[0], cam_pose.y + shift[1], cam_pose.z)
 
     draw = functools.partial(scene.rng.standard_normal, (cam.height, cam.width))
-    # The stand-in serves from chunks the worker draws; made on the worker,
-    # its draw could wait for chunks queued behind it.
-    worker = None if isinstance(scene.rng, _AheadNormals) else _draw_worker()
+    worker = _draw_worker(scene)
     if worker is None:
         img, noise = _scene_image(scene, eff), draw()
     else:
@@ -656,39 +654,37 @@ def reference_frames(scene: SceneState, finger: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the draw worker
 
-# The process's one draw worker, made by ``_draw_worker`` on first use.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+# The process's one draw worker. The pool starts its one thread on its
+# first submit, under its own lock, so importing starts none.
+_worker: ThreadPoolExecutor
 
 
-def _draw_worker() -> ThreadPoolExecutor | None:
-    """The process's one draw worker, a one-thread pool named
-    ``vialbench-draw`` that starts on first use; None with fewer than 2
-    CPUs in ``os.sched_getaffinity``, where everything draws in line: on
-    one CPU the thread would only add hand-offs. A cgroup CPU quota is not
-    seen there, so a container held to one CPU still starts it."""
+def _fresh_worker() -> None:
+    """Make the process's draw worker; a forked child makes its own, since
+    the parent's thread does not run there and a draw submitted to the
+    parent's pool would never be made."""
     global _worker
+    _worker = ThreadPoolExecutor(max_workers=1,
+                                 thread_name_prefix="vialbench-draw")
+
+
+_fresh_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_worker)
+
+
+def _draw_worker(scene: SceneState) -> ThreadPoolExecutor | None:
+    """Where ``scene``'s draws are made: the draw worker, or None for in
+    line. None with fewer than 2 CPUs in ``os.sched_getaffinity``, read on
+    every call, where the thread would only add hand-offs (a cgroup CPU
+    quota is not seen there, so a container held to one CPU still starts
+    it), and when ``scene.rng`` is the draw-ahead stand-in, whose draw made
+    on the worker could wait for chunks queued behind it."""
     cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
             else range(os.cpu_count() or 1))
-    if len(cpus) < 2:
+    if len(cpus) < 2 or isinstance(scene.rng, _AheadNormals):
         return None
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1,
-                                         thread_name_prefix="vialbench-draw")
     return _worker
-
-
-def _forget_worker() -> None:
-    """In a forked child: the parent's worker thread does not run here,
-    so a draw submitted to its pool would never be made. The child starts
-    its own worker on its first draw."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 # ---------------------------------------------------------------------------
@@ -705,24 +701,28 @@ DRAW_AHEAD_DEPTH = 24
 
 @contextmanager
 def draw_ahead(scene: SceneState):
-    """While open, ``scene.rng`` serves only ``standard_normal``, from chunks
-    the draw worker draws ahead with the scene generator, up to
-    ``DRAW_AHEAD_DEPTH`` chunks ahead; any other use of it raises
-    AttributeError. Open it where the scene will draw nothing but standard
-    normals from then on, as early as that holds: the worker starts
-    drawing at once, so work that draws nothing, run inside the block
-    before the first draw, fills the bank.
+    """Open it where ``scene`` will draw nothing but standard normals from
+    then on, as early as that holds.
 
-    The chunks are consecutive draws, so each call gets the bits a plain
-    call would give. On exit, normal or by an exception, the chunks not
-    yet begun are cancelled, without waiting for one being drawn, and the
-    worker stays for the next draw. ``scene.rng`` stays the closed
-    stand-in: the generator has drawn past what was served, so any later
-    draw raises instead of going on from the wrong place.
+    On a scene whose rig has fingertip sensors, and where
+    :func:`_draw_worker` gives the worker, ``scene.rng`` then serves only
+    ``standard_normal``, from chunks the worker draws ahead with the scene
+    generator, up to ``DRAW_AHEAD_DEPTH`` chunks ahead; any other use of it
+    raises AttributeError. The worker starts drawing at once, so work that
+    draws nothing, run inside the block before the first draw, fills the
+    bank. The chunks are consecutive draws, so each call gets the bits a
+    plain call would give. On exit, normal or by an exception, the chunks
+    not yet begun are cancelled, without waiting for one being drawn.
+    ``scene.rng`` stays the closed stand-in: the generator has drawn past
+    what was served, so any later draw raises instead of going on from the
+    wrong place.
 
-    With no draw worker (fewer than 2 CPUs) the block changes nothing.
+    Otherwise the block changes nothing. A scene without fingertip sensors
+    draws a close-up, whose noise the render already draws on the worker,
+    and ticks of 3 normals; a bank would only keep the second CPU busy,
+    and camera trials measured slower with one.
     """
-    worker = _draw_worker()
+    worker = _draw_worker(scene) if scene.rig.has_tactile else None
     if worker is None:
         yield
         return

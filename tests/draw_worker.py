@@ -1,8 +1,10 @@
 """Test helpers for ``simworld``'s draw worker: a patched CPU count, a
-record of the draws submitted to the worker, and the contract a finished
-trial, calibration or campaign leaves behind."""
+record of the draws submitted to the worker, a fresh worker that shows
+whether its thread started, and the contract a finished trial,
+calibration or campaign leaves behind."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from unittest import mock
 
@@ -35,12 +37,29 @@ def recorded_draws():
             submitted.append(self._pool.submit(*args))
             return submitted[-1]
 
-    def worker():
-        pool = real()
+    def worker(scene):
+        pool = real(scene)
         return None if pool is None else Recording(pool)
 
     with mock.patch.object(simworld, "_draw_worker", worker):
         yield submitted
+
+
+@contextmanager
+def fresh_worker():
+    """While open, a new draw worker, whose thread has not started, stands
+    in for the process's; this yields the list of draw threads started in
+    the block, filled when it closes."""
+    before = draw_threads()
+    pool = ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="vialbench-draw")
+    started = []
+    try:
+        with mock.patch.object(simworld, "_worker", pool):
+            yield started
+    finally:
+        started.extend(t for t in draw_threads() if t not in before)
+        pool.shutdown(cancel_futures=True)
 
 
 def pending(futures):

@@ -1,6 +1,7 @@
 """Exercises the command-line surface end to end (in-process)."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from draw_worker import assert_settled, recorded_draws
 from vialbench import control
 from vialbench.cli import main
+from vialbench.core import PACKAGE_VERSION
 from vialbench.pgm import write_pgm
 from vialbench.perception import CnnWeights, load_weights, save_weights
 
@@ -31,6 +33,15 @@ def test_version_exits_zero(capsys):
         run_cli("--version")
     assert ex.value.code == 0
     assert "vialbench" in capsys.readouterr().out
+
+
+def test_the_package_version_has_one_value():
+    """``run_manifest.json`` and ``--version`` write ``PACKAGE_VERSION``;
+    ``pyproject.toml`` repeats it for the installer."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == PACKAGE_VERSION
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,15 +9,21 @@ of a process, and a failing draw reaches the caller instead of hanging it.
 A tactile trial enters the block as soon as its overview image is drawn,
 before perceiving it, and the calibration right after its scene is reset.
 With one CPU no thread starts, and trials, calibration and the overview
-cache are the same. A forked child starts its own worker.
+cache are the same. A scene without fingertip sensors, or a block opened
+inside another, banks nothing. Importing the package starts no thread,
+and a forked child starts its own worker.
 """
 
+import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,12 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draw_worker import (assert_settled, draw_threads, one_cpu,
-                         recorded_draws, two_cpus)
+from draw_worker import (assert_settled, draw_threads, fresh_worker,
+                         one_cpu, recorded_draws, two_cpus)
+import vialbench
 from vialbench import control, simworld
 from vialbench.bench import run_experiment, run_index
 from vialbench.cli import main
-from vialbench.core import RngStream, split_rng
+from vialbench.core import Pose3, RngStream, split_rng
+from vialbench.perception import refined_camera_z
 from vialbench.simworld import (DRAW_AHEAD_CHUNK, DRAW_AHEAD_DEPTH,
                                 draw_ahead, make_rig, render_topdown,
                                 reset_trial)
@@ -40,9 +48,14 @@ SIZES = [1, 2, 3, FRAME, DRAW_AHEAD_CHUNK, DRAW_AHEAD_CHUNK - 1,
          DRAW_AHEAD_CHUNK + 1, 3 * DRAW_AHEAD_CHUNK + 5]
 
 
+# What ``draw_ahead`` reads of a scene's rig.
+FINGERTIPS = SimpleNamespace(has_tactile=True)
+
+
 def holder(seed):
-    """What ``draw_ahead`` reads of a scene: its generator."""
-    return SimpleNamespace(rng=np.random.Generator(np.random.PCG64(seed)))
+    """What ``draw_ahead`` reads of a scene: its rig and its generator."""
+    return SimpleNamespace(rig=FINGERTIPS,
+                           rng=np.random.Generator(np.random.PCG64(seed)))
 
 
 class Stop(Exception):
@@ -83,11 +96,11 @@ def test_served_draws_match_plain_draws(seed, sizes, keep, raise_after):
         scene.rng.standard_normal(1)
 
 
-def test_concurrent_blocks_under_fast_switching(monkeypatch):
+def test_concurrent_blocks_under_fast_switching():
     """More blocks than cores at once, switching threads every 10 us, all
-    asking for the draw worker before it exists: every block still serves
-    its own generator's sequence, within a time bound, and they share one
-    worker."""
+    asking for the draw worker before its thread exists: every block still
+    serves its own generator's sequence, within a time bound, and they
+    share one worker thread."""
     sizes = [3, FRAME, DRAW_AHEAD_CHUNK + 1, 1, FRAME, 2 * DRAW_AHEAD_CHUNK]
     failures = []
 
@@ -102,23 +115,18 @@ def test_concurrent_blocks_under_fast_switching(monkeypatch):
         except Exception as exc:  # a worker's error fails the test below
             failures.append((seed, repr(exc)))
 
-    monkeypatch.setattr(simworld, "_worker", None)
-    before = draw_threads()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with two_cpus():
+        with two_cpus(), fresh_worker() as started:
             workers = [threading.Thread(target=run, args=(seed,), daemon=True)
                        for seed in range(4)]
             for worker in workers:
                 worker.start()
             for worker in workers:
                 worker.join(timeout=30)
-        started = [t for t in draw_threads() if t not in before]
     finally:
         sys.setswitchinterval(interval)
-        if simworld._worker is not None:  # this test's worker
-            simworld._worker.shutdown()
     assert not any(worker.is_alive() for worker in workers)
     assert failures == []
     assert len(started) == 1
@@ -140,7 +148,7 @@ class FailingChunks:
 
 
 def test_a_failing_producer_raises_in_the_consumer():
-    scene = SimpleNamespace(rng=FailingChunks())
+    scene = SimpleNamespace(rig=FINGERTIPS, rng=FailingChunks())
     caught = []
 
     def consume():
@@ -177,7 +185,7 @@ class CountingChunks:
 @pytest.mark.parametrize("served", [0, 1, 3])
 def test_the_worker_draws_at_most_depth_chunks_ahead(served):
     gen = CountingChunks()
-    scene = SimpleNamespace(rng=gen)
+    scene = SimpleNamespace(rig=FINGERTIPS, rng=gen)
     with two_cpus(), draw_ahead(scene):
         for _ in range(served):
             scene.rng.standard_normal(DRAW_AHEAD_CHUNK)
@@ -188,7 +196,7 @@ def test_the_worker_draws_at_most_depth_chunks_ahead(served):
 def test_a_failed_chunk_fails_every_later_draw():
     """The draw that reaches a failed chunk raises its error, and so does
     every draw after it, instead of serving the chunk after."""
-    scene = SimpleNamespace(rng=CountingChunks(fail_at=2))
+    scene = SimpleNamespace(rig=FINGERTIPS, rng=CountingChunks(fail_at=2))
     with two_cpus(), draw_ahead(scene):
         assert (scene.rng.standard_normal(DRAW_AHEAD_CHUNK) == 1.0).all()
         for _ in range(3):
@@ -245,29 +253,25 @@ def test_no_draw_outlives_a_trial_or_a_campaign(config, weights,
 
 
 def test_one_cpu_starts_no_thread_and_keeps_the_record(config, weights,
-                                                       tactile_rig,
-                                                       monkeypatch):
+                                                       tactile_rig):
     with two_cpus():
         ahead = tactile_trial(config, weights, tactile_rig, index=1)
 
-    monkeypatch.setattr(simworld, "_worker", None)
-    with one_cpu():
+    with one_cpu(), fresh_worker() as started:
         assert tactile_trial(config, weights, tactile_rig, index=1) == ahead
-    assert simworld._worker is None
+    assert started == []
 
 
-def test_calibration_is_the_same_at_one_and_two_cpus(config, monkeypatch,
-                                                     capsys):
+def test_calibration_is_the_same_at_one_and_two_cpus(config, capsys):
     rig = make_rig(config, "tactile")
     with two_cpus():
         ahead = control.calibrate_rig(config, rig)
         assert main(["calibrate"]) == 0
     printed = capsys.readouterr().out
-    monkeypatch.setattr(simworld, "_worker", None)
-    with one_cpu():
+    with one_cpu(), fresh_worker() as started:
         inline = control.calibrate_rig(config, rig)
         assert main(["calibrate"]) == 0
-    assert simworld._worker is None
+    assert started == []
     assert capsys.readouterr().out == printed
     assert list(ahead) == list(inline) == ["left", "right"]
     for finger, fit in ahead.items():
@@ -320,7 +324,7 @@ def test_a_tactile_trial_draws_ahead_while_it_perceives(config, weights,
 
 
 def test_a_tactile_trial_leads_its_index_unchanged(config, weights,
-                                                   tactile_rig, monkeypatch):
+                                                   tactile_rig):
     """With the tactile trial first, so that its miss fills ``seen`` from
     inside ``draw_ahead``, an index at two CPUs equals one at one CPU,
     record for record, and the entry a tactile miss leaves equals the one
@@ -335,10 +339,9 @@ def test_a_tactile_trial_leads_its_index_unchanged(config, weights,
                                  weights, trial_index=0, seen=seen_visual)
     assert seen_tactile == seen_visual
     assert list(seen_tactile) == [config.camera.pose()]
-    monkeypatch.setattr(simworld, "_worker", None)
-    with one_cpu():
+    with one_cpu(), fresh_worker() as started:
         inline = run_index(config, weights, rig, calibration, 0, order)
-    assert simworld._worker is None
+    assert started == []
     assert [r.modality for r in ahead] == list(order)
     assert ahead == inline
 
@@ -348,7 +351,8 @@ def test_a_render_inside_the_block_draws_in_line(config):
     the stand-in's chunks in line (on the worker, a large image could wait
     for chunks queued behind its own draw), ends in time, and gives the
     bytes, pose and later draws of a render on the plain generator."""
-    scenes = [reset_trial(config, RngStream(7).child(k)) for k in (0, 0)]
+    rig = make_rig(config, "tactile")
+    scenes = [reset_trial(config, RngStream(7).child(k), rig) for k in (0, 0)]
     with one_cpu():
         want, want_eff = render_topdown(scenes[1], config.camera.pose())
     done = []
@@ -370,6 +374,85 @@ def test_a_render_inside_the_block_draws_in_line(config):
     served = 2 + config.camera.height * config.camera.width + 5
     assert len(draws) == DRAW_AHEAD_DEPTH + math.ceil(served / DRAW_AHEAD_CHUNK)
     assert_settled(draws)
+
+
+def test_a_rubber_scene_block_is_plain(config):
+    """A rig without fingertip sensors banks nothing: in the block its
+    scene keeps its generator, and a close-up rendered there submits only
+    its own noise draw and gives the bytes of a render outside."""
+    scenes = [reset_trial(config, RngStream(7).child(0)) for _ in range(2)]
+    x, y = scenes[0].slots[0]
+    close_up = Pose3(float(x), float(y), refined_camera_z(config))
+    with one_cpu():
+        want, want_eff = render_topdown(scenes[1], close_up)
+    with two_cpus(), recorded_draws() as draws, draw_ahead(scenes[0]):
+        assert isinstance(scenes[0].rng, np.random.Generator)
+        assert draws == []
+        got, eff = render_topdown(scenes[0], close_up)
+        assert len(draws) == 1
+    assert got.tobytes() == want.tobytes() and eff == want_eff
+    assert_settled(draws)
+
+
+def test_a_nested_block_is_plain():
+    """A block opened inside another on the same scene submits nothing,
+    and every draw, in it and after it, has the bits of a plain draw; a
+    bank of its own, drawn from the outer stand-in on the one worker,
+    could wait for the outer chunks queued behind it."""
+    scene, twin = holder(11), np.random.Generator(np.random.PCG64(11))
+    sizes = [FRAME, 3, DRAW_AHEAD_CHUNK + 1, FRAME]
+    got, inner = [], []
+
+    def run():
+        with draw_ahead(scene):
+            got.append(scene.rng.standard_normal(sizes[0]))
+            with recorded_draws() as draws, draw_ahead(scene):
+                got.extend(scene.rng.standard_normal(size)
+                           for size in sizes[1:3])
+            inner.extend(draws)
+            got.append(scene.rng.standard_normal(sizes[3]))
+
+    with two_cpus():
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+    assert not thread.is_alive(), "the inner block waited on the outer"
+    assert inner == []
+    assert [a.tobytes() for a in got] == [twin.standard_normal(size).tobytes()
+                                          for size in sizes]
+
+
+_IMPORT_THEN_RENDER = """
+import json, threading
+from unittest import mock
+
+import vialbench
+from vialbench import simworld
+from vialbench.core import RngStream, load_config
+
+after_import = threading.active_count()
+config = load_config()
+with mock.patch.object(simworld.os, "sched_getaffinity", lambda pid: {0, 1},
+                       create=True):
+    simworld.render_topdown(simworld.reset_trial(config, RngStream(5).child(0)),
+                            config.camera.pose())
+print(json.dumps([after_import, [t.name for t in threading.enumerate()]]))
+"""
+
+
+def test_import_starts_no_thread_and_a_render_starts_one():
+    """In a fresh interpreter, importing the package leaves the main thread
+    alone; one render at two CPUs then leaves exactly one draw thread."""
+    src = str(Path(vialbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_THEN_RENDER],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    after_import, names = json.loads(out)
+    assert after_import == 1
+    assert [n for n in names if n.startswith("vialbench-draw")] == [
+        "vialbench-draw_0"]
 
 
 def _render_in_child(config, conn):
