@@ -1,9 +1,9 @@
 """Benchmark campaigns: paired trials, metrics, and report files.
 
-A campaign runs one trial index at a time (``run_index``): trial i of every
-modality draws from one per-trial random stream, so they all see the same
-rack pose, occupancy, camera miscalibration and overview image at any grasp
-noise.
+``prepare`` builds a run's fixed inputs once, as a picklable ``Campaign``,
+and ``run_index(campaign, i)`` runs trial i of every modality: all draw
+from one per-trial random stream, so they see the same rack pose,
+occupancy, camera miscalibration and overview image at any grasp noise.
 Metrics follow two conventions side by side: attempt and runtime statistics
 pool the successful trials, while success and first-time percentages are
 computed per batch and summarized across batches.
@@ -29,7 +29,7 @@ from .control import (MODALITIES, AttemptOutcome, TrialRecord, calibrate_rig,
 from .core import (PACKAGE_VERSION, RngStream, WorkspaceConfig, read_utf8,
                    split_rng)
 from .perception import CnnWeights, check_weights, train_discriminator
-from .simworld import make_rig
+from .simworld import FingertipRig, make_rig
 
 
 @dataclass(frozen=True)
@@ -110,38 +110,28 @@ class ExperimentResult:
     campaign_wall_s: float
 
 
-def run_index(config: WorkspaceConfig, weights: CnnWeights, rig, calibration,
-              i: int, modalities) -> list[TrialRecord]:
-    """Trial ``i`` of each modality, in ``modalities`` order: all draw from
-    ``split_rng(seed, i)`` and share one ``seen`` cache, so the first
-    renders and perceives the overview and the others reuse it (see
-    control._run_trial). ``rig`` and ``calibration`` are the tactile
-    trial's."""
-    trial = {"visual": run_visual_trial, "force": run_force_trial,
-             "tactile": partial(run_tactile_trial, rig=rig,
-                                calibration=calibration)}
-    stream, seen = split_rng(RngStream(config.seed), i), {}
-    return [trial[m](config, stream, weights, trial_index=i, seen=seen)
-            for m in modalities]
+def _quiet(msg: str) -> None:
+    """The default ``progress``: report nothing."""
 
 
-def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
-                   weights: CnnWeights | None = None,
-                   modalities=MODALITIES, progress=None) -> ExperimentResult:
-    """Run ``trials`` paired trials of each modality: ``run_index`` at
-    i = 0, 1, ..., regrouped by modality.
+@dataclass(frozen=True)
+class Campaign:
+    """A run's fixed inputs, built by ``prepare``; it pickles. ``rig`` and
+    ``calibration`` are the tactile trials', None when tactile is not run."""
 
-    Checks given weights against the config's network, then builds the
-    tactile rig and its calibration, then trains the slot classifier from
-    the config seed when no weights are given, so a calibration that
-    fails does so before training. The rig and its calibration are built
-    once and shared by every tactile trial, mirroring a fixed physical
-    gripper.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 1 <= batches <= trials:
-        raise ValueError(f"cannot split {trials} trials into {batches} batches")
+    config: WorkspaceConfig
+    weights: CnnWeights
+    modalities: tuple[str, ...]
+    rig: FingertipRig | None
+    calibration: dict | None      # finger -> TactileCalibration
+
+
+def prepare(config: WorkspaceConfig, weights: CnnWeights | None = None,
+            modalities=MODALITIES, progress=_quiet) -> Campaign:
+    """Check the modalities and given weights, build the tactile rig and
+    its calibration once for every tactile trial (a fixed physical
+    gripper), then train the slot classifier from the config seed when no
+    weights are given: a calibration that fails does so before training."""
     if not modalities:
         raise ValueError("need at least one modality")
     unknown = set(modalities) - set(MODALITIES)
@@ -151,10 +141,6 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
     if repeated:
         raise ValueError(f"repeated modalities: {repeated}")
 
-    def note(msg):
-        if progress is not None:
-            progress(msg)
-
     if weights is not None:
         check_weights(weights, config.cnn)
     rig = calibration = None
@@ -162,18 +148,44 @@ def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
         rig = make_rig(config, "tactile")
         calibration = calibrate_rig(config, rig)
     if weights is None:
-        note("training slot classifier")
+        progress("training slot classifier")
         t0 = time.perf_counter()
         weights, _, n_crops = train_discriminator(config)
-        note(f"trained on {n_crops} crops in {time.perf_counter() - t0:.1f}s")
+        progress(f"trained on {n_crops} crops in {time.perf_counter() - t0:.1f}s")
+    return Campaign(config, weights, tuple(modalities), rig, calibration)
+
+
+def run_index(campaign: Campaign, i: int) -> list[TrialRecord]:
+    """Trial ``i`` of each of the campaign's modalities, in order: all draw
+    from ``split_rng(seed, i)`` and share one ``seen`` cache, so the first
+    renders and perceives the overview and the others reuse it (see
+    control._run_trial)."""
+    trial = {"visual": run_visual_trial, "force": run_force_trial,
+             "tactile": partial(run_tactile_trial, rig=campaign.rig,
+                                calibration=campaign.calibration)}
+    stream, seen = split_rng(RngStream(campaign.config.seed), i), {}
+    return [trial[m](campaign.config, stream, campaign.weights,
+                     trial_index=i, seen=seen)
+            for m in campaign.modalities]
+
+
+def run_experiment(config: WorkspaceConfig, trials: int, batches: int,
+                   weights: CnnWeights | None = None,
+                   modalities=MODALITIES, progress=_quiet) -> ExperimentResult:
+    """``prepare``, then ``run_index`` for i in range(trials), by modality."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not 1 <= batches <= trials:
+        raise ValueError(f"cannot split {trials} trials into {batches} batches")
+    campaign = prepare(config, weights, modalities, progress)
 
     t0 = time.perf_counter()
-    records: dict[str, list[TrialRecord]] = {m: [] for m in modalities}
+    records: dict[str, list[TrialRecord]] = {m: [] for m in campaign.modalities}
     for i in range(trials):
-        for rec in run_index(config, weights, rig, calibration, i, modalities):
+        for rec in run_index(campaign, i):
             records[rec.modality].append(rec)
         if (i + 1) % 25 == 0:
-            note(f"{i + 1}/{trials} trials")
+            progress(f"{i + 1}/{trials} trials")
     return ExperimentResult(seed=config.seed, trials=trials, batches=batches,
                             records=records,
                             campaign_wall_s=time.perf_counter() - t0)

@@ -1,6 +1,8 @@
 """Metrics bookkeeping and report serialization."""
 
+import dataclasses
 import json
+import pickle
 from itertools import permutations
 
 import numpy as np
@@ -18,7 +20,6 @@ from vialbench.bench import (
 )
 from vialbench.control import MODALITIES, AttemptOutcome, TrialRecord
 from vialbench.core import RngStream, load_config, split_rng
-from vialbench.simworld import make_rig
 
 
 def rec(attempts, success, runtime=10.0, modality="force", idx=0):
@@ -244,8 +245,7 @@ def test_index_records_do_not_depend_on_modality_order(config, weights):
     """Whichever modality runs first takes the index's overview miss and the
     later ones hit the shared cache; in each of the six orders every record
     equals a fresh trial's."""
-    rig = make_rig(config, "tactile")
-    calibration = control.calibrate_rig(config, rig)
+    campaign = bench.prepare(config, weights)
     for i in range(2):
         stream = split_rng(RngStream(config.seed), i)
         fresh = {
@@ -254,11 +254,28 @@ def test_index_records_do_not_depend_on_modality_order(config, weights):
             "force": control.run_force_trial(config, stream, weights,
                                              trial_index=i, seen={}),
             "tactile": control.run_tactile_trial(
-                config, stream, weights, rig, calibration, trial_index=i,
-                seen={})}
+                config, stream, weights, campaign.rig, campaign.calibration,
+                trial_index=i, seen={})}
         for order in permutations(MODALITIES):
-            assert bench.run_index(config, weights, rig, calibration, i,
-                                   order) == [fresh[m] for m in order], order
+            reordered = dataclasses.replace(campaign, modalities=order)
+            assert (bench.run_index(reordered, i)
+                    == [fresh[m] for m in order]), order
+
+
+def test_a_campaign_runs_the_same_from_a_pickled_copy(config, weights):
+    """A prepared campaign holds everything an index reads, so a copy made
+    by pickling (as a worker process would receive it) runs indices 0 and
+    1 to the same records. The records are compared as JSON: pickle's memo
+    makes equal records pickle to different bytes."""
+    campaign = bench.prepare(config, weights)
+    copy = pickle.loads(pickle.dumps(campaign))
+    assert copy.modalities == MODALITIES and copy.calibration is not None
+
+    def as_json(c, i):
+        return [json.dumps(record_to_dict(r)) for r in bench.run_index(c, i)]
+
+    for i in range(2):
+        assert as_json(copy, i) == as_json(campaign, i)
 
 
 def test_shuffled_records_rebuild_the_same_report(tmp_path):

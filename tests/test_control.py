@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vialbench import control
+from vialbench.bench import prepare
 from vialbench.core import RngStream, load_config, split_rng
 from vialbench.control import (
     MODALITIES,
@@ -152,18 +153,17 @@ def test_exhausted_search_with_empty_gripper_is_dropped_on_table(weights):
 
 
 @pytest.fixture(scope="module")
-def default_tactile(config):
+def default_tactile(config, weights):
     """A tactile rig calibrated under the default config."""
-    rig = make_rig(config, "tactile")
-    return rig, calibrate_rig(config, rig)
+    campaign = prepare(config, weights, ("tactile",))
+    return campaign.rig, campaign.calibration
 
 
 @pytest.fixture(scope="module")
-def tactile_setup():
+def tactile_setup(weights):
     cfg = load_config(NO_CAMERA_BIAS)  # grasp noise stays: tactile corrects it
-    rig = make_rig(cfg, "tactile")
-    cal = calibrate_rig(cfg, rig)
-    return cfg, rig, cal
+    campaign = prepare(cfg, weights, ("tactile",))
+    return cfg, campaign.rig, campaign.calibration
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

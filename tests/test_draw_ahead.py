@@ -23,6 +23,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ from draw_worker import (assert_settled, draw_threads, fresh_worker,
                          one_cpu, recorded_draws, two_cpus)
 import vialbench
 from vialbench import control, simworld
-from vialbench.bench import run_experiment, run_index
+from vialbench.bench import prepare, run_experiment, run_index
 from vialbench.cli import main
 from vialbench.core import Pose3, RngStream, split_rng
 from vialbench.perception import refined_camera_z
@@ -205,20 +206,20 @@ def test_a_failed_chunk_fails_every_later_draw():
 
 
 @pytest.fixture(scope="module")
-def tactile_rig(config):
-    rig = make_rig(config, "tactile")
-    return rig, control.calibrate_rig(config, rig)
+def tactile_campaign(config, weights):
+    return prepare(config, weights, ("tactile",))
 
 
-def tactile_trial(config, weights, tactile_rig, index=0, seen=None):
-    rig, calibration = tactile_rig
+def tactile_trial(campaign, index=0, seen=None):
+    config = campaign.config
     return control.run_tactile_trial(
-        config, split_rng(RngStream(config.seed), index), weights, rig,
-        calibration, trial_index=index, seen={} if seen is None else seen)
+        config, split_rng(RngStream(config.seed), index), campaign.weights,
+        campaign.rig, campaign.calibration, trial_index=index,
+        seen={} if seen is None else seen)
 
 
 def test_no_draw_outlives_a_trial_or_a_campaign(config, weights,
-                                                tactile_rig, monkeypatch):
+                                                tactile_campaign, monkeypatch):
     """A calibration, a trial (also one that raises) and a campaign of
     every modality each leave no draw waiting and at most one draw worker
     thread. The calibration and each tactile trial make one stand-in."""
@@ -231,10 +232,10 @@ def test_no_draw_outlives_a_trial_or_a_campaign(config, weights,
 
     monkeypatch.setattr(simworld, "_AheadNormals", Counted)
     with two_cpus(), recorded_draws() as draws:
-        control.calibrate_rig(config, tactile_rig[0])
+        control.calibrate_rig(config, tactile_campaign.rig)
         assert_settled(draws)
         assert len(started) == 1
-        tactile_trial(config, weights, tactile_rig)
+        tactile_trial(tactile_campaign)
         assert_settled(draws)
         run_experiment(config, 2, 1, weights=weights,
                        modalities=("visual", "force", "tactile"))
@@ -247,18 +248,17 @@ def test_no_draw_outlives_a_trial_or_a_campaign(config, weights,
 
         monkeypatch.setattr(control, "find_contact", broken)
         with pytest.raises(Stop):
-            tactile_trial(config, weights, tactile_rig)
+            tactile_trial(tactile_campaign)
         assert_settled(draws)
     assert len(draw_threads()) == 1
 
 
-def test_one_cpu_starts_no_thread_and_keeps_the_record(config, weights,
-                                                       tactile_rig):
+def test_one_cpu_starts_no_thread_and_keeps_the_record(tactile_campaign):
     with two_cpus():
-        ahead = tactile_trial(config, weights, tactile_rig, index=1)
+        ahead = tactile_trial(tactile_campaign, index=1)
 
     with one_cpu(), fresh_worker() as started:
-        assert tactile_trial(config, weights, tactile_rig, index=1) == ahead
+        assert tactile_trial(tactile_campaign, index=1) == ahead
     assert started == []
 
 
@@ -303,8 +303,8 @@ def log_calls(monkeypatch, log):
     monkeypatch.setattr(control, "draw_ahead", entered)
 
 
-def test_a_tactile_trial_draws_ahead_while_it_perceives(config, weights,
-                                                        tactile_rig,
+def test_a_tactile_trial_draws_ahead_while_it_perceives(config,
+                                                        tactile_campaign,
                                                         monkeypatch):
     """On an overview miss ``draw_ahead`` is entered after the render
     returns and before circle detection; on a hit, right after the state
@@ -313,36 +313,36 @@ def test_a_tactile_trial_draws_ahead_while_it_perceives(config, weights,
     log, seen = [], {}
     log_calls(monkeypatch, log)
     with two_cpus():
-        tactile_trial(config, weights, tactile_rig, seen=seen)
+        tactile_trial(tactile_campaign, seen=seen)
         state = seen[config.camera.pose()][0]
         assert log == ["render_topdown", "render_topdown returned",
                        ("draw_ahead", state),
                        "detect_circles", "detect_circles returned"]
         log.clear()
-        tactile_trial(config, weights, tactile_rig, seen=seen)
+        tactile_trial(tactile_campaign, seen=seen)
         assert log == [("draw_ahead", state)]
 
 
 def test_a_tactile_trial_leads_its_index_unchanged(config, weights,
-                                                   tactile_rig):
+                                                   tactile_campaign):
     """With the tactile trial first, so that its miss fills ``seen`` from
     inside ``draw_ahead``, an index at two CPUs equals one at one CPU,
     record for record, and the entry a tactile miss leaves equals the one
     a visual miss leaves."""
-    rig, calibration = tactile_rig
-    order = ("tactile", "visual", "force")
+    campaign = replace(tactile_campaign,
+                       modalities=("tactile", "visual", "force"))
     with two_cpus():
-        ahead = run_index(config, weights, rig, calibration, 0, order)
+        ahead = run_index(campaign, 0)
         seen_tactile, seen_visual = {}, {}
-        tactile_trial(config, weights, tactile_rig, seen=seen_tactile)
+        tactile_trial(tactile_campaign, seen=seen_tactile)
         control.run_visual_trial(config, split_rng(RngStream(config.seed), 0),
                                  weights, trial_index=0, seen=seen_visual)
     assert seen_tactile == seen_visual
     assert list(seen_tactile) == [config.camera.pose()]
     with one_cpu(), fresh_worker() as started:
-        inline = run_index(config, weights, rig, calibration, 0, order)
+        inline = run_index(campaign, 0)
     assert started == []
-    assert [r.modality for r in ahead] == list(order)
+    assert [r.modality for r in ahead] == list(campaign.modalities)
     assert ahead == inline
 
 

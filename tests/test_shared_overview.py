@@ -58,8 +58,7 @@ def campaign(config, weights):
 
 
 def test_shared_run_records_equal_fresh_trials(config, weights, campaign):
-    rig = make_rig(config, "tactile")
-    calibration = control.calibrate_rig(config, rig)
+    tactile = bench.prepare(config, weights, ("tactile",))
     master = RngStream(config.seed)
     for i in range(TRIALS):
         stream = split_rng(master, i)
@@ -68,8 +67,8 @@ def test_shared_run_records_equal_fresh_trials(config, weights, campaign):
         assert campaign.records["force"][i] == control.run_force_trial(
             config, stream, weights, trial_index=i, seen={})
         assert campaign.records["tactile"][i] == control.run_tactile_trial(
-            config, stream, weights, rig, calibration, trial_index=i,
-            seen={})
+            config, stream, weights, tactile.rig, tactile.calibration,
+            trial_index=i, seen={})
 
 
 def test_each_index_detects_twice_with_a_cache_of_its_own(config, weights,
@@ -254,8 +253,7 @@ def test_renders_with_one_key_are_one_image(weights, seed, index):
     share one key."""
     config = load_config(f"seed = {seed}")
     stream = split_rng(RngStream(seed), index)
-    rig = make_rig(config, "tactile")
-    calibration = control.calibrate_rig(config, rig)
+    tactile = bench.prepare(config, weights, ("tactile",))
     images = {}
     overviews = []
     render = control.render_topdown
@@ -272,8 +270,8 @@ def test_renders_with_one_key_are_one_image(weights, seed, index):
         mp.setattr(control, "render_topdown", recording)
         control.run_visual_trial(config, stream, weights, index, {})
         control.run_force_trial(config, stream, weights, index, {})
-        control.run_tactile_trial(config, stream, weights, rig, calibration,
-                                  index, {})
+        control.run_tactile_trial(config, stream, weights, tactile.rig,
+                                  tactile.calibration, index, {})
     assert len(overviews) == 3 and len(set(overviews)) == 1
     for same_key in images.values():
         assert len(set(same_key)) == 1
@@ -286,15 +284,15 @@ def test_shared_trials_equal_fresh_ones_without_rubber_grasp_noise(weights):
     ones."""
     config = load_config("", ["noise.sigma_grasp = 0"])
     stream = split_rng(RngStream(config.seed), 25)
-    rig = make_rig(config, "tactile")
-    calibration = control.calibrate_rig(config, rig)
+    tactile = bench.prepare(config, weights, ("tactile",))
 
     def trials(seen):
         return (control.run_visual_trial(config, stream, weights, 25,
                                          seen()),
                 control.run_force_trial(config, stream, weights, 25, seen()),
-                control.run_tactile_trial(config, stream, weights, rig,
-                                          calibration, 25, seen()))
+                control.run_tactile_trial(config, stream, weights,
+                                          tactile.rig, tactile.calibration,
+                                          25, seen()))
 
     shared = {}
     assert trials(lambda: shared) == trials(dict)

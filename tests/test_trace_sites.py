@@ -11,6 +11,7 @@ from unittest import mock
 
 from vialbench import bench, simworld
 from vialbench.control import MODALITIES
+from vialbench.core import load_config
 
 TRACER = Path(__file__).resolve().parents[1] / "campaignbench" / "tracer.py"
 
@@ -42,6 +43,22 @@ def test_every_trial_loop_site_is_called(config, weights, tmp_path):
                   if {"control", "simworld", "tactile"} & set(modules)]
     assert "search.next_trial_positions" in loop_sites
     assert [name for name in loop_sites if not calls[name]] == []
+
+
+def test_every_bench_site_is_called(tmp_path):
+    """A run that trains its own classifier and includes tactile reaches
+    each site bound at ``bench``: the rig, its calibration and the training
+    that ``prepare`` builds, as well as the trial loop's."""
+    tracer = _load_tracer()
+    config = load_config("", ["cnn.train_scenes = 4", "cnn.epochs = 1"])
+    with tracer.Tracer().installed(tracer.LAYER_SITES) as installed:
+        result = bench.run_experiment(config, 2, 1, modalities=MODALITIES)
+        bench.emit_report(result, tmp_path)
+    calls = Counter(installed.names[i] for i in installed.name_id)
+    bench_sites = [name for name, modules in tracer.LAYER_SITES.items()
+                   if "bench" in modules]
+    assert "simworld.make_rig" in bench_sites
+    assert [name for name in bench_sites if not calls[name]] == []
 
 
 def test_drawing_ahead_keeps_the_span_tree(config, weights):
